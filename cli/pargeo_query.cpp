@@ -4,21 +4,19 @@
 //                [read_frac=0.9]
 //                [dist uniform|clustered|zipf|skewed|drifting|churn]
 //                [batch_size=2048] [seed=1] [shards=1] [policy hash|spatial]
-//                [drain single|per_shard|stealing] [cache_capacity=4096]
-//                [rebalance_threshold=0]
+//                [cache_capacity=4096] [rebalance_threshold=0]
 //                [--verbose] [--telemetry off|stats|trace]
 //                [--trace-out <path>] [--metrics-out <path>]
 //                [--ttl <ns>] [--watches <n>]
 //                [--replicas <n>] [--max-lag <epochs>]
-//                [--steal-poll-ns <ns>]
 //                [--log-dir <dir>] [--sync none|interval|every_commit]
 //                [--checkpoint-every <groups>] [--deadline-us <us>]
 //
 // Flags (anywhere on the command line, stripped before positional
 // parsing):
 //   --verbose             print the per-shard lane table (drains, queue
-//                         high-water, steals, per-shard execute
-//                         percentiles) after each backend row
+//                         high-water, per-shard execute percentiles)
+//                         after each backend row
 //   --telemetry LEVEL     off | stats (default) | trace
 //   --trace-out PATH      write sampled trace spans as Chrome
 //                         chrome://tracing / Perfetto JSON; implies
@@ -52,10 +50,6 @@
 //                         serve reads while trailing the log head by at
 //                         most this many committed write groups
 //                         (default 1; 0 = fully caught-up replicas only)
-//   --steal-poll-ns NS    idle-lane poll tick for drain=stealing: how
-//                         long a lane waits before scanning sibling
-//                         queues for work to steal (default 1000000 =
-//                         1ms)
 //   --log-dir DIR         durable op log: every committed write group is
 //                         framed+checksummed into DIR/oplog.pgol before
 //                         its tickets complete; `pargeo_query` can be
@@ -80,24 +74,15 @@
 //                         timed-out completions instead of executing
 //                         (0 = off). Counted in the durability summary
 //                         and pargeo_deadline_expired_total.
-//   --ingest MODE         submission seam: lockfree (default; bounded
-//                         MPSC ring, producers CAS slots and never take
-//                         the hub mutex) or mutex (the pre-ring baseline
-//                         for comparison). An ingest/reclaim summary line
-//                         (producer spins, snapshot versions retired /
-//                         freed / in limbo, reclaim stalls, epoch lag)
-//                         prints after each backend row.
 //
 // backend: kdtree | zdtree | bdltree | all (run every backend on the same
 // stream and print one row each). The service shards the logical index
 // across `shards` engines by `policy`; reads scatter/gather-merge, writes
-// route to owning shards. `drain` picks the execution strategy: per-shard
-// executor lanes (default; groups pipeline across shards), `stealing`
-// (lanes additionally drain the deepest sibling queue when idle — the
-// skew-resilient variant), or the single-drainer baseline.
-// `cache_capacity` sizes the epoch-keyed hot k-NN result cache (0
-// disables it). `rebalance_threshold` (> 1, spatial policy only) enables
-// online stripe rebalancing when max/mean shard imbalance crosses it.
+// route to owning shards, and write groups pipeline across one executor
+// lane per shard. `cache_capacity` sizes the epoch-keyed hot k-NN result
+// cache (0 disables it). `rebalance_threshold` (> 1, spatial policy only)
+// enables online stripe rebalancing when max/mean shard imbalance crosses
+// it.
 // `skewed`/`drifting` concentrate payload points in a (moving) corner
 // cube — the adversarial stream for spatial stripes. Reads split 70%
 // k-NN / 15% box range / 15% ball range; writes split evenly between
@@ -106,9 +91,11 @@
 // together), the drain pipeline's counters (total drain groups,
 // read/snapshot-path vs write groups, `lag` — read drains that retired
 // after the live write epoch had already advanced past their snapshot),
-// per-lane drain/steal counts, rebalance counters, and the cache's
-// hit/miss/evict line. With telemetry on (the default) each backend row
-// is followed by the request-lifecycle stage-latency table
+// per-lane drain counts, rebalance counters, and the cache's
+// hit/miss/evict line, then an ingest/reclaim summary line (producer
+// spins on a full ingest ring, snapshot versions retired / freed / in
+// limbo, reclaim stalls, epoch lag). With telemetry on (the default) each
+// backend row is followed by the request-lifecycle stage-latency table
 // (p50/p95/p99/p999/max per stage, from query/telemetry.h).
 #include <chrono>
 #include <cstdint>
@@ -137,12 +124,10 @@ struct cli_opts {
   std::size_t watches = 0;     // standing queries registered up front
   std::size_t replicas = 0;    // epoch-trailing read replicas, 0 = off
   std::uint64_t max_lag = 1;   // replica staleness bound (epochs)
-  std::uint64_t steal_poll_ns = 0;  // stealing-lane poll tick, 0 = default
   std::string log_dir;              // durable op log directory, "" = off
   query::sync_policy sync = query::sync_policy::interval;
   std::size_t checkpoint_every = 0;  // write groups per checkpoint, 0 = never
   std::uint64_t deadline_us = 0;     // admission deadline, 0 = off
-  query::ingest_mode ingest = query::ingest_mode::lockfree;
 };
 
 query::workload_spec make_spec(std::size_t initial_n, std::size_t num_ops,
@@ -179,7 +164,6 @@ int run_backend(query::backend b, const query::workload_spec& spec,
     cfg.telemetry = query::telemetry_level::trace;
     cfg.trace_sample = 8;  // denser than the service default for a CLI run
   }
-  if (opts.steal_poll_ns > 0) cfg.steal_poll_ns = opts.steal_poll_ns;
   query::query_service<D> service(cfg);
 
   // Replicated read tier: attach the op log before bootstrap (the build
@@ -239,8 +223,8 @@ int run_backend(query::backend b, const query::workload_spec& spec,
   }
 
   // Result checksum: total hits returned, comparable across backends,
-  // shard counts, drain modes, and cache settings (identical streams
-  // yield identical hits).
+  // shard counts, and cache settings (identical streams yield identical
+  // hits).
   std::size_t hits = 0;
   for (const auto& r : responses) hits += r.points.size();
 
@@ -250,28 +234,24 @@ int run_backend(query::backend b, const query::workload_spec& spec,
 
   service.close();
   const auto svc = service.stats();
-  std::size_t lane_drains = 0, steals = 0;
-  for (const auto& lane : svc.per_shard) {
-    lane_drains += lane.num_drains;
-    steals += lane.steals;
-  }
+  std::size_t lane_drains = 0;
+  for (const auto& lane : svc.per_shard) lane_drains += lane.num_drains;
   std::printf(
       "%-8s ops=%zu reads=%zu writes=%zu phases=%zu  %10.0f ops/s  "
       "lat p50=%.3fms p90=%.3fms p99=%.3fms  hits=%zu size=%zu  "
-      "drains=%zu (r=%zu w=%zu lag=%zu lane=%zu steal=%zu)  "
+      "drains=%zu (r=%zu w=%zu lag=%zu lane=%zu)  "
       "rebal=%zu moved=%zu  cache h=%zu m=%zu (%.0f%%) ev=%zu\n",
       query::backend_name(b), stats.num_requests, stats.num_reads,
       stats.num_writes, stats.num_phases(), stats.ops_per_sec(),
       query::percentile(phase_ms, 50), query::percentile(phase_ms, 90),
       query::percentile(phase_ms, 99), hits, service.size(),
       svc.num_drains, svc.num_read_groups, svc.num_write_groups,
-      svc.snapshot_lag_drains, lane_drains, steals, svc.rebalances,
+      svc.snapshot_lag_drains, lane_drains, svc.rebalances,
       svc.rebalance_moved, svc.cache.hits, svc.cache.misses,
       svc.cache.hit_rate() * 100, svc.cache.evictions);
   std::printf(
-      "  ingest=%s spins=%llu  reclaim: retired=%llu freed=%llu limbo=%llu "
+      "  ingest: spins=%llu  reclaim: retired=%llu freed=%llu limbo=%llu "
       "stalls=%llu lag=%llu\n",
-      query::ingest_mode_name(cfg.ingest),
       static_cast<unsigned long long>(svc.ingest_spins),
       static_cast<unsigned long long>(svc.retired_snapshots),
       static_cast<unsigned long long>(svc.reclaimed_snapshots),
@@ -335,9 +315,8 @@ int run_backend(query::backend b, const query::workload_spec& spec,
   if (opts.verbose) {
     // Per-shard lane table (behind --verbose: at high shard counts this
     // is a screenful per backend).
-    std::printf("  %-6s %8s %9s %8s %7s %7s %8s %10s %10s\n", "shard",
-                "drains", "requests", "exec_s", "maxq", "steals", "scans",
-                "exec_p50us", "exec_p99us");
+    std::printf("  %-6s %8s %9s %8s %7s %10s %10s\n", "shard", "drains",
+                "requests", "exec_s", "maxq", "exec_p50us", "exec_p99us");
     for (std::size_t s = 0; s < svc.per_shard.size(); ++s) {
       const auto& lane = svc.per_shard[s];
       query::latency_histogram exec;  // write + read execution, merged
@@ -348,10 +327,9 @@ int run_backend(query::backend b, const query::workload_spec& spec,
             query::stage::execute_read)]);
       }
       const auto es = exec.summary();
-      std::printf("  %-6zu %8zu %9zu %8.3f %7zu %7zu %8zu %10.1f %10.1f\n",
-                  s, lane.num_drains, lane.num_requests,
-                  lane.execute_seconds, lane.max_queue_depth, lane.steals,
-                  lane.steal_scans, es.p50 / 1e3, es.p99 / 1e3);
+      std::printf("  %-6zu %8zu %9zu %8.3f %7zu %10.1f %10.1f\n", s,
+                  lane.num_drains, lane.num_requests, lane.execute_seconds,
+                  lane.max_queue_depth, es.p50 / 1e3, es.p99 / 1e3);
     }
   }
   if (!opts.trace_out.empty()) {
@@ -397,12 +375,11 @@ int run(const std::string& backend_arg, const query::workload_spec& spec,
   }
   std::printf(
       "workload: dim=%d initial=%zu ops=%zu dist=%s batch=%zu seed=%llu "
-      "shards=%zu policy=%s drain=%s ingest=%s cache=%zu rebalance=%.2f\n",
+      "shards=%zu policy=%s cache=%zu rebalance=%.2f\n",
       D, spec.initial_points, spec.num_ops,
       query::distribution_name(spec.dist), spec.batch_size,
       static_cast<unsigned long long>(spec.seed), cfg.shards,
-      query::shard_policy_name(cfg.policy), query::drain_mode_name(cfg.drain),
-      query::ingest_mode_name(cfg.ingest), cfg.cache_capacity,
+      query::shard_policy_name(cfg.policy), cfg.cache_capacity,
       cfg.rebalance_threshold);
   for (auto b : backends) {
     if (const int rc = run_backend<D>(b, spec, cfg, opts)) return rc;
@@ -474,15 +451,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       opts.max_lag = static_cast<std::uint64_t>(n);
-    } else if (const char* v = value_of("--steal-poll-ns")) {
-      char* end = nullptr;
-      const long long ns = std::strtoll(v, &end, 10);
-      if (end == v || *end != '\0' || ns <= 0) {
-        std::fprintf(stderr, "--steal-poll-ns wants nanoseconds > 0 (got '%s')\n",
-                     v);
-        return 2;
-      }
-      opts.steal_poll_ns = static_cast<std::uint64_t>(ns);
     } else if (const char* v = value_of("--log-dir")) {
       opts.log_dir = v;
     } else if (const char* v = value_of("--sync")) {
@@ -502,13 +470,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       opts.checkpoint_every = static_cast<std::size_t>(n);
-    } else if (const char* v = value_of("--ingest")) {
-      try {
-        opts.ingest = query::ingest_mode_from_string(v);
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "%s\n", e.what());
-        return 2;
-      }
     } else if (const char* v = value_of("--deadline-us")) {
       char* end = nullptr;
       const long long us = std::strtoll(v, &end, 10);
@@ -536,13 +497,12 @@ int main(int argc, char** argv) {
         "[dist uniform|clustered|zipf|skewed|drifting|churn] "
         "[batch_size=2048] "
         "[seed=1] [shards=1] [policy hash|spatial] "
-        "[drain single|per_shard|stealing] [cache_capacity=4096] "
-        "[rebalance_threshold=0] [--verbose] "
+        "[cache_capacity=4096] [rebalance_threshold=0] [--verbose] "
         "[--telemetry off|stats|trace] [--trace-out path] "
         "[--metrics-out path] [--ttl ns] [--watches n] [--replicas n] "
-        "[--max-lag epochs] [--steal-poll-ns ns] [--log-dir dir] "
+        "[--max-lag epochs] [--log-dir dir] "
         "[--sync none|interval|every_commit] [--checkpoint-every n] "
-        "[--deadline-us us] [--ingest mutex|lockfree]\n",
+        "[--deadline-us us]\n",
         argv[0]);
     return 2;
   }
@@ -579,7 +539,6 @@ int main(int argc, char** argv) {
   cfg.sync = opts.sync;
   cfg.checkpoint_every = opts.checkpoint_every;
   cfg.deadline_ns = opts.deadline_us * 1000;
-  cfg.ingest = opts.ingest;
   if (argc > 10) {
     try {
       cfg.policy = query::shard_policy_from_string(argv[10]);
@@ -589,35 +548,27 @@ int main(int argc, char** argv) {
     }
   }
   if (argc > 11) {
-    try {
-      cfg.drain = query::drain_mode_from_string(argv[11]);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "%s\n", e.what());
-      return 2;
-    }
-  }
-  if (argc > 12) {
     // Strict parse: atoll would turn a typo into 0 and silently disable
     // the cache a benchmark meant to measure.
     char* end = nullptr;
-    const long long cap = std::strtoll(argv[12], &end, 10);
-    if (end == argv[12] || *end != '\0' || cap < 0) {
+    const long long cap = std::strtoll(argv[11], &end, 10);
+    if (end == argv[11] || *end != '\0' || cap < 0) {
       std::fprintf(stderr,
                    "cache_capacity must be a non-negative integer (got "
                    "'%s')\n",
-                   argv[12]);
+                   argv[11]);
       return 2;
     }
     cfg.cache_capacity = static_cast<std::size_t>(cap);
   }
-  if (argc > 13) {
+  if (argc > 12) {
     char* end = nullptr;
-    const double thr = std::strtod(argv[13], &end);
-    if (end == argv[13] || *end != '\0' || thr < 0) {
+    const double thr = std::strtod(argv[12], &end);
+    if (end == argv[12] || *end != '\0' || thr < 0) {
       std::fprintf(stderr,
                    "rebalance_threshold must be a non-negative number "
                    "(got '%s'; > 1 enables, spatial policy only)\n",
-                   argv[13]);
+                   argv[12]);
       return 2;
     }
     cfg.rebalance_threshold = thr;

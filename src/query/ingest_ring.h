@@ -1,5 +1,4 @@
-// Bounded lock-free MPSC ring — the query_service's lock-free front door
-// (ingest_mode::lockfree).
+// Bounded lock-free MPSC ring — the query_service's lock-free front door.
 //
 // Layout is the classic sequence-numbered slot array (Vyukov's bounded
 // queue, restricted to a single consumer): each slot carries an atomic

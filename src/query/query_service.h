@@ -3,8 +3,10 @@
 //
 // A `query_service<D>` owns N `query_engine<D>` shards behind one logical
 // index, built from a `service_config` (backend, shard count, shard policy,
-// drain mode, ingest-batch window, read concurrency, backpressure bound,
-// cache capacity, retention cap):
+// ingest-batch window, read concurrency, backpressure bound, cache
+// capacity, retention cap). Every ticket takes one pipeline: lock-free
+// MPSC ring -> drain thread -> one executor lane per shard -> snapshot
+// readers.
 //
 //   *Sharding*. Every stored point is owned by exactly one shard —
 //   `shard_policy::hash` routes by a hash of the coordinates,
@@ -29,7 +31,7 @@
 //   service thread — keep callbacks light and never block on another
 //   completion inside one).
 //
-//   *Per-shard drain pipelines* (`drain_mode::per_shard`, the default).
+//   *Per-shard drain pipelines*.
 //   The drain thread routes each group exactly once into per-shard
 //   sub-batches, then hands them to a pool of shard executors — one lane
 //   (FIFO queue + worker thread) per shard — and immediately moves on to
@@ -40,23 +42,9 @@
 //   every request that can affect a shard's answers is in that shard's
 //   sub-batch (writes go to their owner, reads to every serving shard) —
 //   so per-shard FIFO is exactly the ordering the answers depend on. The
-//   last lane to finish a group gather-merges and fulfils it.
-//   `drain_mode::single` keeps the PR 3 behavior (the drain thread
-//   executes each group to completion before the next) as the measurable
-//   baseline. Per-lane counters (sub-batch drains, execute seconds, queue
-//   depths) are surfaced through `service_stats::per_shard`.
-//
-//   *Work-stealing lanes* (`drain_mode::stealing`). Same pipeline, but an
-//   idle lane worker drains the deepest sibling queue instead of
-//   blocking: each lane carries an execution token, tasks are popped from
-//   the front only while holding it, and the token is held until the
-//   task retires — so a shard's tasks still run one at a time in queue
-//   order (per-shard FIFO and the single-writer discipline are
-//   untouched; only the executing thread changes). A zipf/clustered
-//   write stream that routes every sub-batch to one shard no longer
-//   collapses the service to one busy worker. `steals`/`steal_scans`
-//   counters land in `service_stats::per_shard`; `per_shard` stays the
-//   no-stealing comparable baseline.
+//   last lane to finish a group gather-merges and fulfils it. Per-lane
+//   counters (sub-batch drains, execute seconds, queue depths) are
+//   surfaced through `service_stats::per_shard`.
 //
 //   *Online stripe rebalancing* (`rebalance_threshold`, spatial policy).
 //   The drain thread tracks per-shard resident sizes as it routes writes;
@@ -85,15 +73,13 @@
 //   every reader epoch has advanced past them, so big trees never die on
 //   a reader's tail latency.
 //
-//   *Lock-free ingest* (`ingest_mode::lockfree`, the default). submit()
-//   validates, acquires backpressure budget with a CAS on the in-flight
-//   counter, stamps a ticket id from an atomic, and publishes the batch
-//   onto a bounded MPSC ring (query/ingest_ring.h) — no lock anywhere on
-//   the fast path; `ready()` polls are a single atomic load. Producers
-//   park futex-style only when the pipeline is saturated (backpressure) or
-//   the ring is full (`ingest_spins` counts the spins burned first).
-//   `ingest_mode::mutex` keeps the historical mutex/condvar queue as the
-//   comparable baseline; admission semantics are identical.
+//   *Lock-free ingest*. submit() validates, acquires backpressure budget
+//   with a CAS on the in-flight counter, stamps a ticket id from an
+//   atomic, and publishes the batch onto a bounded MPSC ring
+//   (query/ingest_ring.h) — no lock anywhere on the fast path; `ready()`
+//   polls are a single atomic load. Producers park futex-style only when
+//   the pipeline is saturated (backpressure) or the ring is full
+//   (`ingest_spins` counts the spins burned first).
 //
 //   *Hot result cache*. Each shard carries an epoch-invalidated LRU
 //   cache of read-result rows (query/result_cache.h) keyed by the exact
@@ -214,66 +200,10 @@ inline shard_policy shard_policy_from_string(const std::string& s) {
                               "' (want spatial|hash)");
 }
 
-/// How drain groups execute: `per_shard` pipelines sub-batches through one
-/// executor lane per shard (groups overlap across shards); `stealing` is
-/// per_shard plus work stealing — an idle lane worker drains the deepest
-/// sibling queue, so a skewed stream that routes everything to one shard
-/// still keeps every worker busy; `single` runs each group to completion
-/// on the drain thread (the serialized baseline).
-enum class drain_mode { single, per_shard, stealing };
-
-inline const char* drain_mode_name(drain_mode m) {
-  switch (m) {
-    case drain_mode::single: return "single";
-    case drain_mode::per_shard: return "per_shard";
-    case drain_mode::stealing: return "stealing";
-  }
-  return "?";
-}
-
-inline drain_mode drain_mode_from_string(const std::string& s) {
-  if (s == "single") return drain_mode::single;
-  if (s == "per_shard") return drain_mode::per_shard;
-  if (s == "stealing") return drain_mode::stealing;
-  throw std::invalid_argument("unknown drain mode '" + s +
-                              "' (want single|per_shard|stealing)");
-}
-
-/// How submit() hands batches to the drain thread: `lockfree` (the
-/// default) pushes onto a bounded MPSC ring (src/query/ingest_ring.h) —
-/// producers contend only on one CAS, backpressure budget is acquired with
-/// atomics, and blocked producers park futex-style; `mutex` is the
-/// historical mutex/condvar queue, kept switchable as the comparable
-/// baseline. Admission semantics (FIFO order per producer, ticket-id
-/// assignment, `max_pending_requests` blocking/rejection, close() waking
-/// blocked producers) are identical in both modes.
-enum class ingest_mode { mutex, lockfree };
-
-inline const char* ingest_mode_name(ingest_mode m) {
-  switch (m) {
-    case ingest_mode::mutex: return "mutex";
-    case ingest_mode::lockfree: return "lockfree";
-  }
-  return "?";
-}
-
-inline ingest_mode ingest_mode_from_string(const std::string& s) {
-  if (s == "mutex") return ingest_mode::mutex;
-  if (s == "lockfree") return ingest_mode::lockfree;
-  throw std::invalid_argument("unknown ingest mode '" + s +
-                              "' (want mutex|lockfree)");
-}
-
 struct service_config {
   query::backend backend = query::backend::bdltree;
   std::size_t shards = 1;
   shard_policy policy = shard_policy::hash;
-  /// Drain-group execution: per-shard executor lanes (default) or the
-  /// single-drainer baseline.
-  drain_mode drain = drain_mode::per_shard;
-  /// Ingest path: lock-free MPSC ring (default) or the mutex/condvar
-  /// queue baseline. See ingest_mode.
-  ingest_mode ingest = ingest_mode::lockfree;
   /// Slot count of the lock-free ingest ring (rounded up to a power of
   /// two). A full ring blocks producers exactly like backpressure does;
   /// `ingest_spins` counts the spin iterations they burn first.
@@ -333,11 +263,6 @@ struct service_config {
   /// Span ring capacity at `trace` level; the oldest spans are
   /// overwritten past it.
   std::size_t trace_capacity = 8192;
-  /// Idle poll tick for stealing lane workers, in nanoseconds: how long a
-  /// worker with an empty own queue sleeps between scans of sibling
-  /// queues. Smaller = steals picked up faster at the cost of idle CPU;
-  /// only meaningful under drain_mode::stealing.
-  std::uint64_t steal_poll_ns = 1'000'000;
   /// Durability (query/oplog.h, query/checkpoint.h). Non-empty: the
   /// constructor creates the directory, attaches an op log, and opens
   /// `<log_dir>/oplog.pgol` for incremental durable appends — every
@@ -369,10 +294,9 @@ struct service_config {
 
 /// Completed batch as seen by one submitter. `stats` describes the whole
 /// drain group the ticket executed in (tickets grouped into one drain share
-/// phases, and `response::phase` indexes `stats.phases`). Under
-/// `drain_mode::per_shard` phases pipeline across shards, so per-phase
-/// seconds are the group's wall-clock apportioned by request count rather
-/// than directly measured.
+/// phases, and `response::phase` indexes `stats.phases`). Phases pipeline
+/// across shards, so per-phase seconds are the group's wall-clock
+/// apportioned by request count rather than directly measured.
 template <int D>
 struct ticket_result {
   std::vector<response<D>> responses;  // responses[i] answers batch[i]
@@ -393,20 +317,13 @@ struct ticket_result {
   bool timed_out = false;
 };
 
-/// Per-lane drain counters (populated under `drain_mode::per_shard` and
-/// `::stealing`). `num_drains`/`num_requests`/`execute_seconds` describe
-/// work executed ON this shard (whichever worker ran it); `steals` and
-/// `steal_scans` describe work this lane's WORKER took from siblings.
+/// Per-lane drain counters: the work this shard's executor lane ran.
 struct shard_drain_stats {
   std::size_t num_drains = 0;    // sub-batches executed on this shard
   std::size_t num_requests = 0;  // requests across those sub-batches
   double execute_seconds = 0;    // wall-clock spent executing this shard
   std::size_t queue_depth = 0;   // tasks waiting in the lane right now
   std::size_t max_queue_depth = 0;  // high-water mark of queue_depth
-  /// Work stealing (drain_mode::stealing): tasks this lane's worker stole
-  /// from sibling queues, and the idle scans that went looking for one.
-  std::size_t steals = 0;
-  std::size_t steal_scans = 0;
 };
 
 struct service_stats {
@@ -474,8 +391,8 @@ struct service_stats {
   std::size_t log_append_errors = 0;
   std::uint64_t log_syncs = 0;
   std::uint64_t log_bytes = 0;
-  /// Lock-free ingest (ingest_mode::lockfree, query/ingest_ring.h):
-  /// producer spin iterations burned on a full ring before parking.
+  /// Lock-free ingest (query/ingest_ring.h): producer spin iterations
+  /// burned on a full ring before parking.
   std::uint64_t ingest_spins = 0;
   /// Epoch-based snapshot reclamation (query/epoch_reclaim.h):
   /// `retired_snapshots` structure versions handed to the limbo list,
@@ -489,7 +406,7 @@ struct service_stats {
   std::uint64_t reclaim_stalls = 0;
   std::uint64_t epoch_lag = 0;
   std::uint64_t limbo_snapshots = 0;
-  std::vector<shard_drain_stats> per_shard;  // one entry per lane
+  std::vector<shard_drain_stats> per_shard;  // one entry per shard lane
   cache_stats cache;  // hot k-NN cache, aggregated across shards
   /// Per-stage / per-shard latency histograms (query/telemetry.h).
   /// Empty (level `off`, zero counts) when telemetry is disabled.
@@ -497,7 +414,7 @@ struct service_stats {
 };
 
 /// Prometheus text exposition of a service_stats snapshot: counter and
-/// gauge families for the ingest/drain/cache/steal/rebalance counters,
+/// gauge families for the ingest/drain/cache/rebalance counters,
 /// plus one cumulative `pargeo_stage_latency_seconds` histogram per
 /// lifecycle stage (merged across shards, `le` in seconds). Scrape-ready
 /// — serve it from an HTTP handler or drop it in a node_exporter
@@ -560,14 +477,6 @@ inline std::string metrics_text(const service_stats& s) {
        static_cast<double>(s.cache.hit_ns) * 1e-9);
   emit("pargeo_cache_seconds_total{path=\"miss\"} %.9f\n",
        static_cast<double>(s.cache.miss_ns) * 1e-9);
-  std::uint64_t steals = 0, steal_scans = 0;
-  for (const auto& ps : s.per_shard) {
-    steals += ps.steals;
-    steal_scans += ps.steal_scans;
-  }
-  counter("pargeo_steals_total", "Lane tasks drained by sibling workers",
-          steals);
-  counter("pargeo_steal_scans_total", "Idle steal scans", steal_scans);
   counter("pargeo_rebalances_total", "Stripe bound re-derivations",
           s.rebalances);
   counter("pargeo_rebalance_moved_total", "Points migrated by rebalancing",
@@ -669,8 +578,8 @@ namespace detail {
 /// an atomic: `completion::ready()` is one acquire load, never a lock. The
 /// hub (a shared_ptr) outlives the service, so handles stay redeemable
 /// after shutdown. `mu` guards the retention/eviction bookkeeping, result
-/// payloads, callbacks, and `done_cv`; in ingest_mode::mutex it also
-/// guards the owning service's ingest queue.
+/// payloads, callbacks, and `done_cv`; the owning service also parks
+/// backpressured producers and queues replayed log groups under it.
 template <int D>
 struct completion_hub {
   struct record {
@@ -895,7 +804,8 @@ class query_service {
   explicit query_service(service_config cfg)
       : cfg_(std::move(cfg)),
         tel_(cfg_.telemetry, cfg_.shards, cfg_.trace_sample,
-             cfg_.trace_capacity) {
+             cfg_.trace_capacity),
+        ring_(cfg_.ingest_ring_capacity) {
     if (cfg_.shards == 0) {
       throw std::invalid_argument("service_config.shards must be >= 1");
     }
@@ -936,16 +846,10 @@ class query_service {
       log_->open_durable(cfg_.log_dir + "/oplog.pgol", cfg_.sync,
                          cfg_.sync_interval_groups);
     }
-    if (cfg_.ingest == ingest_mode::lockfree) {
-      ring_ = std::make_unique<mpsc_ring<pending_entry>>(
-          cfg_.ingest_ring_capacity);
-    }
     drainer_ = std::thread([this] { drain_loop(); });
     try {
-      if (cfg_.drain != drain_mode::single) {
-        for (std::size_t s = 0; s < cfg_.shards; ++s) {
-          lanes_[s]->worker = std::thread([this, s] { shard_loop(s); });
-        }
+      for (std::size_t s = 0; s < cfg_.shards; ++s) {
+        lanes_[s]->worker = std::thread([this, s] { shard_loop(s); });
       }
       readers_.reserve(cfg_.read_threads);
       for (std::size_t i = 0; i < cfg_.read_threads; ++i) {
@@ -1029,49 +933,23 @@ class query_service {
   /// when close() arrives while blocked), and std::invalid_argument on a
   /// request with non-finite coordinates (no ticket is created).
   ///
-  /// ingest_mode::lockfree (the default): admission is a CAS on the
-  /// budget counter and a Vyukov-ring push — producers touch no mutex
-  /// unless the bound or the ring is actually full. ingest_mode::mutex
-  /// keeps the original hub-lock path as the comparable baseline.
+  /// Admission is a CAS on the budget counter and a Vyukov-ring push —
+  /// producers touch no mutex unless the bound or the ring is actually
+  /// full.
   completion<D> submit(std::vector<request<D>> batch) {
     validate_batch(batch);
-    if (ring_) {
-      return *submit_lockfree(std::move(batch), cfg_.deadline_ns,
-                              /*blocking=*/true, "submit");
-    }
-    std::unique_lock<std::mutex> lk(hub_->mu);
-    if (cfg_.max_pending_requests > 0 && !admits(batch.size())) {
-      ctr_.submit_waits.fetch_add(1, std::memory_order_relaxed);
-      space_cv_.wait(lk, [&] {
-        return hub_->closed.load(std::memory_order_relaxed) ||
-               admits(batch.size());
-      });
-    }
-    if (hub_->closed.load(std::memory_order_relaxed)) {
-      throw std::runtime_error("query_service::submit() after close()");
-    }
-    return enqueue_locked(std::move(batch), cfg_.deadline_ns);
+    return *enqueue(std::move(batch), cfg_.deadline_ns, /*blocking=*/true,
+                    "submit");
   }
 
   /// Non-blocking submit: std::nullopt when admission would block on the
-  /// backpressure bound (or, under ingest_mode::lockfree, on a full
-  /// ingest ring) — never waits. Throws once the service is closed, and
-  /// std::invalid_argument on non-finite coordinates.
+  /// backpressure bound or on a full ingest ring — never waits. Throws
+  /// once the service is closed, and std::invalid_argument on non-finite
+  /// coordinates.
   std::optional<completion<D>> try_submit(std::vector<request<D>> batch) {
     validate_batch(batch);
-    if (ring_) {
-      return submit_lockfree(std::move(batch), cfg_.deadline_ns,
-                             /*blocking=*/false, "try_submit");
-    }
-    std::lock_guard<std::mutex> lk(hub_->mu);
-    if (hub_->closed.load(std::memory_order_relaxed)) {
-      throw std::runtime_error("query_service::try_submit() after close()");
-    }
-    if (cfg_.max_pending_requests > 0 && !admits(batch.size())) {
-      ctr_.try_submit_rejects.fetch_add(1, std::memory_order_relaxed);
-      return std::nullopt;
-    }
-    return enqueue_locked(std::move(batch), cfg_.deadline_ns);
+    return enqueue(std::move(batch), cfg_.deadline_ns, /*blocking=*/false,
+                   "try_submit");
   }
 
   /// submit() with an explicit per-batch deadline, `deadline_ns`
@@ -1086,23 +964,8 @@ class query_service {
   completion<D> submit_with_deadline(std::vector<request<D>> batch,
                                      std::uint64_t deadline_ns) {
     validate_batch(batch);
-    if (ring_) {
-      return *submit_lockfree(std::move(batch), deadline_ns,
-                              /*blocking=*/true, "submit_with_deadline");
-    }
-    std::unique_lock<std::mutex> lk(hub_->mu);
-    if (cfg_.max_pending_requests > 0 && !admits(batch.size())) {
-      ctr_.submit_waits.fetch_add(1, std::memory_order_relaxed);
-      space_cv_.wait(lk, [&] {
-        return hub_->closed.load(std::memory_order_relaxed) ||
-               admits(batch.size());
-      });
-    }
-    if (hub_->closed.load(std::memory_order_relaxed)) {
-      throw std::runtime_error(
-          "query_service::submit_with_deadline() after close()");
-    }
-    return enqueue_locked(std::move(batch), deadline_ns);
+    return *enqueue(std::move(batch), deadline_ns, /*blocking=*/true,
+                    "submit_with_deadline");
   }
 
   /// Single-caller convenience: submit + get.
@@ -1145,13 +1008,12 @@ class query_service {
     {
       std::lock_guard<std::mutex> lk(hub_->mu);
       hub_->closed.store(true, std::memory_order_seq_cst);
-      work_cv_.notify_all();
       space_cv_.notify_all();
     }
-    // Lock-free mode: fail producers blocked in a full-ring push and wake
-    // the parked drain consumer. Items already in the ring stay poppable
-    // — the drain flushes them before exiting.
-    if (ring_) ring_->close();
+    // Fail producers blocked in a full-ring push and wake the parked drain
+    // consumer. Items already in the ring stay poppable — the drain
+    // flushes them before exiting.
+    ring_.close();
     std::lock_guard<std::mutex> cg(close_mu_);
     if (threads_joined_) return;
     if (drainer_.joinable()) drainer_.join();
@@ -1214,7 +1076,7 @@ class query_service {
     s.results_evicted = hub_->evicted_total.load(std::memory_order_relaxed);
     s.pending_requests =
         in_flight_requests_.load(std::memory_order_relaxed);
-    if (ring_) s.ingest_spins = ring_->spins();
+    s.ingest_spins = ring_.spins();
     {
       const reclaim_counters rc = reclaim_.counters();
       s.retired_snapshots = rc.retired;
@@ -1330,9 +1192,8 @@ class query_service {
       replay_q_.push_back(std::move(g));
       replay_pending_.fetch_add(1, std::memory_order_release);
       replay_enqueued_.fetch_add(1, std::memory_order_acq_rel);
-      work_cv_.notify_one();
     }
-    if (ring_) ring_->kick_consumer();  // lockfree drain parks on the ring
+    ring_.kick_consumer();  // the drain thread parks on the ring
   }
 
   /// Blocks until every group handed to apply_replayed() so far has been
@@ -1363,11 +1224,8 @@ class query_service {
   /// has retired. applied_epoch() advances at *dispatch* — enough for
   /// routed reads, which stamp behind the replay tasks in lane order, but
   /// NOT for direct backend inspection (size()/gather()): those need this
-  /// barrier first. Pure wait; safe from any thread. No-op for
-  /// drain_mode::single, where groups apply synchronously.
-  void wait_lanes_idle() {
-    if (cfg_.drain != drain_mode::single) quiesce_lanes();
-  }
+  /// barrier first. Pure wait; safe from any thread.
+  void wait_lanes_idle() { quiesce_lanes(); }
 
   /// Replica side: log groups whose replay application threw (the
   /// replay_errors counter without the full stats() snapshot — cheap
@@ -1536,21 +1394,18 @@ class query_service {
     std::uint64_t enqueue_ns = 0;           // lane_wait stamp (telemetry on)
   };
 
-  /// Per-shard executor lane: FIFO task queue + worker thread. `mu`
-  /// guards q, busy, stats, shutdown; `cv` signals new work AND token
-  /// releases. `busy` is the lane's execution token: a task may only be
-  /// popped (front, under `mu`) by a thread that takes the token, and the
-  /// token is held until the task retires — so this shard's tasks run one
-  /// at a time, in queue order, whichever worker runs them. Under
-  /// drain_mode::stealing that worker can be a sibling lane's. (The write
-  /// gate that used to live here is gone: every backend's snapshots are
-  /// isolated now, so readers never block this shard's writes.)
+  /// Per-shard executor lane: FIFO task queue + the one worker thread that
+  /// runs this shard's tasks, one at a time in queue order. `mu` guards q,
+  /// busy, stats, shutdown; `cv` signals new work AND task retirement.
+  /// `busy` is set from pop until the task retires, so `q.empty() &&
+  /// !busy` is exactly "no lane work pending" (what quiesce_lanes() waits
+  /// for).
   struct shard_lane {
     std::mutex mu;
     std::condition_variable cv;
     std::deque<shard_task> q;
     bool shutdown = false;
-    bool busy = false;  // execution token (see above)
+    bool busy = false;  // a popped task is executing
     shard_drain_stats stats;
     std::thread worker;
   };
@@ -1612,75 +1467,24 @@ class query_service {
 
   // ---- drain pipeline -----------------------------------------------------
 
-  // The dedicated drainer: pops FIFO groups of same-kind tickets (read-only
-  // vs writing, bounded by ingest_window requests), routes each group once,
-  // and dispatches it — write/mixed groups to the shard lanes (per_shard)
-  // or executed in place (single), read-only groups toward the snapshot
-  // readers. Exits once closed and the queue is flushed. The two ingest
-  // modes differ only in how tickets reach pending_: through the hub lock
-  // (mutex) or through the MPSC ring into a drain-thread-local pending_
-  // (lockfree); group formation and dispatch are shared.
+  // The dedicated drainer: moves tickets from ring_ into its thread-local
+  // pending_ (so group formation needs no lock at all), pops FIFO groups
+  // of same-kind tickets (read-only vs writing, bounded by ingest_window
+  // requests), routes each group once, and dispatches it — write/mixed
+  // groups to the shard lanes, read-only groups toward the snapshot
+  // readers. Replayed log groups take priority over local tickets
+  // (replicas serve reads; staying fresh is the product), one per
+  // iteration so close() and TTL still interleave. Exit requires closed
+  // AND no producer mid-push (submit_entrants_) AND the ring, pending_,
+  // and replay queue all flushed. A TTL shortens the park, so expiry
+  // sweeps run without traffic.
   void drain_loop() {
-    if (ring_) {
-      drain_loop_lockfree();
-    } else {
-      drain_loop_mutex();
-    }
-  }
-
-  void drain_loop_mutex() {
-    for (;;) {
-      formed_group f;
-      {
-        std::unique_lock<std::mutex> lk(hub_->mu);
-        const auto work = [&] {
-          return hub_->closed.load(std::memory_order_relaxed) ||
-                 !pending_.empty() || !replay_q_.empty();
-        };
-        if (cfg_.point_ttl_ns > 0) {
-          // TTL set: bounded wait, so expiry sweeps run without traffic.
-          work_cv_.wait_for(lk, std::chrono::milliseconds(20), work);
-        } else {
-          work_cv_.wait(lk, work);
-        }
-        if (!replay_q_.empty()) {
-          // Replica side: replayed log groups take priority over local
-          // tickets (replicas serve reads; staying fresh is the product).
-          // One per iteration so close() and TTL still interleave.
-          log_group<D> rg = std::move(replay_q_.front());
-          replay_q_.pop_front();
-          replay_pending_.fetch_sub(1, std::memory_order_acq_rel);
-          lk.unlock();
-          process_replay(std::move(rg));
-          continue;
-        }
-        if (pending_.empty()) {
-          if (hub_->closed.load(std::memory_order_relaxed)) {
-            advance_reclaim();  // final sweep before the thread exits
-            return;
-          }
-          lk.unlock();
-          maybe_expire();
-          advance_reclaim();  // idle tick: drain the limbo list
-          continue;
-        }
-        f = form_group();
-      }
-      dispatch_formed(std::move(f));
-    }
-  }
-
-  // Lock-free mode: tickets arrive through ring_; pending_ is
-  // drain-thread-local here, so group formation needs no lock at all.
-  // Exit requires closed AND no producer mid-push (submit_entrants_) AND
-  // the ring, pending_, and replay queue all flushed.
-  void drain_loop_lockfree() {
     const auto park = std::chrono::nanoseconds(
         cfg_.point_ttl_ns > 0 ? std::chrono::milliseconds(20)
                               : std::chrono::milliseconds(50));
     for (;;) {
       pending_entry e;
-      while (ring_->try_pop(e)) pending_.push_back(std::move(e));
+      while (ring_.try_pop(e)) pending_.push_back(std::move(e));
       if (replay_pending_.load(std::memory_order_acquire) > 0) {
         log_group<D> rg;
         {
@@ -1696,15 +1500,15 @@ class query_service {
       if (pending_.empty()) {
         if (hub_->closed.load(std::memory_order_seq_cst) &&
             submit_entrants_.load(std::memory_order_seq_cst) == 0 &&
-            ring_->empty() &&
+            ring_.empty() &&
             replay_pending_.load(std::memory_order_acquire) == 0) {
           advance_reclaim();  // final sweep before the thread exits
           return;
         }
         maybe_expire();
         advance_reclaim();  // idle tick: drain the limbo list
-        ring_->consumer_wait(park, [&] {
-          return !ring_->empty() ||
+        ring_.consumer_wait(park, [&] {
+          return !ring_.empty() ||
                  replay_pending_.load(std::memory_order_acquire) > 0 ||
                  (hub_->closed.load(std::memory_order_seq_cst) &&
                   submit_entrants_.load(std::memory_order_seq_cst) == 0);
@@ -1728,8 +1532,8 @@ class query_service {
   // ingest_window requests) from the front of pending_. Deadline shedding
   // happens here: an entry whose deadline already passed is pulled aside
   // instead of joining the group (it neither breaks same-kind grouping
-  // nor counts against the window). Caller owns pending_ exclusively —
-  // under hub_->mu in mutex mode, by thread-locality in lockfree mode.
+  // nor counts against the window). Drain thread only (pending_ is its
+  // thread-local scratch).
   formed_group form_group() {
     formed_group f;
     const std::uint64_t shed_now_ns = tel_.now_ns();
@@ -1796,11 +1600,7 @@ class query_service {
       maybe_expire();
     } else {
       begin_write_group();
-      if (cfg_.drain != drain_mode::single) {
-        dispatch_shard_group(std::move(f.group), f.total);
-      } else {
-        run_sync_group(std::move(f.group), f.total);
-      }
+      dispatch_shard_group(std::move(f.group), f.total);
       // A committed write group is a watch boundary: re-evaluate the
       // standing queries the touched shards serve, then retire points
       // whose TTL elapsed (itself another boundary). Write groups also
@@ -1905,7 +1705,7 @@ class query_service {
         g->commit_epoch = append_log_group(
             [&](log_group<D>& lg) {
               for (std::size_t s = 0; s < cfg_.shards; ++s) {
-                append_write_runs(lg, s, sub[s], 0, sub[s].size());
+                append_write_runs(lg, s, sub[s]);
               }
             },
             !had_bounds && bounds_set_);
@@ -1953,124 +1753,45 @@ class query_service {
     lane.cv.notify_one();
   }
 
-  // Lane worker: executes this shard's sub-batches and snapshot stamps in
-  // FIFO order until shutdown (own queue flushed first; a task in flight
-  // on a thief completes on the thief's thread). Under drain_mode::stealing
-  // an idle worker periodically rescans the sibling queues and drains the
-  // deepest one instead of blocking.
+  // Lane worker: executes this shard's sub-batches, snapshot stamps and
+  // replay tasks one at a time in FIFO order until shutdown (queue flushed
+  // first). Clearing `busy` after each task is what wakes quiesce_lanes().
   void shard_loop(std::size_t s) {
     auto& lane = *lanes_[s];
-    const bool stealing = cfg_.drain == drain_mode::stealing;
-    bool just_stole = false;  // successful thief: rescan without sleeping
     for (;;) {
       shard_task task;
-      bool have = false;
       {
         std::unique_lock<std::mutex> lk(lane.mu);
-        const auto can_pop = [&] { return !lane.q.empty() && !lane.busy; };
-        const auto can_exit = [&] {
-          return lane.shutdown && lane.q.empty() && !lane.busy;
-        };
-        if (stealing) {
-          // Bounded wait so an idle thief keeps rescanning siblings (a
-          // thief holding our token notifies cv when it releases); after
-          // a successful steal, go straight back for the next task.
-          if (!can_pop() && !can_exit() && !just_stole) {
-            lane.cv.wait_for(lk, std::chrono::nanoseconds(cfg_.steal_poll_ns),
-                             [&] { return can_pop() || can_exit(); });
-          }
-        } else {
-          lane.cv.wait(lk, [&] { return can_pop() || can_exit(); });
-        }
-        if (can_pop()) {
-          lane.busy = true;
-          task = std::move(lane.q.front());
-          lane.q.pop_front();
-          have = true;
-        } else if (can_exit()) {
-          return;
+        lane.cv.wait(lk, [&] { return !lane.q.empty() || lane.shutdown; });
+        if (lane.q.empty()) return;  // shutdown, queue flushed
+        task = std::move(lane.q.front());
+        lane.q.pop_front();
+        lane.busy = true;
+      }
+      if (tel_.enabled() && task.enqueue_ns != 0) {
+        const std::uint64_t wait_ns = tel_.now_ns() - task.enqueue_ns;
+        tel_.record_shard(s, stage::lane_wait, wait_ns);
+        const std::uint64_t tt = task.exec    ? task.exec->trace_ticket
+                                 : task.stamp ? task.stamp->trace_ticket
+                                              : 0;
+        if (tt) {
+          tel_.add_span("lane_wait", tel_.lane_track(s), task.enqueue_ns,
+                        wait_ns, tt, static_cast<std::int32_t>(s));
         }
       }
-      if (have) {
-        execute_lane_task(s, std::move(task));
-        just_stole = false;
+      if (task.exec) {
+        run_lane_subbatch(s, std::move(task));
+      } else if (task.stamp) {
+        run_lane_stamp(s, std::move(task));
       } else {
-        just_stole = stealing && try_steal(s);
+        run_lane_replay(s, std::move(task));
       }
-    }
-  }
-
-  // Executes one task popped from shard s's queue (by its own worker or a
-  // thief holding the lane's token) and releases the token. Token release
-  // is what wakes the owner worker, blocked writers waiting out pins, and
-  // quiesce_lanes().
-  void execute_lane_task(std::size_t s, shard_task task) {
-    if (tel_.enabled() && task.enqueue_ns != 0) {
-      const std::uint64_t wait_ns = tel_.now_ns() - task.enqueue_ns;
-      tel_.record_shard(s, stage::lane_wait, wait_ns);
-      const std::uint64_t tt = task.exec    ? task.exec->trace_ticket
-                               : task.stamp ? task.stamp->trace_ticket
-                                            : 0;
-      if (tt) {
-        tel_.add_span("lane_wait", tel_.lane_track(s), task.enqueue_ns,
-                      wait_ns, tt, static_cast<std::int32_t>(s));
+      {
+        std::lock_guard<std::mutex> lk(lane.mu);
+        lane.busy = false;
       }
+      lane.cv.notify_all();
     }
-    if (task.exec) {
-      run_lane_subbatch(s, std::move(task));
-    } else if (task.stamp) {
-      run_lane_stamp(s, std::move(task));
-    } else {
-      run_lane_replay(s, std::move(task));
-    }
-    auto& lane = *lanes_[s];
-    {
-      std::lock_guard<std::mutex> lk(lane.mu);
-      lane.busy = false;
-    }
-    lane.cv.notify_all();
-  }
-
-  // Work stealing (drain_mode::stealing): an idle lane worker scans its
-  // siblings and drains one task from the deepest un-held queue. The task
-  // stays a shard-`victim` task — it executes against engines_[victim]
-  // under the victim lane's execution token, so per-shard FIFO and the
-  // single-writer discipline are exactly what they were; only the
-  // executing thread changes. Returns true if a task was stolen and run.
-  bool try_steal(std::size_t thief) {
-    std::size_t victim = thief;
-    std::size_t depth = 0;
-    for (std::size_t s = 0; s < cfg_.shards; ++s) {
-      if (s == thief) continue;
-      auto& lane = *lanes_[s];
-      std::lock_guard<std::mutex> lk(lane.mu);
-      if (!lane.busy && lane.q.size() > depth) {
-        depth = lane.q.size();
-        victim = s;
-      }
-    }
-    {
-      auto& me = *lanes_[thief];
-      std::lock_guard<std::mutex> lk(me.mu);
-      ++me.stats.steal_scans;
-    }
-    if (victim == thief) return false;
-    shard_task task;
-    {
-      auto& lane = *lanes_[victim];
-      std::lock_guard<std::mutex> lk(lane.mu);
-      if (lane.busy || lane.q.empty()) return false;  // raced; rescan later
-      lane.busy = true;
-      task = std::move(lane.q.front());
-      lane.q.pop_front();
-    }
-    {
-      auto& me = *lanes_[thief];
-      std::lock_guard<std::mutex> lk(me.mu);
-      ++me.stats.steals;
-    }
-    execute_lane_task(victim, std::move(task));
-    return true;
   }
 
   // Executes one lane's sub-batch of a shard_group, records the lane's
@@ -2136,13 +1857,13 @@ class query_service {
 
   // ---- op-log emission (primary) and replay (replica) ---------------------
 
-  // Phase-cuts sub[begin, end) into its same-kind maximal write runs (the
-  // exact cut rule execute_phases applies: a run extends while the kind
-  // repeats; ANY read breaks it) and appends one log record per run.
+  // Phase-cuts sub into its same-kind maximal write runs (the exact cut
+  // rule execute_phases applies: a run extends while the kind repeats;
+  // ANY read breaks it) and appends one log record per run.
   static void append_write_runs(log_group<D>& lg, std::size_t s,
-                                const std::vector<request<D>>& sub,
-                                std::size_t begin, std::size_t end) {
-    std::size_t i = begin;
+                                const std::vector<request<D>>& sub) {
+    const std::size_t end = sub.size();
+    std::size_t i = 0;
     while (i < end) {
       if (is_read(sub[i].kind)) {
         ++i;
@@ -2211,7 +1932,7 @@ class query_service {
   // previous checkpoint and the full log intact.
   bool do_checkpoint() {
     if (!log_ || cfg_.log_dir.empty()) return false;
-    if (cfg_.drain != drain_mode::single) quiesce_lanes();
+    quiesce_lanes();
     checkpoint_data<D> ck;
     ck.epoch = log_->head();
     ck.bounds_set = bounds_set_;
@@ -2277,8 +1998,8 @@ class query_service {
   void process_replay(log_group<D> g) {
     const std::uint64_t t0 = tel_.now_ns();
     const std::uint64_t epoch = g.epoch;
-    if (g.has_bounds || cfg_.drain == drain_mode::single) {
-      if (g.has_bounds && cfg_.drain != drain_mode::single) quiesce_lanes();
+    if (g.has_bounds) {
+      quiesce_lanes();
       bool failed = false;
       try {
         for (const auto& rec : g.records) {
@@ -2287,11 +2008,9 @@ class query_service {
       } catch (...) {
         failed = true;  // counted; the replica keeps serving what it has
       }
-      if (g.has_bounds) {
-        split_dim_ = g.split_dim;
-        bounds_ = g.cuts;
-        bounds_set_ = true;
-      }
+      split_dim_ = g.split_dim;
+      bounds_ = g.cuts;
+      bounds_set_ = true;
       applied_epoch_.store(epoch, std::memory_order_release);
       if (failed) {
         ctr_.replay_errors.fetch_add(1, std::memory_order_relaxed);
@@ -2333,9 +2052,9 @@ class query_service {
   }
 
   // Re-issues this shard's records of a replayed log group in log order,
-  // under the lane's execution token (replayed writes serialize with
-  // snapshot stamps exactly like native writes). The last lane to finish
-  // closes the group's replay stage.
+  // on the shard's lane (replayed writes serialize with snapshot stamps
+  // exactly like native writes). The last lane to finish closes the
+  // group's replay stage.
   void run_lane_replay(std::size_t s, shard_task task) {
     auto rg = std::move(task.replay);
     const std::uint64_t t0 = tel_.now_ns();
@@ -2394,9 +2113,8 @@ class query_service {
   // Fully stamped groups go to the reader pool — except that watch
   // groups can exist with read_threads == 0 (ticket read groups cannot:
   // the drainer only splits them off when the pool exists), and nothing
-  // would ever drain read_q_ then, so they evaluate inline on the thread
-  // that finished stamping (a lane worker, or the drain thread in single
-  // mode — snapshot-only reads are safe on either).
+  // would ever drain read_q_ then, so they evaluate inline on the lane
+  // worker that finished stamping (snapshot-only reads are safe there).
   void hand_off_read_group(std::shared_ptr<read_group> g) {
     if (cfg_.read_threads > 0) {
       enqueue_read_task(std::move(g));
@@ -2444,8 +2162,8 @@ class query_service {
     std::exception_ptr error = g->error;  // all lanes are done; no races
     if (!error) {
       const std::uint64_t m0 = tel_.enabled() ? tel_.now_ns() : 0;
-      merge_shard_reads(g->combined, 0, g->combined.size(), g->sub_idx,
-                        g->shard_res, g->result.responses);
+      merge_shard_reads(g->combined, g->sub_idx, g->shard_res,
+                        g->result.responses);
       if (tel_.enabled()) {
         const std::uint64_t m_ns = tel_.now_ns() - m0;
         tel_.record(stage::merge, m_ns);
@@ -2805,11 +2523,9 @@ class query_service {
 
   // ---- snapshot-read path -------------------------------------------------
 
-  // Routes a read-only group once. per_shard: each involved lane stamps
-  // its own snapshot in queue order (so it observes exactly that shard's
-  // earlier writes) and the last stamp hands the group to the readers.
-  // single: the drain thread stamps everything inline, preserving the
-  // serialized baseline's timing.
+  // Routes a read-only group once. Each involved lane stamps its own
+  // snapshot in queue order (so it observes exactly that shard's earlier
+  // writes) and the last stamp hands the group to the readers.
   void route_read_group(std::vector<pending_entry> tickets,
                         std::size_t total) {
     const std::uint64_t route_start = tel_.enabled() ? tel_.now_ns() : 0;
@@ -2857,23 +2573,19 @@ class query_service {
                     g->trace_ticket);
       return;
     }
-    if (cfg_.drain != drain_mode::single) {
-      g->stamps_remaining.store(active, std::memory_order_relaxed);
-      for (std::size_t s = 0; s < cfg_.shards; ++s) {
-        if (g->sub[s].empty()) continue;
-        shard_task task;
-        task.stamp = g;
-        enqueue_lane_task(s, std::move(task));
-      }
-    } else {
-      try {
-        for (std::size_t s = 0; s < cfg_.shards; ++s) {
-          if (!g->sub[s].empty()) stamp_shard_snapshot(*g, s);
-        }
-      } catch (...) {
-        g->error = std::current_exception();  // fails the group, not the thread
-      }
-      enqueue_read_task(std::move(g));
+    enqueue_stamp_tasks(g, active);
+  }
+
+  // Fans a routed read group's stamp tasks out to the lanes that serve
+  // it; the last stamp hands the group off (run_lane_stamp).
+  void enqueue_stamp_tasks(const std::shared_ptr<read_group>& g,
+                           std::size_t active) {
+    g->stamps_remaining.store(active, std::memory_order_relaxed);
+    for (std::size_t s = 0; s < cfg_.shards; ++s) {
+      if (g->sub[s].empty()) continue;
+      shard_task task;
+      task.stamp = g;
+      enqueue_lane_task(s, std::move(task));
     }
   }
 
@@ -2940,8 +2652,8 @@ class query_service {
             },
             1);
         const std::uint64_t m0 = tel_.enabled() ? tel_.now_ns() : 0;
-        merge_shard_reads(g->combined, 0, g->combined.size(), g->sub_idx,
-                          shard_res, result.responses);
+        merge_shard_reads(g->combined, g->sub_idx, shard_res,
+                          result.responses);
         if (tel_.enabled()) {
           const std::uint64_t m_ns = tel_.now_ns() - m0;
           tel_.record(stage::merge, m_ns);
@@ -3063,24 +2775,7 @@ class query_service {
       watches_->deliver(seq, {});
       return;
     }
-    if (cfg_.drain != drain_mode::single) {
-      g->stamps_remaining.store(active, std::memory_order_relaxed);
-      for (std::size_t s = 0; s < cfg_.shards; ++s) {
-        if (g->sub[s].empty()) continue;
-        shard_task task;
-        task.stamp = g;
-        enqueue_lane_task(s, std::move(task));
-      }
-    } else {
-      try {
-        for (std::size_t s = 0; s < cfg_.shards; ++s) {
-          if (!g->sub[s].empty()) stamp_shard_snapshot(*g, s);
-        }
-      } catch (...) {
-        g->error = std::current_exception();
-      }
-      hand_off_read_group(std::move(g));
-    }
+    enqueue_stamp_tasks(g, active);
   }
 
   // Re-evaluates one watch group against its post-drain snapshots and
@@ -3113,8 +2808,7 @@ class query_service {
               }
             },
             1);
-        merge_shard_reads(g->combined, 0, g->combined.size(), g->sub_idx,
-                          shard_res, responses);
+        merge_shard_reads(g->combined, g->sub_idx, shard_res, responses);
         fired.reserve(g->watch_ids.size());
         for (std::size_t i = 0; i < g->combined.size(); ++i) {
           canonicalize_row(g->combined[i], responses[i].points);
@@ -3208,180 +2902,11 @@ class query_service {
     std::vector<pending_entry> group;
     group.push_back(pending_entry{/*id=*/0, std::move(erases), tel_.now_ns()});
     next_group_origin_ = log_origin::expire;  // tag this group's log record
-    if (cfg_.drain != drain_mode::single) {
-      dispatch_shard_group(std::move(group), /*total=*/0);
-    } else {
-      run_sync_group(std::move(group), /*total=*/0);
-    }
+    dispatch_shard_group(std::move(group), /*total=*/0);
     next_group_origin_ = log_origin::client;
     ctr_.expired_points.fetch_add(count, std::memory_order_relaxed);
     if (tel_.enabled()) tel_.record(stage::expire, tel_.now_ns() - t0);
     schedule_watch_eval();
-  }
-
-  // ---- single-drainer baseline --------------------------------------------
-
-  // Executes a writing (or pool-disabled) group on the drain thread with
-  // the engine's phase discipline. In-flight snapshot readers never gate
-  // this: every backend's snapshots are isolated.
-  void run_sync_group(std::vector<pending_entry> group, std::size_t total) {
-    const std::uint64_t trace_ticket = pick_trace_ticket(group);
-    std::vector<request<D>> combined;
-    combined.reserve(total);
-    for (const auto& e : group) {
-      combined.insert(combined.end(), e.batch.begin(), e.batch.end());
-    }
-    const std::uint64_t t0 = tel_.now_ns();
-    batch_result<D> result;
-    std::exception_ptr error;
-    try {
-      result = run_group(combined);
-    } catch (...) {
-      error = std::current_exception();
-    }
-    if (tel_.enabled()) {
-      // Single mode has no lanes: the whole group executes here on the
-      // drain thread, so execution lands in the service-wide recorder
-      // (execute_read for a pure-read group — only possible with
-      // read_threads == 0 — execute_write otherwise).
-      const std::uint64_t dur_ns = tel_.now_ns() - t0;
-      const stage st = batch_is_read_only(combined) ? stage::execute_read
-                                                    : stage::execute_write;
-      tel_.record(st, dur_ns);
-      if (trace_ticket) {
-        tel_.add_span("execute", tel_.drain_track(), t0, dur_ns,
-                      trace_ticket);
-      }
-    }
-    std::uint64_t commit_epoch = 0;
-    if (log_ && !error && log_failed_) {
-      error = std::make_exception_ptr(std::runtime_error(
-          "query_service: durable log failed — writes cannot commit"));
-    } else if (log_ && !error) {
-      // Single mode executed the combined stream in place: reconstruct
-      // the run structure it issued — phase-cut the combined stream, then
-      // (shards > 1) partition each write phase per shard in shard order,
-      // exactly mirroring run_write_phase. Routing here re-uses the
-      // CURRENT bounds, which are the bounds every phase routed under
-      // (derivation, if any, happened in the first write phase, before
-      // anything was routed).
-      try {
-        commit_epoch = append_log_group(
-            [&](log_group<D>& lg) {
-              std::size_t i = 0;
-              const std::size_t n = combined.size();
-            while (i < n) {
-              if (is_read(combined[i].kind)) {
-                ++i;
-                continue;
-              }
-              std::size_t j = i + 1;
-              while (j < n && combined[j].kind == combined[i].kind) ++j;
-              if (cfg_.shards == 1) {
-                append_write_runs(lg, 0, combined, i, j);
-              } else {
-                std::vector<std::vector<point<D>>> per(cfg_.shards);
-                for (std::size_t k = i; k < j; ++k) {
-                  per[owner_of(combined[k].p)].push_back(combined[k].p);
-                }
-                for (std::size_t s = 0; s < cfg_.shards; ++s) {
-                  if (per[s].empty()) continue;
-                  log_record<D> rec;
-                  rec.shard = static_cast<std::uint32_t>(s);
-                  rec.kind = combined[i].kind == op::insert ? log_op::insert
-                                                            : log_op::erase;
-                  rec.pts = std::move(per[s]);
-                  lg.records.push_back(std::move(rec));
-                }
-              }
-              i = j;
-            }
-            },
-            /*with_bounds=*/false);
-      } catch (...) {
-        // The group already executed, but its commit never became
-        // durable: fail the tickets and latch (see dispatch_shard_group).
-        note_log_failure();
-        error = std::current_exception();
-      }
-    }
-    const double secs = result.stats.seconds;
-    fulfill_group(std::move(group), total, std::move(result), error,
-                  /*snapshot_epoch=*/0, /*read_group=*/false,
-                  /*lagged=*/false, secs, commit_epoch, trace_ticket);
-  }
-
-  // Executes one combined stream with the engine's phase discipline
-  // (execute_phases): writes routed to owning shards, reads scattered,
-  // cache-probed, and merged. Only ever called by the drain thread.
-  batch_result<D> run_group(const std::vector<request<D>>& batch) {
-    // One shard: the engine IS the logical index — skip the scatter/gather
-    // bookkeeping and the redundant k-NN re-sort entirely (the per-shard
-    // executor path already runs phases with cache interception).
-    if (cfg_.shards == 1) return execute_shard_batch(0, batch);
-    batch_result<D> result;
-    execute_phases<D>(batch, result.responses, result.stats,
-                      [&](std::size_t begin, std::size_t end, bool read) {
-                        if (read) {
-                          run_read_phase(batch, begin, end, result.responses);
-                        } else {
-                          run_write_phase(batch, begin, end);
-                        }
-                      });
-    return result;
-  }
-
-  void run_write_phase(const std::vector<request<D>>& batch, std::size_t begin,
-                       std::size_t end) {
-    if (cfg_.policy == shard_policy::spatial && !bounds_set_) {
-      // No bootstrap data carved the space yet: derive the stripes from
-      // this first write phase. Bounds are fixed from then on, so routing
-      // and read pruning stay mutually consistent.
-      std::vector<point<D>> pts;
-      pts.reserve(end - begin);
-      for (std::size_t i = begin; i < end; ++i) pts.push_back(batch[i].p);
-      set_spatial_bounds(pts);
-    }
-    std::vector<std::vector<request<D>>> sub(cfg_.shards);
-    for (std::size_t i = begin; i < end; ++i) {
-      const std::size_t s = owner_of(batch[i].p);
-      sub[s].push_back(batch[i]);
-      note_routed_write(s, batch[i]);
-    }
-    par::parallel_for(
-        0, cfg_.shards,
-        [&](std::size_t s) {
-          if (!sub[s].empty()) {
-            engines_[s]->apply_write_phase(sub[s], 0, sub[s].size());
-          }
-        },
-        1);
-  }
-
-  void run_read_phase(const std::vector<request<D>>& batch, std::size_t begin,
-                      std::size_t end, std::vector<response<D>>& responses) {
-    std::vector<std::vector<request<D>>> sub(cfg_.shards);
-    std::vector<std::vector<std::size_t>> sub_idx(cfg_.shards);
-    for (std::size_t i = begin; i < end; ++i) {
-      for (std::size_t s = 0; s < cfg_.shards; ++s) {
-        if (!shard_serves(s, batch[i])) continue;
-        sub[s].push_back(batch[i]);
-        sub_idx[s].push_back(i);
-      }
-    }
-
-    std::vector<batch_result<D>> shard_res(cfg_.shards);
-    par::parallel_for(
-        0, cfg_.shards,
-        [&](std::size_t s) {
-          if (sub[s].empty()) return;
-          shard_res[s].responses.resize(sub[s].size());
-          run_shard_reads(s, sub[s], 0, sub[s].size(), engines_[s]->index(),
-                          engines_[s]->index().epoch(),
-                          shard_res[s].responses);
-        },
-        1);
-    merge_shard_reads(batch, begin, end, sub_idx, shard_res, responses);
   }
 
   // ---- fulfilment ---------------------------------------------------------
@@ -3546,38 +3071,11 @@ class query_service {
     }
   }
 
-  // ---- submission (hub_->mu held) -----------------------------------------
-
-  // Backpressure admission: room under the bound, or an over-sized batch
-  // alone in an empty pipeline (otherwise it could never be admitted).
-  bool admits(std::size_t n) const {
-    if (n == 0) return true;  // empty batches carry no payload
-    const std::size_t cur = in_flight_requests_.load(std::memory_order_relaxed);
-    return cur == 0 || cur + n <= cfg_.max_pending_requests;
-  }
-
-  completion<D> enqueue_locked(std::vector<request<D>> batch,
-                               std::uint64_t deadline_rel_ns) {
-    const std::uint64_t id =
-        next_ticket_.fetch_add(1, std::memory_order_relaxed);
-    auto rec = std::make_shared<typename detail::completion_hub<D>::record>();
-    rec->id = id;
-    in_flight_requests_.fetch_add(batch.size(), std::memory_order_relaxed);
-    const std::uint64_t now = tel_.now_ns();
-    pending_entry e{id, std::move(batch), now};
-    if (deadline_rel_ns > 0) e.deadline_ns = now + deadline_rel_ns;
-    e.rec = rec;
-    pending_.push_back(std::move(e));
-    ctr_.num_tickets.fetch_add(1, std::memory_order_relaxed);
-    work_cv_.notify_one();
-    return completion<D>(hub_, std::move(rec));
-  }
-
-  // ---- lock-free submission (ring mode) -----------------------------------
+  // ---- submission ---------------------------------------------------------
 
   // Single-CAS admission against the backpressure bound: admit an empty
   // batch, an unbounded config, or an over-sized batch alone in an empty
-  // pipeline (mirrors admits()).
+  // pipeline (otherwise it could never be admitted).
   bool try_acquire_budget(std::size_t n) {
     if (n == 0 || cfg_.max_pending_requests == 0) {
       in_flight_requests_.fetch_add(n, std::memory_order_relaxed);
@@ -3614,14 +3112,12 @@ class query_service {
     space_cv_.notify_all();
   }
 
-  // Ring-mode submit seam shared by submit / try_submit /
-  // submit_with_deadline. Returns nullopt only for the non-blocking caller
-  // when admission or the ring rejects; blocking callers always get a
-  // completion or an exception.
-  std::optional<completion<D>> submit_lockfree(std::vector<request<D>> batch,
-                                               std::uint64_t deadline_rel_ns,
-                                               bool blocking,
-                                               const char* who) {
+  // Submit seam shared by submit / try_submit / submit_with_deadline.
+  // Returns nullopt only for the non-blocking caller when admission or the
+  // ring rejects; blocking callers always get a completion or an exception.
+  std::optional<completion<D>> enqueue(std::vector<request<D>> batch,
+                                       std::uint64_t deadline_rel_ns,
+                                       bool blocking, const char* who) {
     if (blocking) {
       if (!acquire_budget(batch.size())) {
         throw std::runtime_error(std::string(who) +
@@ -3655,7 +3151,7 @@ class query_service {
     pending_entry e{id, std::move(batch), now};
     if (deadline_rel_ns > 0) e.deadline_ns = now + deadline_rel_ns;
     e.rec = rec;
-    const auto st = blocking ? ring_->push(std::move(e)) : ring_->try_push(e);
+    const auto st = blocking ? ring_.push(std::move(e)) : ring_.try_push(e);
     submit_entrants_.fetch_sub(1, std::memory_order_seq_cst);
     if (st == push_status::closed) {
       release_budget(n);
@@ -3674,10 +3170,8 @@ class query_service {
 
   // Gather-merge for scattered reads: range rows concatenate; k-NN rows
   // collect candidates from every shard, then re-sort by distance and
-  // truncate to k. `sub_idx` indexes `batch` absolutely; rows land in
-  // `responses[begin..end)`.
+  // truncate to k. `sub_idx` indexes `batch`; rows land in `responses`.
   void merge_shard_reads(const std::vector<request<D>>& batch,
-                         std::size_t begin, std::size_t end,
                          const std::vector<std::vector<std::size_t>>& sub_idx,
                          std::vector<batch_result<D>>& shard_res,
                          std::vector<response<D>>& responses) const {
@@ -3693,7 +3187,7 @@ class query_service {
       }
     }
     if (cfg_.shards == 1) return;  // single source: rows are already exact
-    for (std::size_t i = begin; i < end; ++i) {
+    for (std::size_t i = 0; i < batch.size(); ++i) {
       if (batch[i].kind != op::knn) continue;
       auto& row = responses[i].points;
       const point<D>& q = batch[i].p;
@@ -3870,8 +3364,7 @@ class query_service {
   /// Hot result caches (k-NN / box / ball rows), one per shard
   /// (query/result_cache.h).
   std::vector<std::unique_ptr<result_cache<D>>> caches_;
-  /// Per-shard executor lanes (workers run only under per_shard; the
-  /// queues and counters are used in both modes).
+  /// Per-shard executor lanes, one worker thread each.
   std::vector<std::unique_ptr<shard_lane>> lanes_;
 
   // Spatial stripes. Only touched by bootstrap or the drain thread (lanes
@@ -3907,24 +3400,22 @@ class query_service {
   std::uint64_t ttl_batch_deadline_ = 0;  // drain-thread scratch
 
   // Ingest queue + completion state. The hub outlives the service for
-  // late redemptions. In mutex mode hub_->mu guards pending_; in lockfree
-  // mode producers publish through ring_ and pending_ is drain-local
-  // (formation scratch, no lock). next_ticket_ / in_flight_requests_ are
-  // atomics in both modes — submission never takes hub_->mu to count.
+  // late redemptions. Producers publish through ring_; pending_ is
+  // drain-thread-local formation scratch (no lock). next_ticket_ /
+  // in_flight_requests_ are atomics — submission never takes hub_->mu to
+  // count.
   std::shared_ptr<detail::completion_hub<D>> hub_;
-  std::condition_variable work_cv_;   // drain thread wakeup (hub_->mu)
   std::condition_variable space_cv_;  // backpressure wakeup (hub_->mu)
   std::deque<pending_entry> pending_;
   std::atomic<std::uint64_t> next_ticket_{1};
   std::atomic<std::size_t> in_flight_requests_{0};  // admitted, not fulfilled
   hot_counters ctr_;
-  // Lock-free ingest (cfg_.ingest == ingest_mode::lockfree): bounded MPSC
-  // ring between producers and the drain thread. submit_entrants_ counts
-  // producers between their closed-check and push (the drain loop must
-  // not conclude "closed and empty => done" across that window);
-  // replay_pending_ counts replica log groups parked in replay_q_ so the
-  // lockfree drain knows to take hub_->mu and collect them.
-  std::unique_ptr<mpsc_ring<pending_entry>> ring_;
+  // Lock-free ingest: bounded MPSC ring between producers and the drain
+  // thread. submit_entrants_ counts producers between their closed-check
+  // and push (the drain loop must not conclude "closed and empty => done"
+  // across that window); replay_pending_ counts replica log groups parked
+  // in replay_q_ so the drain knows to take hub_->mu and collect them.
+  mpsc_ring<pending_entry> ring_;
   std::atomic<std::uint64_t> submit_entrants_{0};
   std::atomic<std::size_t> replay_pending_{0};
 

@@ -215,12 +215,6 @@ class result_cache {
     return true;
   }
 
-  /// k-NN convenience probe (the original knn_result_cache signature).
-  bool lookup(const point<D>& q, std::size_t k, std::uint64_t epoch,
-              std::vector<point<D>>& out) {
-    return lookup(key_t::knn(q, k, epoch), out);
-  }
-
   /// Inserts `row` for the key, evicting least-recently-used entries past
   /// capacity. Concurrent stores of the same key keep the first copy (the
   /// rows are identical by construction — same key bits, same epoch).
@@ -239,12 +233,6 @@ class result_cache {
       lru_.pop_back();
       ++evictions_;
     }
-  }
-
-  /// k-NN convenience store (the original knn_result_cache signature).
-  void store(const point<D>& q, std::size_t k, std::uint64_t epoch,
-             const std::vector<point<D>>& row) {
-    store(key_t::knn(q, k, epoch), row);
   }
 
   /// Counts `n` extra hits served outside the map — the read path dedups
@@ -307,10 +295,5 @@ class result_cache {
   std::uint64_t hit_ns_ = 0;
   std::uint64_t miss_ns_ = 0;
 };
-
-/// Historical name from when only k-NN rows were cached; the generalized
-/// cache is a strict superset, so the alias keeps old call sites exact.
-template <int D>
-using knn_result_cache = result_cache<D>;
 
 }  // namespace pargeo::query

@@ -464,10 +464,10 @@ class telemetry {
     std::lock_guard<std::mutex> lk(trace_mu_);
     std::vector<trace_span> out;
     out.reserve(ring_size_);
-    const std::size_t start =
-        (ring_head_ + ring_.size() - ring_size_) % ring_.size();
+    // Index only inside the loop: below trace level ring_ is empty.
     for (std::size_t i = 0; i < ring_size_; ++i) {
-      out.push_back(ring_[(start + i) % ring_.size()]);
+      out.push_back(ring_[(ring_head_ + ring_.size() - ring_size_ + i) %
+                          ring_.size()]);
     }
     return out;
   }

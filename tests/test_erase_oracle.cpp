@@ -4,15 +4,13 @@
 // erase-heavy churn stream — plus deliberately nasty shapes: duplicate
 // points inside one batch, erases of points that were never inserted,
 // erase-then-reinsert of the same coordinate — runs through the sharded
-// service with pipelined concurrent drains on every backend and drain
-// mode, and every response plus the final resident set must match an
-// unsharded reference engine executing the same stream sequentially.
+// service with pipelined concurrent drains on every backend, and every
+// response plus the final resident set must match an unsharded reference
+// engine executing the same stream sequentially.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstddef>
-#include <string>
-#include <tuple>
 #include <vector>
 
 #include "query/query_service.h"
@@ -21,7 +19,6 @@
 
 using namespace pargeo;
 using query::backend;
-using query::drain_mode;
 using query::shard_policy;
 using testutil::expect_same_responses;
 
@@ -38,7 +35,7 @@ point<2> pt(double x, double y) {
 // groups drain concurrently across lanes) and through an unsharded
 // reference engine sequentially, then compares every response and the
 // final resident multiset.
-void run_against_reference(backend b, drain_mode mode, shard_policy policy,
+void run_against_reference(backend b, shard_policy policy,
                            const std::vector<point<2>>& initial,
                            const std::vector<query::request<2>>& reqs) {
   query::query_engine<2> reference(query::make_index<2>(backend::kdtree));
@@ -47,7 +44,6 @@ void run_against_reference(backend b, drain_mode mode, shard_policy policy,
 
   query::service_config cfg;
   cfg.backend = b;
-  cfg.drain = mode;
   cfg.shards = 4;
   cfg.policy = policy;
   query::query_service<2> service(cfg);
@@ -81,8 +77,7 @@ void run_against_reference(backend b, drain_mode mode, shard_policy policy,
   ASSERT_EQ(have, expect);
 }
 
-class EraseOracle
-    : public ::testing::TestWithParam<std::tuple<backend, drain_mode>> {};
+class EraseOracle : public ::testing::TestWithParam<backend> {};
 
 // Erase-heavy churn: departures outnumber arrivals, so the stream keeps
 // erasing points that recently existed (the FIFO-churn order TTL expiry
@@ -93,8 +88,7 @@ TEST_P(EraseOracle, EraseHeavyChurnMatchesReference) {
   spec.seed = 11;
   auto initial = query::make_initial<2>(spec);
   const auto reqs = query::make_requests<2>(spec, initial);
-  run_against_reference(std::get<0>(GetParam()), std::get<1>(GetParam()),
-                        shard_policy::hash, initial, reqs);
+  run_against_reference(GetParam(), shard_policy::hash, initial, reqs);
 }
 
 // Same stream under spatial striping: erases must route to the owner
@@ -105,8 +99,7 @@ TEST_P(EraseOracle, EraseHeavyChurnSpatialPolicy) {
   spec.seed = 13;
   auto initial = query::make_initial<2>(spec);
   const auto reqs = query::make_requests<2>(spec, initial);
-  run_against_reference(std::get<0>(GetParam()), std::get<1>(GetParam()),
-                        shard_policy::spatial, initial, reqs);
+  run_against_reference(GetParam(), shard_policy::spatial, initial, reqs);
 }
 
 // Duplicate coordinates inside one batch — inserted twice, erased once,
@@ -149,20 +142,12 @@ TEST_P(EraseOracle, DuplicateAndMissingPointEdgeCases) {
   }
   probe();
 
-  run_against_reference(std::get<0>(GetParam()), std::get<1>(GetParam()),
-                        shard_policy::hash, initial, reqs);
+  run_against_reference(GetParam(), shard_policy::hash, initial, reqs);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     AllBackends, EraseOracle,
-    ::testing::Combine(::testing::Values(backend::kdtree, backend::zdtree,
-                                         backend::bdltree),
-                       ::testing::Values(drain_mode::per_shard,
-                                         drain_mode::single,
-                                         drain_mode::stealing)),
-    [](const auto& info) {
-      return std::string(query::backend_name(std::get<0>(info.param))) + "_" +
-             query::drain_mode_name(std::get<1>(info.param));
-    });
+    ::testing::Values(backend::kdtree, backend::zdtree, backend::bdltree),
+    [](const auto& info) { return query::backend_name(info.param); });
 
 }  // namespace

@@ -7,12 +7,12 @@
 // close/destructor flush, double-get and empty-handle errors, bounded
 // result retention), ingest-window grouping, snapshot-path read groups,
 // spatial bounds bootstrapping, per-shard drain pipelines (4 producers x
-// 4 lanes, single-vs-per_shard equivalence, lane counters, scratch
-// recycling), ingest backpressure (blocking submit / try_submit /
-// close-while-blocked), config validation, non-finite payload rejection,
-// degenerate/duplicate-coordinate stripe derivation, and stealing-mode
-// equivalence. (The adversarial-skew oracle and steal/rebalance mechanism
-// tests live in tests/test_skew_drain.cpp.) TSan-clean.
+// 4 lanes, lane counters, scratch recycling), ingest backpressure
+// (blocking submit / try_submit / close-while-blocked), config
+// validation, non-finite payload rejection, and
+// degenerate/duplicate-coordinate stripe derivation. (The adversarial-skew
+// oracle and rebalance mechanism tests live in tests/test_skew_drain.cpp.)
+// TSan-clean.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -617,37 +617,6 @@ TEST(QueryService, NegativeZeroRoutesLikeZero) {
   }
 }
 
-TEST(QueryService, SingleDrainModeMatchesPerShard) {
-  // The per-shard pipeline is a pure execution-strategy change: the same
-  // stream through drain_mode::single and drain_mode::per_shard must
-  // produce byte-identical responses on every backend.
-  query::workload_spec spec;
-  spec.initial_points = 300;
-  spec.num_ops = 800;
-  spec.batch_size = 96;
-  spec.k = 5;
-  const auto reqs = query::make_requests<2>(spec);
-  for (auto b : {backend::kdtree, backend::zdtree, backend::bdltree}) {
-    auto cfg = make_config<2>(b, 3, shard_policy::hash);
-    cfg.drain = query::drain_mode::single;
-    query::query_service<2> single(cfg);
-    std::vector<query::response<2>> want;
-    query::run_workload<2>(single, spec, &want);
-
-    cfg.drain = query::drain_mode::per_shard;
-    query::query_service<2> piped(cfg);
-    std::vector<query::response<2>> got;
-    query::run_workload<2>(piped, spec, &got);
-
-    ASSERT_EQ(got.size(), want.size()) << query::backend_name(b);
-    for (std::size_t i = 0; i < got.size(); ++i) {
-      EXPECT_EQ(got[i].points, want[i].points)
-          << query::backend_name(b) << " response " << i;
-    }
-    EXPECT_EQ(piped.size(), single.size()) << query::backend_name(b);
-  }
-}
-
 TEST(QueryService, FourProducersDrainAcrossShardLanes) {
   // The tentpole scenario: 4 truly parallel producers feed 4 shard lanes
   // through the per-shard drain pipeline. Stripe-isolated payloads verify
@@ -656,7 +625,6 @@ TEST(QueryService, FourProducersDrainAcrossShardLanes) {
   constexpr int kThreads = 4;
   constexpr int kTicketsPerThread = 16;
   auto cfg = make_config<2>(backend::bdltree, 4, shard_policy::hash);
-  cfg.drain = query::drain_mode::per_shard;
   query::query_service<2> service(cfg);
   service.bootstrap(datagen::uniform<2>(200, 5));
 
@@ -738,7 +706,6 @@ TEST(QueryService, BackpressureBoundsInFlightRequests) {
   // admitted work stays unfulfilled and the in-flight count is fully
   // under test control. Bound = 2 requests.
   auto cfg = make_config<2>(backend::bdltree, 1, shard_policy::hash);
-  cfg.drain = query::drain_mode::per_shard;
   cfg.max_pending_requests = 2;
   query::query_service<2> service(cfg);
 
@@ -786,7 +753,6 @@ TEST(QueryService, CloseWakesBlockedSubmitters) {
   // close() while a producer is blocked on backpressure: the producer
   // wakes and throws (like any post-close submit) instead of deadlocking.
   auto cfg = make_config<2>(backend::bdltree, 1, shard_policy::hash);
-  cfg.drain = query::drain_mode::per_shard;
   cfg.max_pending_requests = 1;
   query::query_service<2> service(cfg);
 
@@ -924,82 +890,12 @@ TEST(QueryService, AllIdenticalWritesStillRouteConsistently) {
   }
 }
 
-TEST(QueryService, StealingModeMatchesPerShardAndSingle) {
-  // Work stealing is a pure execution-strategy change: the same stream
-  // through single, per_shard, and stealing must produce byte-identical
-  // responses on every backend.
-  query::workload_spec spec;
-  spec.initial_points = 300;
-  spec.num_ops = 800;
-  spec.batch_size = 96;
-  spec.k = 5;
-  for (auto b : {backend::kdtree, backend::zdtree, backend::bdltree}) {
-    auto cfg = make_config<2>(b, 3, shard_policy::hash);
-    cfg.drain = query::drain_mode::single;
-    query::query_service<2> single(cfg);
-    std::vector<query::response<2>> want;
-    query::run_workload<2>(single, spec, &want);
-
-    cfg.drain = query::drain_mode::stealing;
-    query::query_service<2> stealing(cfg);
-    std::vector<query::response<2>> got;
-    query::run_workload<2>(stealing, spec, &got);
-
-    ASSERT_EQ(got.size(), want.size()) << query::backend_name(b);
-    for (std::size_t i = 0; i < got.size(); ++i) {
-      EXPECT_EQ(got[i].points, want[i].points)
-          << query::backend_name(b) << " response " << i;
-    }
-    EXPECT_EQ(stealing.size(), single.size()) << query::backend_name(b);
-  }
-}
-
-TEST(QueryService, LockfreeIngestMatchesMutexOnEveryBackendAndDrainMode) {
-  // The MPSC ingest ring is a pure submission-seam change: the same
-  // stream through ingest_mode::mutex and ingest_mode::lockfree must
-  // produce byte-identical responses on every backend x drain mode.
-  query::workload_spec spec;
-  spec.initial_points = 300;
-  spec.num_ops = 600;
-  spec.batch_size = 96;
-  spec.k = 5;
-  for (auto b : {backend::kdtree, backend::zdtree, backend::bdltree}) {
-    for (auto d : {query::drain_mode::single, query::drain_mode::per_shard,
-                   query::drain_mode::stealing}) {
-      auto cfg = make_config<2>(b, 3, shard_policy::hash);
-      cfg.drain = d;
-      cfg.ingest = query::ingest_mode::mutex;
-      query::query_service<2> mutexed(cfg);
-      std::vector<query::response<2>> want;
-      query::run_workload<2>(mutexed, spec, &want);
-
-      cfg.ingest = query::ingest_mode::lockfree;
-      query::query_service<2> lockfree(cfg);
-      std::vector<query::response<2>> got;
-      query::run_workload<2>(lockfree, spec, &got);
-
-      const std::string tag = std::string(query::backend_name(b)) + "/" +
-                              query::drain_mode_name(d);
-      ASSERT_EQ(got.size(), want.size()) << tag;
-      for (std::size_t i = 0; i < got.size(); ++i) {
-        EXPECT_EQ(got[i].points, want[i].points)
-            << tag << " response " << i;
-      }
-      EXPECT_EQ(lockfree.size(), mutexed.size()) << tag;
-      // The ring actually carried the traffic (ticket accounting intact).
-      EXPECT_GT(lockfree.stats().num_tickets, 0u) << tag;
-    }
-  }
-}
-
 TEST(QueryService, LockfreeIngestSurvivesConcurrentProducers) {
   // 4 producers CAS-race into one ring; every ticket must come back with
-  // its own answers in its own order (same contract the mutex path gave).
+  // its own answers in its own order.
   constexpr int kThreads = 4;
   constexpr int kTicketsPerThread = 24;
   auto cfg = make_config<2>(backend::bdltree, 4, shard_policy::hash);
-  cfg.drain = query::drain_mode::per_shard;
-  cfg.ingest = query::ingest_mode::lockfree;
   cfg.ingest_ring_capacity = 8;  // tiny ring: force wraparound + blocking
   query::query_service<2> service(cfg);
   service.bootstrap(datagen::uniform<2>(200, 5));
@@ -1030,43 +926,6 @@ TEST(QueryService, LockfreeIngestSurvivesConcurrentProducers) {
   EXPECT_EQ(service.size(), 200u + kThreads * kTicketsPerThread);
   EXPECT_EQ(service.stats().num_tickets,
             static_cast<std::size_t>(kThreads) * kTicketsPerThread);
-}
-
-TEST(QueryService, MutexIngestBackpressureStillBoundsAndCloses) {
-  // The mutex seam stays the comparable baseline: its backpressure
-  // (blocking submit / try_submit reject) and close-wakes-submitters
-  // behavior must not rot now that lockfree is the default.
-  auto cfg = make_config<2>(backend::bdltree, 1, shard_policy::hash);
-  cfg.drain = query::drain_mode::per_shard;
-  cfg.ingest = query::ingest_mode::mutex;
-  cfg.max_pending_requests = 2;
-  query::query_service<2> service(cfg);
-
-  std::promise<void> release;
-  const int sentinels = park_lane_until(service, release.get_future().share());
-  ASSERT_GT(sentinels, 0);
-
-  auto b = service.submit({query::request<2>::make_insert(point<2>{{2, 2}})});
-  auto c = service.submit({query::request<2>::make_insert(point<2>{{3, 3}})});
-  auto rejected =
-      service.try_submit({query::request<2>::make_insert(point<2>{{4, 4}})});
-  EXPECT_FALSE(rejected.has_value());
-  EXPECT_EQ(service.stats().try_submit_rejects, 1u);
-
-  std::thread blocked([&] {
-    EXPECT_THROW(
-        service.submit({query::request<2>::make_insert(point<2>{{5, 5}})}),
-        std::runtime_error);
-  });
-  wait_until([&] { return service.stats().submit_waits >= 1; },
-             "submit never blocked on the bound");
-  std::thread closer([&] { service.close(); });
-  blocked.join();  // woken by close()'s intake cut, throws
-  release.set_value();
-  closer.join();
-  b.get();
-  c.get();
-  EXPECT_EQ(service.size(), static_cast<std::size_t>(sentinels) + 2u);
 }
 
 TEST(QueryService, SpatialPruningStaysExactAcrossStripes) {

@@ -96,9 +96,6 @@ service_config base_cfg(backend b, const std::string& log_dir) {
   cfg.policy = shard_policy::spatial;
   cfg.log_dir = log_dir;
   cfg.sync = sync_policy::every_commit;  // every acked batch is durable
-  // Pinned (not just defaulted): the crash/recovery matrix must keep
-  // passing with the lock-free ingest ring in the submit path.
-  cfg.ingest = query::ingest_mode::lockfree;
   return cfg;
 }
 

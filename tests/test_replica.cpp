@@ -4,8 +4,8 @@
 // range-ball results at every epoch boundary — not merely
 // distance-equivalent (ties must break the same way, because replay
 // re-issues the primary's exact backend-call sequence and therefore
-// rebuilds the same tree). Covered across all three backends and all
-// three drain modes, plus the write paths that do not come from clients:
+// rebuilds the same tree). Covered across all three backends, plus the
+// write paths that do not come from clients:
 // TTL-expiry sweeps and stripe rebalances. On top sit the router
 // semantics: writes to the primary, reads scattered under the staleness
 // bound, read-your-writes via commit_epoch floors, and primary fallback
@@ -19,7 +19,6 @@
 #include <memory>
 #include <string>
 #include <thread>
-#include <tuple>
 #include <vector>
 
 #include "query/oplog.h"
@@ -29,7 +28,6 @@
 
 using namespace pargeo;
 using query::backend;
-using query::drain_mode;
 using query::log_group;
 using query::log_op;
 using query::log_origin;
@@ -102,8 +100,7 @@ void expect_same_resident_set(query::query_service<2>& primary,
   EXPECT_EQ(got, want) << "resident-set divergence " << at;
 }
 
-class ReplicaConvergence
-    : public ::testing::TestWithParam<std::tuple<backend, drain_mode>> {};
+class ReplicaConvergence : public ::testing::TestWithParam<backend> {};
 
 // Drive a churn stream through the primary one batch (= one epoch) at a
 // time; after every commit, pump a tail-less replica to the log head and
@@ -116,8 +113,7 @@ TEST_P(ReplicaConvergence, ByteIdenticalAtEveryEpochBoundary) {
   const auto reqs = query::make_requests<2>(spec, initial);
 
   query::service_config cfg;
-  cfg.backend = std::get<0>(GetParam());
-  cfg.drain = std::get<1>(GetParam());
+  cfg.backend = GetParam();
   cfg.shards = 4;
   cfg.policy = shard_policy::hash;
 
@@ -154,15 +150,8 @@ TEST_P(ReplicaConvergence, ByteIdenticalAtEveryEpochBoundary) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllBackends, ReplicaConvergence,
-    ::testing::Combine(::testing::Values(backend::kdtree, backend::zdtree,
-                                         backend::bdltree),
-                       ::testing::Values(drain_mode::per_shard,
-                                         drain_mode::single,
-                                         drain_mode::stealing)),
-    [](const auto& info) {
-      return std::string(query::backend_name(std::get<0>(info.param))) + "_" +
-             query::drain_mode_name(std::get<1>(info.param));
-    });
+    ::testing::Values(backend::kdtree, backend::zdtree, backend::bdltree),
+    [](const auto& info) { return query::backend_name(info.param); });
 
 // TTL expiry is a write the client never submitted: the primary's sweep
 // must land in the log as origin=expire erase groups and replay into the
@@ -223,7 +212,6 @@ TEST(ReplicaReplay, StripeRebalanceReplicates) {
   cfg.backend = backend::kdtree;
   cfg.shards = 4;
   cfg.policy = shard_policy::spatial;
-  cfg.drain = drain_mode::per_shard;
   cfg.rebalance_threshold = 1.2;
 
   auto log = std::make_shared<op_log<2>>();
@@ -407,7 +395,6 @@ TEST(ReplicaSet, LiveTailsConvergeUnderTraffic) {
   cfg.backend = backend::bdltree;
   cfg.shards = 4;
   cfg.policy = shard_policy::hash;
-  cfg.drain = drain_mode::stealing;
 
   auto spec = query::make_churn_spec(300, 600, 0.25, 0.30);
   spec.seed = 31;

@@ -1,9 +1,8 @@
 // Hot result cache: LRU/epoch unit tests on result_cache<D> (k-NN, box,
-// and ball keys — knn_result_cache is the historical alias) plus the
-// end-to-end correctness oracle — a zipf stream with interleaved writes
-// (and kd-tree rebuilds) answered by a cache-enabled service must be
-// byte-identical to the cache-disabled run, on every backend, while
-// actually hitting the cache.
+// and ball keys) plus the end-to-end correctness oracle — a zipf stream
+// with interleaved writes (and kd-tree rebuilds) answered by a
+// cache-enabled service must be byte-identical to the cache-disabled run,
+// on every backend, while actually hitting the cache.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -15,7 +14,8 @@
 
 using namespace pargeo;
 using query::backend;
-using query::knn_result_cache;
+using cache_t = query::result_cache<2>;
+using key = cache_t::key_t;
 
 namespace {
 
@@ -27,12 +27,12 @@ std::vector<point<2>> row(std::initializer_list<point<2>> pts) {
 
 }  // namespace
 
-TEST(KnnResultCache, MissThenStoreThenHit) {
-  knn_result_cache<2> cache(8);
+TEST(ResultCache, KnnMissThenStoreThenHit) {
+  cache_t cache(8);
   std::vector<point<2>> out;
-  EXPECT_FALSE(cache.lookup(pt(1, 2), 3, 7, out));
-  cache.store(pt(1, 2), 3, 7, row({pt(1, 2), pt(1, 3)}));
-  ASSERT_TRUE(cache.lookup(pt(1, 2), 3, 7, out));
+  EXPECT_FALSE(cache.lookup(key::knn(pt(1, 2), 3, 7), out));
+  cache.store(key::knn(pt(1, 2), 3, 7), row({pt(1, 2), pt(1, 3)}));
+  ASSERT_TRUE(cache.lookup(key::knn(pt(1, 2), 3, 7), out));
   EXPECT_EQ(out, row({pt(1, 2), pt(1, 3)}));
   const auto s = cache.stats();
   EXPECT_EQ(s.hits, 1u);
@@ -42,65 +42,65 @@ TEST(KnnResultCache, MissThenStoreThenHit) {
   EXPECT_DOUBLE_EQ(s.hit_rate(), 0.5);
 }
 
-TEST(KnnResultCache, KeyCoversPointKAndEpoch) {
-  knn_result_cache<2> cache(16);
-  cache.store(pt(1, 1), 2, 5, row({pt(1, 1)}));
+TEST(ResultCache, KnnKeyCoversPointKAndEpoch) {
+  cache_t cache(16);
+  cache.store(key::knn(pt(1, 1), 2, 5), row({pt(1, 1)}));
   std::vector<point<2>> out;
   // Same point+k, later epoch: the write invalidated the entry.
-  EXPECT_FALSE(cache.lookup(pt(1, 1), 2, 6, out));
+  EXPECT_FALSE(cache.lookup(key::knn(pt(1, 1), 2, 6), out));
   // Same point+epoch, different k.
-  EXPECT_FALSE(cache.lookup(pt(1, 1), 3, 5, out));
+  EXPECT_FALSE(cache.lookup(key::knn(pt(1, 1), 3, 5), out));
   // Different point.
-  EXPECT_FALSE(cache.lookup(pt(1, 2), 2, 5, out));
+  EXPECT_FALSE(cache.lookup(key::knn(pt(1, 2), 2, 5), out));
   // The original key still hits (stale epochs age out via LRU, they are
   // not flushed).
-  EXPECT_TRUE(cache.lookup(pt(1, 1), 2, 5, out));
+  EXPECT_TRUE(cache.lookup(key::knn(pt(1, 1), 2, 5), out));
 }
 
-TEST(KnnResultCache, NegativeZeroKeysLikeZero) {
-  knn_result_cache<2> cache(4);
+TEST(ResultCache, NegativeZeroKeysLikeZero) {
+  cache_t cache(4);
   point<2> neg = pt(0.0, 1.0);
   neg[0] = -0.0;
-  cache.store(pt(0.0, 1.0), 1, 1, row({pt(0.0, 1.0)}));
+  cache.store(key::knn(pt(0.0, 1.0), 1, 1), row({pt(0.0, 1.0)}));
   std::vector<point<2>> out;
-  EXPECT_TRUE(cache.lookup(neg, 1, 1, out));  // -0.0 == 0.0 as a point
+  // -0.0 == 0.0 as a point
+  EXPECT_TRUE(cache.lookup(key::knn(neg, 1, 1), out));
 }
 
-TEST(KnnResultCache, LruEvictsLeastRecentlyUsed) {
-  knn_result_cache<2> cache(2);
-  cache.store(pt(1, 0), 1, 1, row({pt(1, 0)}));
-  cache.store(pt(2, 0), 1, 1, row({pt(2, 0)}));
+TEST(ResultCache, LruEvictsLeastRecentlyUsed) {
+  cache_t cache(2);
+  cache.store(key::knn(pt(1, 0), 1, 1), row({pt(1, 0)}));
+  cache.store(key::knn(pt(2, 0), 1, 1), row({pt(2, 0)}));
   std::vector<point<2>> out;
-  ASSERT_TRUE(cache.lookup(pt(1, 0), 1, 1, out));  // refresh A
-  cache.store(pt(3, 0), 1, 1, row({pt(3, 0)}));    // evicts B (LRU)
-  EXPECT_FALSE(cache.lookup(pt(2, 0), 1, 1, out));
-  EXPECT_TRUE(cache.lookup(pt(1, 0), 1, 1, out));
-  EXPECT_TRUE(cache.lookup(pt(3, 0), 1, 1, out));
+  ASSERT_TRUE(cache.lookup(key::knn(pt(1, 0), 1, 1), out));  // refresh A
+  cache.store(key::knn(pt(3, 0), 1, 1), row({pt(3, 0)}));    // evicts B (LRU)
+  EXPECT_FALSE(cache.lookup(key::knn(pt(2, 0), 1, 1), out));
+  EXPECT_TRUE(cache.lookup(key::knn(pt(1, 0), 1, 1), out));
+  EXPECT_TRUE(cache.lookup(key::knn(pt(3, 0), 1, 1), out));
   const auto s = cache.stats();
   EXPECT_EQ(s.evictions, 1u);
   EXPECT_EQ(s.entries, 2u);
 }
 
-TEST(KnnResultCache, DuplicateStoreKeepsOneEntry) {
-  knn_result_cache<2> cache(4);
-  cache.store(pt(1, 1), 1, 1, row({pt(1, 1)}));
-  cache.store(pt(1, 1), 1, 1, row({pt(1, 1)}));
+TEST(ResultCache, DuplicateStoreKeepsOneEntry) {
+  cache_t cache(4);
+  cache.store(key::knn(pt(1, 1), 1, 1), row({pt(1, 1)}));
+  cache.store(key::knn(pt(1, 1), 1, 1), row({pt(1, 1)}));
   EXPECT_EQ(cache.stats().entries, 1u);
 }
 
-TEST(KnnResultCache, CapacityZeroDisablesEverything) {
-  knn_result_cache<2> cache(0);
+TEST(ResultCache, CapacityZeroDisablesEverything) {
+  cache_t cache(0);
   EXPECT_FALSE(cache.enabled());
-  cache.store(pt(1, 1), 1, 1, row({pt(1, 1)}));
+  cache.store(key::knn(pt(1, 1), 1, 1), row({pt(1, 1)}));
   std::vector<point<2>> out;
-  EXPECT_FALSE(cache.lookup(pt(1, 1), 1, 1, out));
+  EXPECT_FALSE(cache.lookup(key::knn(pt(1, 1), 1, 1), out));
   const auto s = cache.stats();  // disabled instances count nothing
   EXPECT_EQ(s.hits + s.misses + s.entries + s.evictions, 0u);
 }
 
 TEST(ResultCache, BoxKeyCoversCornersAndEpoch) {
-  query::result_cache<2> cache(16);
-  using key = query::detail::result_key<2>;
+  cache_t cache(16);
   const aabb<2> box(pt(0, 0), pt(4, 4));
   cache.store(key::box(box, 3), row({pt(1, 1), pt(2, 2)}));
   std::vector<point<2>> out;
@@ -113,8 +113,7 @@ TEST(ResultCache, BoxKeyCoversCornersAndEpoch) {
 }
 
 TEST(ResultCache, BallKeyCoversCenterRadiusAndEpoch) {
-  query::result_cache<2> cache(16);
-  using key = query::detail::result_key<2>;
+  cache_t cache(16);
   cache.store(key::ball(pt(2, 2), 1.5, 9), row({pt(2, 2)}));
   std::vector<point<2>> out;
   ASSERT_TRUE(cache.lookup(key::ball(pt(2, 2), 1.5, 9), out));
@@ -127,8 +126,7 @@ TEST(ResultCache, QueryShapesNeverCollide) {
   // A k-NN probe at p with k, a ball at p whose radius bits happen to
   // equal k, and a degenerate box [p, p] all share their geometry bits:
   // the kind tag must keep the three result rows apart.
-  query::result_cache<2> cache(16);
-  using key = query::detail::result_key<2>;
+  cache_t cache(16);
   const point<2> p = pt(3, 3);
   cache.store(key::knn(p, 2, 1), row({pt(1, 1)}));
   cache.store(key::box(aabb<2>(p, p), 1), row({pt(2, 2)}));
@@ -143,15 +141,15 @@ TEST(ResultCache, QueryShapesNeverCollide) {
   EXPECT_EQ(out, row({pt(3, 3)}));
 }
 
-TEST(KnnResultCache, AddHitsIsGatedByEnabled) {
+TEST(ResultCache, AddHitsIsGatedByEnabled) {
   // Regression: add_hits (the same-run dedup accounting path) skipped the
   // enabled() guard, so a disabled cache could still report nonzero hits
   // — stats claiming cache activity on a cache_capacity=0 service.
-  knn_result_cache<2> disabled(0);
+  cache_t disabled(0);
   disabled.add_hits(3);
   EXPECT_EQ(disabled.stats().hits, 0u);
 
-  knn_result_cache<2> enabled(4);
+  cache_t enabled(4);
   enabled.add_hits(3);  // enabled instances do count dedup hits
   EXPECT_EQ(enabled.stats().hits, 3u);
 }

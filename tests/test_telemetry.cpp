@@ -8,7 +8,7 @@
 //    for every ticket, the queue_wait span starts at submit and the
 //    completion span (submit -> fulfil) covers it.
 //  - Concurrent recorders under TSan: 4 producer threads against
-//    stealing lanes; no sample loss (stage counts equal the ticket
+//    4 shard lanes; no sample loss (stage counts equal the ticket
 //    count) and the folded legacy `execute_seconds` counters agree with
 //    the execute_write histograms to the nanosecond.
 #include <gtest/gtest.h>
@@ -231,7 +231,6 @@ TEST(TelemetryService, ConcurrentRecordersLoseNothing) {
   query::service_config cfg;
   cfg.backend = query::backend::kdtree;
   cfg.shards = 4;
-  cfg.drain = query::drain_mode::stealing;
   cfg.telemetry = query::telemetry_level::stats;
   cfg.max_retained = std::size_t{1} << 20;
   query::query_service<kDim> service(cfg);
@@ -257,15 +256,14 @@ TEST(TelemetryService, ConcurrentRecordersLoseNothing) {
 
   const auto svc = service.stats();
   const auto& rep = svc.telemetry;
-  // No sample loss across 4 producers x stealing lanes: every ticket
+  // No sample loss across 4 producers x 4 shard lanes: every ticket
   // passes queue_wait once and completes once.
   EXPECT_EQ(rep.stage_hist(stage::queue_wait).summary().count, total);
   EXPECT_EQ(rep.stage_hist(stage::completion).summary().count, total);
 
   // The fold satellite's invariant: legacy per-lane execute_seconds and
   // the execute_write histograms are fed from the same nanosecond deltas
-  // (keyed by the task's shard in both, even when stolen), so their
-  // totals agree.
+  // (keyed by the task's shard in both), so their totals agree.
   double lane_secs = 0;
   for (const auto& lane : svc.per_shard) lane_secs += lane.execute_seconds;
   double hist_secs = 0;
