@@ -1,4 +1,4 @@
-// Ablation benches for the hull design choices DESIGN.md calls out:
+// Ablation benches for the hull design constants:
 //   * divide-and-conquer block constant c (blocks = c * numProc)
 //   * pseudohull recursion stop threshold
 //   * reservation batch constant c (batch = c * numProc)

@@ -2,9 +2,9 @@
 //
 // Every bench prints self-describing rows (dataset, method, value) so the
 // EXPERIMENTS.md tables can be regenerated by re-running the binaries.
-// Sizes are scaled for the evaluation hardware (see DESIGN.md): the
-// paper's 10M-point datasets default to PARGEO_N points (env override),
-// and its 100M datasets to 4x that.
+// Sizes are scaled down to run in minutes on a few cores: the paper's
+// 10M-point datasets default to PARGEO_N points (env override), and its
+// 100M datasets to 4x that.
 #pragma once
 
 #include <omp.h>
@@ -90,7 +90,7 @@ double time_op(F&& f, int reps = 1) {
 }
 
 /// Thread counts to sweep: 1, 2, 4, ... up to the hardware limit. On a
-/// single-core host this is just {1} (see DESIGN.md on the hardware gate).
+/// single-core host this is just {1}, so no row measures a speedup.
 inline std::vector<int> thread_sweep() {
   std::vector<int> ts;
   const int maxT = omp_get_num_procs();

@@ -2,7 +2,7 @@
 // and datasets (2D-IS/OS/U/OC at the base size; OS/OC at the large size).
 //
 // `SeqBaseline` is our optimized sequential quickhull standing in for the
-// paper's CGAL and Qhull bars (DESIGN.md substitutions).
+// paper's CGAL and Qhull bars; neither library is a dependency.
 #include "bench_common.h"
 #include "datagen/datagen.h"
 #include "hull/hull2d.h"

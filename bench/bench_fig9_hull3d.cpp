@@ -1,5 +1,6 @@
 // Reproduces paper Figure 9: 3D convex hull running times across methods
-// and datasets, including the Thai-statue / Dragon proxies (DESIGN.md).
+// and datasets. The Thai-statue / Dragon scans are not shipped;
+// `datagen::synthetic_statue` is their proxy.
 // Also prints pseudohull survivor counts, which drive the paper's
 // discussion of why Pseudo loses on large-output datasets.
 #include "bench_common.h"

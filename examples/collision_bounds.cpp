@@ -13,7 +13,8 @@ using namespace pargeo;
 
 int main(int argc, char** argv) {
   const std::size_t n = argc > 1 ? std::atoll(argv[1]) : 200000;
-  // Proxy for a dense 3D scan (see DESIGN.md on the Thai/Dragon datasets).
+  // Proxy for a dense 3D scan such as the paper's Thai-statue / Dragon
+  // datasets, which are not shipped.
   auto cloud = datagen::synthetic_statue(n, 3);
   std::printf("collision bounds for a %zu-point scanned surface\n", n);
 

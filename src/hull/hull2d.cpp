@@ -30,6 +30,17 @@ inline double line_dist(const pt& u, const pt& w, const pt& p) {
   return -orient2d(u, w, p);
 }
 
+// Tie-break for points equally far from line u->v: further along u->v,
+// then smaller index. Picking by index alone could take a point inside a
+// hull edge as a vertex.
+inline bool further_along(const std::vector<pt>& pts, std::size_t u,
+                          std::size_t v, std::size_t a, std::size_t b) {
+  const pt dir = pts[v] - pts[u];
+  const double pa = dir.dot(pts[a]);
+  const double pb = dir.dot(pts[b]);
+  return pa > pb || (pa == pb && a < b);
+}
+
 /// Rotates hull indices so they start at the lexicographically smallest
 /// vertex; all public functions return this canonical form.
 std::vector<std::size_t> canonicalize(const std::vector<pt>& pts,
@@ -58,7 +69,7 @@ void qh_chain_seq(const std::vector<pt>& pts, std::size_t u, std::size_t v,
   double best = line_dist(pts[u], pts[v], pts[c]);
   for (std::size_t i : cand) {
     const double d = line_dist(pts[u], pts[v], pts[i]);
-    if (d > best || (d == best && i < c)) {
+    if (d > best || (d == best && further_along(pts, u, v, i, c))) {
       best = d;
       c = i;
     }
@@ -95,7 +106,7 @@ void qh_chain_par(const std::vector<pt>& pts, std::size_t u, std::size_t v,
       cand, [&](std::size_t a, std::size_t b) {
         const double da = line_dist(pts[u], pts[v], pts[a]);
         const double db = line_dist(pts[u], pts[v], pts[b]);
-        return da > db || (da == db && a < b);
+        return da > db || (da == db && further_along(pts, u, v, a, b));
       });
   const std::size_t c = cand[ci];
   std::vector<std::size_t> s1, s2;
@@ -159,7 +170,7 @@ struct edge {
   std::size_t u = 0, w = 0;  // directed CCW: interior is to the left
   edge* prev = nullptr;
   edge* next = nullptr;
-  edge* replacement = nullptr;  // set when this edge dies
+  edge* replacement = nullptr;  // the winner's first new edge once dead
   std::atomic<uint32_t> rsv{kNoReservation};
   std::atomic<uint64_t> best{0};  // quickhull furthest-point encoding
   bool dead = false;
@@ -431,40 +442,21 @@ class reservation_hull {
         alive[i] = 1;  // edge unchanged => still visible from it
         return;
       }
-      edge* r1 = pe.ref->replacement;
-      edge* found = rehome(pts_[pe.pid], r1);
-      if (found != nullptr) {
-        pe.ref = found;
-        alive[i] = 1;
-      } else {
-        alive[i] = 0;  // now inside the hull
+      // Winner-local re-homing, argued at hull3d.cpp's sequential_quickhull:
+      // the winner's new edges n1 -> n2, then the ring edges it reserved
+      // (n1->prev, n2->next), which only it rewired and no winner killed.
+      edge* const n1 = pe.ref->replacement;
+      edge* const n2 = n1->next;
+      pe.ref = nullptr;
+      for (edge* e : {n1, n2, n1->prev, n2->next}) {
+        if (visible(pts_[e->u], pts_[e->w], pts_[pe.pid])) {
+          pe.ref = e;
+          break;
+        }
       }
+      alive[i] = pe.ref != nullptr;
     });
     pool_ = par::pack(pool_, alive);
-  }
-
-  // Find a visible edge for p near the replacement edge r1 (the winner's
-  // first new edge). Local walk first; rare global fallback guarantees
-  // correctness when adjacent regions were replaced in the same round.
-  edge* rehome(const pt& p, edge* r1) const {
-    edge* r2 = r1->next;
-    if (visible(pts_[r1->u], pts_[r1->w], p)) return r1;
-    if (visible(pts_[r2->u], pts_[r2->w], p)) return r2;
-    constexpr int kLocalSteps = 8;
-    edge* e = r1->prev;
-    for (int s = 0; s < kLocalSteps; ++s, e = e->prev) {
-      if (visible(pts_[e->u], pts_[e->w], p)) return e;
-    }
-    e = r2->next;
-    for (int s = 0; s < kLocalSteps; ++s, e = e->next) {
-      if (visible(pts_[e->u], pts_[e->w], p)) return e;
-    }
-    // Global scan (rare): walk the whole ring once.
-    edge* start = r1;
-    for (e = start->next; e != start; e = e->next) {
-      if (visible(pts_[e->u], pts_[e->w], p)) return e;
-    }
-    return nullptr;
   }
 
   const std::vector<pt>& pts_;
@@ -515,7 +507,20 @@ std::vector<std::size_t> run_reservation(const std::vector<pt>& pts,
   if (rh.is_trivial()) {
     return canonicalize(pts, rh.trivial_hull());
   }
-  return canonicalize(pts, rh.run());
+  // A point collinear with a hull edge does not see it, so the hull can
+  // grow past the edge's end and leave a straight-angle vertex. The polygon
+  // is convex with no repeated point, so drop each vertex collinear with
+  // its neighbours; hull[0], the lexicographic minimum, always stays.
+  const auto hull = canonicalize(pts, rh.run());
+  const std::size_t h = hull.size();
+  std::vector<std::size_t> strict;
+  for (std::size_t i = 0; i < h; ++i) {
+    if (orient2d(pts[hull[(i + h - 1) % h]], pts[hull[i]],
+                 pts[hull[(i + 1) % h]]) != 0) {
+      strict.push_back(hull[i]);
+    }
+  }
+  return strict;
 }
 }  // namespace
 

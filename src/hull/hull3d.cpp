@@ -37,6 +37,20 @@ std::size_t furthest_conflict(const std::vector<pt>& pts, const facet* f) {
   return best;
 }
 
+// The first facet of the new fan, then of the ring, that p sees; nullptr
+// if none, i.e. p is interior.
+facet* new_home(const std::vector<pt>& pts, const pt& p,
+                const std::vector<facet*>& fan,
+                const std::vector<facet*>& ring) {
+  for (facet* f : fan) {
+    if (visible(pts, f, p)) return f;
+  }
+  for (facet* f : ring) {
+    if (visible(pts, f, p)) return f;
+  }
+  return nullptr;
+}
+
 }  // namespace
 
 std::vector<std::size_t> hull_vertices(const mesh& m) {
@@ -82,27 +96,18 @@ mesh sequential_quickhull(const std::vector<pt>& pts, stats* st) {
     find_region(pts, pts[p], f, r);
     if (st != nullptr) st->facets_touched += r.visible.size();
     auto nf = replace_region(pts, arena, p, r);
-    // Redistribute conflict points of the dead region to the new facets,
-    // falling back to the ring (see DESIGN.md for why this is complete).
+    // Redistribute conflict points of the dead region to the new fan,
+    // falling back to the ring; a point that sees neither is interior.
+    // This is complete. A point that saw a dead facet and is still outside
+    // the hull either sees a fan facet, or its visible region lies among
+    // the old facets. On the old hull that region was connected and held
+    // the dead facet, so it crosses the horizon into the ring, whose facets
+    // survive with their planes. reservation_hull uses the same rule.
     for (facet* df : r.visible) {
       for (const std::size_t q : df->conflicts) {
         if (q == p) continue;
         if (st != nullptr) ++st->points_touched;
-        facet* home = nullptr;
-        for (facet* cand : nf) {
-          if (visible(pts, cand, pts[q])) {
-            home = cand;
-            break;
-          }
-        }
-        if (home == nullptr) {
-          for (facet* cand : r.ring) {
-            if (!cand->dead && visible(pts, cand, pts[q])) {
-              home = cand;
-              break;
-            }
-          }
-        }
+        facet* home = new_home(pts, pts[q], nf, r.ring);
         if (home != nullptr) {
           const bool was_empty = home->conflicts.empty();
           home->conflicts.push_back(q);
@@ -250,11 +255,16 @@ class reservation_hull {
         1);
 
     // --- Process winners --------------------------------------------------
+    std::vector<std::vector<facet*>> fans(q_idx.size());
     par::parallel_for(
         0, q_idx.size(),
         [&](std::size_t i) {
           if (!success[i]) return;
-          replace_region(pts_, arena_, pool_[q_idx[i]].pid, regions[i]);
+          fans[i] =
+              replace_region(pts_, arena_, pool_[q_idx[i]].pid, regions[i]);
+          for (facet* f : regions[i].visible) {
+            f->winner = static_cast<uint32_t>(i);
+          }
         },
         1);
 
@@ -272,12 +282,18 @@ class reservation_hull {
         1);
 
     // --- Pool update: drop winners, re-home points with dead refs ---------
+    // Re-home as in sequential_quickhull, against the killing winner's fan
+    // and ring. Other winners cannot break that argument: this one reserved
+    // its ring, so those facets are still alive, and a point outside the new
+    // hull is also outside the old hull plus this winner alone.
     std::vector<uint8_t> alive(pool_.size());
     std::vector<uint8_t> consumed(pool_.size(), 0);
     par::parallel_for(0, q_idx.size(), [&](std::size_t i) {
       if (success[i]) consumed[q_idx[i]] = 1;
     });
-    std::atomic<std::size_t> rehomed{0};
+    // Flags, not one atomic counter shared by all threads: that cost ~20%
+    // of randinc (500k points, 4 threads).
+    std::vector<uint8_t> rehomed(pool_.size(), 0);
     par::parallel_for(0, pool_.size(), [&](std::size_t i) {
       if (consumed[i]) {
         alive[i] = 0;
@@ -288,49 +304,16 @@ class reservation_hull {
         alive[i] = 1;  // facet plane unchanged => still visible
         return;
       }
-      rehomed.fetch_add(1, std::memory_order_relaxed);
-      facet* found = rehome(pts_[pe.pid], pe.ref);
-      if (found != nullptr) {
-        pe.ref = found;
-        alive[i] = 1;
-      } else {
-        alive[i] = 0;
-      }
+      rehomed[i] = 1;
+      const uint32_t w = pe.ref->winner;
+      pe.ref = new_home(pts_, pts_[pe.pid], fans[w], regions[w].ring);
+      alive[i] = pe.ref != nullptr;
     });
-    if (st_ != nullptr) st_->points_touched += rehomed.load();
+    if (st_ != nullptr) {
+      st_->points_touched +=
+          par::count_if(rehomed, [](uint8_t r) { return r != 0; });
+    }
     pool_ = par::pack(pool_, alive);
-  }
-
-  // Find a visible facet for p after its reference facet died: bounded
-  // search over the replacement fan and its neighborhood, with a global
-  // scan fallback that guarantees completeness.
-  facet* rehome(const pt& p, facet* deadRef) {
-    std::vector<facet*> visited;
-    std::vector<facet*> stack{deadRef->replacement};
-    constexpr std::size_t kCap = 64;
-    while (!stack.empty() && visited.size() < kCap) {
-      facet* f = stack.back();
-      stack.pop_back();
-      if (std::find(visited.begin(), visited.end(), f) != visited.end()) {
-        continue;
-      }
-      visited.push_back(f);
-      if (f->dead) {
-        stack.push_back(f->replacement);
-        continue;
-      }
-      if (visible(pts_, f, p)) return f;
-      for (facet* g : f->nbr) stack.push_back(g);
-    }
-    if (stack.empty()) return nullptr;  // local search exhausted: inside
-    // Fallback: scan all alive facets (rare; only when many adjacent
-    // regions were replaced in one round).
-    const std::size_t total = arena_.size();
-    for (std::size_t i = 0; i < total; ++i) {
-      facet* f = arena_.get(i);
-      if (!f->dead && visible(pts_, f, p)) return f;
-    }
-    return nullptr;
   }
 
   const std::vector<pt>& pts_;

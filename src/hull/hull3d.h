@@ -38,9 +38,16 @@ struct stats {
 mesh sequential_quickhull(const std::vector<point<3>>& pts,
                           stats* st = nullptr);
 
+/// Reservation-based parallel randomized incremental hull. Each round a
+/// batch of c * numProc points reserves its visible facets and their ring;
+/// the winners replace their regions by fans. Re-homing is winner-local: a
+/// point whose facet died tests only the fan, then the ring, of the winner
+/// that killed it, and is dropped as interior if it sees neither.
 mesh randinc(const std::vector<point<3>>& pts, std::size_t batch_factor = 8,
              uint64_t seed = 1, stats* st = nullptr);
 
+/// The same reservation rounds and winner-local re-homing as randinc, with
+/// batches of the furthest point of each facet.
 mesh reservation_quickhull(const std::vector<point<3>>& pts,
                            std::size_t batch_factor = 8,
                            stats* st = nullptr);

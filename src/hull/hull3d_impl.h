@@ -31,11 +31,11 @@ struct facet {
   std::array<std::size_t, 3> v{};
   // nbr[i] is the facet across directed edge (v[i], v[(i+1)%3]).
   std::array<facet*, 3> nbr{};
-  facet* replacement = nullptr;  // one of the facets that replaced this one
-  pt normal{};                   // unnormalized outward normal
-  double offset = 0;             // plane: normal . x == offset
+  pt normal{};        // unnormalized outward normal
+  double offset = 0;  // plane: normal . x == offset
   std::atomic<uint32_t> rsv{kNoReservation};
   std::atomic<uint64_t> best{0};
+  uint32_t winner = 0;  // reservation hulls: slot of the winner that killed it
   bool dead = false;
   std::vector<std::size_t> conflicts;  // sequential algorithm only
 
@@ -208,9 +208,9 @@ inline void find_region(const std::vector<pt>& pts, const pt& p, facet* f0,
 }
 
 /// Replaces the visible region of apex point `p` (index into pts) with a
-/// fan of new facets over the horizon. Marks old facets dead and records a
-/// replacement pointer. Returns the new facets. The caller must own every
-/// facet in `r.visible` and `r.ring` (reservation winners / sequential).
+/// fan of new facets over the horizon and marks the old facets dead.
+/// Returns the new facets. The caller must own every facet in `r.visible`
+/// and `r.ring` (reservation winners / sequential).
 inline std::vector<facet*> replace_region(const std::vector<pt>& pts,
                                           facet_arena& arena, std::size_t p,
                                           const region& r) {
@@ -245,10 +245,7 @@ inline std::vector<facet*> replace_region(const std::vector<pt>& pts,
     x->nbr[1] = byStart.at(x->v[1]);
     x->nbr[2] = byEnd.at(x->v[0]);
   }
-  for (facet* f : r.visible) {
-    f->dead = true;
-    f->replacement = nf[0];
-  }
+  for (facet* f : r.visible) f->dead = true;
   return nf;
 }
 

@@ -1,5 +1,5 @@
-// Zd-tree stand-in for the paper's §6.3 comparison (Blelloch & Dobson's
-// Morton-order batch-dynamic tree; see DESIGN.md substitutions).
+// Zd-tree stand-in for the paper's §6.3 comparison: a reimplementation of
+// Blelloch & Dobson's Morton-order batch-dynamic tree, not their code.
 //
 // Points are kept Morton-sorted in one flat array; updates are sorted
 // merges / filters (O(n + B) with tiny constants — the property that makes

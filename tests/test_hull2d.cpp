@@ -2,6 +2,7 @@
 // validity (CCW, containment, vertices from input), and degeneracies.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
 
 #include "core/predicates.h"
@@ -35,12 +36,42 @@ void check_valid_hull(const std::vector<point<2>>& pts,
   }
 }
 
+// Integer lattice of about n points: every boundary point between two
+// corners is collinear with them, so the hull is the 4 corners.
+std::vector<point<2>> lattice(std::size_t n) {
+  const auto side = static_cast<int>(std::lround(std::sqrt(n)));
+  std::vector<point<2>> pts;
+  for (int x = 0; x < side; ++x) {
+    for (int y = 0; y < side; ++y) {
+      pts.push_back(point<2>{{static_cast<double>(x),
+                              static_cast<double>(y)}});
+    }
+  }
+  return pts;
+}
+
+// In-sphere points rounded to integers, repeats dropped (first kept):
+// hull edges carry collinear points, and several points often tie for
+// furthest from a quickhull chain.
+std::vector<point<2>> rounded(std::size_t n, uint64_t seed) {
+  std::vector<point<2>> pts;
+  std::set<std::pair<double, double>> seen;
+  for (auto p : datagen::in_sphere<2>(n, seed)) {
+    p[0] = std::round(p[0]);
+    p[1] = std::round(p[1]);
+    if (seen.insert({p[0], p[1]}).second) pts.push_back(p);
+  }
+  return pts;
+}
+
 std::vector<point<2>> dataset(int which, std::size_t n, uint64_t seed) {
   switch (which) {
     case 0: return datagen::uniform<2>(n, seed);
     case 1: return datagen::in_sphere<2>(n, seed);
     case 2: return datagen::on_sphere<2>(n, seed);
-    default: return datagen::on_cube<2>(n, seed);
+    case 3: return datagen::on_cube<2>(n, seed);
+    case 4: return lattice(n);
+    default: return rounded(n, seed);
   }
 }
 
@@ -71,7 +102,9 @@ INSTANTIATE_TEST_SUITE_P(
                       Hull2dParam{1, 1000, 3}, Hull2dParam{1, 30000, 4},
                       Hull2dParam{2, 1000, 5}, Hull2dParam{2, 30000, 6},
                       Hull2dParam{3, 30000, 7}, Hull2dParam{0, 17, 8},
-                      Hull2dParam{2, 100, 9}),
+                      Hull2dParam{2, 100, 9}, Hull2dParam{4, 400, 10},
+                      Hull2dParam{4, 40000, 11}, Hull2dParam{5, 100, 5},
+                      Hull2dParam{5, 1000, 12}),
     [](const ::testing::TestParamInfo<Hull2dParam>& info) {
       return "dist" + std::to_string(info.param.dist) + "_n" +
              std::to_string(info.param.n) + "_s" +

@@ -3,6 +3,7 @@
 // degenerate inputs.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <map>
 #include <set>
 
@@ -95,11 +96,33 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(Hull3d, ParallelMeshesAreValidToo) {
-  auto pts = datagen::on_sphere<3>(5000, 21);
-  check_valid_mesh(pts, hull3d::randinc(pts));
-  check_valid_mesh(pts, hull3d::reservation_quickhull(pts));
-  check_valid_mesh(pts, hull3d::divide_conquer(pts));
-  check_valid_mesh(pts, hull3d::pseudohull(pts));
+  // Besides on-sphere points, two inputs with many exactly coplanar points
+  // on every hull face: a 14^3 integer lattice, and cube-shell points
+  // rounded to integers. Only validity is asserted: the reservation hulls
+  // may keep points inside a face as vertices.
+  std::vector<point<3>> lattice;
+  for (int x = 0; x < 14; ++x) {
+    for (int y = 0; y < 14; ++y) {
+      for (int z = 0; z < 14; ++z) {
+        lattice.push_back(point<3>{{1.0 * x, 1.0 * y, 1.0 * z}});
+      }
+    }
+  }
+  auto cube = datagen::on_cube<3>(20000);
+  for (auto& p : cube) {
+    for (int d = 0; d < 3; ++d) p[d] = std::round(p[d]);
+  }
+  const std::pair<const char*, std::vector<point<3>>> inputs[] = {
+      {"on_sphere", datagen::on_sphere<3>(5000, 21)},
+      {"lattice", lattice},
+      {"rounded_on_cube", cube}};
+  for (const auto& [name, pts] : inputs) {
+    SCOPED_TRACE(name);
+    check_valid_mesh(pts, hull3d::randinc(pts));
+    check_valid_mesh(pts, hull3d::reservation_quickhull(pts));
+    check_valid_mesh(pts, hull3d::divide_conquer(pts));
+    check_valid_mesh(pts, hull3d::pseudohull(pts));
+  }
 }
 
 TEST(Hull3d, ThrowsOnDegenerateInputs) {
