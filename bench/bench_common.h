@@ -77,7 +77,8 @@ inline std::size_t base_n() {
 /// Large dataset size (paper: 100M).
 inline std::size_t large_n() { return 4 * base_n(); }
 
-/// Median-of-3 wall-clock seconds of `f` (one untimed warmup for caches).
+/// Minimum wall-clock seconds of `f` over `reps` timed runs, with no
+/// warmup run (a single cold run at the default reps = 1).
 template <class F>
 double time_op(F&& f, int reps = 1) {
   double best = 1e300;

@@ -1,8 +1,7 @@
-// QSBR-style epoch-based reclamation for index snapshot structure — the
-// replacement for the per-shard write gate that used to pin bdltree
-// snapshots (see ROADMAP "lock-free ingest + epoch reclamation"; the
-// discipline follows the quiescent-state reclaimers in setbench's
-// recordmgr family).
+// QSBR-style epoch-based reclamation for index snapshot structure: it lets
+// snapshot readers run concurrently with writers on every backend without
+// a per-shard write gate (the discipline follows the quiescent-state
+// reclaimers in setbench's recordmgr family).
 //
 // Model: a single global epoch counter plus a fixed array of reader slots.
 // A reader *enters* by claiming a free slot and stamping it with the

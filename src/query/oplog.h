@@ -9,7 +9,7 @@
 // on how the stream was cut into `batch_insert`/`batch_erase` calls), so
 // a replica that re-issues the same per-shard call sequence converges to
 // the same structure — and hence the same k-NN tie order — as the
-// primary, regardless of which drain mode produced the cuts.
+// primary, without ever re-deriving the cuts itself.
 //
 //   *Groups and epochs*. `append()` assigns dense epochs (1, 2, ...)
 //   under the log mutex; the primary's drain thread is the only
@@ -107,7 +107,7 @@ inline const char* log_origin_name(log_origin o) {
 /// When to fsync the durable log file.
 enum class sync_policy : std::uint8_t {
   none = 0,          // flush to page cache only (survives process death)
-  interval = 1,      // fsync every `sync_interval_groups` appends
+  interval = 1,      // fsync every op_log::kSyncIntervalGroups appends
   every_commit = 2,  // fsync after every append (survives power loss)
 };
 
@@ -177,6 +177,9 @@ struct log_group {
 template <int D>
 class op_log {
  public:
+  /// Appends between fsyncs under sync_policy::interval.
+  static constexpr std::uint32_t kSyncIntervalGroups = 32;
+
   /// `capacity` bounds retained groups (drop-oldest past it).
   explicit op_log(std::size_t capacity = std::size_t{1} << 20)
       : capacity_(capacity == 0 ? 1 : capacity) {}
@@ -268,13 +271,11 @@ class op_log {
   /// every subsequent append() lands as one self-checksummed frame.
   /// Throws std::runtime_error on I/O failure.
   void open_durable(const std::string& path,
-                    sync_policy sync = sync_policy::interval,
-                    std::uint32_t sync_interval_groups = 32) {
+                    sync_policy sync = sync_policy::interval) {
     std::lock_guard<std::mutex> lk(mu_);
     close_file_locked();
     path_ = path;
     sync_ = sync;
-    sync_interval_ = sync_interval_groups == 0 ? 1 : sync_interval_groups;
     since_sync_ = 0;
     durable_ = {};
     rewrite_file_locked();
@@ -660,7 +661,7 @@ class op_log {
         do_sync_locked();
         break;
       case sync_policy::interval:
-        if (++since_sync_ >= sync_interval_) do_sync_locked();
+        if (++since_sync_ >= kSyncIntervalGroups) do_sync_locked();
         break;
     }
   }
@@ -731,7 +732,6 @@ class op_log {
   std::FILE* file_ = nullptr;
   std::string path_;
   sync_policy sync_ = sync_policy::none;
-  std::uint32_t sync_interval_ = 32;
   std::uint32_t since_sync_ = 0;
   std::uint64_t start_after_ = 0;
   log_durable_stats durable_{};

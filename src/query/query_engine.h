@@ -22,7 +22,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -134,8 +133,8 @@ struct batch_result {
   engine_stats stats;
 };
 
-/// Shared phase discipline for batch executors (query_engine per shard,
-/// query_service across shards): cuts `batch` into maximal same-class runs
+/// Shared phase discipline for batch executors (query_engine, and every
+/// query_service shard lane): cuts `batch` into maximal same-class runs
 /// (reads mix freely), invokes `on_phase(begin, end, read_phase)` for each,
 /// and stamps responses' kind/phase ids plus all timing stats. A request's
 /// reported latency is its phase's duration (phases complete together).
@@ -234,6 +233,23 @@ void execute_read_phase_on(const Target& target,
   }
 }
 
+/// One same-kind write run `batch[begin, end)` as a single batched update:
+/// all payload points of the run go through the backend's batch entry
+/// point at once.
+template <int D>
+void apply_write_run(spatial_index<D>& index,
+                     const std::vector<request<D>>& batch, std::size_t begin,
+                     std::size_t end) {
+  std::vector<point<D>> pts;
+  pts.reserve(end - begin);
+  for (std::size_t i = begin; i < end; ++i) pts.push_back(batch[i].p);
+  if (batch[begin].kind == op::insert) {
+    index.batch_insert(pts);
+  } else {
+    index.batch_erase(pts);
+  }
+}
+
 }  // namespace detail
 
 /// Executes request batches against one backend. Not thread-safe: callers
@@ -261,58 +277,14 @@ class query_engine {
                                                            begin, end,
                                                            result.responses);
                         } else {
-                          execute_write_phase(batch, begin, end);
+                          detail::apply_write_run<D>(*index_, batch, begin,
+                                                     end);
                         }
                       });
     return result;
-  }
-
-  /// Executes a read-only batch against an epoch snapshot instead of the
-  /// live index. Touches no engine state (it is static on purpose), so the
-  /// query_service's snapshot-read executors can run it concurrently with
-  /// a write drain on the live index. Throws if the batch contains writes.
-  static batch_result<D> execute_reads(const std::vector<request<D>>& batch,
-                                       const index_snapshot<D>& snap) {
-    batch_result<D> result;
-    execute_phases<D>(batch, result.responses, result.stats,
-                      [&](std::size_t begin, std::size_t end, bool read) {
-                        if (!read) {
-                          throw std::logic_error(
-                              "execute_reads() requires a read-only batch");
-                        }
-                        detail::execute_read_phase_on<D>(snap, batch, begin,
-                                                         end,
-                                                         result.responses);
-                      });
-    return result;
-  }
-
-  /// Applies one same-kind write run `batch[begin, end)` as a single
-  /// batched update against the backend. Public because the
-  /// query_service's per-shard drain executors drive phases themselves
-  /// (they intercept read phases for the k-NN result cache) and hand
-  /// write runs back to the engine; same single-caller contract as
-  /// execute().
-  void apply_write_phase(const std::vector<request<D>>& batch,
-                         std::size_t begin, std::size_t end) {
-    std::vector<point<D>> pts;
-    pts.reserve(end - begin);
-    for (std::size_t i = begin; i < end; ++i) pts.push_back(batch[i].p);
-    if (batch[begin].kind == op::insert) {
-      index_->batch_insert(pts);
-    } else {
-      index_->batch_erase(pts);
-    }
   }
 
  private:
-  // A write phase is one batched update: all payload points of the run go
-  // through the backend's batch entry point at once.
-  void execute_write_phase(const std::vector<request<D>>& batch,
-                           std::size_t begin, std::size_t end) {
-    apply_write_phase(batch, begin, end);
-  }
-
   std::unique_ptr<spatial_index<D>> index_;
 };
 

@@ -1,12 +1,11 @@
 // Sharded, multi-producer, asynchronous front door for the query subsystem
-// (the public serving API; query_engine is the internal per-shard executor).
+// (the public serving API).
 //
-// A `query_service<D>` owns N `query_engine<D>` shards behind one logical
+// A `query_service<D>` owns N `spatial_index<D>` shards behind one logical
 // index, built from a `service_config` (backend, shard count, shard policy,
-// ingest-batch window, read concurrency, backpressure bound, cache
-// capacity, retention cap). Every ticket takes one pipeline: lock-free
-// MPSC ring -> drain thread -> one executor lane per shard -> snapshot
-// readers.
+// ingest-batch window, backpressure bound, cache capacity, retention cap).
+// Every ticket takes one pipeline: lock-free MPSC ring -> drain thread ->
+// one executor lane per shard -> snapshot readers.
 //
 //   *Sharding*. Every stored point is owned by exactly one shard —
 //   `shard_policy::hash` routes by a hash of the coordinates,
@@ -22,7 +21,7 @@
 //   returns a `completion<D>` handle immediately. A dedicated drain thread
 //   owned by the service pulls the ingest queue continuously — tickets make
 //   progress with zero waiters. The drainer groups pending batches FIFO up
-//   to the configured `ingest_window` of requests (so engine-level write
+//   to the configured `ingest_window` of requests (so backend write
 //   batching spans ticket boundaries) and fulfils every ticket in the
 //   group; each caller's responses come back in its own submission order,
 //   with per-ticket latency recorded from submit to completion. Redeem a
@@ -61,12 +60,11 @@
 //   on the drain pipeline: it is routed once, then each involved lane
 //   stamps its shard's epoch snapshot (`spatial_index::snapshot()`) after
 //   the shard's earlier writes — per-shard FIFO again — and the fully
-//   stamped group executes on a snapshot-read executor pool
-//   (`read_threads`). Every backend's snapshots are isolated (kdtree:
-//   shared tree + copied write buffers; zdtree: copy-on-write Morton
-//   array; bdltree: chunk-level COW forest view), so those reads run
-//   fully concurrently with the next write drains on every shard — the
-//   per-shard write gate that used to pin bdltree snapshots is gone.
+//   stamped group executes on a pool of two snapshot-read executors.
+//   Every backend's snapshots are isolated (kdtree: shared tree + copied
+//   write buffers; zdtree: copy-on-write Morton array; bdltree:
+//   chunk-level COW forest view), so those reads run fully concurrently
+//   with the next write drains on every shard.
 //   Reader threads hold an epoch-reclaimer guard (query/epoch_reclaim.h)
 //   while executing; structure versions superseded by writes are retired
 //   onto a limbo list and destroyed at drain-boundary reclaim points once
@@ -127,12 +125,12 @@
 //   tie order, is a deterministic function of the call sequence).
 //
 //   *Ingest backpressure*. `max_pending_requests` bounds admitted-but-
-//   unfulfilled requests across the whole pipeline (0 = unbounded, the
-//   PR 3 behavior). Past the bound `submit()` blocks the producer until
-//   drains fulfil enough in-flight work (an over-sized batch is admitted
-//   alone rather than deadlocking); `try_submit()` returns std::nullopt
-//   instead of blocking. close() wakes blocked producers, which then
-//   throw like any post-close submit.
+//   unfulfilled requests across the whole pipeline (0 = unbounded). Past
+//   the bound `submit()` blocks the producer until drains fulfil enough
+//   in-flight work (an over-sized batch is admitted alone rather than
+//   deadlocking); `try_submit()` returns std::nullopt instead of
+//   blocking. close() wakes blocked producers, which then throw like any
+//   post-close submit.
 //
 //   *Bounded retention*. Completed-but-unredeemed results are retained in
 //   a bounded buffer: redemption (get / callback / handle destruction)
@@ -148,8 +146,8 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <atomic>
-#include <cassert>
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
@@ -211,10 +209,6 @@ struct service_config {
   /// Max requests grouped into one drain (a single over-sized batch still
   /// drains alone).
   std::size_t ingest_window = std::size_t{1} << 16;
-  /// Snapshot-read executors. Read-only ticket groups execute on this pool
-  /// against epoch snapshots, concurrently with the drain pipeline's write
-  /// groups. 0 serializes reads behind the write drain (no extra threads).
-  std::size_t read_threads = 2;
   /// Backpressure: max admitted-but-unfulfilled requests across the whole
   /// pipeline. 0 = unbounded. Past the bound submit() blocks and
   /// try_submit() rejects; a batch larger than the bound is admitted alone
@@ -231,15 +225,11 @@ struct service_config {
   /// drain boundary, the quantile stripe bounds are re-derived from a
   /// sample of live points and misplaced points migrate to their new
   /// owners as an internal write group (epochs bump on every affected
-  /// shard, so cached k-NN rows and pinned snapshots invalidate through
-  /// the normal channels). <= 1 disables (the PR 4 behavior: stripes are
-  /// fixed once set). Meaningful values start around 1.2-2.0.
+  /// shard, so cached k-NN rows invalidate through the normal channels).
+  /// Below 256 resident points nothing re-stripes, and the bounds come from
+  /// a sample of at most 4096 points. <= 1 disables (stripes are fixed
+  /// once set). Meaningful values start around 1.2-2.0.
   double rebalance_threshold = 0;
-  /// Ignore imbalance below this many total resident points (tiny sets
-  /// would re-stripe constantly for no win).
-  std::size_t rebalance_min_points = 256;
-  /// Sample size for re-deriving the quantile stripe bounds.
-  std::size_t rebalance_sample = 4096;
   /// Sliding-window TTL for stored points, in nanoseconds: every
   /// bootstrapped or inserted point is retired by an internal
   /// batch_erase group once its TTL elapses. Sweeps run after every
@@ -272,11 +262,10 @@ struct service_config {
   std::string log_dir;
   /// fsync cadence for the durable log: `none` flushes to the page
   /// cache only (survives process death), `interval` fsyncs every
-  /// `sync_interval_groups` appends, `every_commit` fsyncs each append
-  /// (survives power loss, at a per-commit cost the durability bench
-  /// quantifies).
+  /// op_log::kSyncIntervalGroups (32) appends, `every_commit` fsyncs each
+  /// append (survives power loss, at a per-commit cost the durability
+  /// bench quantifies).
   sync_policy sync = sync_policy::interval;
-  std::uint32_t sync_interval_groups = 32;
   /// Checkpoint + compact every N committed write groups (0 disables):
   /// the drain thread quiesces the lanes, serializes per-shard resident
   /// state into log_dir, and truncates the log below the checkpoint
@@ -289,7 +278,6 @@ struct service_config {
   /// empty responses, and a `deadline_expired` counter bump.
   /// Per-batch override: submit_with_deadline().
   std::uint64_t deadline_ns = 0;
-  index_options index;  // forwarded to every shard's backend
 };
 
 /// Completed batch as seen by one submitter. `stats` describes the whole
@@ -579,9 +567,17 @@ namespace detail {
 /// hub (a shared_ptr) outlives the service, so handles stay redeemable
 /// after shutdown. `mu` guards the retention/eviction bookkeeping, result
 /// payloads, callbacks, and `done_cv`; the owning service also parks
-/// backpressured producers and queues replayed log groups under it.
+/// backpressured producers and queues replayed log groups under it. Every
+/// record state transition happens in the `*_locked` members below and in
+/// evict_over_cap(), all with mu held.
 template <int D>
 struct completion_hub {
+  using callback_t =
+      std::function<void(ticket_result<D>&&, std::exception_ptr)>;
+  /// Callbacks armed on records a fulfilment completed, with their
+  /// results: fired by the service after it drops mu.
+  using fire_list = std::vector<std::pair<callback_t, ticket_result<D>>>;
+
   struct record {
     enum class state_t : std::uint8_t { pending, done, evicted, consumed };
     /// Lock-free readiness signal: transitions away from `pending` are
@@ -591,12 +587,13 @@ struct completion_hub {
     std::uint64_t id = 0;
     ticket_result<D> result;   // guarded by mu; valid when state == done
     std::exception_ptr error;  // guarded by mu
-    std::function<void(ticket_result<D>&&, std::exception_ptr)> callback;
+    callback_t callback;
     /// The submitter dropped its handle unredeemed: fulfil discards the
     /// result instead of retaining it (guarded by mu).
     bool handle_dropped = false;
   };
   using record_ptr = std::shared_ptr<record>;
+  using state_t = typename record::state_t;
 
   std::mutex mu;
   std::condition_variable done_cv;  // signaled on every fulfilment
@@ -620,13 +617,12 @@ struct completion_hub {
            !done_order.empty()) {
       record_ptr r = std::move(done_order.front());
       done_order.pop_front();
-      if (r->state.load(std::memory_order_relaxed) !=
-          record::state_t::done) {
+      if (r->state.load(std::memory_order_relaxed) != state_t::done) {
         continue;  // already redeemed; stale eviction candidate
       }
       r->result = ticket_result<D>{};
       r->error = nullptr;
-      r->state.store(record::state_t::evicted, std::memory_order_release);
+      r->state.store(state_t::evicted, std::memory_order_release);
       retained.fetch_sub(1, std::memory_order_relaxed);
       evicted_total.fetch_add(1, std::memory_order_relaxed);
     }
@@ -635,12 +631,63 @@ struct completion_hub {
     if (done_order.size() > std::max<std::size_t>(64, 2 * max_retained)) {
       std::deque<record_ptr> live;
       for (auto& r : done_order) {
-        if (r->state.load(std::memory_order_relaxed) ==
-            record::state_t::done) {
+        if (r->state.load(std::memory_order_relaxed) == state_t::done) {
           live.push_back(std::move(r));
         }
       }
       done_order.swap(live);
+    }
+  }
+
+  // Fulfilment of a pending record (no-op otherwise): an armed callback
+  // gets the result through `fire`, a dropped handle's result is
+  // discarded, anything else is retained for redemption.
+  void fulfil_locked(const record_ptr& r, ticket_result<D>&& tr,
+                     std::exception_ptr error, fire_list& fire) {
+    if (r->state.load(std::memory_order_relaxed) != state_t::pending) return;
+    if (r->callback) {
+      fire.emplace_back(std::move(r->callback), std::move(tr));
+    } else if (!r->handle_dropped) {
+      r->result = std::move(tr);
+      r->error = std::move(error);
+      r->state.store(state_t::done, std::memory_order_release);
+      done_order.push_back(r);
+      retained.fetch_add(1, std::memory_order_relaxed);
+      return;
+    }
+    r->state.store(state_t::consumed, std::memory_order_release);
+  }
+
+  // Redemption of a done or evicted record: moves the result into `out`
+  // and returns the ticket's error (a retention-cap error for an evicted
+  // record).
+  std::exception_ptr redeem_locked(record& r, ticket_result<D>& out) {
+    std::exception_ptr err;
+    if (r.state.load(std::memory_order_relaxed) == state_t::evicted) {
+      err = std::make_exception_ptr(std::runtime_error(
+          "completion: result evicted by the retention cap "
+          "(service_config.max_retained)"));
+    } else {
+      err = std::move(r.error);
+      r.error = nullptr;
+      out = std::move(r.result);
+      r.result = ticket_result<D>{};
+      retained.fetch_sub(1, std::memory_order_relaxed);
+    }
+    r.state.store(state_t::consumed, std::memory_order_release);
+    return err;
+  }
+
+  // The handle was dropped unredeemed: a pending record's result will be
+  // discarded at fulfilment (unless a callback is armed), a done one's is
+  // released now.
+  void drop_locked(record& r) {
+    const state_t st = r.state.load(std::memory_order_relaxed);
+    if (st == state_t::pending) {
+      r.handle_dropped = true;
+    } else if (st == state_t::done) {
+      ticket_result<D> discarded;
+      redeem_locked(r, discarded);
     }
   }
 };
@@ -656,7 +703,7 @@ struct completion_hub {
 template <int D>
 class completion {
   using hub_t = detail::completion_hub<D>;
-  using record_t = typename hub_t::record;
+  using state_t = typename hub_t::state_t;
 
  public:
   completion() = default;
@@ -688,8 +735,7 @@ class completion {
   bool ready() const {
     if (!rec_) return false;
     if (redeemed_) return true;
-    return rec_->state.load(std::memory_order_acquire) !=
-           record_t::state_t::pending;
+    return rec_->state.load(std::memory_order_acquire) != state_t::pending;
   }
 
   /// Blocks until the ticket's drain completes and returns its result;
@@ -707,22 +753,11 @@ class completion {
     }
     std::unique_lock<std::mutex> lk(hub_->mu);
     hub_->done_cv.wait(lk, [&] {
-      return rec_->state.load(std::memory_order_relaxed) !=
-             record_t::state_t::pending;
+      return rec_->state.load(std::memory_order_relaxed) != state_t::pending;
     });
     redeemed_ = true;
-    if (rec_->state.load(std::memory_order_relaxed) ==
-        record_t::state_t::evicted) {
-      throw std::runtime_error(
-          "completion::get(): result evicted by the retention cap "
-          "(service_config.max_retained)");
-    }
-    std::exception_ptr err = rec_->error;
-    ticket_result<D> r = std::move(rec_->result);
-    rec_->result = ticket_result<D>{};
-    rec_->error = nullptr;
-    rec_->state.store(record_t::state_t::consumed, std::memory_order_release);
-    hub_->retained.fetch_sub(1, std::memory_order_relaxed);
+    ticket_result<D> r;
+    const std::exception_ptr err = hub_->redeem_locked(*rec_, r);
     lk.unlock();
     if (err) std::rethrow_exception(err);
     return r;
@@ -744,24 +779,12 @@ class completion {
     }
     std::unique_lock<std::mutex> lk(hub_->mu);
     redeemed_ = true;
-    const auto st = rec_->state.load(std::memory_order_relaxed);
-    if (st == record_t::state_t::pending) {
+    if (rec_->state.load(std::memory_order_relaxed) == state_t::pending) {
       rec_->callback = std::move(fn);
       return;
     }
     ticket_result<D> r;
-    std::exception_ptr err;
-    if (st == record_t::state_t::evicted) {
-      err = std::make_exception_ptr(std::runtime_error(
-          "completion::on_complete(): result evicted by the retention cap"));
-    } else {
-      err = rec_->error;
-      r = std::move(rec_->result);
-      rec_->result = ticket_result<D>{};
-      rec_->error = nullptr;
-      hub_->retained.fetch_sub(1, std::memory_order_relaxed);
-    }
-    rec_->state.store(record_t::state_t::consumed, std::memory_order_release);
+    const std::exception_ptr err = hub_->redeem_locked(*rec_, r);
     lk.unlock();
     fn(std::move(r), err);
   }
@@ -777,17 +800,7 @@ class completion {
     if (!rec_) return;
     {
       std::lock_guard<std::mutex> lk(hub_->mu);
-      const auto st = rec_->state.load(std::memory_order_relaxed);
-      if (st == record_t::state_t::pending) {
-        // Fulfilment discards the result unless a callback is armed.
-        rec_->handle_dropped = true;
-      } else if (st == record_t::state_t::done) {
-        rec_->result = ticket_result<D>{};
-        rec_->error = nullptr;
-        rec_->state.store(record_t::state_t::consumed,
-                          std::memory_order_release);
-        hub_->retained.fetch_sub(1, std::memory_order_relaxed);
-      }
+      hub_->drop_locked(*rec_);
     }
     hub_.reset();
     rec_.reset();
@@ -815,7 +828,7 @@ class query_service {
     if (cfg_.max_retained == 0) {
       throw std::invalid_argument("service_config.max_retained must be >= 1");
     }
-    engines_.reserve(cfg_.shards);
+    shards_.reserve(cfg_.shards);
     caches_.reserve(cfg_.shards);
     lanes_.reserve(cfg_.shards);
     const std::size_t per_shard_cache =
@@ -823,14 +836,11 @@ class query_service {
             ? 0
             : (cfg_.cache_capacity + cfg_.shards - 1) / cfg_.shards;
     for (std::size_t s = 0; s < cfg_.shards; ++s) {
-      engines_.push_back(std::make_unique<query_engine<D>>(
-          make_index<D>(cfg_.backend, cfg_.index)));
+      shards_.push_back(make_index<D>(cfg_.backend));
+      shards_.back()->set_reclaimer(&reclaim_);
       caches_.push_back(std::make_unique<result_cache<D>>(
           per_shard_cache, /*timed=*/tel_.enabled()));
       lanes_.push_back(std::make_unique<shard_lane>());
-    }
-    for (std::size_t s = 0; s < cfg_.shards; ++s) {
-      engines_[s]->index().set_reclaimer(&reclaim_);
     }
     resident_est_.assign(cfg_.shards, 0);
     write_touched_.assign(cfg_.shards, 0);
@@ -843,18 +853,14 @@ class query_service {
       // for incremental appends before any thread can commit a group.
       detail_ck::ensure_dir(cfg_.log_dir);
       log_ = std::make_shared<op_log<D>>();
-      log_->open_durable(cfg_.log_dir + "/oplog.pgol", cfg_.sync,
-                         cfg_.sync_interval_groups);
+      log_->open_durable(cfg_.log_dir + "/oplog.pgol", cfg_.sync);
     }
     drainer_ = std::thread([this] { drain_loop(); });
     try {
       for (std::size_t s = 0; s < cfg_.shards; ++s) {
         lanes_[s]->worker = std::thread([this, s] { shard_loop(s); });
       }
-      readers_.reserve(cfg_.read_threads);
-      for (std::size_t i = 0; i < cfg_.read_threads; ++i) {
-        readers_.emplace_back([this] { read_loop(); });
-      }
+      for (auto& t : readers_) t = std::thread([this] { read_loop(); });
     } catch (...) {
       close();  // join whatever started before rethrowing
       throw;
@@ -868,8 +874,8 @@ class query_service {
   const service_config& config() const { return cfg_; }
   std::size_t num_shards() const { return cfg_.shards; }
 
-  /// Per-shard executor, for tests and diagnostics. Quiescent callers only.
-  const query_engine<D>& shard(std::size_t s) const { return *engines_[s]; }
+  /// Per-shard index, for tests and diagnostics. Quiescent callers only.
+  const spatial_index<D>& shard(std::size_t s) const { return *shards_[s]; }
 
   /// Loads the initial point set, partitioned across shards (replacing any
   /// current contents). Not thread-safe; call before serving traffic.
@@ -893,7 +899,7 @@ class query_service {
     }
     par::parallel_for(
         0, cfg_.shards,
-        [&](std::size_t s) { engines_[s]->bootstrap(parts[s]); }, 1);
+        [&](std::size_t s) { shards_[s]->build(parts[s]); }, 1);
     if (log_) {
       // The bootstrap build is the log's genesis group: per-shard build
       // records (empty shards included — build replaces contents) plus
@@ -1143,15 +1149,15 @@ class query_service {
   /// Total points across shards. Quiescent callers only.
   std::size_t size() const {
     std::size_t n = 0;
-    for (const auto& e : engines_) n += e->index().size();
+    for (const auto& idx : shards_) n += idx->size();
     return n;
   }
 
   /// All stored points across shards (unordered). Quiescent callers only.
   std::vector<point<D>> gather() const {
     std::vector<point<D>> out;
-    for (const auto& e : engines_) {
-      auto part = e->index().gather();
+    for (const auto& idx : shards_) {
+      auto part = idx->gather();
       out.insert(out.end(), part.begin(), part.end());
     }
     return out;
@@ -1261,7 +1267,6 @@ class query_service {
   static std::unique_ptr<query_service> recover(const std::string& dir,
                                                 service_config cfg) {
     const sync_policy sync = cfg.sync;
-    const std::uint32_t sync_interval = cfg.sync_interval_groups;
     cfg.log_dir.clear();  // rebuild first; durable appends re-attach below
     auto svc = std::make_unique<query_service>(std::move(cfg));
 
@@ -1299,11 +1304,10 @@ class query_service {
     // and the file is atomically rewritten (dropping any torn tail on
     // disk), ready for incremental appends. The service is externally
     // quiescent here — same contract as attach_log before traffic.
-    log->open_durable(dir + "/oplog.pgol", sync, sync_interval);
+    log->open_durable(dir + "/oplog.pgol", sync);
     svc->log_ = std::move(log);
     svc->cfg_.log_dir = dir;
     svc->cfg_.sync = sync;
-    svc->cfg_.sync_interval_groups = sync_interval;
     svc->ctr_.recovered_epochs.store(target, std::memory_order_relaxed);
     return svc;
   }
@@ -1409,6 +1413,16 @@ class query_service {
     shard_drain_stats stats;
     std::thread worker;
   };
+
+  /// Snapshot-read executor threads.
+  static constexpr std::size_t kReadThreads = 2;
+  /// Stripe rebalancing ignores imbalance below this many resident points
+  /// (tiny sets would re-stripe constantly for no win)...
+  static constexpr std::size_t kRebalanceMinPoints = 256;
+  /// ...and re-derives the quantile bounds from at most this many.
+  static constexpr std::size_t kRebalanceSample = 4096;
+
+  using fire_list = typename detail::completion_hub<D>::fire_list;
 
   static bool batch_is_read_only(const std::vector<request<D>>& batch) {
     for (const auto& r : batch) {
@@ -1545,8 +1559,7 @@ class query_service {
       pending_.pop_front();
     }
     if (pending_.empty()) return f;
-    f.read_kind =
-        cfg_.read_threads > 0 && batch_is_read_only(pending_.front().batch);
+    f.read_kind = batch_is_read_only(pending_.front().batch);
     f.group.push_back(std::move(pending_.front()));
     pending_.pop_front();
     f.total = f.group.front().batch.size();
@@ -1558,10 +1571,7 @@ class query_service {
         continue;
       }
       if (f.total + next.batch.size() > cfg_.ingest_window) break;
-      if (cfg_.read_threads > 0 &&
-          batch_is_read_only(next.batch) != f.read_kind) {
-        break;
-      }
+      if (batch_is_read_only(next.batch) != f.read_kind) break;
       f.total += next.batch.size();
       f.group.push_back(std::move(pending_.front()));
       pending_.pop_front();
@@ -1800,7 +1810,7 @@ class query_service {
   // isolated, and superseded structure goes through the epoch reclaimer.
   void run_lane_subbatch(std::size_t s, shard_task task) {
     auto g = std::move(task.exec);
-    // One ns delta feeds both the execute_write histogram and the legacy
+    // One ns delta feeds both the execute_write histogram and the lane's
     // execute_seconds counter — they cannot disagree.
     const std::uint64_t t0 = tel_.now_ns();
     batch_result<D> res;
@@ -1836,12 +1846,13 @@ class query_service {
   // Stamps this shard's epoch snapshot for a read group; the lane that
   // stamps last hands the group to the snapshot readers. A failed
   // snapshot (allocation) fails the group instead of unwinding the lane
-  // thread.
+  // thread. The epoch reclaimer covers the structure versions the
+  // snapshot references.
   void run_lane_stamp(std::size_t s, shard_task task) {
     auto g = std::move(task.stamp);
     const std::uint64_t t0 = g->trace_ticket ? tel_.now_ns() : 0;
     try {
-      stamp_shard_snapshot(*g, s);
+      g->snaps[s] = shards_[s]->snapshot();
     } catch (...) {
       std::lock_guard<std::mutex> lk(g->err_mu);
       if (!g->error) g->error = std::current_exception();
@@ -1851,7 +1862,7 @@ class query_service {
                     g->trace_ticket, static_cast<std::int32_t>(s));
     }
     if (g->stamps_remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      hand_off_read_group(std::move(g));
+      enqueue_read_task(std::move(g));
     }
   }
 
@@ -1940,7 +1951,7 @@ class query_service {
     ck.cuts = bounds_;
     ck.shard_points.resize(cfg_.shards);
     for (std::size_t s = 0; s < cfg_.shards; ++s) {
-      ck.shard_points[s] = engines_[s]->index().gather();
+      ck.shard_points[s] = shards_[s]->gather();
     }
     try {
       write_checkpoint<D>(cfg_.log_dir, ck);
@@ -1953,7 +1964,7 @@ class query_service {
     return true;
   }
 
-  // Recovery bootstrap: rebuilds the engines directly from checkpoint
+  // Recovery bootstrap: rebuilds the shards directly from checkpoint
   // state. Deliberately NOT logged — the checkpoint replaces the log
   // prefix it summarizes (recover() re-attaches the salvaged log after).
   // Externally quiescent callers only (no traffic exists during recovery).
@@ -1968,7 +1979,7 @@ class query_service {
       bounds_set_ = true;
     }
     for (std::size_t s = 0; s < cfg_.shards; ++s) {
-      engines_[s]->bootstrap(ck.shard_points[s]);
+      shards_[s]->build(ck.shard_points[s]);
       resident_est_[s] = ck.shard_points[s].size();
     }
     if (cfg_.point_ttl_ns > 0) {
@@ -2090,16 +2101,16 @@ class query_service {
   // order) — the byte-identical convergence guarantee rests here.
   void apply_log_record(const log_record<D>& rec) {
     fault::fire(fault::kReplicaApply);
-    auto& engine = *engines_[rec.shard];
+    auto& index = *shards_[rec.shard];
     switch (rec.kind) {
       case log_op::build:
-        engine.bootstrap(rec.pts);
+        index.build(rec.pts);
         break;
       case log_op::insert:
-        engine.index().batch_insert(rec.pts);
+        index.batch_insert(rec.pts);
         break;
       case log_op::erase:
-        engine.index().batch_erase(rec.pts);
+        index.batch_erase(rec.pts);
         break;
     }
   }
@@ -2110,44 +2121,22 @@ class query_service {
     ctr_.replayed_records.fetch_add(records, std::memory_order_relaxed);
   }
 
-  // Fully stamped groups go to the reader pool — except that watch
-  // groups can exist with read_threads == 0 (ticket read groups cannot:
-  // the drainer only splits them off when the pool exists), and nothing
-  // would ever drain read_q_ then, so they evaluate inline on the lane
-  // worker that finished stamping (snapshot-only reads are safe there).
-  void hand_off_read_group(std::shared_ptr<read_group> g) {
-    if (cfg_.read_threads > 0) {
-      enqueue_read_task(std::move(g));
-    } else {
-      run_read_task(std::move(g));
-    }
-  }
-
-  void stamp_shard_snapshot(read_group& g, std::size_t s) {
-    g.snaps[s] = engines_[s]->index().snapshot();
-    // Every backend's snapshot is isolated now (the bdltree write gate is
-    // gone); the epoch reclaimer, not a pin count, covers the structure
-    // versions the snapshot references.
-    assert(g.snaps[s]->isolated());
-  }
-
-  // Executes one lane's sub-batch with the engine's phase discipline:
+  // Executes one lane's sub-batch with the shared phase discipline:
   // write runs go to the backend as batched updates, read runs through the
   // cache-intercepted read path against the live index at its current
   // epoch (stable here — only this lane writes this shard).
   batch_result<D> execute_shard_batch(std::size_t s,
                                       const std::vector<request<D>>& sub) {
     fault::fire(fault::kLaneExecute);
-    auto& engine = *engines_[s];
+    auto& index = *shards_[s];
     batch_result<D> res;
     execute_phases<D>(sub, res.responses, res.stats,
                       [&](std::size_t begin, std::size_t end, bool read) {
                         if (read) {
-                          run_shard_reads(s, sub, begin, end, engine.index(),
-                                          engine.index().epoch(),
-                                          res.responses);
+                          run_shard_reads(s, sub, begin, end, index,
+                                          index.epoch(), res.responses);
                         } else {
-                          engine.apply_write_phase(sub, begin, end);
+                          detail::apply_write_run<D>(index, sub, begin, end);
                         }
                       });
     return res;
@@ -2270,7 +2259,7 @@ class query_service {
     if (cfg_.rebalance_threshold <= 1.0 || !bounds_set_) return;
     std::size_t total = 0;
     for (std::size_t n : resident_est_) total += n;
-    if (total < cfg_.rebalance_min_points) return;
+    if (total < kRebalanceMinPoints) return;
     if (rebalance_attempted_) {
       const std::size_t leash =
           last_rebalance_futile_ ? std::max<std::size_t>(256, total / 4)
@@ -2307,7 +2296,7 @@ class query_service {
     std::vector<std::size_t> sizes(cfg_.shards);
     std::size_t total = 0;
     for (std::size_t s = 0; s < cfg_.shards; ++s) {
-      sizes[s] = engines_[s]->index().size();
+      sizes[s] = shards_[s]->size();
       total += sizes[s];
       resident_est_[s] = sizes[s];  // re-sync the estimates
     }
@@ -2319,12 +2308,12 @@ class query_service {
     }
     std::vector<std::vector<point<D>>> held(cfg_.shards);
     for (std::size_t s = 0; s < cfg_.shards; ++s) {
-      held[s] = engines_[s]->index().gather();
+      held[s] = shards_[s]->gather();
     }
     // Quantile sample, strided across the whole resident multiset so
     // every shard contributes proportionally to the new bounds.
     const std::size_t target = std::max<std::size_t>(
-        cfg_.shards, std::min(total, cfg_.rebalance_sample));
+        cfg_.shards, std::min(total, kRebalanceSample));
     const std::size_t stride = std::max<std::size_t>(1, total / target);
     std::vector<point<D>> sample;
     sample.reserve(total / stride + 1);
@@ -2360,7 +2349,7 @@ class query_service {
     }
     for (std::size_t t = 0; t < cfg_.shards; ++t) {
       if (arrivals[t].empty()) continue;
-      engines_[t]->index().batch_insert(arrivals[t]);
+      shards_[t]->batch_insert(arrivals[t]);
       resident_est_[t] += arrivals[t].size();
     }
     if (log_) {
@@ -2421,7 +2410,7 @@ class query_service {
           round.push_back(p);
         }
       }
-      engines_[s]->index().batch_erase(round);
+      shards_[s]->batch_erase(round);
       if (rounds) rounds->push_back(round);
       pts.swap(rest);
     }
@@ -2523,9 +2512,8 @@ class query_service {
 
   // ---- snapshot-read path -------------------------------------------------
 
-  // Routes a read-only group once. Each involved lane stamps its own
-  // snapshot in queue order (so it observes exactly that shard's earlier
-  // writes) and the last stamp hands the group to the readers.
+  // Routes a read-only ticket group once; the lanes stamp and the readers
+  // execute it (scatter_read_group).
   void route_read_group(std::vector<pending_entry> tickets,
                         std::size_t total) {
     const std::uint64_t route_start = tel_.enabled() ? tel_.now_ns() : 0;
@@ -2538,6 +2526,24 @@ class query_service {
     for (const auto& e : g->tickets) {
       g->combined.insert(g->combined.end(), e.batch.begin(), e.batch.end());
     }
+    if (scatter_read_group(g, route_start)) return;
+    // Every ticket in the group had an empty batch.
+    recycle_read_group(*g);
+    fulfill_group(std::move(g->tickets), g->total, batch_result<D>{},
+                  nullptr, /*snapshot_epoch=*/0, /*read_group=*/true,
+                  /*lagged=*/false, /*exec_seconds=*/0, /*commit_epoch=*/0,
+                  g->trace_ticket);
+  }
+
+  // Scatters a read group's combined requests (tickets or watches) to
+  // every shard that serves them and fans stamp tasks out to those lanes.
+  // Each lane stamps its own snapshot in queue order (so it observes
+  // exactly that shard's earlier writes) and the last stamp hands the
+  // group to the readers. Ticket groups record the route stage from
+  // `route_start` up to the fan-out. Returns false, with nothing
+  // enqueued, when no shard serves any request.
+  bool scatter_read_group(const std::shared_ptr<read_group>& g,
+                          std::uint64_t route_start) {
     g->sub.resize(cfg_.shards);
     g->sub_idx.resize(cfg_.shards);
     for (std::size_t s = 0; s < cfg_.shards; ++s) {
@@ -2552,7 +2558,7 @@ class query_service {
       }
     }
     g->snaps.resize(cfg_.shards);
-    if (tel_.enabled()) {
+    if (tel_.enabled() && g->watch_seq == 0) {
       const std::uint64_t route_end = tel_.now_ns();
       tel_.record(stage::route, route_end - route_start);
       if (g->trace_ticket) {
@@ -2560,26 +2566,11 @@ class query_service {
                       route_end - route_start, g->trace_ticket);
       }
     }
-
     std::size_t active = 0;
     for (std::size_t s = 0; s < cfg_.shards; ++s) {
       if (!g->sub[s].empty()) ++active;
     }
-    if (active == 0) {  // every ticket in the group had an empty batch
-      recycle_read_group(*g);
-      fulfill_group(std::move(g->tickets), g->total, batch_result<D>{},
-                    nullptr, /*snapshot_epoch=*/0, /*read_group=*/true,
-                    /*lagged=*/false, /*exec_seconds=*/0, /*commit_epoch=*/0,
-                    g->trace_ticket);
-      return;
-    }
-    enqueue_stamp_tasks(g, active);
-  }
-
-  // Fans a routed read group's stamp tasks out to the lanes that serve
-  // it; the last stamp hands the group off (run_lane_stamp).
-  void enqueue_stamp_tasks(const std::shared_ptr<read_group>& g,
-                           std::size_t active) {
+    if (active == 0) return false;
     g->stamps_remaining.store(active, std::memory_order_relaxed);
     for (std::size_t s = 0; s < cfg_.shards; ++s) {
       if (g->sub[s].empty()) continue;
@@ -2587,6 +2578,7 @@ class query_service {
       task.stamp = g;
       enqueue_lane_task(s, std::move(task));
     }
+    return true;
   }
 
   void enqueue_read_task(std::shared_ptr<read_group> g) {
@@ -2608,21 +2600,62 @@ class query_service {
         g = std::move(read_q_.front());
         read_q_.pop_front();
       }
-      run_read_task(std::move(g));
+      if (g->watch_seq != 0) {
+        run_watch_task(std::move(g));
+      } else {
+        run_read_task(std::move(g));
+      }
     }
   }
 
-  // Executes one read group against its epoch snapshots (through the
-  // result cache) and fulfils it; watch groups peel off to their own
-  // finisher (registry delivery instead of ticket fulfilment). The whole
-  // execution runs inside an epoch-reclaimer guard: structure versions
-  // retired while this read is in flight stay on the limbo list until the
-  // guard releases (query/epoch_reclaim.h).
-  void run_read_task(std::shared_ptr<read_group> g) {
-    if (g->watch_seq != 0) {
-      run_watch_task(std::move(g));
-      return;
+  // Executes a stamped read group against its epoch snapshots: every
+  // shard's sub-batch runs through the result cache in parallel (the
+  // execute_read stage, per shard), then rows gather-merge into
+  // `responses` in combined order (the merge stage, for ticket groups).
+  // Cache-served rows of watch groups count as watch_cache_hits. Callers
+  // hold an epoch-reclaimer guard.
+  void read_snapshots(const read_group& g,
+                      std::vector<response<D>>& responses) {
+    responses.resize(g.combined.size());
+    std::vector<batch_result<D>> shard_res(cfg_.shards);
+    par::parallel_for(
+        0, cfg_.shards,
+        [&](std::size_t s) {
+          if (g.sub[s].empty()) return;
+          shard_res[s].responses.resize(g.sub[s].size());
+          const std::uint64_t s0 = tel_.enabled() ? tel_.now_ns() : 0;
+          const std::size_t hits =
+              run_shard_reads(s, g.sub[s], 0, g.sub[s].size(), *g.snaps[s],
+                              g.snaps[s]->epoch(), shard_res[s].responses);
+          if (hits > 0 && g.watch_seq != 0) {
+            watch_cache_hits_.fetch_add(hits, std::memory_order_relaxed);
+          }
+          if (tel_.enabled()) {
+            const std::uint64_t s_ns = tel_.now_ns() - s0;
+            tel_.record_shard(s, stage::execute_read, s_ns);
+            if (g.trace_ticket) {
+              tel_.add_span("execute_read", tel_.reader_track(), s0, s_ns,
+                            g.trace_ticket, static_cast<std::int32_t>(s));
+            }
+          }
+        },
+        1);
+    const std::uint64_t m0 = tel_.enabled() ? tel_.now_ns() : 0;
+    merge_shard_reads(g.combined, g.sub_idx, shard_res, responses);
+    if (tel_.enabled() && g.watch_seq == 0) {
+      const std::uint64_t m_ns = tel_.now_ns() - m0;
+      tel_.record(stage::merge, m_ns);
+      if (g.trace_ticket) {
+        tel_.add_span("merge", tel_.fulfil_track(), m0, m_ns, g.trace_ticket);
+      }
     }
+  }
+
+  // Executes one ticket read group and fulfils it. The whole execution
+  // runs inside an epoch-reclaimer guard: structure versions retired
+  // while this read is in flight stay on the limbo list until the guard
+  // releases (query/epoch_reclaim.h).
+  void run_read_task(std::shared_ptr<read_group> g) {
     epoch_reclaimer::guard eg = reclaim_.enter();
     const std::uint64_t t_start = tel_.now_ns();
     batch_result<D> result;
@@ -2630,38 +2663,7 @@ class query_service {
     std::uint64_t snap_epoch = 0;
     if (!error) {
       try {
-        result.responses.resize(g->combined.size());
-        std::vector<batch_result<D>> shard_res(cfg_.shards);
-        par::parallel_for(
-            0, cfg_.shards,
-            [&](std::size_t s) {
-              if (g->sub[s].empty()) return;
-              shard_res[s].responses.resize(g->sub[s].size());
-              const std::uint64_t s0 = tel_.enabled() ? tel_.now_ns() : 0;
-              run_shard_reads(s, g->sub[s], 0, g->sub[s].size(), *g->snaps[s],
-                              g->snaps[s]->epoch(), shard_res[s].responses);
-              if (tel_.enabled()) {
-                const std::uint64_t s_ns = tel_.now_ns() - s0;
-                tel_.record_shard(s, stage::execute_read, s_ns);
-                if (g->trace_ticket) {
-                  tel_.add_span("execute_read", tel_.reader_track(), s0, s_ns,
-                                g->trace_ticket,
-                                static_cast<std::int32_t>(s));
-                }
-              }
-            },
-            1);
-        const std::uint64_t m0 = tel_.enabled() ? tel_.now_ns() : 0;
-        merge_shard_reads(g->combined, g->sub_idx, shard_res,
-                          result.responses);
-        if (tel_.enabled()) {
-          const std::uint64_t m_ns = tel_.now_ns() - m0;
-          tel_.record(stage::merge, m_ns);
-          if (g->trace_ticket) {
-            tel_.add_span("merge", tel_.fulfil_track(), m0, m_ns,
-                          g->trace_ticket);
-          }
-        }
+        read_snapshots(*g, result.responses);
         for (std::size_t i = 0; i < g->combined.size(); ++i) {
           result.responses[i].kind = g->combined[i].kind;
           result.responses[i].phase = 0;
@@ -2681,12 +2683,11 @@ class query_service {
         {g->combined.empty() ? op::knn : g->combined.front().kind, g->total,
          secs}};
     // Any divergence here means a write drain advanced the live index
-    // while this read was executing — the overlap the un-pinned pipeline
-    // exists to allow (on every backend now, bdltree included).
+    // while this read was executing — the overlap snapshot reads exist
+    // to allow.
     bool lagged = false;
     for (std::size_t s = 0; s < cfg_.shards; ++s) {
-      if (g->snaps[s] &&
-          g->snaps[s]->epoch() != engines_[s]->index().epoch()) {
+      if (g->snaps[s] && g->snaps[s]->epoch() != shards_[s]->epoch()) {
         lagged = true;
       }
     }
@@ -2749,33 +2750,13 @@ class query_service {
       g->watch_ids.push_back(id);
       g->combined.push_back(std::move(q));
     }
-    g->sub.resize(cfg_.shards);
-    g->sub_idx.resize(cfg_.shards);
-    for (std::size_t s = 0; s < cfg_.shards; ++s) {
-      g->sub[s] = take_req_vec();
-      g->sub_idx[s] = take_idx_vec();
-    }
     // Full scatter over ALL serving shards (not just the touched ones):
     // a watch's fresh result must be the complete answer, and untouched
     // shards answer from their caches at an unchanged epoch anyway.
-    for (std::size_t i = 0; i < g->combined.size(); ++i) {
-      for (std::size_t s = 0; s < cfg_.shards; ++s) {
-        if (!shard_serves(s, g->combined[i])) continue;
-        g->sub[s].push_back(g->combined[i]);
-        g->sub_idx[s].push_back(i);
-      }
-    }
-    g->snaps.resize(cfg_.shards);
-    std::size_t active = 0;
-    for (std::size_t s = 0; s < cfg_.shards; ++s) {
-      if (!g->sub[s].empty()) ++active;
-    }
-    if (active == 0) {  // unreachable (shard_serves keeps >= 1 shard)
-      recycle_read_group(*g);
-      watches_->deliver(seq, {});
-      return;
-    }
-    enqueue_stamp_tasks(g, active);
+    if (scatter_read_group(g, /*route_start=*/0)) return;
+    // No shard serves any watch (only an inverted box can do that).
+    recycle_read_group(*g);
+    watches_->deliver(seq, {});
   }
 
   // Re-evaluates one watch group against its post-drain snapshots and
@@ -2788,27 +2769,8 @@ class query_service {
     std::vector<std::pair<std::uint64_t, std::vector<point<D>>>> fired;
     if (!g->error) {
       try {
-        std::vector<response<D>> responses(g->combined.size());
-        std::vector<batch_result<D>> shard_res(cfg_.shards);
-        par::parallel_for(
-            0, cfg_.shards,
-            [&](std::size_t s) {
-              if (g->sub[s].empty()) return;
-              shard_res[s].responses.resize(g->sub[s].size());
-              const std::uint64_t s0 = tel_.enabled() ? tel_.now_ns() : 0;
-              const std::size_t hits = run_shard_reads(
-                  s, g->sub[s], 0, g->sub[s].size(), *g->snaps[s],
-                  g->snaps[s]->epoch(), shard_res[s].responses);
-              if (hits > 0) {
-                watch_cache_hits_.fetch_add(hits, std::memory_order_relaxed);
-              }
-              if (tel_.enabled()) {
-                tel_.record_shard(s, stage::execute_read,
-                                  tel_.now_ns() - s0);
-              }
-            },
-            1);
-        merge_shard_reads(g->combined, g->sub_idx, shard_res, responses);
+        std::vector<response<D>> responses;
+        read_snapshots(*g, responses);
         fired.reserve(g->watch_ids.size());
         for (std::size_t i = 0; i < g->combined.size(); ++i) {
           canonicalize_row(g->combined[i], responses[i].points);
@@ -2911,77 +2873,80 @@ class query_service {
 
   // ---- fulfilment ---------------------------------------------------------
 
+  // Completes every ticket of a finished group under one hub lock:
+  // `result_for(e)` builds each ticket's result, the hub stores it (or
+  // queues it for an armed callback), the retention cap is enforced, and
+  // the group's backpressure budget (`total` requests) is released.
+  // Returns the armed callbacks for fire_callbacks().
+  template <class ResultFor>
+  fire_list complete_tickets(const std::vector<pending_entry>& group,
+                             std::size_t total, std::exception_ptr error,
+                             ResultFor&& result_for) {
+    fire_list fire;
+    std::lock_guard<std::mutex> lk(hub_->mu);
+    for (const auto& e : group) {
+      ticket_result<D> tr = result_for(e);
+      if (e.rec) hub_->fulfil_locked(e.rec, std::move(tr), error, fire);
+    }
+    hub_->evict_over_cap();
+    in_flight_requests_.fetch_sub(total, std::memory_order_relaxed);
+    space_cv_.notify_all();
+    hub_->done_cv.notify_all();
+    return fire;
+  }
+
+  // Runs completion callbacks outside every lock, in ticket order. A
+  // throwing callback must not unwind a service thread (that would
+  // std::terminate the process): it is swallowed; the ticket was
+  // delivered.
+  static void fire_callbacks(fire_list& fire, std::exception_ptr error) {
+    for (auto& [fn, tr] : fire) {
+      try {
+        fn(std::move(tr), error);
+      } catch (...) {
+      }
+    }
+  }
+
   // Slices a drain group's combined result back into per-ticket results,
-  // stores (or callback-delivers) each, enforces the retention cap, frees
-  // the group's backpressure budget, and updates stats. Callbacks fire
-  // outside the lock, in ticket order.
+  // completes them, and updates stats.
   void fulfill_group(std::vector<pending_entry> group, std::size_t total,
                      batch_result<D> result, std::exception_ptr error,
                      std::uint64_t snap_epoch, bool read_group, bool lagged,
                      double exec_seconds, std::uint64_t commit_epoch,
                      std::uint64_t trace_ticket) {
-    using record_t = typename detail::completion_hub<D>::record;
     // One fulfil stamp serves every ticket in the group: completion
     // latency is fulfil - submit on the telemetry clock (the same delta
     // reported as ticket_result::latency_seconds — folded, not parallel
     // bookkeeping).
     const std::uint64_t f0 = tel_.now_ns();
-    std::vector<std::pair<
-        std::function<void(ticket_result<D>&&, std::exception_ptr)>,
-        ticket_result<D>>>
-        callbacks;
-    {
-      std::lock_guard<std::mutex> lk(hub_->mu);
-      std::size_t off = 0;
-      for (auto& e : group) {
-        ticket_result<D> tr;
-        if (!error) {
-          tr.responses.assign(
-              std::make_move_iterator(result.responses.begin() + off),
-              std::make_move_iterator(result.responses.begin() + off +
-                                      e.batch.size()));
-          tr.stats = result.stats;
-        }
-        const std::uint64_t comp_ns = f0 - e.submit_ns;
-        tr.latency_seconds = static_cast<double>(comp_ns) * 1e-9;
-        // id 0 is the synthetic TTL-expiry ticket: no submitter, no
-        // completion latency to speak of — keep it out of the histogram.
-        if (tel_.enabled() && e.id != 0) {
-          tel_.record(stage::completion, comp_ns);
-          if (tel_.sampled(e.id)) {
-            tel_.add_span("completion", tel_.completion_track(), e.submit_ns,
-                          comp_ns, e.id);
-          }
-        }
-        tr.snapshot_epoch = snap_epoch;
-        tr.commit_epoch = commit_epoch;
-        off += e.batch.size();
-        if (!e.rec) continue;  // synthetic TTL ticket: no submitter
-        auto& rec = *e.rec;
-        if (rec.state.load(std::memory_order_relaxed) !=
-            record_t::state_t::pending) {
-          continue;
-        }
-        if (rec.callback) {
-          callbacks.emplace_back(std::move(rec.callback), std::move(tr));
-          rec.state.store(record_t::state_t::consumed,
-                          std::memory_order_release);
-        } else if (rec.handle_dropped) {
-          rec.state.store(record_t::state_t::consumed,
-                          std::memory_order_release);
-        } else {
-          rec.result = std::move(tr);
-          rec.error = error;
-          rec.state.store(record_t::state_t::done, std::memory_order_release);
-          hub_->done_order.push_back(e.rec);
-          hub_->retained.fetch_add(1, std::memory_order_relaxed);
+    std::size_t off = 0;
+    const auto result_for = [&](const pending_entry& e) {
+      ticket_result<D> tr;
+      if (!error) {
+        tr.responses.assign(
+            std::make_move_iterator(result.responses.begin() + off),
+            std::make_move_iterator(result.responses.begin() + off +
+                                    e.batch.size()));
+        tr.stats = result.stats;
+      }
+      const std::uint64_t comp_ns = f0 - e.submit_ns;
+      tr.latency_seconds = static_cast<double>(comp_ns) * 1e-9;
+      // id 0 is the synthetic TTL-expiry ticket: no submitter, no
+      // completion latency to speak of — keep it out of the histogram.
+      if (tel_.enabled() && e.id != 0) {
+        tel_.record(stage::completion, comp_ns);
+        if (tel_.sampled(e.id)) {
+          tel_.add_span("completion", tel_.completion_track(), e.submit_ns,
+                        comp_ns, e.id);
         }
       }
-      hub_->evict_over_cap();
-      in_flight_requests_.fetch_sub(total, std::memory_order_relaxed);
-      space_cv_.notify_all();
-      hub_->done_cv.notify_all();
-    }
+      tr.snapshot_epoch = snap_epoch;
+      tr.commit_epoch = commit_epoch;
+      off += e.batch.size();
+      return tr;
+    };
+    fire_list fire = complete_tickets(group, total, error, result_for);
     ctr_.num_drains.fetch_add(1, std::memory_order_relaxed);
     if (read_group) {
       ctr_.num_read_groups.fetch_add(1, std::memory_order_relaxed);
@@ -3003,72 +2968,27 @@ class query_service {
         tel_.add_span("fulfil", tel_.fulfil_track(), f0, f_ns, trace_ticket);
       }
     }
-    for (auto& [fn, tr] : callbacks) {
-      try {
-        fn(std::move(tr), error);
-      } catch (...) {
-        // A throwing callback must not unwind a service thread (that would
-        // std::terminate the process). Swallow; the ticket was delivered.
-      }
-    }
+    fire_callbacks(fire, error);
   }
 
   // Completes deadline-expired tickets without executing them: empty
   // responses, timed_out = true, no error (a shed batch is a completion
-  // with a verdict, not a failure — callers inspect timed_out). Cannot
-  // reuse fulfill_group, which slices a combined result by offsets this
-  // work never produced. Drain thread, hub lock taken here.
+  // with a verdict, not a failure — callers inspect timed_out). Drain
+  // thread.
   void shed_expired(std::vector<pending_entry> expired) {
     if (expired.empty()) return;
-    using record_t = typename detail::completion_hub<D>::record;
     const std::uint64_t f0 = tel_.now_ns();
-    std::vector<std::pair<
-        std::function<void(ticket_result<D>&&, std::exception_ptr)>,
-        ticket_result<D>>>
-        callbacks;
-    {
-      std::lock_guard<std::mutex> lk(hub_->mu);
-      std::size_t total = 0;
-      for (auto& e : expired) {
-        total += e.batch.size();
-        ctr_.deadline_expired.fetch_add(e.batch.size(),
-                                        std::memory_order_relaxed);
-        ticket_result<D> tr;
-        tr.timed_out = true;
-        tr.latency_seconds = static_cast<double>(f0 - e.submit_ns) * 1e-9;
-        if (!e.rec) continue;  // synthetic TTL ticket
-        auto& rec = *e.rec;
-        if (rec.state.load(std::memory_order_relaxed) !=
-            record_t::state_t::pending) {
-          continue;
-        }
-        if (rec.callback) {
-          callbacks.emplace_back(std::move(rec.callback), std::move(tr));
-          rec.state.store(record_t::state_t::consumed,
-                          std::memory_order_release);
-        } else if (rec.handle_dropped) {
-          rec.state.store(record_t::state_t::consumed,
-                          std::memory_order_release);
-        } else {
-          rec.result = std::move(tr);
-          rec.error = nullptr;
-          rec.state.store(record_t::state_t::done, std::memory_order_release);
-          hub_->done_order.push_back(e.rec);
-          hub_->retained.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-      hub_->evict_over_cap();
-      in_flight_requests_.fetch_sub(total, std::memory_order_relaxed);
-      space_cv_.notify_all();
-      hub_->done_cv.notify_all();
-    }
-    for (auto& [fn, tr] : callbacks) {
-      try {
-        fn(std::move(tr), nullptr);
-      } catch (...) {
-        // see fulfill_group: never unwind a service thread
-      }
-    }
+    std::size_t total = 0;
+    for (const auto& e : expired) total += e.batch.size();
+    ctr_.deadline_expired.fetch_add(total, std::memory_order_relaxed);
+    fire_list fire =
+        complete_tickets(expired, total, nullptr, [&](const pending_entry& e) {
+          ticket_result<D> tr;
+          tr.timed_out = true;
+          tr.latency_seconds = static_cast<double>(f0 - e.submit_ns) * 1e-9;
+          return tr;
+        });
+    fire_callbacks(fire, nullptr);
   }
 
   // ---- submission ---------------------------------------------------------
@@ -3322,11 +3242,10 @@ class query_service {
     return parts;
   }
 
-  // Scalar service counters, each its own relaxed atomic: every site that
-  // used to take hub_->mu just to bump a tally now writes here, and
-  // stats() assembles a service_stats from plain loads — observability
-  // never contends with ingest. (Cross-field snapshots are not atomic;
-  // the old mutex never promised more to concurrent writers either.)
+  // Scalar service counters, each its own relaxed atomic: no tally takes
+  // hub_->mu, and stats() assembles a service_stats from plain loads —
+  // observability never contends with ingest. (Cross-field snapshots are
+  // not atomic.)
   struct hot_counters {
     std::atomic<std::uint64_t> num_tickets{0};
     std::atomic<std::uint64_t> num_drains{0};
@@ -3356,11 +3275,11 @@ class query_service {
   /// it is constructed from it and everything below may record into it.
   class telemetry tel_;
   /// Epoch-based snapshot reclamation (query/epoch_reclaim.h). Declared
-  /// before engines_ on purpose: the backends hold a raw pointer to it
-  /// (set_reclaimer) and their retire hooks may fire during engine
+  /// before shards_ on purpose: the backends hold a raw pointer to it
+  /// (set_reclaimer) and their retire hooks may fire during index
   /// destruction, so the reclaimer must be destroyed after them.
   epoch_reclaimer reclaim_;
-  std::vector<std::unique_ptr<query_engine<D>>> engines_;
+  std::vector<std::unique_ptr<spatial_index<D>>> shards_;
   /// Hot result caches (k-NN / box / ball rows), one per shard
   /// (query/result_cache.h).
   std::vector<std::unique_ptr<result_cache<D>>> caches_;
@@ -3457,7 +3376,7 @@ class query_service {
   std::mutex close_mu_;
   bool threads_joined_ = false;
   std::thread drainer_;
-  std::vector<std::thread> readers_;
+  std::array<std::thread, kReadThreads> readers_;
 };
 
 // The common dimensions are instantiated once in query_service.cpp.

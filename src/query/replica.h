@@ -83,11 +83,10 @@ inline const char* replica_health_name(replica_health h) {
   return "unknown";
 }
 
-/// Derives a replica's config from the primary's: same backend, shards,
-/// routing policy, and drain mode (replay re-issues explicit per-shard
-/// calls, so any drain mode converges), but with TTL expiry and stripe
-/// rebalancing off — a replica must never originate writes of its own,
-/// or it diverges from the log.
+/// Derives a replica's config from the primary's: same backend, shards
+/// and routing policy (replay re-issues the primary's explicit per-shard
+/// calls), but with TTL expiry and stripe rebalancing off — a replica
+/// must never originate writes of its own, or it diverges from the log.
 inline service_config replica_config(service_config cfg) {
   cfg.point_ttl_ns = 0;
   cfg.ttl_now = nullptr;

@@ -28,9 +28,7 @@
 //   - bdltree: chunk-level COW over the forest — the snapshot copies the
 //     bounded staging buffer and shares the static vEB trees; inserts
 //     replace whole trees and erases copy any shared tree before mutating
-//     (see bdl_tree.h). Historically this backend published *pinned*
-//     snapshots that gated writes behind a per-shard barrier; that
-//     contract is gone.
+//     (see bdl_tree.h), so writers never wait on readers.
 //
 // *Reclamation.* Each adapter accepts an optional `epoch_reclaimer`
 // (`set_reclaimer`, see epoch_reclaim.h): superseded structure versions —
@@ -97,12 +95,6 @@ class index_snapshot {
   /// The owning index's write epoch when this snapshot was taken.
   virtual std::uint64_t epoch() const = 0;
   virtual std::size_t size() const = 0;
-
-  /// True if queries stay exact while the owning index absorbs further
-  /// writes. Every backend answers true since the bdltree forest went
-  /// copy-on-write; the accessor remains so callers (and tests) can
-  /// assert the contract.
-  virtual bool isolated() const = 0;
 
   virtual std::vector<std::vector<point<D>>> batch_knn(
       const std::vector<point<D>>& queries, std::size_t k) const = 0;
@@ -326,7 +318,6 @@ class kdtree_snapshot final : public index_snapshot<D> {
 
   std::uint64_t epoch() const override { return epoch_; }
   std::size_t size() const override { return view_.size(); }
-  bool isolated() const override { return true; }
 
   std::vector<std::vector<point<D>>> batch_knn(
       const std::vector<point<D>>& queries, std::size_t k) const override {
@@ -548,7 +539,6 @@ class zdtree_snapshot final : public index_snapshot<D> {
 
   std::uint64_t epoch() const override { return epoch_; }
   std::size_t size() const override { return tree_->size(); }
-  bool isolated() const override { return true; }
 
   std::vector<std::vector<point<D>>> batch_knn(
       const std::vector<point<D>>& queries, std::size_t k) const override {
@@ -663,7 +653,6 @@ class bdltree_snapshot final : public index_snapshot<D> {
 
   std::uint64_t epoch() const override { return epoch_; }
   std::size_t size() const override { return size_; }
-  bool isolated() const override { return true; }
 
   std::vector<std::vector<point<D>>> batch_knn(
       const std::vector<point<D>>& queries, std::size_t k) const override {
@@ -778,26 +767,14 @@ extern template class zdtree_index<3>;
 extern template class bdltree_index<2>;
 extern template class bdltree_index<3>;
 
-/// Per-backend tuning knobs forwarded by make_index (and by query_service
-/// to every shard it owns). Only the kd-tree backend has knobs today.
-struct index_options {
-  kdtree::split_policy kdtree_split = kdtree::split_policy::object_median;
-  std::size_t kdtree_leaf_size = 16;
-  /// Rebuild when buffered writes exceed this fraction of the indexed set;
-  /// <= 0 rebuilds on every write batch (the pure static baseline).
-  double kdtree_rebuild_threshold = 0.25;
-};
-
-/// Factory keyed by the runtime backend tag. The Zd-tree backend exists only
-/// in 2D/3D; requesting it at other dimensions throws.
+/// Factory keyed by the runtime backend tag, with each backend's default
+/// tuning. The Zd-tree backend exists only in 2D/3D; requesting it at other
+/// dimensions throws.
 template <int D>
-std::unique_ptr<spatial_index<D>> make_index(backend b,
-                                             const index_options& opt = {}) {
+std::unique_ptr<spatial_index<D>> make_index(backend b) {
   switch (b) {
     case backend::kdtree:
-      return std::make_unique<kdtree_index<D>>(opt.kdtree_split,
-                                               opt.kdtree_leaf_size,
-                                               opt.kdtree_rebuild_threshold);
+      return std::make_unique<kdtree_index<D>>();
     case backend::zdtree:
       if constexpr (D == 2 || D == 3) {
         return std::make_unique<zdtree_index<D>>();

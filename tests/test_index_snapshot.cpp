@@ -3,8 +3,8 @@
 // snapshots (kdtree: shared tree + copied write buffers, zdtree:
 // copy-on-write Morton array, bdltree: chunk-level COW forest view) keep
 // answering exactly as of their epoch while the live index absorbs
-// further writes; and query_engine::execute_reads drives a read-only
-// batch through a snapshot (and rejects writes).
+// further writes; and the engine's read-phase runner answers a mixed read
+// run from a snapshot.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -87,7 +87,6 @@ void expect_isolated_from_later_writes(backend b) {
   idx->build(initial);
 
   auto snap = idx->snapshot();
-  ASSERT_TRUE(snap->isolated());
   const auto snap_epoch = snap->epoch();
 
   // Mutate the live index well past the snapshot: fresh inserts in a far
@@ -183,7 +182,6 @@ TEST(SnapshotIsolation, BdltreeSnapshotSurvivesManyWriteRounds) {
   const auto initial = datagen::uniform<2>(150, 41);
   idx->build(initial);
   auto snap = idx->snapshot();
-  ASSERT_TRUE(snap->isolated());
 
   for (int round = 0; round < 6; ++round) {
     idx->batch_insert(datagen::uniform<2>(40, 43 + round));
@@ -204,7 +202,7 @@ TEST(SnapshotIsolation, BdltreeSnapshotSurvivesManyWriteRounds) {
   }
 }
 
-TEST(SnapshotReads, ExecuteReadsRunsABatchAgainstASnapshot) {
+TEST(SnapshotReads, ReadPhaseRunsAgainstASnapshot) {
   auto idx = query::make_index<2>(backend::kdtree);
   const auto initial = datagen::uniform<2>(180, 37);
   idx->build(initial);
@@ -217,18 +215,11 @@ TEST(SnapshotReads, ExecuteReadsRunsABatchAgainstASnapshot) {
       query::request<2>::make_range(
           aabb<2>(point<2>{{-1, -1}}, point<2>{{1000, 1000}})),
   };
-  auto result = query::query_engine<2>::execute_reads(batch, *snap);
-  ASSERT_EQ(result.responses.size(), 3u);
-  EXPECT_EQ(result.responses[0].points.size(), 4u);
-  EXPECT_EQ(result.responses[0].points[0], initial[3]);
-  EXPECT_TRUE(result.responses[1].points.empty());
-  EXPECT_EQ(result.responses[2].points.size(), initial.size());
-  EXPECT_EQ(result.stats.num_reads, 3u);
-  EXPECT_EQ(result.stats.num_phases(), 1u);
-
-  // Writes are rejected: snapshots are read-only by construction.
-  std::vector<query::request<2>> writes{
-      query::request<2>::make_insert(point<2>{{1, 1}})};
-  EXPECT_THROW(query::query_engine<2>::execute_reads(writes, *snap),
-               std::logic_error);
+  std::vector<query::response<2>> responses(batch.size());
+  query::detail::execute_read_phase_on<2>(*snap, batch, 0, batch.size(),
+                                          responses);
+  EXPECT_EQ(responses[0].points.size(), 4u);
+  EXPECT_EQ(responses[0].points[0], initial[3]);
+  EXPECT_TRUE(responses[1].points.empty());
+  EXPECT_EQ(responses[2].points.size(), initial.size());
 }

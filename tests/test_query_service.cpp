@@ -143,7 +143,7 @@ TEST_P(QueryServiceOracle, BootstrapDistributesAcrossShards) {
   EXPECT_EQ(service.size(), 400u);
   std::size_t populated = 0;
   for (std::size_t s = 0; s < service.num_shards(); ++s) {
-    populated += service.shard(s).index().size() > 0 ? 1 : 0;
+    populated += service.shard(s).size() > 0 ? 1 : 0;
   }
   // Quantile stripes and coordinate hashing both spread 400 uniform points
   // over every shard.
@@ -846,7 +846,7 @@ TEST(QueryService, DuplicateCoordinateStripesStayNonDegenerate) {
   EXPECT_EQ(sharded.size(), 300u);
   std::size_t populated = 0;
   for (std::size_t s = 0; s < sharded.num_shards(); ++s) {
-    populated += sharded.shard(s).index().size() > 0 ? 1 : 0;
+    populated += sharded.shard(s).size() > 0 ? 1 : 0;
   }
   EXPECT_EQ(populated, 3u);  // one shard per distinct value; the 4th idle
 

@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -688,5 +689,45 @@ TEST_F(Deadlines, ConfigDefaultDeadlineAppliesToSubmit) {
   const auto r = svc.submit(probe_batch()).get();
   EXPECT_TRUE(r.timed_out);
   EXPECT_GT(svc.stats().deadline_expired, 0u);
+  svc.close();
+}
+
+// Shed tickets complete through the same path as executed ones, so every
+// redemption route must see the verdict: on_complete fires exactly once
+// (armed before the shed, or after it), a dropped handle retains nothing,
+// and the shed batches give their backpressure budget back.
+TEST_F(Deadlines, ShedTicketsCompleteThroughEveryRedemptionPath) {
+  service_config cfg;
+  cfg.backend = backend::bdltree;
+  cfg.shards = 2;
+  cfg.policy = shard_policy::hash;
+  // Bounded, with room for every ticket below: a budget leak shows up in
+  // pending_requests instead of blocking the next submit.
+  cfg.max_pending_requests = 8 * probe_batch().size();
+  query::query_service<2> svc(cfg);
+  svc.bootstrap(initial_points(32));
+
+  std::atomic<int> fires{0};
+  std::atomic<int> bad{0};
+  const auto cb = [&](query::ticket_result<2>&& r, std::exception_ptr err) {
+    if (!r.timed_out || err || !r.responses.empty()) ++bad;
+    ++fires;
+  };
+  auto armed = svc.submit_with_deadline(probe_batch(), 1);
+  armed.on_complete(cb);
+  auto late = svc.submit_with_deadline(probe_batch(), 1);
+  while (!late.ready()) std::this_thread::yield();
+  late.on_complete(cb);
+  while (fires.load() < 2) std::this_thread::yield();
+
+  { auto dropped = svc.submit_with_deadline(probe_batch(), 1); }
+  // FIFO drain: this ticket completes after every shed one above.
+  EXPECT_FALSE(svc.submit(probe_batch()).get().timed_out);
+  EXPECT_EQ(fires.load(), 2);
+  EXPECT_EQ(bad.load(), 0);
+  const auto st = svc.stats();
+  EXPECT_EQ(st.deadline_expired, 3 * probe_batch().size());
+  EXPECT_EQ(st.results_retained, 0u);
+  EXPECT_EQ(st.pending_requests, 0u);
   svc.close();
 }

@@ -158,14 +158,22 @@ namespace {
 
 // Runs `spec` through a service configured by `cfg` and collects every
 // response in stream order.
-std::vector<query::response<2>> run_service(query::service_config cfg,
-                                            const query::workload_spec& spec,
-                                            query::service_stats* out_stats) {
+std::vector<query::response<2>> run_service(
+    query::service_config cfg, const query::workload_spec& spec,
+    query::service_stats* out_stats,
+    std::vector<std::size_t>* kd_rebuilds = nullptr) {
   query::query_service<2> service(cfg);
   std::vector<query::response<2>> responses;
   query::run_workload<2>(service, spec, &responses);
   service.close();
   if (out_stats) *out_stats = service.stats();
+  if (kd_rebuilds && cfg.backend == backend::kdtree) {
+    for (std::size_t s = 0; s < service.num_shards(); ++s) {
+      kd_rebuilds->push_back(
+          dynamic_cast<const query::kdtree_index<2>&>(service.shard(s))
+              .rebuild_count());
+    }
+  }
   return responses;
 }
 
@@ -175,12 +183,12 @@ class CacheOracle : public ::testing::TestWithParam<backend> {};
 
 // The acceptance property of the cache: cached k-NN answers are
 // byte-identical to fresh-tree answers across interleaved writes and
-// rebuilds. Zipf keys make the stream cache-friendly; a small kdtree
-// rebuild threshold forces frequent rebuilds under the same epochs the
+// rebuilds. Zipf keys make the stream cache-friendly; the kdtree shards
+// rebuild mid-stream at the default threshold, under the same epochs the
 // cache keys on; a small capacity forces LRU evictions mid-stream.
 TEST_P(CacheOracle, CachedAnswersEqualFreshAnswers) {
   query::workload_spec spec;
-  spec.initial_points = 500;
+  spec.initial_points = 200;
   spec.num_ops = 3000;
   spec.batch_size = 256;
   spec.k = 5;
@@ -197,7 +205,6 @@ TEST_P(CacheOracle, CachedAnswersEqualFreshAnswers) {
   cfg.backend = GetParam();
   cfg.shards = 3;
   cfg.policy = query::shard_policy::hash;
-  cfg.index.kdtree_rebuild_threshold = 0.02;  // rebuild often
 
   auto cached_cfg = cfg;
   cached_cfg.cache_capacity = 96;  // small: forces evictions too
@@ -206,7 +213,8 @@ TEST_P(CacheOracle, CachedAnswersEqualFreshAnswers) {
 
   query::service_stats cached_stats;
   query::service_stats uncached_stats;
-  const auto got = run_service(cached_cfg, spec, &cached_stats);
+  std::vector<std::size_t> kd_rebuilds;
+  const auto got = run_service(cached_cfg, spec, &cached_stats, &kd_rebuilds);
   const auto want = run_service(uncached_cfg, spec, &uncached_stats);
 
   ASSERT_EQ(got.size(), want.size());
@@ -222,6 +230,11 @@ TEST_P(CacheOracle, CachedAnswersEqualFreshAnswers) {
   EXPECT_GT(cached_stats.cache.evictions, 0u);
   EXPECT_EQ(uncached_stats.cache.hits, 0u);
   EXPECT_EQ(uncached_stats.cache.misses, 0u);
+  // ...and, on kdtree, only covers rebuilds if every shard rebuilt past
+  // the two builds it starts with (construction + bootstrap).
+  for (std::size_t s = 0; s < kd_rebuilds.size(); ++s) {
+    EXPECT_GT(kd_rebuilds[s], 2u) << "shard " << s;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

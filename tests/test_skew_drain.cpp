@@ -178,7 +178,7 @@ TEST(SkewDrain, RebalanceFlattensShardSizesAndKeepsContents) {
   // everything anymore (4 shards, threshold 1.2 => max well under 60%).
   std::size_t max_shard = 0;
   for (std::size_t s = 0; s < service.num_shards(); ++s) {
-    max_shard = std::max(max_shard, service.shard(s).index().size());
+    max_shard = std::max(max_shard, service.shard(s).size());
   }
   EXPECT_LT(max_shard, 600u);
 

@@ -587,23 +587,4 @@ TEST(QueryServiceWatch, HandleOutlivesService) {
   EXPECT_FALSE(handle.valid());
 }
 
-TEST(QueryServiceWatch, WorksWithoutReaderPool) {
-  // read_threads == 0: watch evaluations run inline on the lane workers
-  // instead of a reader pool.
-  query::service_config cfg;
-  cfg.backend = backend::bdltree;
-  cfg.shards = 2;
-  cfg.policy = shard_policy::hash;
-  cfg.read_threads = 0;
-  query::query_service<2> service(cfg);
-  service.bootstrap({pt(3, 3)});
-  capture cap;
-  auto handle = service.watch_knn(pt(0, 0), 2, cap.cb());
-  service.execute({query::request<2>::make_insert(pt(1, 1))});
-  wait_until([&] { return cap.fire_count() == 1; }, "inline watch eval");
-  const auto rows = cap.last_rows();
-  ASSERT_EQ(rows.size(), 2u);
-  EXPECT_EQ(rows[0], pt(1, 1));
-}
-
 }  // namespace
