@@ -3,8 +3,9 @@
 // A checkpoint is everything needed to rebuild a `query_service<D>`
 // without replaying the log from epoch 1: the epoch it was taken at,
 // the spatial stripe geometry (split dim + cuts, when set), and each
-// shard's resident points in gather order. Recovery bootstraps the
-// engines from the checkpoint and replays only the log tail with
+// shard's resident points in gather order. Recovery applies the
+// checkpoint as one group of per-shard build records
+// (checkpoint_group()) and replays only the log tail with
 // epoch > checkpoint.epoch; compaction then truncates the log below
 // that epoch so cold replicas stop replaying from genesis.
 //
@@ -35,6 +36,7 @@
 #include <cstring>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <sys/stat.h>
@@ -42,6 +44,7 @@
 
 #include "core/point.h"
 #include "query/fault.h"
+#include "query/oplog.h"
 
 namespace pargeo::query {
 
@@ -59,6 +62,32 @@ struct checkpoint_data {
     return n;
   }
 };
+
+/// The checkpoint as the log group that rebuilds it: origin `bootstrap`
+/// at the checkpoint epoch, the stripes when set, and one `build` record
+/// per shard of a `shards`-shard service (build replaces contents, so the
+/// group applies over any prior state; shards the checkpoint lacks come
+/// out empty). Recovery and replica resync both apply this group.
+template <int D>
+log_group<D> checkpoint_group(checkpoint_data<D> ck, std::size_t shards) {
+  log_group<D> g;
+  g.epoch = ck.epoch;
+  g.origin = log_origin::bootstrap;
+  if (ck.bounds_set) {
+    g.has_bounds = true;
+    g.split_dim = ck.split_dim;
+    g.cuts = std::move(ck.cuts);
+  }
+  g.records.resize(shards);
+  for (std::size_t s = 0; s < shards; ++s) {
+    g.records[s].shard = static_cast<std::uint32_t>(s);
+    g.records[s].kind = log_op::build;
+    if (s < ck.shard_points.size()) {
+      g.records[s].pts = std::move(ck.shard_points[s]);
+    }
+  }
+  return g;
+}
 
 namespace detail_ck {
 

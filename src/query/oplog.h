@@ -1,9 +1,11 @@
 // Replayable write-op log (query subsystem) — the scale-out seam.
 //
-// Every committed write drain on the primary `query_service<D>` appends
-// one `log_group<D>` here: the *exact ordered backend calls* the primary
-// executed, per shard, not the raw client ops. That distinction is what
-// makes replay byte-identical: the batch-dynamic backends are
+// A `log_group<D>` is the unit every shard mutation of a
+// `query_service<D>` takes: the *exact ordered backend calls*, per shard,
+// not the raw client ops. A primary with a log appends each group here
+// before it applies it, then executes exactly the records it logged, and
+// a replica applies the same records with the same function. That is
+// what makes replay byte-identical: the batch-dynamic backends are
 // deterministic functions of their call sequence (a kdtree rebuild
 // threshold, the zdtree's sorted merges, the bdltree cascade all depend
 // on how the stream was cut into `batch_insert`/`batch_erase` calls), so

@@ -133,10 +133,27 @@ struct batch_result {
   engine_stats stats;
 };
 
-/// Shared phase discipline for batch executors (query_engine, and every
-/// query_service shard lane): cuts `batch` into maximal same-class runs
-/// (reads mix freely), invokes `on_phase(begin, end, read_phase)` for each,
-/// and stamps responses' kind/phase ids plus all timing stats. A request's
+/// The phase cut, the one rule every batch executor shares: the end of the
+/// maximal same-class run of `batch` that starts at `begin`. Reads mix
+/// freely; a write run extends while its kind repeats, and any read ends
+/// it. query_service cuts each shard's sub-batch with it into the
+/// batched backend calls it logs and applies.
+template <int D>
+std::size_t phase_end(const std::vector<request<D>>& batch,
+                      std::size_t begin) {
+  const bool read_phase = is_read(batch[begin].kind);
+  std::size_t end = begin + 1;
+  while (end < batch.size() &&
+         (read_phase ? is_read(batch[end].kind)
+                     : batch[end].kind == batch[begin].kind)) {
+    ++end;
+  }
+  return end;
+}
+
+/// Shared phase discipline for batch executors: cuts `batch` with
+/// phase_end, invokes `on_phase(begin, end, read_phase)` for each run, and
+/// stamps responses' kind/phase ids plus all timing stats. A request's
 /// reported latency is its phase's duration (phases complete together).
 template <int D, class PhaseFn>
 void execute_phases(const std::vector<request<D>>& batch,
@@ -148,13 +165,8 @@ void execute_phases(const std::vector<request<D>>& batch,
   timer total;
   std::size_t begin = 0;
   while (begin < batch.size()) {
-    std::size_t end = begin + 1;
+    const std::size_t end = phase_end<D>(batch, begin);
     const bool read_phase = is_read(batch[begin].kind);
-    while (end < batch.size() &&
-           (read_phase ? is_read(batch[end].kind)
-                       : batch[end].kind == batch[begin].kind)) {
-      ++end;
-    }
 
     timer phase_clock;
     on_phase(begin, end, read_phase);

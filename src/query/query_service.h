@@ -45,16 +45,30 @@
 //   counters (sub-batch drains, execute seconds, queue depths) are
 //   surfaced through `service_stats::per_shard`.
 //
+//   *One write path*. Every shard mutation is a `log_group` (query/oplog.h)
+//   of per-shard backend calls — bootstrap builds, client and TTL write
+//   groups, rebalance migrations, checkpoint rebuilds, replayed groups —
+//   and one function applies its records. A primary with a log appends
+//   each group before anything applies it (a failed append changes no
+//   shard and no stripe bound), so it executes exactly the groups it
+//   logs. The drain thread cuts each shard's sub-batch once with the
+//   shared phase cut (query_engine.h) into write records and read runs;
+//   lanes run that step list for native groups and the records alone for
+//   replayed ones. Groups applied off the lanes (bootstrap, rebalance,
+//   checkpoint, replayed groups carrying stripe bounds) apply their
+//   shards in parallel with the lanes quiesced.
+//
 //   *Online stripe rebalancing* (`rebalance_threshold`, spatial policy).
 //   The drain thread tracks per-shard resident sizes as it routes writes;
 //   when max/mean imbalance crosses the threshold at a drain boundary it
 //   quiesces the lanes, re-derives the quantile stripe bounds from a
-//   sample of the live points, and migrates misplaced points to their new
-//   owners as an internal write group (batch_erase/batch_insert, so
+//   sample of the live points, and builds one `rebalance` group carrying
+//   the new bounds and the migration (erase rounds, then inserts, so
 //   epochs bump on affected shards and cached k-NN rows invalidate
-//   through the normal epoch keys). Earlier groups execute fully under
-//   the old bounds and later groups route under the new ones, so write
-//   routing and read pruning never disagree.
+//   through the normal epoch keys). Appended and then applied like any
+//   group, it swaps the bounds only if it commits. Earlier groups execute
+//   fully under the old bounds and later groups route under the new ones,
+//   so write routing and read pruning never disagree.
 //
 //   *Epoch-snapshot reads*. A group of read-only tickets does not execute
 //   on the drain pipeline: it is routed once, then each involved lane
@@ -109,20 +123,21 @@
 //   machinery (`expire` stage histogram, `expired_points` counter).
 //
 //   *Replication seam* (query/oplog.h, query/replica.h). With an op log
-//   attached (`attach_log`, before bootstrap/traffic), the drain thread
-//   appends every committed write drain — client groups, TTL sweeps,
-//   stripe rebalances, and the bootstrap build — as the exact ordered
-//   per-shard backend calls it executed (the `replicate` stage times the
-//   append). Completions carry the group's log epoch
+//   attached (`attach_log`, before bootstrap/traffic), every group the
+//   primary applies — client groups, TTL sweeps, stripe rebalances, and
+//   the bootstrap build — is first appended as the exact per-shard
+//   backend calls it is about to execute (the `replicate` stage times
+//   the append). Completions carry the group's log epoch
 //   (`ticket_result::commit_epoch`) as the read-your-writes floor.
 //   Replica-side, `apply_replayed(group)` feeds log groups through the
-//   SAME drain thread and per-shard lanes (the `replay` stage), so
-//   replayed writes serialize with snapshot stamping exactly like native
-//   writes, and `applied_epoch()` — advanced at dispatch — is the
-//   position routers gate reads on. Replaying identical backend-call
-//   sequences is what makes a replica's answers byte-identical to the
-//   primary's at every epoch boundary (tree structure, and hence k-NN
-//   tie order, is a deterministic function of the call sequence).
+//   SAME drain thread, lanes and record-apply function (the `replay`
+//   stage), so replayed writes serialize with snapshot stamping exactly
+//   like native writes, and `applied_epoch()` — advanced at dispatch — is
+//   the position routers gate reads on. Primary and replica issue
+//   identical backend-call sequences shard by shard, which is what makes
+//   a replica's answers byte-identical to the primary's at every epoch
+//   boundary (tree structure, and hence k-NN tie order, is a
+//   deterministic function of the call sequence).
 //
 //   *Ingest backpressure*. `max_pending_requests` bounds admitted-but-
 //   unfulfilled requests across the whole pipeline (0 = unbounded). Past
@@ -878,9 +893,11 @@ class query_service {
   const spatial_index<D>& shard(std::size_t s) const { return *shards_[s]; }
 
   /// Loads the initial point set, partitioned across shards (replacing any
-  /// current contents). Not thread-safe; call before serving traffic.
-  /// Throws std::invalid_argument on non-finite coordinates (they would
-  /// corrupt stripe derivation and route arbitrarily, like at submit()).
+  /// current contents and stripes). Not thread-safe; call before serving
+  /// traffic. Throws std::invalid_argument on non-finite coordinates (they
+  /// would corrupt stripe derivation and route arbitrarily, like at
+  /// submit()), and whatever the log append or a shard build throws — a
+  /// failed append leaves the service untouched.
   void bootstrap(const std::vector<point<D>>& pts) {
     for (std::size_t i = 0; i < pts.size(); ++i) {
       for (int d = 0; d < D; ++d) {
@@ -891,45 +908,26 @@ class query_service {
         }
       }
     }
-    bounds_set_ = false;
-    if (cfg_.policy == shard_policy::spatial) set_spatial_bounds(pts);
-    auto parts = partition_points(pts);
+    // The genesis group: per-shard build records (empty shards included —
+    // build replaces contents) plus the stripes, so a fresh replica
+    // converges from epoch 1.
+    log_group<D> g;
+    g.origin = log_origin::bootstrap;
+    if (cfg_.policy == shard_policy::spatial) derive_stripes(pts, g);
     for (std::size_t s = 0; s < cfg_.shards; ++s) {
-      resident_est_[s] = parts[s].size();
+      g.records.push_back({static_cast<std::uint32_t>(s), log_op::build, {}});
     }
-    par::parallel_for(
-        0, cfg_.shards,
-        [&](std::size_t s) { shards_[s]->build(parts[s]); }, 1);
-    if (log_) {
-      // The bootstrap build is the log's genesis group: per-shard build
-      // records (empty shards included — build replaces contents) plus
-      // the stripe bounds, so a fresh replica converges from epoch 1.
-      const std::uint64_t r0 = tel_.now_ns();
-      log_group<D> lg;
-      lg.origin = log_origin::bootstrap;
-      if (cfg_.policy == shard_policy::spatial && bounds_set_) {
-        lg.has_bounds = true;
-        lg.split_dim = split_dim_;
-        lg.cuts = bounds_;
-      }
-      lg.records.reserve(cfg_.shards);
-      for (std::size_t s = 0; s < cfg_.shards; ++s) {
-        log_record<D> rec;
-        rec.shard = static_cast<std::uint32_t>(s);
-        rec.kind = log_op::build;
-        rec.pts = parts[s];
-        lg.records.push_back(std::move(rec));
-      }
-      log_->append(std::move(lg));
-      if (tel_.enabled()) tel_.record(stage::replicate, tel_.now_ns() - r0);
+    for (const auto& p : pts) {
+      const std::size_t s =
+          g.has_bounds ? stripe_of(p, g.split_dim, g.cuts) : owner_of(p);
+      g.records[s].pts.push_back(p);
     }
-    if (cfg_.point_ttl_ns > 0) {
-      // Bootstrapped points start one full TTL window from now.
-      std::lock_guard<std::mutex> lk(ttl_mu_);
-      ttl_q_.clear();
-      const std::uint64_t deadline = ttl_now_() + cfg_.point_ttl_ns;
-      for (const auto& p : pts) ttl_q_.emplace_back(deadline, p);
+    append_to_log(g);
+    bounds_set_ = false;  // the group installs its own stripes, if any
+    if (auto err = apply_off_lanes(g, /*replayed=*/false)) {
+      std::rethrow_exception(err);
     }
+    reset_residents();
   }
 
   /// Multi-producer entry point: enqueues `batch` for the drain pipeline
@@ -1174,9 +1172,11 @@ class query_service {
   const std::shared_ptr<op_log<D>>& log() const { return log_; }
 
   /// Replica side: enqueue one log group for replay. Groups must arrive
-  /// in epoch order (a replica_set tail guarantees this); they flow
-  /// through the drain thread and the per-shard lanes like native writes,
-  /// so replayed state serializes with concurrent snapshot reads. Returns
+  /// in epoch order (a replica_set tail guarantees this); the drain thread
+  /// applies them through the same record-apply function as the
+  /// primary's own groups — on the per-shard lanes, or off them with the
+  /// lanes quiesced when the group carries stripe bounds — so replayed
+  /// state serializes with concurrent snapshot reads. Returns
   /// immediately; poll applied_epoch() for progress. Safe from any
   /// thread. Throws after close(), and std::invalid_argument when a
   /// record's shard does not exist here (log from a different topology).
@@ -1253,17 +1253,19 @@ class query_service {
 
   /// Rebuilds a service from a crashed primary's `log_dir`: loads the
   /// newest valid checkpoint (manifest fallback included), salvages the
-  /// longest valid prefix of the durable log, bootstraps the shards
-  /// from the checkpoint, replays the log tail above the checkpoint
-  /// epoch through the normal replay pipeline, and re-opens the
-  /// directory for durable appends — the returned service is a serving
-  /// primary, byte-identically continuing the committed history.
-  /// `cfg` must describe the same topology (backend, shards, policy)
-  /// as the crashed service. `service_stats::recovered_epochs` and
-  /// `::truncated_groups` record what was rebuilt and what the torn
-  /// tail cost. Throws std::runtime_error when the directory holds
-  /// neither a usable checkpoint nor a log that reaches back to the
-  /// needed epoch (an unrecoverable gap), and on I/O failure.
+  /// longest valid prefix of the durable log, applies the checkpoint
+  /// group (checkpoint_group()), replays the log tail above the
+  /// checkpoint epoch through the normal replay pipeline, and re-opens
+  /// the directory for durable appends — the returned service is a
+  /// serving primary, byte-identically continuing the committed history.
+  /// Every recovered point restarts one full TTL window (deadlines are
+  /// not persisted; erring long keeps data). `cfg` must describe the
+  /// same topology (backend, shards, policy) as the crashed service.
+  /// `service_stats::recovered_epochs` and `::truncated_groups` record
+  /// what was rebuilt and what the torn tail cost. Throws
+  /// std::runtime_error when the directory holds neither a usable
+  /// checkpoint nor a log that reaches back to the needed epoch (an
+  /// unrecoverable gap), and on I/O failure.
   static std::unique_ptr<query_service> recover(const std::string& dir,
                                                 service_config cfg) {
     const sync_policy sync = cfg.sync;
@@ -1272,6 +1274,7 @@ class query_service {
 
     checkpoint_data<D> ck;
     const bool have_ck = read_latest_checkpoint<D>(dir, ck);
+    const std::uint64_t base = have_ck ? ck.epoch : 0;
 
     log_recovery_stats rs{};
     std::shared_ptr<op_log<D>> log;
@@ -1282,11 +1285,23 @@ class query_service {
       // Missing or header-damaged log: recover from the checkpoint
       // alone (a fresh directory recovers to an empty service).
       log = std::make_shared<op_log<D>>();
-      log->reset_base(have_ck ? ck.epoch : 0);
+      log->reset_base(base);
     }
 
-    if (have_ck) svc->bootstrap_from_checkpoint(ck);
-    const std::uint64_t base = have_ck ? ck.epoch : 0;
+    if (have_ck) {
+      if (ck.shard_points.size() != svc->cfg_.shards) {
+        throw std::invalid_argument(
+            "query_service: checkpoint shard count does not match config");
+      }
+      // Not logged: the checkpoint replaces the log prefix it summarizes.
+      const auto g = checkpoint_group(std::move(ck), svc->cfg_.shards);
+      if (auto err = svc->apply_off_lanes(g, /*replayed=*/false)) {
+        std::rethrow_exception(err);
+      }
+      // With no log tail to replay, the completion floor is the
+      // checkpoint epoch itself.
+      svc->applied_epoch_.store(base, std::memory_order_release);
+    }
     const std::uint64_t target = std::max(log->head(), base);
     if (log->head() > base) {
       // Throws on a replay gap (log starts past the checkpoint): that
@@ -1294,11 +1309,9 @@ class query_service {
       for (auto& g : log->read_from(base)) {
         svc->apply_replayed(std::move(g));
       }
-      while (svc->applied_epoch() < target) {
-        std::this_thread::sleep_for(std::chrono::microseconds(200));
-      }
     }
-    svc->wait_lanes_idle();
+    svc->wait_replay_drained();
+    svc->reset_residents();
 
     // Re-attach durability: the salvaged log becomes the service's log
     // and the file is atomically rewritten (dropping any torn tail on
@@ -1329,10 +1342,15 @@ class query_service {
     typename detail::completion_hub<D>::record_ptr rec;
   };
 
-  /// A write/mixed drain group in flight on the shard lanes: routed once
-  /// by the drain thread, executed per shard, merged and fulfilled by the
-  /// last lane to finish.
+  /// A write group in flight on the shard lanes: the log group its lanes
+  /// apply, plus — for a native group (write/mixed tickets or a TTL
+  /// sweep) — the tickets and the read runs between its records. Routed
+  /// once by the drain thread, applied per shard; the last lane to finish
+  /// merges and fulfils a native group, or closes a replayed group's
+  /// replay stage.
   struct shard_group {
+    log_group<D> log;
+    bool replayed = false;  // arrived through apply_replayed()
     std::vector<pending_entry> tickets;
     std::vector<request<D>> combined;               // group batches, FIFO
     std::vector<std::vector<std::size_t>> sub_idx;  // per shard -> combined
@@ -1376,26 +1394,23 @@ class query_service {
     std::exception_ptr error;  // first stamping failure wins
   };
 
-  /// A replayed log group in flight on the shard lanes (replica side):
-  /// dispatched once by the drain thread, each involved lane re-issues its
-  /// records in order, the last lane to finish closes the replay stage.
-  struct replay_group {
-    log_group<D> g;
-    std::uint64_t epoch = 0;
-    std::uint64_t start_ns = 0;  // drain-thread pickup -> last lane done
-    std::atomic<std::size_t> remaining{0};
+  /// One step of a lane's share of a write group: apply record `record`
+  /// of the group's log, or (record == kReadRun) run the reads
+  /// sub[begin, end) against the live shard.
+  struct lane_step {
+    std::size_t record;
+    std::size_t begin = 0, end = 0;
   };
+  static constexpr std::size_t kReadRun = static_cast<std::size_t>(-1);
 
-  /// One unit of lane work: execute a sub-batch of a shard_group, stamp
-  /// this shard's snapshot for a read_group, or re-issue this shard's
-  /// records of a replayed log group.
+  /// One unit of lane work: this shard's steps of a shard_group, or a
+  /// snapshot stamp for a read_group.
   struct shard_task {
-    std::shared_ptr<shard_group> exec;      // set for execute tasks
-    std::shared_ptr<read_group> stamp;      // set for stamp tasks
-    std::shared_ptr<replay_group> replay;   // set for replay tasks
-    std::vector<request<D>> sub;            // execute: this lane's requests
-    std::vector<std::size_t> replay_idx;    // replay: record indices, in order
-    std::uint64_t enqueue_ns = 0;           // lane_wait stamp (telemetry on)
+    std::shared_ptr<shard_group> exec;   // set for write tasks
+    std::shared_ptr<read_group> stamp;   // set for stamp tasks
+    std::vector<lane_step> steps;        // write: in log order
+    std::vector<request<D>> sub;         // native write: this lane's requests
+    std::uint64_t enqueue_ns = 0;        // lane_wait stamp (telemetry on)
   };
 
   /// Per-shard executor lane: FIFO task queue + the one worker thread that
@@ -1610,7 +1625,7 @@ class query_service {
       maybe_expire();
     } else {
       begin_write_group();
-      dispatch_shard_group(std::move(f.group), f.total);
+      dispatch_shard_group(std::move(f.group), f.total, log_origin::client);
       // A committed write group is a watch boundary: re-evaluate the
       // standing queries the touched shards serve, then retire points
       // whose TTL elapsed (itself another boundary). Write groups also
@@ -1638,14 +1653,17 @@ class query_service {
 
   // ---- per-shard drain pipelines ------------------------------------------
 
-  // Routes a write/mixed group once and fans its per-shard sub-batches out
-  // to the lanes, then returns immediately — the drain thread never
-  // executes. Phase structure (response kinds/ids, read/write counts) is
-  // pre-stamped here so lanes only produce rows.
+  // Routes a native write group (client tickets, or a TTL sweep) once,
+  // cuts each shard's sub-batch into its lane steps, commits the group's
+  // records to the log, and fans the steps out to the lanes, then returns
+  // immediately — the drain thread never executes. Phase structure
+  // (response kinds/ids, read/write counts) is pre-stamped here so lanes
+  // only produce rows.
   void dispatch_shard_group(std::vector<pending_entry> tickets,
-                            std::size_t total) {
+                            std::size_t total, log_origin origin) {
     const std::uint64_t route_start = tel_.enabled() ? tel_.now_ns() : 0;
     auto g = std::make_shared<shard_group>();
+    g->log.origin = origin;
     g->tickets = std::move(tickets);
     g->total = total;
     g->trace_ticket = pick_trace_ticket(g->tickets);
@@ -1655,14 +1673,22 @@ class query_service {
     for (const auto& e : g->tickets) {
       g->combined.insert(g->combined.end(), e.batch.begin(), e.batch.end());
     }
-    const bool had_bounds = bounds_set_;
     if (cfg_.policy == shard_policy::spatial && !bounds_set_) {
-      derive_bounds_from_writes(g->combined);
+      // Stripes not carved yet: this group's write payloads (the first
+      // mass to ever enter the index) carve them, the group carries them,
+      // and they route it and every later group — unless it fails to
+      // commit. Bounds are fixed from then on, so routing and read
+      // pruning stay mutually consistent.
+      std::vector<point<D>> pts;
+      for (const auto& r : g->combined) {
+        if (!is_read(r.kind)) pts.push_back(r.p);
+      }
+      derive_stripes(pts, g->log);
+      install_stripes(g->log);
     }
     stamp_phases(g->combined, g->result);
 
     g->sub_idx.resize(cfg_.shards);
-    g->shard_res.resize(cfg_.shards);
     std::vector<std::vector<request<D>>> sub(cfg_.shards);
     for (std::size_t s = 0; s < cfg_.shards; ++s) {
       sub[s] = take_req_vec();
@@ -1683,6 +1709,11 @@ class query_service {
         note_routed_write(s, r);
       }
     }
+    // The route stage also times the cut (and its record copies).
+    std::vector<std::vector<lane_step>> steps(cfg_.shards);
+    for (std::size_t s = 0; s < cfg_.shards; ++s) {
+      steps[s] = cut_steps(s, sub[s], g->log);
+    }
 
     if (tel_.enabled()) {
       const std::uint64_t route_end = tel_.now_ns();
@@ -1693,62 +1724,72 @@ class query_service {
       }
     }
 
-    if (log_) {
-      // Log the run structure each lane will actually execute: phase-cut
-      // every routed sub-batch into its same-kind write runs (reads break
-      // runs but are not logged). Appending before the fan-out keeps the
-      // log in commit order (this thread is the only appender) and gives
-      // the group its epoch for completion floors.
-      // A failed append must not unwind the drain thread: the group's
-      // tickets fail (their writes never committed — nothing was
-      // applied yet), the failure latches, and every later write group
-      // fails fast. For writes this service now behaves like a dead
-      // process; reads keep serving what was committed.
-      if (log_failed_) {
-        for (auto& v : sub) give_req_vec(std::move(v));
-        g->error = std::make_exception_ptr(std::runtime_error(
-            "query_service: durable log failed — writes cannot commit"));
-        finalize_shard_group(g);
-        return;
-      }
-      try {
-        g->commit_epoch = append_log_group(
-            [&](log_group<D>& lg) {
-              for (std::size_t s = 0; s < cfg_.shards; ++s) {
-                append_write_runs(lg, s, sub[s]);
-              }
-            },
-            !had_bounds && bounds_set_);
-      } catch (...) {
-        note_log_failure();
-        for (auto& v : sub) give_req_vec(std::move(v));
-        g->error = std::current_exception();
-        finalize_shard_group(g);
-        return;
-      }
-    }
-
-    std::size_t active = 0;
-    for (std::size_t s = 0; s < cfg_.shards; ++s) {
-      if (!sub[s].empty()) ++active;
-    }
-    if (active == 0) {  // every ticket in the group had an empty batch
+    // A failed append must not unwind the drain thread: the group's
+    // tickets fail (their writes never committed — nothing was applied)
+    // and neither do the stripes it carved.
+    try {
+      append_to_log(g->log);
+    } catch (...) {
+      if (g->log.has_bounds) bounds_set_ = false;
       for (auto& v : sub) give_req_vec(std::move(v));
+      g->error = std::current_exception();
       finalize_shard_group(g);
       return;
     }
-    g->remaining.store(active, std::memory_order_relaxed);
+    g->commit_epoch = g->log.epoch;
     g->exec_start_ns = tel_.now_ns();
+    // No lane work: every ticket in the group had an empty batch.
+    if (!fan_out(g, steps, &sub)) finalize_shard_group(g);
+  }
+
+  // Cuts shard s's routed sub-batch with the shared phase cut
+  // (query_engine.h) into its lane steps: each write run becomes one
+  // record of `lg` — one batched backend call, its points copied here
+  // once — and each read run a step the lane runs against the live shard.
+  static std::vector<lane_step> cut_steps(std::size_t s,
+                                          const std::vector<request<D>>& sub,
+                                          log_group<D>& lg) {
+    std::vector<lane_step> steps;
+    for (std::size_t begin = 0, end = 0; begin < sub.size(); begin = end) {
+      end = phase_end<D>(sub, begin);
+      if (is_read(sub[begin].kind)) {
+        steps.push_back({kReadRun, begin, end});
+        continue;
+      }
+      log_record<D> rec{static_cast<std::uint32_t>(s),
+                        sub[begin].kind == op::insert ? log_op::insert
+                                                      : log_op::erase,
+                        {}};
+      rec.pts.reserve(end - begin);
+      for (std::size_t i = begin; i < end; ++i) rec.pts.push_back(sub[i].p);
+      steps.push_back({lg.records.size()});
+      lg.records.push_back(std::move(rec));
+    }
+    return steps;
+  }
+
+  // Hands every shard with steps one lane task (native groups: with its
+  // routed requests; idle shards give theirs back). Returns false, with
+  // nothing enqueued, when no shard has work.
+  bool fan_out(const std::shared_ptr<shard_group>& g,
+               std::vector<std::vector<lane_step>>& steps,
+               std::vector<std::vector<request<D>>>* sub) {
+    std::size_t active = 0;
+    for (const auto& st : steps) active += st.empty() ? 0 : 1;
+    g->shard_res.resize(cfg_.shards);
+    g->remaining.store(active, std::memory_order_relaxed);
     for (std::size_t s = 0; s < cfg_.shards; ++s) {
-      if (sub[s].empty()) {
-        give_req_vec(std::move(sub[s]));
+      if (steps[s].empty()) {
+        if (sub) give_req_vec(std::move((*sub)[s]));
         continue;
       }
       shard_task task;
       task.exec = g;
-      task.sub = std::move(sub[s]);
+      task.steps = std::move(steps[s]);
+      if (sub) task.sub = std::move((*sub)[s]);
       enqueue_lane_task(s, std::move(task));
     }
+    return active > 0;
   }
 
   void enqueue_lane_task(std::size_t s, shard_task task) {
@@ -1763,9 +1804,10 @@ class query_service {
     lane.cv.notify_one();
   }
 
-  // Lane worker: executes this shard's sub-batches, snapshot stamps and
-  // replay tasks one at a time in FIFO order until shutdown (queue flushed
-  // first). Clearing `busy` after each task is what wakes quiesce_lanes().
+  // Lane worker: runs this shard's write tasks (native and replayed) and
+  // snapshot stamps one at a time in FIFO order until shutdown (queue
+  // flushed first). Clearing `busy` after each task is what wakes
+  // quiesce_lanes().
   void shard_loop(std::size_t s) {
     auto& lane = *lanes_[s];
     for (;;) {
@@ -1790,11 +1832,9 @@ class query_service {
         }
       }
       if (task.exec) {
-        run_lane_subbatch(s, std::move(task));
-      } else if (task.stamp) {
-        run_lane_stamp(s, std::move(task));
+        run_lane_write(s, std::move(task));
       } else {
-        run_lane_replay(s, std::move(task));
+        run_lane_stamp(s, std::move(task));
       }
       {
         std::lock_guard<std::mutex> lk(lane.mu);
@@ -1804,24 +1844,37 @@ class query_service {
     }
   }
 
-  // Executes one lane's sub-batch of a shard_group, records the lane's
-  // counters, and — if this lane finishes the group — merges and fulfils
-  // it. Writes never wait on readers: every backend's snapshots are
-  // isolated, and superseded structure goes through the epoch reclaimer.
-  void run_lane_subbatch(std::size_t s, shard_task task) {
+  // Runs this lane's steps of a shard_group in order — records through
+  // apply_record, read runs through the cache-intercepted read path
+  // against the live index at its current epoch (stable here: only this
+  // lane writes this shard) — records the lane's counters, and, if this
+  // lane finishes the group, completes it. Writes never wait on readers:
+  // every backend's snapshots are isolated, and superseded structure
+  // goes through the epoch reclaimer.
+  void run_lane_write(std::size_t s, shard_task task) {
     auto g = std::move(task.exec);
     // One ns delta feeds both the execute_write histogram and the lane's
     // execute_seconds counter — they cannot disagree.
     const std::uint64_t t0 = tel_.now_ns();
-    batch_result<D> res;
+    auto& index = *shards_[s];
+    std::vector<response<D>> rows(task.sub.size());
+    std::size_t record_pts = 0;
     try {
-      res = execute_shard_batch(s, task.sub);
+      if (!g->replayed) fault::fire(fault::kLaneExecute);
+      for (const lane_step& st : task.steps) {
+        if (st.record == kReadRun) {
+          run_shard_reads(s, task.sub, st.begin, st.end, index, index.epoch(),
+                          rows);
+        } else {
+          record_pts += g->log.records[st.record].pts.size();
+          apply_record(g->log.records[st.record], g->replayed);
+        }
+      }
     } catch (...) {
       std::lock_guard<std::mutex> lk(g->err_mu);
       if (!g->error) g->error = std::current_exception();
     }
     const std::uint64_t dur_ns = tel_.now_ns() - t0;
-    const double secs = static_cast<double>(dur_ns) * 1e-9;
     if (tel_.enabled()) {
       tel_.record_shard(s, stage::execute_write, dur_ns);
       if (g->trace_ticket) {
@@ -1833,11 +1886,11 @@ class query_service {
       auto& lane = *lanes_[s];
       std::lock_guard<std::mutex> lk(lane.mu);
       ++lane.stats.num_drains;
-      lane.stats.num_requests += task.sub.size();
-      lane.stats.execute_seconds += secs;
+      lane.stats.num_requests += g->replayed ? record_pts : task.sub.size();
+      lane.stats.execute_seconds += static_cast<double>(dur_ns) * 1e-9;
     }
-    g->shard_res[s] = std::move(res);
-    give_req_vec(std::move(task.sub));
+    g->shard_res[s].responses = std::move(rows);
+    if (!g->replayed) give_req_vec(std::move(task.sub));
     if (g->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
       finalize_shard_group(g);
     }
@@ -1866,65 +1919,146 @@ class query_service {
     }
   }
 
-  // ---- op-log emission (primary) and replay (replica) ---------------------
+  // ---- the write path: commit, apply, replay -------------------------------
 
-  // Phase-cuts sub into its same-kind maximal write runs (the exact cut
-  // rule execute_phases applies: a run extends while the kind repeats;
-  // ANY read breaks it) and appends one log record per run.
-  static void append_write_runs(log_group<D>& lg, std::size_t s,
-                                const std::vector<request<D>>& sub) {
-    const std::size_t end = sub.size();
-    std::size_t i = 0;
-    while (i < end) {
-      if (is_read(sub[i].kind)) {
-        ++i;
-        continue;
-      }
-      std::size_t j = i + 1;
-      while (j < end && sub[j].kind == sub[i].kind) ++j;
-      log_record<D> rec;
-      rec.shard = static_cast<std::uint32_t>(s);
-      rec.kind = sub[i].kind == op::insert ? log_op::insert : log_op::erase;
-      rec.pts.reserve(j - i);
-      for (std::size_t k = i; k < j; ++k) rec.pts.push_back(sub[k].p);
-      lg.records.push_back(std::move(rec));
-      i = j;
+  // The commit point of every group the primary applies: with a log
+  // attached, appends a copy of `g` and stamps its epoch before anything
+  // applies it (the `replicate` stage times the append). A group with
+  // neither records nor bounds is not logged; it observes the head.
+  // Throws — and the group must then not apply — when the append fails or
+  // the log already has: the first failure latches log_failed_ and counts
+  // log_append_errors, and every later group fails fast. For writes the
+  // service then behaves like a dead process; reads keep serving what
+  // was committed. Drain thread (or bootstrap, before traffic): the
+  // single appender, so log order is commit order.
+  void append_to_log(log_group<D>& g) {
+    if (!log_) return;
+    if (log_failed_) {
+      throw std::runtime_error(
+          "query_service: durable log failed — writes cannot commit");
     }
-  }
-
-  // Assembles (via `fill`) and appends one log group, with the current
-  // stripe bounds attached when `with_bounds`; origin comes from the
-  // drain-thread scratch next_group_origin_. Returns the epoch for
-  // completion floors: the new group's epoch, or the current head when
-  // nothing needed logging (a writeless group observes everything up to
-  // head). The append is timed as the `replicate` stage. Drain thread
-  // only (single appender == log order is commit order).
-  template <class Fill>
-  std::uint64_t append_log_group(Fill&& fill, bool with_bounds) {
+    if (g.records.empty() && !g.has_bounds) {
+      g.epoch = log_->head();
+      return;
+    }
     const std::uint64_t r0 = tel_.now_ns();
-    log_group<D> lg;
-    lg.origin = next_group_origin_;
-    if (with_bounds) {
-      lg.has_bounds = true;
-      lg.split_dim = split_dim_;
-      lg.cuts = bounds_;
+    try {
+      g.epoch = log_->append(g);
+    } catch (...) {
+      log_failed_ = true;
+      ctr_.log_append_errors.fetch_add(1, std::memory_order_relaxed);
+      throw;
     }
-    fill(lg);
-    if (lg.records.empty() && !lg.has_bounds) return log_->head();
-    const std::uint64_t epoch = log_->append(std::move(lg));
     if (tel_.enabled()) tel_.record(stage::replicate, tel_.now_ns() - r0);
-    return epoch;
   }
 
-  // ---- durability: checkpoint + recovery helpers ---------------------------
-
-  // Latches log_failed_ (drain-thread flag: later write groups fail fast
-  // without touching the dead log) and counts the error. The group whose
-  // append failed was already failed by the caller.
-  void note_log_failure() {
-    log_failed_ = true;
-    ctr_.log_append_errors.fetch_add(1, std::memory_order_relaxed);
+  // The one function that writes a shard: re-issues one record's backend
+  // call verbatim, for the primary's own groups and replayed ones alike.
+  // Identical per-shard record sequences produce identical tree structure
+  // (and so identical k-NN tie order) — the byte-identical convergence
+  // guarantee rests here. `replica.apply` fires once per replayed record.
+  void apply_record(const log_record<D>& rec, bool replayed) {
+    if (replayed) fault::fire(fault::kReplicaApply);
+    auto& index = *shards_[rec.shard];
+    switch (rec.kind) {
+      case log_op::build:
+        index.build(rec.pts);
+        break;
+      case log_op::insert:
+        index.batch_insert(rec.pts);
+        break;
+      case log_op::erase:
+        index.batch_erase(rec.pts);
+        break;
+    }
   }
+
+  // Applies a whole group off the lanes, with them quiesced: every shard's
+  // records in log order, shards in parallel, then the stripes the group
+  // carries. A shard's failure is caught inside the loop body (an
+  // exception escaping an OpenMP region terminates the process); the
+  // first one, by shard, is returned.
+  std::exception_ptr apply_off_lanes(const log_group<D>& g, bool replayed) {
+    quiesce_lanes();
+    std::vector<std::exception_ptr> errs(cfg_.shards);
+    par::parallel_for(
+        0, cfg_.shards,
+        [&](std::size_t s) {
+          try {
+            for (const auto& rec : g.records) {
+              if (rec.shard == s) apply_record(rec, replayed);
+            }
+          } catch (...) {
+            errs[s] = std::current_exception();
+          }
+        },
+        1);
+    install_stripes(g);
+    for (const auto& e : errs) {
+      if (e) return e;
+    }
+    return nullptr;
+  }
+
+  // Replica side, drain thread: applies one replayed log group. Ordinary
+  // groups fan their records out per shard to the lanes (FIFO behind
+  // earlier work); bounds-carrying groups (bootstrap, rebalance,
+  // checkpoint) apply off the lanes like the primary's, because changing
+  // routing geometry under in-flight reads would break pruning. A failed
+  // group counts one replay error; the replica keeps serving what it has.
+  // applied_epoch_ advances at dispatch: a read routed after that point
+  // stamps behind the replay tasks on every shard it touches, which is
+  // the read-your-writes guarantee routers build on.
+  void process_replay(log_group<D> lg) {
+    const std::uint64_t t0 = tel_.now_ns();
+    const std::uint64_t epoch = lg.epoch;
+    if (lg.has_bounds) {
+      if (apply_off_lanes(lg, /*replayed=*/true)) {
+        ctr_.replay_errors.fetch_add(1, std::memory_order_relaxed);
+      }
+      applied_epoch_.store(epoch, std::memory_order_release);
+      finish_replay_group(lg.records.size(), t0);
+    } else {
+      auto g = std::make_shared<shard_group>();
+      g->replayed = true;
+      g->exec_start_ns = t0;  // drain-thread pickup -> last lane done
+      g->log = std::move(lg);
+      std::vector<std::vector<lane_step>> steps(cfg_.shards);
+      for (std::size_t i = 0; i < g->log.records.size(); ++i) {
+        steps[g->log.records[i].shard].push_back({i});
+      }
+      if (!fan_out(g, steps, nullptr)) finish_replay_group(0, t0);
+      applied_epoch_.store(epoch, std::memory_order_release);
+    }
+    // Dispatch-complete: wait_replay_drained() pairs this with
+    // wait_lanes_idle() to cover the in-lane tail.
+    replay_done_.fetch_add(1, std::memory_order_acq_rel);
+  }
+
+  void finish_replay_group(std::size_t records, std::uint64_t start_ns) {
+    if (tel_.enabled()) tel_.record(stage::replay, tel_.now_ns() - start_ns);
+    ctr_.replayed_groups.fetch_add(1, std::memory_order_relaxed);
+    ctr_.replayed_records.fetch_add(records, std::memory_order_relaxed);
+  }
+
+  // After a rebuild (bootstrap, recovery), lanes quiesced: the resident
+  // estimates re-sync from the shard sizes, and every resident point
+  // starts one full TTL window from now (recovery has no deadlines to
+  // restore — they are not persisted, and erring long keeps data).
+  void reset_residents() {
+    for (std::size_t s = 0; s < cfg_.shards; ++s) {
+      resident_est_[s] = shards_[s]->size();
+    }
+    if (cfg_.point_ttl_ns == 0) return;
+    std::lock_guard<std::mutex> lk(ttl_mu_);
+    ttl_q_.clear();
+    const std::uint64_t deadline = ttl_now_() + cfg_.point_ttl_ns;
+    for (const auto& shard : shards_) {
+      for (const auto& p : shard->gather()) ttl_q_.emplace_back(deadline, p);
+    }
+  }
+
+  // ---- durability: checkpoints ---------------------------------------------
 
   // Drain thread, after each write group: checkpoint every
   // cfg_.checkpoint_every write groups.
@@ -1964,188 +2098,17 @@ class query_service {
     return true;
   }
 
-  // Recovery bootstrap: rebuilds the shards directly from checkpoint
-  // state. Deliberately NOT logged — the checkpoint replaces the log
-  // prefix it summarizes (recover() re-attaches the salvaged log after).
-  // Externally quiescent callers only (no traffic exists during recovery).
-  void bootstrap_from_checkpoint(const checkpoint_data<D>& ck) {
-    if (ck.shard_points.size() != cfg_.shards) {
-      throw std::invalid_argument(
-          "query_service: checkpoint shard count does not match config");
-    }
-    if (ck.bounds_set) {
-      split_dim_ = ck.split_dim;
-      bounds_ = ck.cuts;
-      bounds_set_ = true;
-    }
-    for (std::size_t s = 0; s < cfg_.shards; ++s) {
-      shards_[s]->build(ck.shard_points[s]);
-      resident_est_[s] = ck.shard_points[s].size();
-    }
-    if (cfg_.point_ttl_ns > 0) {
-      // Checkpointed points restart one full TTL window from now (the
-      // original deadlines are not serialized; erring long keeps data).
-      std::lock_guard<std::mutex> lk(ttl_mu_);
-      ttl_q_.clear();
-      const std::uint64_t deadline = ttl_now_() + cfg_.point_ttl_ns;
-      for (const auto& shard : ck.shard_points) {
-        for (const auto& p : shard) ttl_q_.emplace_back(deadline, p);
-      }
-    }
-    // With no log tail to replay, recovery's completion floor is the
-    // checkpoint epoch itself.
-    applied_epoch_.store(ck.epoch, std::memory_order_release);
-  }
-
-  // Replica side, drain thread: applies one replayed log group. Ordinary
-  // groups fan out per shard to the lanes (FIFO behind earlier work);
-  // bounds-carrying groups (bootstrap, rebalance) mirror the primary's
-  // rebalance discipline — quiesce the lanes, apply inline, swap the
-  // stripe bounds — because changing routing geometry under in-flight
-  // reads would break pruning. applied_epoch_ advances at dispatch: a
-  // read routed after that point stamps behind the replay tasks on every
-  // shard it touches, which is the read-your-writes guarantee routers
-  // build on.
-  void process_replay(log_group<D> g) {
-    const std::uint64_t t0 = tel_.now_ns();
-    const std::uint64_t epoch = g.epoch;
-    if (g.has_bounds) {
-      quiesce_lanes();
-      bool failed = false;
-      try {
-        for (const auto& rec : g.records) {
-          apply_log_record(rec);
-        }
-      } catch (...) {
-        failed = true;  // counted; the replica keeps serving what it has
-      }
-      split_dim_ = g.split_dim;
-      bounds_ = g.cuts;
-      bounds_set_ = true;
-      applied_epoch_.store(epoch, std::memory_order_release);
-      if (failed) {
-        ctr_.replay_errors.fetch_add(1, std::memory_order_relaxed);
-      }
-      finish_replay_group(g.records.size(), t0);
-      replay_done_.fetch_add(1, std::memory_order_acq_rel);
-      return;
-    }
-    auto rg = std::make_shared<replay_group>();
-    rg->epoch = epoch;
-    rg->start_ns = t0;
-    rg->g = std::move(g);
-    std::vector<std::vector<std::size_t>> per(cfg_.shards);
-    for (std::size_t i = 0; i < rg->g.records.size(); ++i) {
-      per[rg->g.records[i].shard].push_back(i);
-    }
-    std::size_t active = 0;
-    for (const auto& v : per) {
-      if (!v.empty()) ++active;
-    }
-    if (active == 0) {
-      applied_epoch_.store(epoch, std::memory_order_release);
-      finish_replay_group(0, t0);
-      replay_done_.fetch_add(1, std::memory_order_acq_rel);
-      return;
-    }
-    rg->remaining.store(active, std::memory_order_relaxed);
-    for (std::size_t s = 0; s < cfg_.shards; ++s) {
-      if (per[s].empty()) continue;
-      shard_task task;
-      task.replay = rg;
-      task.replay_idx = std::move(per[s]);
-      enqueue_lane_task(s, std::move(task));
-    }
-    applied_epoch_.store(epoch, std::memory_order_release);
-    // Dispatch-complete: wait_replay_drained() pairs this with
-    // wait_lanes_idle() to cover the in-lane tail.
-    replay_done_.fetch_add(1, std::memory_order_acq_rel);
-  }
-
-  // Re-issues this shard's records of a replayed log group in log order,
-  // on the shard's lane (replayed writes serialize with snapshot stamps
-  // exactly like native writes). The last lane to finish closes the
-  // group's replay stage.
-  void run_lane_replay(std::size_t s, shard_task task) {
-    auto rg = std::move(task.replay);
-    const std::uint64_t t0 = tel_.now_ns();
-    bool failed = false;
-    std::size_t pts = 0;
-    try {
-      for (const std::size_t i : task.replay_idx) {
-        pts += rg->g.records[i].pts.size();
-        apply_log_record(rg->g.records[i]);
-      }
-    } catch (...) {
-      failed = true;  // counted; the replica keeps serving what it has
-    }
-    const std::uint64_t dur_ns = tel_.now_ns() - t0;
-    if (tel_.enabled()) tel_.record_shard(s, stage::execute_write, dur_ns);
-    {
-      auto& lane = *lanes_[s];
-      std::lock_guard<std::mutex> lk(lane.mu);
-      ++lane.stats.num_drains;
-      lane.stats.num_requests += pts;
-      lane.stats.execute_seconds += static_cast<double>(dur_ns) * 1e-9;
-    }
-    if (failed) {
-      ctr_.replay_errors.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (rg->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      finish_replay_group(rg->g.records.size(), rg->start_ns);
-    }
-  }
-
-  // One recorded backend call, re-issued verbatim. Identical call
-  // sequences produce identical tree structure (and so identical k-NN tie
-  // order) — the byte-identical convergence guarantee rests here.
-  void apply_log_record(const log_record<D>& rec) {
-    fault::fire(fault::kReplicaApply);
-    auto& index = *shards_[rec.shard];
-    switch (rec.kind) {
-      case log_op::build:
-        index.build(rec.pts);
-        break;
-      case log_op::insert:
-        index.batch_insert(rec.pts);
-        break;
-      case log_op::erase:
-        index.batch_erase(rec.pts);
-        break;
-    }
-  }
-
-  void finish_replay_group(std::size_t records, std::uint64_t start_ns) {
-    if (tel_.enabled()) tel_.record(stage::replay, tel_.now_ns() - start_ns);
-    ctr_.replayed_groups.fetch_add(1, std::memory_order_relaxed);
-    ctr_.replayed_records.fetch_add(records, std::memory_order_relaxed);
-  }
-
-  // Executes one lane's sub-batch with the shared phase discipline:
-  // write runs go to the backend as batched updates, read runs through the
-  // cache-intercepted read path against the live index at its current
-  // epoch (stable here — only this lane writes this shard).
-  batch_result<D> execute_shard_batch(std::size_t s,
-                                      const std::vector<request<D>>& sub) {
-    fault::fire(fault::kLaneExecute);
-    auto& index = *shards_[s];
-    batch_result<D> res;
-    execute_phases<D>(sub, res.responses, res.stats,
-                      [&](std::size_t begin, std::size_t end, bool read) {
-                        if (read) {
-                          run_shard_reads(s, sub, begin, end, index,
-                                          index.epoch(), res.responses);
-                        } else {
-                          detail::apply_write_run<D>(index, sub, begin, end);
-                        }
-                      });
-    return res;
-  }
-
-  // Merges per-shard rows into the pre-stamped group result and fulfils
-  // every ticket. Called by the last lane to finish (or the router, for
-  // all-empty groups).
+  // Completes a shard_group once every lane is done with it (or the drain
+  // thread failed it before the fan-out): a replayed group closes its
+  // replay stage, counting one replay error if any lane failed; a native
+  // group merges per-shard rows into its pre-stamped result and fulfils
+  // every ticket.
   void finalize_shard_group(const std::shared_ptr<shard_group>& g) {
+    if (g->replayed) {
+      if (g->error) ctr_.replay_errors.fetch_add(1, std::memory_order_relaxed);
+      finish_replay_group(g->log.records.size(), g->exec_start_ns);
+      return;
+    }
     const double secs =
         static_cast<double>(tel_.now_ns() - g->exec_start_ns) * 1e-9;
     std::exception_ptr error = g->error;  // all lanes are done; no races
@@ -2186,17 +2149,6 @@ class query_service {
                            batch_result<D>& result) {
     execute_phases<D>(combined, result.responses, result.stats,
                       [](std::size_t, std::size_t, bool) {});
-  }
-
-  // Spatial stripes not carved yet: derive them from this group's write
-  // payloads (the first mass to ever enter the index). Bounds are fixed
-  // from then on, so routing and read pruning stay mutually consistent.
-  void derive_bounds_from_writes(const std::vector<request<D>>& combined) {
-    std::vector<point<D>> pts;
-    for (const auto& r : combined) {
-      if (!is_read(r.kind)) pts.push_back(r.p);
-    }
-    if (!pts.empty()) set_spatial_bounds(pts);
   }
 
   // ---- online stripe rebalancing ------------------------------------------
@@ -2283,13 +2235,15 @@ class query_service {
   }
 
   // Re-derives the quantile stripe bounds from a sample of the live
-  // points and migrates misplaced points to their new owners as an
-  // internal write group. Runs on the drain thread with the lanes
-  // quiesced: every earlier group executed fully under the old bounds,
-  // every later group is routed (and every later read pruned) under the
-  // new ones, so routing and pruning never disagree. Migration goes
-  // through batch_erase/batch_insert, so epochs bump on every shard that
-  // gains or loses points — stale k-NN cache rows become unreachable and
+  // points and migrates misplaced points to their new owners as one
+  // `rebalance` group carrying the new bounds. Runs on the drain thread
+  // with the lanes quiesced: every earlier group executed fully under the
+  // old bounds, every later group is routed (and every later read pruned)
+  // under the new ones, so routing and pruning never disagree. The group
+  // is appended, then applied like any other: if its append fails, no
+  // point moves and the old bounds stay. Migration is erase rounds, then
+  // inserts, per shard, so epochs bump on every shard that gains or loses
+  // points — stale k-NN cache rows become unreachable and
   // already-stamped snapshot readers keep answering at their epochs.
   void rebalance_stripes() {
     quiesce_lanes();
@@ -2323,65 +2277,39 @@ class query_service {
         if (seen++ % stride == 0) sample.push_back(p);
       }
     }
-    set_spatial_bounds(sample);
-    // Classify against the new stripes, then erase-before-insert so no
-    // point is counted (or gathered) twice.
+    log_group<D> g;
+    g.origin = log_origin::rebalance;
+    derive_stripes(sample, g);
+    // Classify against the new stripes; every shard's erase rounds come
+    // before any insert, so no point is counted (or gathered) twice.
     std::vector<std::vector<point<D>>> arrivals(cfg_.shards);
-    std::vector<std::vector<point<D>>> leavers(cfg_.shards);
     std::size_t moved = 0;
     for (std::size_t s = 0; s < cfg_.shards; ++s) {
+      std::vector<point<D>> leavers;
       for (const auto& p : held[s]) {
-        const std::size_t t = owner_of(p);
+        const std::size_t t = stripe_of(p, g.split_dim, g.cuts);
         if (t == s) continue;
-        leavers[s].push_back(p);
+        leavers.push_back(p);
         arrivals[t].push_back(p);
         ++moved;
       }
-    }
-    // Migration replays as erase rounds + inserts under the new bounds,
-    // so capture the exact rounds erase_multiset issues.
-    std::vector<std::vector<std::vector<point<D>>>> erase_rounds(
-        log_ ? cfg_.shards : 0);
-    for (std::size_t s = 0; s < cfg_.shards; ++s) {
-      if (leavers[s].empty()) continue;
-      erase_multiset(s, leavers[s], log_ ? &erase_rounds[s] : nullptr);
-      resident_est_[s] = sizes[s] - leavers[s].size();
+      append_erase_rounds(g, s, std::move(leavers));
     }
     for (std::size_t t = 0; t < cfg_.shards; ++t) {
       if (arrivals[t].empty()) continue;
-      shards_[t]->batch_insert(arrivals[t]);
-      resident_est_[t] += arrivals[t].size();
+      g.records.push_back({static_cast<std::uint32_t>(t), log_op::insert,
+                           std::move(arrivals[t])});
     }
-    if (log_) {
-      try {
-        append_log_group(
-          [&](log_group<D>& lg) {
-            lg.origin = log_origin::rebalance;
-            for (std::size_t s = 0; s < cfg_.shards; ++s) {
-              for (auto& round : erase_rounds[s]) {
-                log_record<D> rec;
-                rec.shard = static_cast<std::uint32_t>(s);
-                rec.kind = log_op::erase;
-                rec.pts = std::move(round);
-                lg.records.push_back(std::move(rec));
-              }
-            }
-            for (std::size_t t = 0; t < cfg_.shards; ++t) {
-              if (arrivals[t].empty()) continue;
-              log_record<D> rec;
-              rec.shard = static_cast<std::uint32_t>(t);
-              rec.kind = log_op::insert;
-              rec.pts = arrivals[t];
-              lg.records.push_back(std::move(rec));
-            }
-          },
-          /*with_bounds=*/true);
-      } catch (...) {
-        // Migration already applied locally; replicas will diverge until
-        // they resync from a checkpoint. Latch so no later write claims
-        // durability the log cannot back.
-        note_log_failure();
-      }
+    try {
+      append_to_log(g);
+    } catch (...) {
+      return;  // not committed: nothing moved (counted in append_to_log)
+    }
+    if (auto err = apply_off_lanes(g, /*replayed=*/false)) {
+      std::rethrow_exception(err);
+    }
+    for (std::size_t s = 0; s < cfg_.shards; ++s) {
+      resident_est_[s] = shards_[s]->size();
     }
     // A re-derivation that moved nothing cannot fix this skew (the mass
     // has fewer distinct coordinates than shards): back off much longer.
@@ -2390,28 +2318,26 @@ class query_service {
     ctr_.rebalance_moved.fetch_add(moved, std::memory_order_relaxed);
   }
 
-  // Erases every entry of `pts` (a multiset) from shard s, exactly one
-  // stored copy per entry. batch_erase only guarantees that for DISTINCT
-  // batch points (backends disagree on duplicated entries), so duplicated
-  // entries are split across successive rounds of distinct points. With
-  // `rounds` set, each issued round is captured verbatim (for op-log
-  // emission — replay must re-issue the identical call sequence).
-  void erase_multiset(std::size_t s, std::vector<point<D>>& pts,
-                      std::vector<std::vector<point<D>>>* rounds = nullptr) {
+  // Appends to `g` the records that erase every entry of `pts` (a
+  // multiset) from shard s, exactly one stored copy per entry.
+  // batch_erase only guarantees that for DISTINCT batch points (backends
+  // disagree on duplicated entries), so duplicated entries are split
+  // across successive erase records of distinct points.
+  static void append_erase_rounds(log_group<D>& g, std::size_t s,
+                                  std::vector<point<D>> pts) {
     std::sort(pts.begin(), pts.end());
-    std::vector<point<D>> round, rest;
+    std::vector<point<D>> rest;
     while (!pts.empty()) {
-      round.clear();
+      log_record<D> rec{static_cast<std::uint32_t>(s), log_op::erase, {}};
       rest.clear();
       for (const auto& p : pts) {
-        if (!round.empty() && round.back() == p) {
+        if (!rec.pts.empty() && rec.pts.back() == p) {
           rest.push_back(p);
         } else {
-          round.push_back(p);
+          rec.pts.push_back(p);
         }
       }
-      shards_[s]->batch_erase(round);
-      if (rounds) rounds->push_back(round);
+      g.records.push_back(std::move(rec));
       pts.swap(rest);
     }
   }
@@ -2824,7 +2750,7 @@ class query_service {
   // against the backpressure bound). Duplicate coordinates within one
   // sweep are re-queued at the front — still due, they retire on the
   // next sweep — because batch_erase is only exact on distinct points,
-  // exactly like erase_multiset. Drain-thread only.
+  // exactly like append_erase_rounds. Drain-thread only.
   void maybe_expire() {
     if (cfg_.point_ttl_ns == 0) return;
     const std::uint64_t now = ttl_now_();
@@ -2863,9 +2789,7 @@ class query_service {
     begin_write_group();
     std::vector<pending_entry> group;
     group.push_back(pending_entry{/*id=*/0, std::move(erases), tel_.now_ns()});
-    next_group_origin_ = log_origin::expire;  // tag this group's log record
-    dispatch_shard_group(std::move(group), /*total=*/0);
-    next_group_origin_ = log_origin::client;
+    dispatch_shard_group(std::move(group), /*total=*/0, log_origin::expire);
     ctr_.expired_points.fetch_add(count, std::memory_order_relaxed);
     if (tel_.enabled()) tel_.record(stage::expire, tel_.now_ns() - t0);
     schedule_watch_eval();
@@ -3121,8 +3045,9 @@ class query_service {
 
   // ---- routing ------------------------------------------------------------
 
-  // Quantile stripes along the widest dimension of `pts`: bounds_[s-1] is
-  // the left edge of shard s, so shard s owns [bounds_[s-1], bounds_[s]).
+  // Quantile stripes along the widest dimension of `pts`, carried by `g`
+  // (has_bounds stays false for an empty set or a single shard): cut s-1
+  // is the left edge of shard s, so shard s owns [cuts[s-1], cuts[s]).
   // Duplicate coordinates would let naive quantile cuts collide into
   // zero-width stripes — shards that can never own a point while every
   // write funnels into one lane — so cuts are forced strictly increasing:
@@ -3130,18 +3055,18 @@ class query_service {
   // when the distinct values run out the remaining cuts are +inf (those
   // shards stay empty and range pruning skips them, rather than one shard
   // silently swallowing the whole stream).
-  void set_spatial_bounds(const std::vector<point<D>>& pts) {
+  void derive_stripes(const std::vector<point<D>>& pts,
+                      log_group<D>& g) const {
     if (pts.empty() || cfg_.shards == 1) return;
     aabb<D> box;
     for (const auto& p : pts) box.extend(p);
-    split_dim_ = box.widest_dim();
+    g.split_dim = box.widest_dim();
     std::vector<double> coords(pts.size());
     for (std::size_t i = 0; i < pts.size(); ++i) {
-      coords[i] = pts[i][split_dim_];
+      coords[i] = pts[i][g.split_dim];
     }
     std::sort(coords.begin(), coords.end());
-    bounds_.assign(cfg_.shards - 1,
-                   std::numeric_limits<double>::infinity());
+    g.cuts.assign(cfg_.shards - 1, std::numeric_limits<double>::infinity());
     double prev = coords.front();  // cuts must also exceed the min value
     for (std::size_t s = 0; s + 1 < cfg_.shards; ++s) {
       double cut = coords[(s + 1) * coords.size() / cfg_.shards];
@@ -3151,10 +3076,26 @@ class query_service {
         if (it == coords.end()) break;  // no distinct value left: +inf tail
         cut = *it;
       }
-      bounds_[s] = cut;
+      g.cuts[s] = cut;
       prev = cut;
     }
+    g.has_bounds = true;
+  }
+
+  // Installs the stripes a group carries (none: a no-op). Only groups
+  // that commit get here, so routing and pruning follow the log.
+  void install_stripes(const log_group<D>& g) {
+    if (!g.has_bounds) return;
+    split_dim_ = g.split_dim;
+    bounds_ = g.cuts;
     bounds_set_ = true;
+  }
+
+  // The stripe owning p under the cuts along `dim`.
+  static std::size_t stripe_of(const point<D>& p, int dim,
+                               const std::vector<double>& cuts) {
+    return static_cast<std::size_t>(
+        std::upper_bound(cuts.begin(), cuts.end(), p[dim]) - cuts.begin());
   }
 
   // Non-finite payload coordinates would break routing silently: every
@@ -3185,10 +3126,7 @@ class query_service {
   std::size_t owner_of(const point<D>& p) const {
     if (cfg_.shards == 1) return 0;
     if (cfg_.policy == shard_policy::spatial) {
-      if (!bounds_set_) return 0;
-      return static_cast<std::size_t>(
-          std::upper_bound(bounds_.begin(), bounds_.end(), p[split_dim_]) -
-          bounds_.begin());
+      return bounds_set_ ? stripe_of(p, split_dim_, bounds_) : 0;
     }
     return hash_point(p) % cfg_.shards;
   }
@@ -3235,13 +3173,6 @@ class query_service {
     return static_cast<std::size_t>(detail::point_fnv1a(p));
   }
 
-  std::vector<std::vector<point<D>>> partition_points(
-      const std::vector<point<D>>& pts) const {
-    std::vector<std::vector<point<D>>> parts(cfg_.shards);
-    for (const auto& p : pts) parts[owner_of(p)].push_back(p);
-    return parts;
-  }
-
   // Scalar service counters, each its own relaxed atomic: no tally takes
   // hub_->mu, and stats() assembles a service_stats from plain loads —
   // observability never contends with ingest. (Cross-field snapshots are
@@ -3286,11 +3217,12 @@ class query_service {
   /// Per-shard executor lanes, one worker thread each.
   std::vector<std::unique_ptr<shard_lane>> lanes_;
 
-  // Spatial stripes. Only touched by bootstrap or the drain thread (lanes
-  // and read tasks receive routed sub-batches, never raw bounds); with
-  // rebalance_threshold set they are re-derived at drain boundaries by
-  // rebalance_stripes() — always with the lanes quiesced, so every group
-  // routes AND executes under one consistent set of bounds.
+  // Spatial stripes, installed from the group that carries them
+  // (install_stripes). Only touched by bootstrap, recovery or the drain
+  // thread (lanes and read tasks receive routed sub-batches, never raw
+  // bounds); with rebalance_threshold set they are re-derived at drain
+  // boundaries by rebalance_stripes() — always with the lanes quiesced, so
+  // every group routes AND executes under one consistent set of bounds.
   int split_dim_ = 0;
   std::vector<double> bounds_;
   bool bounds_set_ = false;
@@ -3355,14 +3287,13 @@ class query_service {
   // appended to only by the drain thread (plus bootstrap, pre-traffic) —
   // log order is commit order. Replica side: replay_q_ (hub_->mu) feeds
   // the drain thread log groups in epoch order, applied_epoch_ is the
-  // replay position routers gate reads on, next_group_origin_ is
-  // drain-thread scratch tagging TTL sweeps. watch_cache_hits_ counts
+  // replay position routers gate reads on. watch_cache_hits_ counts
   // watch-path rows the result cache served (reader threads bump it).
   std::shared_ptr<op_log<D>> log_;
   std::deque<log_group<D>> replay_q_;
-  // Drain-thread scratch: latched once a durable append fails (later
-  // write groups fail fast; reads keep serving), and the write-group
-  // counter that paces maybe_checkpoint().
+  // Appender scratch: latched once a durable append fails (later groups
+  // fail fast; reads keep serving). Drain-thread: the write-group counter
+  // that paces maybe_checkpoint().
   bool log_failed_ = false;
   std::size_t write_groups_since_ck_ = 0;
   std::atomic<std::uint64_t> applied_epoch_{0};
@@ -3370,7 +3301,6 @@ class query_service {
   // groups the drain thread finished processing (dispatch-complete).
   std::atomic<std::uint64_t> replay_enqueued_{0};
   std::atomic<std::uint64_t> replay_done_{0};
-  log_origin next_group_origin_ = log_origin::client;
   std::atomic<std::uint64_t> watch_cache_hits_{0};
 
   std::mutex close_mu_;

@@ -316,12 +316,13 @@ class replica_set {
     tail_failed_.store(true, std::memory_order_release);
   }
 
-  // Bootstraps replica i from the latest checkpoint: one synthetic
-  // bounds-carrying group of per-shard build records at the checkpoint
-  // epoch (build replaces contents, so this is safe from any prior
-  // state). Returns the epoch to resume tailing from, or nullopt after
-  // quarantining. `require_newer`: a gap at `at` is only bridged by a
-  // checkpoint AHEAD of it; divergence healing accepts any checkpoint.
+  // Bootstraps replica i from the latest checkpoint: it replays the
+  // checkpoint's group (checkpoint_group(), the one recovery applies —
+  // per-shard build records at the checkpoint epoch, so this is safe from
+  // any prior state). Returns the epoch to resume tailing from, or
+  // nullopt after quarantining. `require_newer`: a gap at `at` is only
+  // bridged by a checkpoint AHEAD of it; divergence healing accepts any
+  // checkpoint.
   std::optional<std::uint64_t> try_resync(std::size_t i, std::uint64_t at,
                                           const std::string& why,
                                           bool require_newer = true) {
@@ -345,26 +346,11 @@ class replica_set {
     states_[i]->health.store(
         static_cast<std::uint8_t>(replica_health::resyncing),
         std::memory_order_release);
-    log_group<D> g;
-    g.epoch = ck.epoch;
-    g.origin = log_origin::bootstrap;
-    if (ck.bounds_set) {
-      g.has_bounds = true;
-      g.split_dim = ck.split_dim;
-      g.cuts = ck.cuts;
-    }
-    const std::size_t shards = services_[i]->config().shards;
-    g.records.reserve(shards);
-    for (std::size_t s = 0; s < shards; ++s) {
-      log_record<D> rec;
-      rec.shard = static_cast<std::uint32_t>(s);
-      rec.kind = log_op::build;
-      if (s < ck.shard_points.size()) rec.pts = ck.shard_points[s];
-      g.records.push_back(std::move(rec));
-    }
+    const std::uint64_t epoch = ck.epoch;
     const std::size_t errs_before = services_[i]->replay_error_count();
     try {
-      services_[i]->apply_replayed(std::move(g));
+      services_[i]->apply_replayed(
+          checkpoint_group(std::move(ck), services_[i]->config().shards));
       // Not an epoch wait: the replica may already sit AHEAD of
       // ck.epoch (divergence healing), so only a queue-drain barrier
       // proves the rebuild actually ran.
@@ -386,7 +372,7 @@ class replica_set {
     states_[i]->health.store(
         static_cast<std::uint8_t>(replica_health::healthy),
         std::memory_order_release);
-    return ck.epoch;
+    return epoch;
   }
 
   // Replay errors leave a replica diverged from the log (the group was

@@ -60,7 +60,10 @@ std::vector<unsigned char> slurp(const std::string& path) {
 void spit(const std::string& path, const std::vector<unsigned char>& buf) {
   std::FILE* f = std::fopen(path.c_str(), "wb");
   ASSERT_NE(f, nullptr);
-  ASSERT_EQ(std::fwrite(buf.data(), 1, buf.size(), f), buf.size());
+  // An empty vector's data() may be null, which fwrite must not get.
+  if (!buf.empty()) {
+    ASSERT_EQ(std::fwrite(buf.data(), 1, buf.size(), f), buf.size());
+  }
   ASSERT_EQ(std::fclose(f), 0);
 }
 

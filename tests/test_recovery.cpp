@@ -11,17 +11,20 @@
 // checkpoint scenarios compare canonically (sorted resident multisets,
 // distance sequences, range multisets) against the pre-crash primary.
 // Also here: torn-tail edge cases at the service level (cut inside a
-// frame, inside a checksum, zero-length tail), replica self-healing
+// frame, inside a checksum, zero-length tail), TTL expiry of recovered
+// points, a rebalance whose append fails, replica self-healing
 // (ring-eviction and replay-divergence resync from checkpoint,
 // quarantine without a source), and request-deadline shedding.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <dirent.h>
@@ -86,7 +89,10 @@ std::vector<unsigned char> slurp(const std::string& path) {
 void spit(const std::string& path, const std::vector<unsigned char>& buf) {
   std::FILE* f = std::fopen(path.c_str(), "wb");
   ASSERT_NE(f, nullptr);
-  ASSERT_EQ(std::fwrite(buf.data(), 1, buf.size(), f), buf.size());
+  // An empty vector's data() may be null, which fwrite must not get.
+  if (!buf.empty()) {
+    ASSERT_EQ(std::fwrite(buf.data(), 1, buf.size(), f), buf.size());
+  }
   ASSERT_EQ(std::fclose(f), 0);
 }
 
@@ -507,6 +513,150 @@ TEST_F(RecoveryEdge, LogAppendFailureFailsWritesKeepsReads) {
   EXPECT_EQ(rows.responses.size(), probe_batch().size());
   expect_resident(svc, mirror_after(t, 32, 1));
   svc.close();
+  remove_dir(dir);
+}
+
+namespace {
+
+// Polls `pred` for up to 5 s; true once it holds.
+template <class Pred>
+bool eventually(Pred&& pred) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!pred()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  return true;
+}
+
+// A read batch that has completed went through the drain thread after
+// every earlier group's boundary hooks (rebalance, expiry), so their
+// counters and effects are settled when it returns.
+void fence_drain(query::query_service<2>& svc) {
+  svc.execute({request<2>::make_knn(P(0.5, 0.5), 1)});
+  svc.wait_lanes_idle();
+}
+
+std::vector<std::vector<point<2>>> sorted_shards(
+    const query::query_service<2>& svc) {
+  std::vector<std::vector<point<2>>> out;
+  for (std::size_t s = 0; s < svc.num_shards(); ++s) {
+    out.push_back(svc.shard(s).gather());
+    std::sort(out.back().begin(), out.back().end());
+  }
+  return out;
+}
+
+}  // namespace
+
+// A recovered primary expires every point it recovered, whether it came
+// back from a checkpoint or through log replay: each one restarts a full
+// TTL window at recovery (deadlines are not persisted).
+TEST_F(RecoveryEdge, RecoveredPointsExpireWithOrWithoutCheckpoint) {
+  for (const bool with_checkpoint : {false, true}) {
+    SCOPED_TRACE(with_checkpoint ? "checkpoint after bootstrap" : "log only");
+    const std::string dir = fresh_dir();
+    auto clock = std::make_shared<std::atomic<std::uint64_t>>(1);
+    service_config cfg = base_cfg(backend::bdltree, dir);
+    cfg.policy = shard_policy::hash;
+    cfg.point_ttl_ns = 1000;
+    cfg.ttl_now = [clock] { return clock->load(); };
+    {
+      query::query_service<2> svc(cfg);
+      svc.bootstrap(initial_points(10));
+      if (with_checkpoint) ASSERT_TRUE(svc.checkpoint_now());
+      std::vector<request<2>> inserts;
+      for (int i = 0; i < 10; ++i) {
+        inserts.push_back(request<2>::make_insert(P(0.05 + 0.09 * i, 0.5)));
+      }
+      svc.execute(inserts);
+    }  // the clock never moved: nothing expired before the crash
+    auto rec = query::query_service<2>::recover(dir, cfg);
+    ASSERT_EQ(rec->size(), 20u);
+    clock->store(5000);  // past every recovered point's window
+    rec->execute({request<2>::make_insert(P(0.5, 0.95))});
+    EXPECT_TRUE(eventually([&] { return rec->stats().expired_points >= 20; }))
+        << "expired " << rec->stats().expired_points << " of 20";
+    fence_drain(*rec);
+    EXPECT_EQ(rec->stats().expired_points, 20u);
+    EXPECT_EQ(rec->size(), 1u);  // only the fresh insert is still live
+    rec->close();
+    remove_dir(dir);
+  }
+}
+
+// A rebalance is a logged group like any other: when the append that
+// carries its migration fails, no point moves and no bound changes, so
+// every shard still holds exactly what the log says it does.
+TEST_F(RecoveryEdge, FailedRebalanceAppendMovesNothing) {
+  const auto skew_ticket = [](std::size_t b) {
+    std::vector<request<2>> t;
+    for (int i = 0; i < 32; ++i) {
+      t.push_back(request<2>::make_insert(
+          P(0.01 + 0.001 * static_cast<double>(b), 0.01 + 0.0001 * i)));
+    }
+    return t;
+  };
+  const auto config = [](const std::string& dir) {
+    service_config cfg = base_cfg(backend::kdtree, dir);
+    cfg.shards = 4;
+    cfg.rebalance_threshold = 1.2;
+    return cfg;
+  };
+  std::vector<point<2>> grid;
+  for (int i = 0; i < 256; ++i) {
+    grid.push_back(P((i % 16) / 16.0, (i / 16) / 16.0));
+  }
+
+  // Unarmed run: which append carries the migration, after how many
+  // skewed tickets.
+  std::size_t tickets = 0;
+  std::uint64_t migration_append = 0;
+  {
+    const std::string dir = fresh_dir();
+    query::query_service<2> svc(config(dir));
+    svc.bootstrap(grid);
+    while (svc.stats().rebalances == 0 && tickets < 64) {
+      svc.execute(skew_ticket(tickets++));
+      fence_drain(svc);
+    }
+    ASSERT_GE(svc.stats().rebalances, 1u) << "skew must rebalance";
+    ASSERT_GT(svc.stats().rebalance_moved, 0u);
+    for (const auto& g : svc.log()->read_from(0)) {
+      if (g.origin == query::log_origin::rebalance) {
+        migration_append = g.epoch;  // appends are epochs 1, 2, ...
+        break;
+      }
+    }
+    ASSERT_GT(migration_append, 0u);
+    svc.close();
+    remove_dir(dir);
+  }
+
+  // Armed run: the same stream, with that append failing.
+  const std::string dir = fresh_dir();
+  std::vector<std::vector<point<2>>> primary_shards;
+  {
+    fault::fault_spec spec;
+    spec.nth = migration_append;
+    fault::scoped_fault f(fault::kOplogAppend, spec);
+    query::query_service<2> svc(config(dir));
+    svc.bootstrap(grid);
+    for (std::size_t b = 0; b < tickets; ++b) {
+      svc.execute(skew_ticket(b));
+      fence_drain(svc);
+    }
+    const auto st = svc.stats();
+    EXPECT_EQ(st.log_append_errors, 1u);
+    EXPECT_EQ(st.rebalances, 0u);
+    EXPECT_EQ(st.rebalance_moved, 0u);
+    primary_shards = sorted_shards(svc);
+    svc.close();
+  }
+  auto rec = query::query_service<2>::recover(dir, config(dir));
+  EXPECT_EQ(sorted_shards(*rec), primary_shards);
+  rec->close();
   remove_dir(dir);
 }
 

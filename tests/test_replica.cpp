@@ -100,6 +100,22 @@ void expect_same_resident_set(query::query_service<2>& primary,
   EXPECT_EQ(got, want) << "resident-set divergence " << at;
 }
 
+// Placement, not only the union: shard by shard, the primary holds what
+// its log says, so each shard's sorted resident set equals the replica's.
+void expect_same_shards(query::query_service<2>& primary,
+                        query::query_service<2>& replica, const char* at) {
+  primary.wait_lanes_idle();
+  replica.wait_lanes_idle();
+  ASSERT_EQ(replica.num_shards(), primary.num_shards());
+  for (std::size_t s = 0; s < primary.num_shards(); ++s) {
+    auto want = primary.shard(s).gather();
+    auto got = replica.shard(s).gather();
+    std::sort(want.begin(), want.end());
+    std::sort(got.begin(), got.end());
+    EXPECT_EQ(got, want) << "shard " << s << " divergence " << at;
+  }
+}
+
 class ReplicaConvergence : public ::testing::TestWithParam<backend> {};
 
 // Drive a churn stream through the primary one batch (= one epoch) at a
@@ -136,6 +152,7 @@ TEST_P(ReplicaConvergence, ByteIdenticalAtEveryEpochBoundary) {
     EXPECT_EQ(reps.applied_epoch(0), log->head());
     expect_replica_matches_primary(primary, reps.replica(0),
                                    "at epoch boundary");
+    expect_same_shards(primary, reps.replica(0), "at epoch boundary");
     if (HasFatalFailure() || HasNonfatalFailure()) break;
   }
   expect_same_resident_set(primary, reps.replica(0), "at end of stream");
@@ -255,6 +272,7 @@ TEST(ReplicaReplay, StripeRebalanceReplicates) {
   replica_set<2> reps(log, cfg, 1, /*start_tails=*/false);
   reps.pump();
   expect_same_resident_set(primary, reps.replica(0), "after rebalance replay");
+  expect_same_shards(primary, reps.replica(0), "after rebalance replay");
   expect_replica_matches_primary(primary, reps.replica(0),
                                  "after rebalance replay");
   // The replica never rebalances on its own — it replays the primary's.
