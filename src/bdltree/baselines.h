@@ -2,7 +2,9 @@
 //
 //   B1 — rebuild-on-update: one perfectly balanced vEB kd-tree, fully
 //        rebuilt on every batch insertion or deletion. Best queries,
-//        worst updates.
+//        worst updates. Its points are kept in lexicographic order, like
+//        the BDL-tree's staging buffer, so an update costs the rebuild
+//        and not a scan of every stored point per batch entry.
 //   B2 — in-place updates: a pointer-based kd-tree whose leaves carry
 //        growable buffers. Inserts descend the existing splits and append
 //        (splitting only overfull leaves locally, never recalculating
@@ -13,6 +15,7 @@
 #include <memory>
 #include <vector>
 
+#include "bdltree/bdl_tree.h"
 #include "bdltree/veb_tree.h"
 
 namespace pargeo::bdltree {
@@ -26,20 +29,13 @@ class b1_tree {
   std::size_t size() const { return points_.size(); }
 
   void insert(const std::vector<point<D>>& batch) {
-    points_.insert(points_.end(), batch.begin(), batch.end());
+    detail::insert_sorted<D>(points_, batch);
     rebuild();
   }
 
+  /// Removes one stored copy per batch entry; absent points are ignored.
   void erase(const std::vector<point<D>>& batch) {
-    for (const auto& q : batch) {
-      for (std::size_t i = 0; i < points_.size(); ++i) {
-        if (points_[i] == q) {
-          points_[i] = points_.back();
-          points_.pop_back();
-          break;
-        }
-      }
-    }
+    detail::erase_sorted<D>(points_, batch);
     rebuild();
   }
 

@@ -10,6 +10,17 @@
 // points. k-NN queries share one k-NN buffer per query point across all
 // trees and the buffer (Appendix C.4).
 //
+// *Query order.* A k-NN query walks the trees largest first, so the bound
+// is already tight when it reaches the small trees, and scans the staging
+// buffer last.
+//
+// *Buffer order.* The staging buffer is always in lexicographic order
+// (so sorted by x). Insert merges new points in and erase removes matches
+// found by binary search (one copy per batch entry), so neither re-sorts
+// it. The buffer scans of k-NN, ball and box queries walk outward from
+// the query's x and stop once the x gap alone exceeds the k-NN bound, the
+// radius or the box.
+//
 // *Snapshots (chunk-level COW).* The forest's unit of immutability is the
 // static vEB tree: insertion never mutates an existing tree (the cascade
 // destroys whole trees and builds fresh ones), and deletion — the one
@@ -28,6 +39,7 @@
 // Without a hook the shared_ptr refcount frees them as usual.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -40,9 +52,86 @@ namespace pargeo::bdltree {
 
 namespace detail {
 
+// --- the staging buffer: a point multiset kept in lexicographic order ---
+
+/// Merges `add` into `sorted`, a vector in lexicographic order, and keeps
+/// it in order: O(|sorted| + |add| log |add|), never a full re-sort.
+template <int D>
+void insert_sorted(std::vector<point<D>>& sorted, std::vector<point<D>> add) {
+  std::sort(add.begin(), add.end());
+  std::size_t i = sorted.size(), j = add.size();
+  sorted.resize(i + j);
+  // Merge from the back, so every element moves once.
+  for (std::size_t out = sorted.size(); j > 0;) {
+    if (i > 0 && add[j - 1] < sorted[i - 1]) {
+      sorted[--out] = sorted[--i];
+    } else {
+      sorted[--out] = add[--j];
+    }
+  }
+}
+
+/// Removes one stored copy per batch entry from `sorted`, a vector in
+/// lexicographic order, and keeps it in order; entries with no copy left
+/// are ignored. Each entry is matched by binary search:
+/// O(|batch| log |sorted| + |sorted|). Returns the number removed.
+template <int D>
+std::size_t erase_sorted(std::vector<point<D>>& sorted,
+                         const std::vector<point<D>>& batch) {
+  // taken[i] = copies consumed from the run of equal points starting at i
+  // (binary search always lands on a run's first element).
+  std::vector<std::uint32_t> taken(sorted.size(), 0);
+  std::size_t removed = 0, first = sorted.size();
+  for (const auto& q : batch) {
+    const std::size_t run = static_cast<std::size_t>(
+        std::lower_bound(sorted.begin(), sorted.end(), q) - sorted.begin());
+    if (run == sorted.size()) continue;
+    const std::size_t at = run + taken[run];
+    if (at < sorted.size() && sorted[at] == q) {
+      ++taken[run];
+      ++removed;
+      first = std::min(first, run);
+    }
+  }
+  if (removed == 0) return 0;
+  std::size_t out = first;
+  for (std::size_t i = first; i < sorted.size();) {
+    if (taken[i] > 0) {
+      i += taken[i];
+    } else {
+      sorted[out++] = sorted[i++];
+    }
+  }
+  sorted.resize(out);
+  return removed;
+}
+
+/// Visits the points of `sorted` (lexicographic order, so sorted by x)
+/// whose squared x gap to q is at most bound(), walking outward from q's
+/// x. `bound` is re-read after every visit, so a visit may tighten it.
+template <int D, typename Bound, typename Visit>
+void scan_near_x(const std::vector<point<D>>& sorted, const point<D>& q,
+                 Bound bound, Visit visit) {
+  const auto mid = std::lower_bound(
+      sorted.begin(), sorted.end(), q[0],
+      [](const point<D>& p, double x) { return p[0] < x; });
+  for (auto it = mid; it != sorted.end(); ++it) {
+    const double dx = (*it)[0] - q[0];
+    if (dx * dx > bound()) break;
+    visit(*it);
+  }
+  for (auto it = mid; it != sorted.begin();) {
+    --it;
+    const double dx = q[0] - (*it)[0];
+    if (dx * dx > bound()) break;
+    visit(*it);
+  }
+}
+
 // Shared query kernels over (staging buffer, tree list) — used by the live
-// bdl_tree and by isolated bdl_forest_view snapshots alike. TreeList is any
-// range of shared_ptr-like handles to (possibly const) veb_tree<D>.
+// bdl_tree and by isolated bdl_forest_view snapshots alike. TreeList is a
+// vector of shared_ptr-like handles to (possibly const) veb_tree<D>,
+// indexed by slot, so a larger index holds a larger tree.
 template <int D, typename TreeList>
 std::vector<std::vector<point<D>>> forest_knn(
     const std::vector<point<D>>& buffer, const TreeList& trees,
@@ -53,14 +142,19 @@ std::vector<std::vector<point<D>>> forest_knn(
   par::parallel_for(
       0, queries.size(),
       [&](std::size_t qi) {
+        const point<D>& q = queries[qi];
         kdtree::knn_buffer buf(kk);
-        for (const auto& t : trees) {
-          if (t) t->knn(queries[qi], buf);
+        // Largest tree first: it holds most of the neighbours, so the
+        // bound is tight before the smaller trees and the buffer are
+        // searched.
+        for (auto t = trees.rbegin(); t != trees.rend(); ++t) {
+          if (*t) (*t)->knn(q, buf);
         }
-        for (const auto& p : buffer) {
-          buf.insert(p.dist_sq(queries[qi]),
-                     reinterpret_cast<std::size_t>(&p));
-        }
+        scan_near_x<D>(
+            buffer, q, [&] { return buf.bound(); },
+            [&](const point<D>& p) {
+              buf.insert(p.dist_sq(q), reinterpret_cast<std::size_t>(&p));
+            });
         auto entries = buf.finish();
         out[qi].reserve(entries.size());
         for (const auto& e : entries) {
@@ -79,13 +173,16 @@ std::vector<std::vector<point<D>>> forest_range_ball(
   par::parallel_for(
       0, centers.size(),
       [&](std::size_t qi) {
+        const point<D>& c = centers[qi];
         const double r_sq = radii[qi] * radii[qi];
         for (const auto& t : trees) {
-          if (t) t->range_ball(centers[qi], radii[qi], out[qi]);
+          if (t) t->range_ball(c, radii[qi], out[qi]);
         }
-        for (const auto& p : buffer) {
-          if (p.dist_sq(centers[qi]) <= r_sq) out[qi].push_back(p);
-        }
+        scan_near_x<D>(
+            buffer, c, [&] { return r_sq; },
+            [&](const point<D>& p) {
+              if (p.dist_sq(c) <= r_sq) out[qi].push_back(p);
+            });
       },
       16);
   return out;
@@ -99,11 +196,15 @@ std::vector<std::vector<point<D>>> forest_range_box(
   par::parallel_for(
       0, queries.size(),
       [&](std::size_t qi) {
+        const aabb<D>& qb = queries[qi];
         for (const auto& t : trees) {
-          if (t) t->range_box(queries[qi], out[qi]);
+          if (t) t->range_box(qb, out[qi]);
         }
-        for (const auto& p : buffer) {
-          if (queries[qi].contains(p)) out[qi].push_back(p);
+        auto it = std::lower_bound(
+            buffer.begin(), buffer.end(), qb.lo[0],
+            [](const point<D>& p, double x) { return p[0] < x; });
+        for (; it != buffer.end() && (*it)[0] <= qb.hi[0]; ++it) {
+          if (qb.contains(*it)) out[qi].push_back(*it);
         }
       },
       16);
@@ -192,16 +293,23 @@ class bdl_tree {
   /// holding the old trees stay exact.
   void insert(const std::vector<point<D>>& batch) {
     if (batch.empty()) return;
-    // Stage |P| mod X points into the buffer first; overflow promotes the
-    // whole buffer into the rebuild pool.
+    // (|buffer| + |P|) mod X points stay in the buffer; the rest form the
+    // rebuild pool. The buffer keeps a prefix of itself when that is
+    // enough, else all of itself merged with the batch's tail, so it stays
+    // sorted without a re-sort.
+    const std::size_t keep = (buffer_.size() + batch.size()) % x_;
     std::vector<point<D>> pool;
-    pool.reserve(batch.size() + buffer_.size());
-    pool.insert(pool.end(), batch.begin(), batch.end());
-    pool.insert(pool.end(), buffer_.begin(), buffer_.end());
-    buffer_.clear();
-    const std::size_t keep = pool.size() % x_;
-    buffer_.assign(pool.end() - keep, pool.end());
-    pool.resize(pool.size() - keep);
+    if (keep < buffer_.size()) {
+      pool.reserve(batch.size() + buffer_.size() - keep);
+      pool.assign(batch.begin(), batch.end());
+      pool.insert(pool.end(), buffer_.begin() + keep, buffer_.end());
+      buffer_.resize(keep);
+    } else {
+      const auto split = batch.end() - (keep - buffer_.size());
+      pool.assign(batch.begin(), split);
+      detail::insert_sorted<D>(buffer_,
+                               std::vector<point<D>>(split, batch.end()));
+    }
     if (pool.empty()) return;
 
     const uint64_t add = pool.size() / x_;
@@ -254,16 +362,7 @@ class bdl_tree {
   /// (chunk-level COW); an exclusively-owned tree erases in place.
   void erase(const std::vector<point<D>>& batch) {
     if (batch.empty()) return;
-    // Erase from the buffer.
-    for (const auto& q : batch) {
-      for (std::size_t i = 0; i < buffer_.size(); ++i) {
-        if (buffer_[i] == q) {
-          buffer_[i] = buffer_.back();
-          buffer_.pop_back();
-          break;
-        }
-      }
-    }
+    detail::erase_sorted<D>(buffer_, batch);
     // Erase from every non-empty tree in parallel.
     std::vector<int> occupied;
     for (int i = 0; i < static_cast<int>(trees_.size()); ++i) {

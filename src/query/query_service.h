@@ -1339,7 +1339,7 @@ class query_service {
     std::uint64_t deadline_ns = 0;
     /// The ticket's completion record, co-owned with the submitter's
     /// handle (null for the synthetic TTL-expiry ticket, id 0).
-    typename detail::completion_hub<D>::record_ptr rec;
+    typename detail::completion_hub<D>::record_ptr rec = nullptr;
   };
 
   /// A write group in flight on the shard lanes: the log group its lanes

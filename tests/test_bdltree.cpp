@@ -38,7 +38,201 @@ void check_knn_against_reference(const Tree& t,
   }
 }
 
+// 15 x 15 integer lattice, each site stored 1-3 times: many equidistant
+// k-NN candidates, and points exactly on box edges and at ball radii.
+std::vector<point<2>> duplicated_lattice() {
+  std::vector<point<2>> pts;
+  for (int x = 0; x < 15; ++x) {
+    for (int y = 0; y < 15; ++y) {
+      const int copies = 1 + (x * 7 + y * 3) % 3;
+      for (int c = 0; c < copies; ++c) {
+        pts.push_back(point<2>{{double(x), double(y)}});
+      }
+    }
+  }
+  // Interleave, so every insert batch mixes sites.
+  std::vector<point<2>> out;
+  for (std::size_t s = 0; s < 7; ++s) {
+    for (std::size_t i = s; i < pts.size(); i += 7) out.push_back(pts[i]);
+  }
+  return out;
+}
+
+template <class Result>
+void expect_knn_dists(const Result& rows, const std::vector<point<2>>& live,
+                      const std::vector<point<2>>& queries, std::size_t k) {
+  ASSERT_EQ(rows.size(), queries.size());
+  for (std::size_t qi = 0; qi < queries.size(); ++qi) {
+    std::vector<double> got;
+    for (const auto& p : rows[qi]) got.push_back(p.dist_sq(queries[qi]));
+    EXPECT_EQ(got, testutil::brute_knn_dists(live, queries[qi], k))
+        << "query " << queries[qi] << " k=" << k;
+  }
+}
+
+template <class Result>
+void expect_same_rows(Result a, Result b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    expect_same_multiset<2>(a[i], b[i]);
+  }
+}
+
+// k-NN, box and ball on the live forest and on its view() against brute
+// force over `live`. k-NN rows compare by distance (ties may resolve to
+// any of the equidistant points), range rows as multisets.
+void expect_queries_match_brute(const bdl_tree<2>& t,
+                                const std::vector<point<2>>& live) {
+  ASSERT_EQ(t.size(), live.size());
+  const auto v = t.view();
+  std::vector<point<2>> queries;
+  for (double x : {-1.0, 0.0, 3.5, 7.0, 14.0, 16.0}) {
+    for (double y : {0.0, 4.0, 6.5, 14.0}) {
+      queries.push_back(point<2>{{x, y}});
+    }
+  }
+  for (std::size_t k : {1u, 5u, 12u, 40u}) {
+    expect_knn_dists(t.knn(queries, k), live, queries, k);
+    expect_knn_dists(v.knn(queries, k), live, queries, k);
+  }
+  std::vector<aabb<2>> boxes;
+  std::vector<double> radii;
+  for (const auto& q : queries) {
+    boxes.emplace_back(q, q + point<2>{{3, 2}});
+    radii.push_back(1 + static_cast<int>(q[0] + q[1]) % 4);
+  }
+  boxes.emplace_back(point<2>{{0, 0}}, point<2>{{14, 14}});
+  std::vector<std::vector<point<2>>> wantBox, wantBall;
+  for (const auto& b : boxes) {
+    wantBox.emplace_back();
+    for (const auto& p : live) {
+      if (b.contains(p)) wantBox.back().push_back(p);
+    }
+  }
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    wantBall.emplace_back();
+    for (const auto& p : live) {
+      if (p.dist_sq(queries[i]) <= radii[i] * radii[i]) {
+        wantBall.back().push_back(p);
+      }
+    }
+  }
+  expect_same_rows(t.range_box(boxes), wantBox);
+  expect_same_rows(v.range_box(boxes), wantBox);
+  expect_same_rows(t.range_ball(queries, radii), wantBall);
+  expect_same_rows(v.range_ball(queries, radii), wantBall);
+}
+
 }  // namespace
+
+TEST(BdlTree, DuplicatedLatticeBufferOnly) {
+  const auto pts = duplicated_lattice();
+  bdl_tree<2> t(split_policy::object_median, /*buffer_size=*/4096);
+  t.insert(std::vector<point<2>>(pts.begin(), pts.begin() + 200));
+  t.insert(std::vector<point<2>>(pts.begin() + 200, pts.end()));
+  ASSERT_EQ(t.num_static_trees(), 0u);
+  expect_queries_match_brute(t, pts);
+}
+
+TEST(BdlTree, DuplicatedLatticeBufferAndTrees) {
+  const auto pts = duplicated_lattice();
+  for (const auto pol :
+       {split_policy::object_median, split_policy::spatial_median}) {
+    bdl_tree<2> t(pol, /*buffer_size=*/32);
+    for (std::size_t off = 0; off < pts.size(); off += 45) {
+      t.insert(std::vector<point<2>>(
+          pts.begin() + off, pts.begin() + std::min(pts.size(), off + 45)));
+    }
+    ASSERT_GE(t.num_static_trees(), 2u);
+    ASSERT_GT(t.view().buffer.size(), 0u);
+    expect_queries_match_brute(t, pts);
+  }
+}
+
+TEST(BdlTree, DuplicatedLatticeAfterHalfCapacityRebuild) {
+  const auto pts = duplicated_lattice();  // 450 points
+  const std::size_t X = 32;
+  bdl_tree<2> t(split_policy::object_median, X);
+  std::vector<point<2>> first(pts.begin(), pts.begin() + 8 * X + 20);
+  t.insert(first);  // slot 3 (256 points) + 20 buffered
+  ASSERT_NE(t.view().trees[3], nullptr);
+  // Erase 140 of the tree's points: it drops below half its capacity, so
+  // its remaining points are gathered and reinserted. A site stored both
+  // in the buffer and in a tree loses a copy in each (see spatial_index.h),
+  // so the reference is the stored multiset, whose size must agree.
+  std::vector<point<2>> del(first.begin(), first.begin() + 140);
+  t.erase(del);
+  EXPECT_EQ(t.view().trees[3], nullptr);
+  const auto live = t.gather();
+  EXPECT_LE(live.size(), first.size() - del.size());
+  expect_queries_match_brute(t, live);
+}
+
+TEST(BdlTree, BufferEraseIsMultisetAndKeepsOrder) {
+  const point<2> p{{2, 3}};
+  bdl_tree<2> t(split_policy::object_median, /*buffer_size=*/4096);
+  auto pts = datagen::uniform<2>(300, 50);
+  pts.insert(pts.begin() + 100, {p, p});
+  pts.push_back(p);  // 3 stored copies of p
+  t.insert(pts);
+  ASSERT_EQ(t.num_static_trees(), 0u);
+  t.erase({p, p});
+  EXPECT_EQ(t.size(), 301u);
+  auto buf = t.view().buffer;
+  EXPECT_EQ(std::count(buf.begin(), buf.end(), p), 1);
+  EXPECT_TRUE(std::is_sorted(buf.begin(), buf.end()));
+  // Non-members change nothing.
+  t.erase({point<2>{{-7, -7}}, point<2>{{1e9, 0}}, point<2>{{2, 3.5}}});
+  EXPECT_EQ(t.view().buffer, buf);
+  // The last copy goes; a repeat is a no-op.
+  t.erase({p, p});
+  buf = t.view().buffer;
+  EXPECT_EQ(buf.size(), 300u);
+  EXPECT_EQ(std::count(buf.begin(), buf.end(), p), 0);
+  EXPECT_TRUE(std::is_sorted(buf.begin(), buf.end()));
+}
+
+TEST(BdlTree, BufferStaysSortedAcrossCascades) {
+  bdl_tree<2> t(split_policy::object_median, /*buffer_size=*/64);
+  auto pts = datagen::uniform<2>(2000, 51);
+  std::vector<point<2>> live;
+  for (std::size_t off = 0; off < pts.size();) {
+    const std::size_t take = 1 + (off * 37) % 150;
+    std::vector<point<2>> batch(
+        pts.begin() + off, pts.begin() + std::min(pts.size(), off + take));
+    t.insert(batch);
+    live.insert(live.end(), batch.begin(), batch.end());
+    off += batch.size();
+    const auto buf = t.view().buffer;
+    ASSERT_TRUE(std::is_sorted(buf.begin(), buf.end())) << "offset " << off;
+    if (off % 3 == 0) {
+      std::vector<point<2>> del(live.end() - take / 2, live.end());
+      live.resize(live.size() - del.size());
+      t.erase(del);
+      const auto after = t.view().buffer;
+      ASSERT_TRUE(std::is_sorted(after.begin(), after.end()));
+    }
+  }
+  expect_same_multiset<2>(t.gather(), live);
+}
+
+TEST(B1Tree, EraseIsMultiset) {
+  const point<2> p{{2, 3}};
+  b1_tree<2> t;
+  auto pts = datagen::uniform<2>(300, 52);
+  pts.insert(pts.begin() + 100, {p, p});
+  t.insert(pts);
+  t.insert({p});  // 3 stored copies of p
+  t.erase({p, p});
+  auto kept = t.gather();
+  EXPECT_EQ(kept.size(), 301u);
+  EXPECT_EQ(std::count(kept.begin(), kept.end(), p), 1);
+  t.erase({point<2>{{-7, -7}}, point<2>{{2, 3.5}}});
+  expect_same_multiset<2>(t.gather(), kept);
+  auto got = t.knn({p}, 1);
+  ASSERT_EQ(got[0].size(), 1u);
+  EXPECT_EQ(got[0][0], p);
+}
 
 TEST(BdlTree, BufferAbsorbsSmallBatches) {
   bdl_tree<2> t(split_policy::object_median, /*buffer_size=*/100);

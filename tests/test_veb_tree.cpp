@@ -1,9 +1,10 @@
 // Tests for the vEB-layout static kd-tree (the BDL building block):
-// construction, the vEB child index arithmetic (validated structurally),
-// batch deletion with live counts, and k-NN vs brute force.
+// construction, the stored child links and the vEB node order (validated
+// structurally), batch deletion with live counts, and k-NN vs brute force.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 
 #include "bdltree/veb_tree.h"
 #include "datagen/datagen.h"
@@ -27,7 +28,126 @@ std::vector<point<D>> knn_points(const veb_tree<D>& t, const point<D>& q,
   return out;
 }
 
+using node2 = veb_tree<2>::node;
+
+// Walks the child links from the root and checks every internal node:
+// distinct in-range children whose point ranges split the parent's and
+// whose boxes lie inside the parent's. Every node must be reached exactly
+// once, every leaf at the same depth, and the leaves must tile [0, n) in
+// order. Returns the number of levels.
+int expect_sound_links(const veb_tree<2>& t, std::size_t n) {
+  std::vector<int> visits(t.num_nodes(), 0);
+  std::vector<std::pair<std::uint32_t, int>> stack{{0, 1}};
+  std::vector<const node2*> leaves;
+  int leafDepth = -1;
+  while (!stack.empty()) {
+    const auto [idx, depth] = stack.back();
+    stack.pop_back();
+    EXPECT_LT(idx, t.num_nodes());
+    if (idx >= t.num_nodes()) continue;
+    ++visits[idx];
+    const node2& nd = t.node_at(idx);
+    EXPECT_LE(nd.lo, nd.hi);
+    EXPECT_EQ(nd.live, nd.hi - nd.lo);
+    if (nd.split_dim < 0) {
+      if (leafDepth < 0) leafDepth = depth;
+      EXPECT_EQ(depth, leafDepth) << "leaf " << idx;
+      leaves.push_back(&nd);
+      continue;
+    }
+    EXPECT_NE(nd.left, nd.right);
+    EXPECT_NE(nd.left, idx);
+    EXPECT_NE(nd.right, idx);
+    if (nd.left >= t.num_nodes() || nd.right >= t.num_nodes()) {
+      ADD_FAILURE() << "child index out of range at node " << idx;
+      continue;
+    }
+    const node2& l = t.node_at(nd.left);
+    const node2& r = t.node_at(nd.right);
+    EXPECT_EQ(l.lo, nd.lo);
+    EXPECT_EQ(l.hi, r.lo);
+    EXPECT_EQ(r.hi, nd.hi);
+    EXPECT_TRUE(l.box.inside(nd.box)) << "node " << idx;
+    EXPECT_TRUE(r.box.inside(nd.box)) << "node " << idx;
+    // Push right first so leaves pop left to right.
+    stack.push_back({nd.right, depth + 1});
+    stack.push_back({nd.left, depth + 1});
+  }
+  for (std::size_t i = 0; i < visits.size(); ++i) {
+    EXPECT_EQ(visits[i], 1) << "node " << i;
+  }
+  std::uint32_t next = 0;
+  for (const node2* leaf : leaves) {
+    EXPECT_EQ(leaf->lo, next);
+    next = leaf->hi;
+  }
+  EXPECT_EQ(next, n);
+  return leafDepth;
+}
+
+int hyperceil(int x) {
+  int p = 1;
+  while (p < x) p <<= 1;
+  return p;
+}
+
+// The nodes `depth` levels below `root`, left to right.
+std::vector<std::uint32_t> nodes_below(const veb_tree<2>& t,
+                                       std::uint32_t root, int depth) {
+  std::vector<std::uint32_t> level{root};
+  for (int d = 0; d < depth; ++d) {
+    std::vector<std::uint32_t> next;
+    for (const std::uint32_t i : level) {
+      next.push_back(t.node_at(i).left);
+      next.push_back(t.node_at(i).right);
+    }
+    level = std::move(next);
+  }
+  return level;
+}
+
+// Checks that the `levels`-level subtree at `root` is laid out in vEB
+// order at array position `base`: its top half (lt levels) first, then its
+// 2^lt bottom subtrees (lb levels each) left to right, recursively.
+void expect_veb_order(const veb_tree<2>& t, std::uint32_t root,
+                      std::size_t base, int levels) {
+  ASSERT_EQ(root, base);
+  if (levels == 1) return;
+  const int lb = hyperceil((levels + 1) / 2);
+  const int lt = levels - lb;
+  expect_veb_order(t, root, base, lt);
+  const auto bottoms = nodes_below(t, root, lt);
+  ASSERT_EQ(bottoms.size(), std::size_t{1} << lt);
+  const std::size_t topSize = (std::size_t{1} << lt) - 1;
+  const std::size_t subSize = (std::size_t{1} << lb) - 1;
+  for (std::size_t i = 0; i < bottoms.size(); ++i) {
+    expect_veb_order(t, bottoms[i], base + topSize + i * subSize, lb);
+  }
+}
+
 }  // namespace
+
+TEST(VebTree, ChildLinksAreSoundAndInVebOrder) {
+  std::vector<std::vector<point<2>>> inputs;
+  for (std::size_t n : {1u, 2u, 3u, 16u, 17u, 31u, 33u, 1000u, 5000u}) {
+    inputs.push_back(datagen::uniform<2>(n, 40 + n));
+  }
+  // Heavy duplicates: the spatial median's degenerate-cut fallback.
+  std::vector<point<2>> dup(700, point<2>{{1, 1}});
+  for (int i = 0; i < 300; ++i) dup.push_back(point<2>{{2.0 + i % 7, 3}});
+  inputs.push_back(dup);
+  for (const auto pol :
+       {split_policy::object_median, split_policy::spatial_median}) {
+    for (const auto& pts : inputs) {
+      SCOPED_TRACE(::testing::Message() << "n=" << pts.size() << " policy="
+                                        << static_cast<int>(pol));
+      veb_tree<2> t(pts, pol);
+      const int levels = expect_sound_links(t, pts.size());
+      EXPECT_EQ(t.num_nodes(), (std::size_t{1} << levels) - 1);
+      expect_veb_order(t, 0, 0, levels);
+    }
+  }
+}
 
 TEST(VebTree, BuildAndGatherRoundTrip) {
   auto pts = datagen::uniform<2>(10000, 3);
