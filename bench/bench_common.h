@@ -1,10 +1,11 @@
 // Shared infrastructure for the paper-reproduction benchmark binaries.
 //
-// Every bench prints self-describing rows (dataset, method, value) so the
-// EXPERIMENTS.md tables can be regenerated by re-running the binaries.
+// Every bench prints self-describing rows (dataset, method, value).
 // Sizes are scaled down to run in minutes on a few cores: the paper's
 // 10M-point datasets default to PARGEO_N points (env override), and its
-// 100M datasets to 4x that.
+// 100M datasets to 4x that. Each time is one cold run with no warmup
+// (`time_op`'s default), so a row shows shape, not a noise band; the
+// seeded, repeated kernel timings live in perfbench/.
 #pragma once
 
 #include <omp.h>
@@ -17,54 +18,6 @@
 #include "core/timer.h"
 
 namespace pargeo::bench {
-
-// ---- build provenance ------------------------------------------------------
-// Stamped into every bench's `meta` JSON row so EXPERIMENTS.md tables are
-// attributable to a binary. The PARGEO_* macros come from CMake
-// (target_compile_definitions on the bench targets); the fallbacks keep
-// ad-hoc compiles working.
-
-/// Compiler id and version, e.g. "gcc 13.2.0".
-inline std::string compiler_id() {
-#if defined(__clang__)
-  return "clang " + std::to_string(__clang_major__) + "." +
-         std::to_string(__clang_minor__) + "." +
-         std::to_string(__clang_patchlevel__);
-#elif defined(__GNUC__)
-  return "gcc " + std::to_string(__GNUC__) + "." +
-         std::to_string(__GNUC_MINOR__) + "." +
-         std::to_string(__GNUC_PATCHLEVEL__);
-#else
-  return "unknown";
-#endif
-}
-
-/// CMAKE_BUILD_TYPE the binary was built with.
-inline const char* build_type() {
-#ifdef PARGEO_BUILD_TYPE
-  return PARGEO_BUILD_TYPE[0] != '\0' ? PARGEO_BUILD_TYPE : "unspecified";
-#else
-  return "unknown";
-#endif
-}
-
-/// PARGEO_SANITIZE the binary was built with ("none" when clean).
-inline const char* sanitize_flags() {
-#ifdef PARGEO_SANITIZE_STR
-  return PARGEO_SANITIZE_STR;
-#else
-  return "none";
-#endif
-}
-
-/// Short git SHA of the checkout CMake configured from.
-inline const char* git_sha() {
-#ifdef PARGEO_GIT_SHA
-  return PARGEO_GIT_SHA;
-#else
-  return "unknown";
-#endif
-}
 
 /// Base dataset size (paper: 10M). Override with env PARGEO_N.
 inline std::size_t base_n() {
@@ -110,9 +63,14 @@ struct scoped_threads {
   int prev_;
 };
 
+/// What a time_op row measures; every bench header line prints it.
+inline constexpr const char* kTimingNote =
+    "one cold run per cell, no warmup";
+
 inline void print_header(const std::string& title,
                          const std::string& columns) {
-  std::printf("\n=== %s ===\n%s\n", title.c_str(), columns.c_str());
+  std::printf("\n=== %s (%s) ===\n%s\n", title.c_str(), kTimingNote,
+              columns.c_str());
 }
 
 inline void print_row(const std::string& dataset, const std::string& method,

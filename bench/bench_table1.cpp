@@ -27,8 +27,9 @@ void report(const char* name, const std::function<void()>& op) {
 
 int main() {
   const std::size_t n = base_n();
-  std::printf("Table 1 reproduction (n=%zu; paper used 10M on 36 cores)\n",
-              n);
+  std::printf(
+      "Table 1 reproduction (n=%zu; paper used 10M on 36 cores; %s)\n", n,
+      kTimingNote);
   std::printf("%-38s %11s %11s %9s\n", "Implementation", "T1", "TP",
               "Speedup");
 

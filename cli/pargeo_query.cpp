@@ -63,8 +63,8 @@
 //                         prints after each backend row.
 //   --sync POLICY         fsync cadence for --log-dir: none (page cache
 //                         only), interval (default; every 32 groups), or
-//                         every_commit (power-loss safe, priced in
-//                         EXPERIMENTS.md)
+//                         every_commit (power-loss safe; EXPERIMENTS.md
+//                         points at the archived price per policy)
 //   --checkpoint-every N  with --log-dir: write a checkpoint every N
 //                         committed write groups and compact the log
 //                         below it (0 = never, default). Bounds both
@@ -97,6 +97,7 @@
 // limbo, reclaim stalls, epoch lag). With telemetry on (the default) each
 // backend row is followed by the request-lifecycle stage-latency table
 // (p50/p95/p99/p999/max per stage, from query/telemetry.h).
+#include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -105,6 +106,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "query/query_service.h"
@@ -387,6 +389,31 @@ int run(const std::string& backend_arg, const query::workload_spec& spec,
   return 0;
 }
 
+/// Strict parse of a non-negative number: all of `s` must parse (atoll
+/// and atof turn a typo into 0 and a negative count into a huge one, so
+/// the run would measure a workload nobody asked for). Prints a one-line
+/// error naming `what` and returns false otherwise.
+template <class T>
+bool parse_arg(const char* s, const char* what, T& out) {
+  constexpr bool real = std::is_floating_point_v<T>;
+  char* end = nullptr;
+  errno = 0;
+  const auto v = [&] {
+    if constexpr (real) {
+      return std::strtod(s, &end);
+    } else {
+      return std::strtoll(s, &end, 10);
+    }
+  }();
+  if (end == s || *end != '\0' || errno == ERANGE || !(v >= 0)) {
+    std::fprintf(stderr, "%s must be a non-negative %s (got '%s')\n", what,
+                 real ? "number" : "integer", s);
+    return false;
+  }
+  out = static_cast<T>(v);
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -420,37 +447,13 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (const char* v = value_of("--ttl")) {
-      char* end = nullptr;
-      const long long ns = std::strtoll(v, &end, 10);
-      if (end == v || *end != '\0' || ns < 0) {
-        std::fprintf(stderr, "--ttl wants nanoseconds >= 0 (got '%s')\n", v);
-        return 2;
-      }
-      opts.ttl_ns = static_cast<std::uint64_t>(ns);
+      if (!parse_arg(v, "--ttl", opts.ttl_ns)) return 2;
     } else if (const char* v = value_of("--watches")) {
-      char* end = nullptr;
-      const long long n = std::strtoll(v, &end, 10);
-      if (end == v || *end != '\0' || n < 0) {
-        std::fprintf(stderr, "--watches wants a count >= 0 (got '%s')\n", v);
-        return 2;
-      }
-      opts.watches = static_cast<std::size_t>(n);
+      if (!parse_arg(v, "--watches", opts.watches)) return 2;
     } else if (const char* v = value_of("--replicas")) {
-      char* end = nullptr;
-      const long long n = std::strtoll(v, &end, 10);
-      if (end == v || *end != '\0' || n < 0) {
-        std::fprintf(stderr, "--replicas wants a count >= 0 (got '%s')\n", v);
-        return 2;
-      }
-      opts.replicas = static_cast<std::size_t>(n);
+      if (!parse_arg(v, "--replicas", opts.replicas)) return 2;
     } else if (const char* v = value_of("--max-lag")) {
-      char* end = nullptr;
-      const long long n = std::strtoll(v, &end, 10);
-      if (end == v || *end != '\0' || n < 0) {
-        std::fprintf(stderr, "--max-lag wants epochs >= 0 (got '%s')\n", v);
-        return 2;
-      }
-      opts.max_lag = static_cast<std::uint64_t>(n);
+      if (!parse_arg(v, "--max-lag", opts.max_lag)) return 2;
     } else if (const char* v = value_of("--log-dir")) {
       opts.log_dir = v;
     } else if (const char* v = value_of("--sync")) {
@@ -461,24 +464,9 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (const char* v = value_of("--checkpoint-every")) {
-      char* end = nullptr;
-      const long long n = std::strtoll(v, &end, 10);
-      if (end == v || *end != '\0' || n < 0) {
-        std::fprintf(stderr,
-                     "--checkpoint-every wants write groups >= 0 (got '%s')\n",
-                     v);
-        return 2;
-      }
-      opts.checkpoint_every = static_cast<std::size_t>(n);
+      if (!parse_arg(v, "--checkpoint-every", opts.checkpoint_every)) return 2;
     } else if (const char* v = value_of("--deadline-us")) {
-      char* end = nullptr;
-      const long long us = std::strtoll(v, &end, 10);
-      if (end == v || *end != '\0' || us < 0) {
-        std::fprintf(stderr,
-                     "--deadline-us wants microseconds >= 0 (got '%s')\n", v);
-        return 2;
-      }
-      opts.deadline_us = static_cast<std::uint64_t>(us);
+      if (!parse_arg(v, "--deadline-us", opts.deadline_us)) return 2;
     } else if (std::strncmp(a, "--", 2) == 0 && a[2] != '\0') {
       std::fprintf(stderr, "unknown flag '%s'\n", a);
       return 2;
@@ -507,11 +495,17 @@ int main(int argc, char** argv) {
     return 2;
   }
   const std::string backend_arg = argv[1];
-  const int dim = std::atoi(argv[2]);
-  const std::size_t initial_n = std::atoll(argv[3]);
-  const std::size_t num_ops = std::atoll(argv[4]);
-  const double read_frac = argc > 5 ? std::atof(argv[5]) : 0.9;
-  if (read_frac < 0 || read_frac > 1) {
+  std::size_t dim = 0, initial_n = 0, num_ops = 0, batch_size = 2048;
+  std::size_t shards = 1;
+  double read_frac = 0.9;
+  std::uint64_t seed = 1;
+  if (!parse_arg(argv[2], "dim", dim) ||
+      !parse_arg(argv[3], "initial_n", initial_n) ||
+      !parse_arg(argv[4], "num_ops", num_ops) ||
+      (argc > 5 && !parse_arg(argv[5], "read_frac", read_frac))) {
+    return 2;
+  }
+  if (read_frac > 1) {
     std::fprintf(stderr, "read_frac must be in [0, 1]\n");
     return 2;
   }
@@ -524,17 +518,19 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  const std::size_t batch_size = argc > 7 ? std::atoll(argv[7]) : 2048;
-  const uint64_t seed = argc > 8 ? std::atoll(argv[8]) : 1;
-  const long long shards_arg = argc > 9 ? std::atoll(argv[9]) : 1;
-  if (shards_arg < 1) {
+  if ((argc > 7 && !parse_arg(argv[7], "batch_size", batch_size)) ||
+      (argc > 8 && !parse_arg(argv[8], "seed", seed)) ||
+      (argc > 9 && !parse_arg(argv[9], "shards", shards))) {
+    return 2;
+  }
+  if (shards < 1) {
     std::fprintf(stderr, "shards must be >= 1\n");
     return 2;
   }
   query::service_config cfg;
   cfg.telemetry = telemetry;
   cfg.point_ttl_ns = opts.ttl_ns;
-  cfg.shards = static_cast<std::size_t>(shards_arg);
+  cfg.shards = shards;
   cfg.log_dir = opts.log_dir;
   cfg.sync = opts.sync;
   cfg.checkpoint_every = opts.checkpoint_every;
@@ -547,31 +543,11 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (argc > 11) {
-    // Strict parse: atoll would turn a typo into 0 and silently disable
-    // the cache a benchmark meant to measure.
-    char* end = nullptr;
-    const long long cap = std::strtoll(argv[11], &end, 10);
-    if (end == argv[11] || *end != '\0' || cap < 0) {
-      std::fprintf(stderr,
-                   "cache_capacity must be a non-negative integer (got "
-                   "'%s')\n",
-                   argv[11]);
-      return 2;
-    }
-    cfg.cache_capacity = static_cast<std::size_t>(cap);
-  }
-  if (argc > 12) {
-    char* end = nullptr;
-    const double thr = std::strtod(argv[12], &end);
-    if (end == argv[12] || *end != '\0' || thr < 0) {
-      std::fprintf(stderr,
-                   "rebalance_threshold must be a non-negative number "
-                   "(got '%s'; > 1 enables, spatial policy only)\n",
-                   argv[12]);
-      return 2;
-    }
-    cfg.rebalance_threshold = thr;
+  if ((argc > 11 &&
+       !parse_arg(argv[11], "cache_capacity", cfg.cache_capacity)) ||
+      (argc > 12 && !parse_arg(argv[12], "rebalance_threshold",
+                               cfg.rebalance_threshold))) {
+    return 2;
   }
 
   const auto spec =
@@ -580,7 +556,7 @@ int main(int argc, char** argv) {
     case 2: return run<2>(backend_arg, spec, cfg, opts);
     case 3: return run<3>(backend_arg, spec, cfg, opts);
     default:
-      std::fprintf(stderr, "unsupported dim %d (want 2 or 3)\n", dim);
+      std::fprintf(stderr, "unsupported dim %zu (want 2 or 3)\n", dim);
       return 2;
   }
 }

@@ -374,8 +374,12 @@ class bdl_tree {
           auto& slot = trees_[occupied[i]];
           // use_count == 1: only the live forest holds this tree — no
           // snapshot can appear mid-erase (view() and writes are
-          // serialized by the caller), so mutate in place.
+          // serialized by the caller), so mutate in place. use_count()
+          // is a relaxed load; the pin's increment, an acq_rel
+          // read-modify-write of the same count, is what orders this
+          // erase after the reads of every snapshot that released it.
           if (slot.use_count() == 1) {
+            { const auto pin = slot; }
             slot->erase(batch);
             return;
           }

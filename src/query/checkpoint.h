@@ -17,7 +17,7 @@
 //   the rename.
 //
 //   *Manifest*. CURRENT lists checkpoint filenames newest-first, one
-//   per line, at most kKeep entries; files that fall off the list are
+//   per line, at most kCkKeep entries; files that fall off the list are
 //   unlinked. This is the LevelDB discipline: no directory listing at
 //   recovery, just follow the manifest and fall back one entry if the
 //   newest file fails its checksum.
@@ -66,10 +66,23 @@ struct checkpoint_data {
 /// The checkpoint as the log group that rebuilds it: origin `bootstrap`
 /// at the checkpoint epoch, the stripes when set, and one `build` record
 /// per shard of a `shards`-shard service (build replaces contents, so the
-/// group applies over any prior state; shards the checkpoint lacks come
-/// out empty). Recovery and replica resync both apply this group.
+/// group applies over any prior state). Recovery and replica resync both
+/// apply this group. Throws std::invalid_argument when the checkpoint
+/// comes from another topology: a shard count other than `shards`, or
+/// stripe cuts for another shard count.
 template <int D>
 log_group<D> checkpoint_group(checkpoint_data<D> ck, std::size_t shards) {
+  if (ck.shard_points.size() != shards) {
+    throw std::invalid_argument(
+        "checkpoint_group: checkpoint holds " +
+        std::to_string(ck.shard_points.size()) +
+        " shards but the service has " + std::to_string(shards));
+  }
+  if (ck.bounds_set && ck.cuts.size() + 1 != shards) {
+    throw std::invalid_argument(
+        "checkpoint_group: " + std::to_string(ck.cuts.size()) +
+        " stripe cuts for " + std::to_string(shards) + " shards");
+  }
   log_group<D> g;
   g.epoch = ck.epoch;
   g.origin = log_origin::bootstrap;
@@ -82,111 +95,22 @@ log_group<D> checkpoint_group(checkpoint_data<D> ck, std::size_t shards) {
   for (std::size_t s = 0; s < shards; ++s) {
     g.records[s].shard = static_cast<std::uint32_t>(s);
     g.records[s].kind = log_op::build;
-    if (s < ck.shard_points.size()) {
-      g.records[s].pts = std::move(ck.shard_points[s]);
-    }
+    g.records[s].pts = std::move(ck.shard_points[s]);
   }
   return g;
 }
 
-namespace detail_ck {
+namespace detail {
 
-inline constexpr char kMagic[5] = "PGCK";
-inline constexpr std::uint32_t kVersion = 1;
-inline constexpr std::size_t kKeep = 2;  // manifest depth (current + fallback)
-
-inline std::uint64_t fnv1a(const unsigned char* p, std::size_t n) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-inline void put_bytes(std::vector<unsigned char>& b, const void* p,
-                      std::size_t n) {
-  const auto* c = static_cast<const unsigned char*>(p);
-  b.insert(b.end(), c, c + n);
-}
-inline void put_u8(std::vector<unsigned char>& b, std::uint8_t v) {
-  b.push_back(v);
-}
-inline void put_u32(std::vector<unsigned char>& b, std::uint32_t v) {
-  put_bytes(b, &v, 4);
-}
-inline void put_u64(std::vector<unsigned char>& b, std::uint64_t v) {
-  put_bytes(b, &v, 8);
-}
-inline void put_f64(std::vector<unsigned char>& b, double v) {
-  put_bytes(b, &v, 8);
-}
-
-struct reader {
-  const unsigned char* data;
-  std::size_t len;
-  std::size_t off;
-  const std::string& path;
-
-  void need(std::size_t n) const {
-    if (off + n > len) {
-      throw std::runtime_error("checkpoint: '" + path + "' truncated");
-    }
-  }
-  void bytes(void* out, std::size_t n) {
-    need(n);
-    std::memcpy(out, data + off, n);
-    off += n;
-  }
-  std::uint8_t u8() {
-    std::uint8_t v;
-    bytes(&v, 1);
-    return v;
-  }
-  std::uint32_t u32() {
-    std::uint32_t v;
-    bytes(&v, 4);
-    return v;
-  }
-  std::uint64_t u64() {
-    std::uint64_t v;
-    bytes(&v, 8);
-    return v;
-  }
-  double f64() {
-    double v;
-    bytes(&v, 8);
-    return v;
-  }
-  std::size_t checked_count(std::size_t min_elem_bytes) {
-    const std::uint64_t n = u64();
-    if (min_elem_bytes > 0 && n > (len - off) / min_elem_bytes) {
-      throw std::runtime_error("checkpoint: '" + path +
-                               "' truncated (element count exceeds file)");
-    }
-    return static_cast<std::size_t>(n);
-  }
-};
+inline constexpr char kCkMagic[5] = "PGCK";
+inline constexpr std::uint32_t kCkVersion = 1;
+inline constexpr std::size_t kCkKeep = 2;  // manifest: current + fallback
 
 inline void ensure_dir(const std::string& dir) {
   if (::mkdir(dir.c_str(), 0777) != 0 && errno != EEXIST) {
     throw std::runtime_error("checkpoint: cannot create directory '" + dir +
                              "'");
   }
-}
-
-inline bool read_file(const std::string& path,
-                      std::vector<unsigned char>& out) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (!f) return false;
-  out.clear();
-  unsigned char chunk[1 << 16];
-  std::size_t got;
-  while ((got = std::fread(chunk, 1, sizeof(chunk), f)) > 0) {
-    out.insert(out.end(), chunk, chunk + got);
-  }
-  std::fclose(f);
-  return true;
 }
 
 /// tmp + fsync + rename. `torn_cap` (from a fault) truncates the write
@@ -244,7 +168,7 @@ inline void write_manifest(const std::string& dir,
   write_file_atomic(dir + "/CURRENT", buf, 0, false);
 }
 
-}  // namespace detail_ck
+}  // namespace detail
 
 /// Serializes `ck` into `dir` as the new live checkpoint (atomic),
 /// updates the CURRENT manifest, and unlinks checkpoints that fell off
@@ -253,12 +177,12 @@ inline void write_manifest(const std::string& dir,
 /// checkpoint remains live.
 template <int D>
 void write_checkpoint(const std::string& dir, const checkpoint_data<D>& ck) {
-  using namespace detail_ck;
+  using namespace detail;
   ensure_dir(dir);
 
   std::vector<unsigned char> buf;
-  put_bytes(buf, kMagic, 4);
-  put_u32(buf, kVersion);
+  put_bytes(buf, kCkMagic, 4);
+  put_u32(buf, kCkVersion);
   put_u32(buf, static_cast<std::uint32_t>(D));
   put_u64(buf, ck.epoch);
   put_u8(buf, ck.bounds_set ? 1 : 0);
@@ -298,7 +222,7 @@ void write_checkpoint(const std::string& dir, const checkpoint_data<D>& ck) {
     }
   }
   std::vector<std::string> evicted;
-  while (names.size() > kKeep) {
+  while (names.size() > kCkKeep) {
     evicted.push_back(names.back());
     names.pop_back();
   }
@@ -315,7 +239,7 @@ void write_checkpoint(const std::string& dir, const checkpoint_data<D>& ck) {
 /// the log alone.
 template <int D>
 bool read_latest_checkpoint(const std::string& dir, checkpoint_data<D>& out) {
-  using namespace detail_ck;
+  using namespace detail;
   for (const auto& name : read_manifest(dir)) {
     const std::string path = dir + "/" + name;
     std::vector<unsigned char> buf;
@@ -325,16 +249,16 @@ bool read_latest_checkpoint(const std::string& dir, checkpoint_data<D>& out) {
     std::uint64_t want = 0;
     std::memcpy(&want, buf.data() + payload, 8);
     if (fnv1a(buf.data(), payload) != want) continue;
-    if (std::memcmp(buf.data(), kMagic, 4) != 0) continue;
+    if (std::memcmp(buf.data(), kCkMagic, 4) != 0) continue;
     try {
-      reader rd{buf.data(), payload, 4, path};
+      byte_reader rd{buf.data(), payload, 4, "checkpoint", path};
       const std::uint32_t ver = rd.u32();
       const std::uint32_t dim = rd.u32();
-      if (ver != kVersion || dim != static_cast<std::uint32_t>(D)) continue;
+      if (ver != kCkVersion || dim != static_cast<std::uint32_t>(D)) continue;
       checkpoint_data<D> ck;
       ck.epoch = rd.u64();
       ck.bounds_set = rd.u8() != 0;
-      ck.split_dim = static_cast<std::int32_t>(rd.u32());
+      ck.split_dim = rd.split_dim<D>();
       ck.cuts.resize(rd.checked_count(sizeof(double)));
       for (auto& c : ck.cuts) c = rd.f64();
       ck.shard_points.resize(rd.checked_count(8));

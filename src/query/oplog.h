@@ -176,6 +176,118 @@ struct log_group {
   }
 };
 
+// ---- byte codec shared by both durable formats --------------------------
+// The op log (below) and checkpoints (query/checkpoint.h) encode alike:
+// little-endian fixed-width fields (every supported target is LE; memcpy
+// keeps it alias-safe), FNV-1a checksums, and one bounds-checked reader
+// whose errors name the format and the file.
+namespace detail {
+
+inline std::uint64_t fnv1a(const unsigned char* p, std::size_t n) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (std::size_t i = 0; i < n; ++i) {
+    h ^= p[i];
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+inline void put_bytes(std::vector<unsigned char>& b, const void* p,
+                      std::size_t n) {
+  const auto* c = static_cast<const unsigned char*>(p);
+  b.insert(b.end(), c, c + n);
+}
+inline void put_u8(std::vector<unsigned char>& b, std::uint8_t v) {
+  b.push_back(v);
+}
+inline void put_u32(std::vector<unsigned char>& b, std::uint32_t v) {
+  put_bytes(b, &v, 4);
+}
+inline void put_u64(std::vector<unsigned char>& b, std::uint64_t v) {
+  put_bytes(b, &v, 8);
+}
+inline void put_f64(std::vector<unsigned char>& b, double v) {
+  put_bytes(b, &v, 8);
+}
+
+/// Reads fields off [data, data + len) from `off`; every failure throws
+/// std::runtime_error("<format>: '<path>' ...").
+struct byte_reader {
+  const unsigned char* data;
+  std::size_t len;
+  std::size_t off;
+  const char* format;  // error-message prefix: "op_log" | "checkpoint"
+  const std::string& path;
+
+  [[noreturn]] void fail(const char* what) const {
+    throw std::runtime_error(std::string(format) + ": '" + path + "' " +
+                             what);
+  }
+  void need(std::size_t n) const {
+    if (off + n > len) fail("truncated");
+  }
+  void bytes(void* out, std::size_t n) {
+    need(n);
+    std::memcpy(out, data + off, n);
+    off += n;
+  }
+  std::uint8_t u8() {
+    std::uint8_t v;
+    bytes(&v, 1);
+    return v;
+  }
+  std::uint32_t u32() {
+    std::uint32_t v;
+    bytes(&v, 4);
+    return v;
+  }
+  std::uint64_t u64() {
+    std::uint64_t v;
+    bytes(&v, 8);
+    return v;
+  }
+  double f64() {
+    double v;
+    bytes(&v, 8);
+    return v;
+  }
+  /// Reads an element count and bounds-checks it against the bytes
+  /// remaining (each element at least `min_elem_bytes`), so a corrupt
+  /// count cannot drive a multi-GB resize before the truncation check.
+  std::size_t checked_count(std::size_t min_elem_bytes) {
+    const std::uint64_t n = u64();
+    if (min_elem_bytes > 0 && n > (len - off) / min_elem_bytes) {
+      fail("truncated (element count exceeds file)");
+    }
+    return static_cast<std::size_t>(n);
+  }
+  /// Reads a stripe split dimension, refusing one outside [0, D): routing
+  /// and range pruning index every point with it.
+  template <int D>
+  std::int32_t split_dim() {
+    const auto v = static_cast<std::int32_t>(u32());
+    if (v < 0 || v >= D) fail("bad split dimension");
+    return v;
+  }
+};
+
+/// Reads the whole file at `path` into `out`; false if it cannot be opened.
+inline bool read_file(const std::string& path,
+                      std::vector<unsigned char>& out) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (!f) return false;
+  out.clear();
+  unsigned char chunk[1 << 16];
+  std::size_t got;
+  while ((got = std::fread(chunk, 1, sizeof(chunk), f)) > 0) {
+    out.insert(out.end(), chunk, chunk + got);
+  }
+  std::fclose(f);
+  return true;
+}
+
+}  // namespace detail
+
 template <int D>
 class op_log {
  public:
@@ -381,17 +493,10 @@ class op_log {
   static std::shared_ptr<op_log> read_log(
       const std::string& path, std::size_t capacity = std::size_t{1} << 20,
       log_recovery_stats* stats_out = nullptr) {
-    std::FILE* f = std::fopen(path.c_str(), "rb");
-    if (!f) {
+    std::vector<unsigned char> buf;
+    if (!detail::read_file(path, buf)) {
       throw std::runtime_error("op_log: cannot open '" + path + "'");
     }
-    std::vector<unsigned char> buf;
-    unsigned char chunk[1 << 16];
-    std::size_t got;
-    while ((got = std::fread(chunk, 1, sizeof(chunk), f)) > 0) {
-      buf.insert(buf.end(), chunk, chunk + got);
-    }
-    std::fclose(f);
 
     // Header: strict. Anything wrong here rejects the whole file.
     if (buf.size() < kHeaderSize) {
@@ -401,7 +506,7 @@ class op_log {
     if (std::memcmp(buf.data(), kMagic, 4) != 0) {
       throw std::runtime_error("op_log: '" + path + "' bad magic");
     }
-    reader hd{buf.data(), kHeaderSize, 4, path};
+    detail::byte_reader hd{buf.data(), kHeaderSize, 4, "op_log", path};
     const std::uint32_t ver = hd.u32();
     if (ver != kVersion) {
       throw std::runtime_error("op_log: '" + path +
@@ -416,7 +521,7 @@ class op_log {
     }
     const std::uint64_t start_after = hd.u64();
     const std::uint64_t header_sum = hd.u64();
-    if (fnv1a(buf.data(), kHeaderSize - 8) != header_sum) {
+    if (detail::fnv1a(buf.data(), kHeaderSize - 8) != header_sum) {
       throw std::runtime_error("op_log: '" + path + "' header checksum mismatch");
     }
 
@@ -436,12 +541,12 @@ class op_log {
       const unsigned char* payload = buf.data() + off + 4;
       std::uint64_t want = 0;
       std::memcpy(&want, payload + len, 8);
-      if (fnv1a(payload, len) != want) break;  // corrupt frame body
+      if (detail::fnv1a(payload, len) != want) break;  // corrupt frame body
 
       log_group<D> g;
       try {
-        reader rd{payload, len, 0, path};
-        parse_group_body(rd, g, path);
+        detail::byte_reader rd{payload, len, 0, "op_log", path};
+        parse_group_body(rd, g);
         if (rd.off != len) break;  // trailing garbage inside the frame
       } catch (const std::exception&) {
         break;  // structurally invalid despite matching checksum
@@ -485,100 +590,10 @@ class op_log {
     return groups_.empty() ? head_ + 1 : groups_.front().epoch;
   }
 
-  // -- little-endian put/get helpers (host is LE on every supported
-  //    target; memcpy keeps it alias-safe) ----------------------------------
-  static void put_bytes(std::vector<unsigned char>& b, const void* p,
-                        std::size_t n) {
-    const auto* c = static_cast<const unsigned char*>(p);
-    b.insert(b.end(), c, c + n);
-  }
-  static void put_u8(std::vector<unsigned char>& b, std::uint8_t v) {
-    b.push_back(v);
-  }
-  static void put_u32(std::vector<unsigned char>& b, std::uint32_t v) {
-    put_bytes(b, &v, 4);
-  }
-  static void put_u64(std::vector<unsigned char>& b, std::uint64_t v) {
-    put_bytes(b, &v, 8);
-  }
-  static void put_f64(std::vector<unsigned char>& b, double v) {
-    put_bytes(b, &v, 8);
-  }
-
-  struct reader {
-    const unsigned char* data;
-    std::size_t len;
-    std::size_t off;
-    const std::string& path;
-
-    void need(std::size_t n) const {
-      if (off + n > len) {
-        throw std::runtime_error("op_log: '" + path + "' truncated");
-      }
-    }
-    void bytes(void* out, std::size_t n) {
-      need(n);
-      std::memcpy(out, data + off, n);
-      off += n;
-    }
-    std::uint8_t u8() {
-      std::uint8_t v;
-      bytes(&v, 1);
-      return v;
-    }
-    std::uint32_t u32() {
-      std::uint32_t v;
-      bytes(&v, 4);
-      return v;
-    }
-    std::uint64_t u64() {
-      std::uint64_t v;
-      bytes(&v, 8);
-      return v;
-    }
-    double f64() {
-      double v;
-      bytes(&v, 8);
-      return v;
-    }
-    /// Reads an element count and bounds-checks it against the bytes
-    /// remaining (each element at least `min_elem_bytes`), so a corrupt
-    /// count cannot drive a multi-GB resize before the truncation check.
-    std::size_t checked_count(std::size_t min_elem_bytes) {
-      const std::uint64_t n = u64();
-      if (min_elem_bytes > 0 && n > (len - off) / min_elem_bytes) {
-        throw std::runtime_error("op_log: '" + path +
-                                 "' truncated (element count exceeds file)");
-      }
-      return static_cast<std::size_t>(n);
-    }
-  };
-
-  static log_origin checked_origin(std::uint8_t v, const std::string& path) {
-    if (v > static_cast<std::uint8_t>(log_origin::rebalance)) {
-      throw std::runtime_error("op_log: '" + path + "' bad origin tag");
-    }
-    return static_cast<log_origin>(v);
-  }
-  static log_op checked_op(std::uint8_t v, const std::string& path) {
-    if (v > static_cast<std::uint8_t>(log_op::erase)) {
-      throw std::runtime_error("op_log: '" + path + "' bad op tag");
-    }
-    return static_cast<log_op>(v);
-  }
-
-  static std::uint64_t fnv1a(const unsigned char* p, std::size_t n) {
-    std::uint64_t h = 1469598103934665603ull;
-    for (std::size_t i = 0; i < n; ++i) {
-      h ^= p[i];
-      h *= 1099511628211ull;
-    }
-    return h;
-  }
-
   // -- group body <-> bytes --------------------------------------------------
   static void put_group_body(std::vector<unsigned char>& buf,
                              const log_group<D>& g) {
+    using namespace detail;
     put_u64(buf, g.epoch);
     put_u8(buf, static_cast<std::uint8_t>(g.origin));
     put_u8(buf, g.has_bounds ? 1 : 0);
@@ -596,18 +611,25 @@ class op_log {
     }
   }
 
-  static void parse_group_body(reader& rd, log_group<D>& g,
-                               const std::string& path) {
+  static void parse_group_body(detail::byte_reader& rd, log_group<D>& g) {
     g.epoch = rd.u64();
-    g.origin = checked_origin(rd.u8(), path);
+    const std::uint8_t origin = rd.u8();
+    if (origin > static_cast<std::uint8_t>(log_origin::rebalance)) {
+      rd.fail("bad origin tag");
+    }
+    g.origin = static_cast<log_origin>(origin);
     g.has_bounds = rd.u8() != 0;
-    g.split_dim = static_cast<std::int32_t>(rd.u32());
+    g.split_dim = rd.split_dim<D>();
     g.cuts.resize(rd.checked_count(sizeof(double)));
     for (auto& c : g.cuts) c = rd.f64();
     g.records.resize(rd.checked_count(4 + 1 + 8));
     for (auto& r : g.records) {
       r.shard = rd.u32();
-      r.kind = checked_op(rd.u8(), path);
+      const std::uint8_t kind = rd.u8();
+      if (kind > static_cast<std::uint8_t>(log_op::erase)) {
+        rd.fail("bad op tag");
+      }
+      r.kind = static_cast<log_op>(kind);
       r.pts.resize(rd.checked_count(sizeof(double) * D));
       for (auto& p : r.pts) {
         for (int d = 0; d < D; ++d) p[d] = rd.f64();
@@ -618,6 +640,7 @@ class op_log {
   /// frame = u32 len | payload | u64 fnv1a(payload)
   static void put_frame(std::vector<unsigned char>& buf,
                         const log_group<D>& g) {
+    using namespace detail;
     std::vector<unsigned char> payload;
     put_group_body(payload, g);
     put_u32(buf, static_cast<std::uint32_t>(payload.size()));
@@ -626,6 +649,7 @@ class op_log {
   }
 
   void put_header_locked(std::vector<unsigned char>& buf) const {
+    using namespace detail;
     put_bytes(buf, kMagic, 4);
     put_u32(buf, kVersion);
     put_u32(buf, static_cast<std::uint32_t>(D));

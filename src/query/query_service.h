@@ -866,7 +866,7 @@ class query_service {
     if (!cfg_.log_dir.empty()) {
       // Durable primary: create the directory and open the segmented log
       // for incremental appends before any thread can commit a group.
-      detail_ck::ensure_dir(cfg_.log_dir);
+      detail::ensure_dir(cfg_.log_dir);
       log_ = std::make_shared<op_log<D>>();
       log_->open_durable(cfg_.log_dir + "/oplog.pgol", cfg_.sync);
     }
@@ -1178,8 +1178,9 @@ class query_service {
   /// lanes quiesced when the group carries stripe bounds — so replayed
   /// state serializes with concurrent snapshot reads. Returns
   /// immediately; poll applied_epoch() for progress. Safe from any
-  /// thread. Throws after close(), and std::invalid_argument when a
-  /// record's shard does not exist here (log from a different topology).
+  /// thread. Throws after close(), and std::invalid_argument when the
+  /// group comes from a different topology: a record for a shard that
+  /// does not exist here, or stripe cuts for another shard count.
   void apply_replayed(log_group<D> g) {
     for (const auto& rec : g.records) {
       if (rec.shard >= cfg_.shards) {
@@ -1188,6 +1189,11 @@ class query_service {
             std::to_string(rec.shard) + " but this service has " +
             std::to_string(cfg_.shards));
       }
+    }
+    if (g.has_bounds && g.cuts.size() + 1 != cfg_.shards) {
+      throw std::invalid_argument(
+          "apply_replayed: " + std::to_string(g.cuts.size()) +
+          " stripe cuts for " + std::to_string(cfg_.shards) + " shards");
     }
     {
       std::lock_guard<std::mutex> lk(hub_->mu);
@@ -1260,7 +1266,9 @@ class query_service {
   /// serving primary, byte-identically continuing the committed history.
   /// Every recovered point restarts one full TTL window (deadlines are
   /// not persisted; erring long keeps data). `cfg` must describe the
-  /// same topology (backend, shards, policy) as the crashed service.
+  /// same topology (backend, shards, policy) as the crashed service; a
+  /// checkpoint or log group that does not fit its shard count throws
+  /// std::invalid_argument (checkpoint_group(), apply_replayed()).
   /// `service_stats::recovered_epochs` and `::truncated_groups` record
   /// what was rebuilt and what the torn tail cost. Throws
   /// std::runtime_error when the directory holds neither a usable
@@ -1289,10 +1297,6 @@ class query_service {
     }
 
     if (have_ck) {
-      if (ck.shard_points.size() != svc->cfg_.shards) {
-        throw std::invalid_argument(
-            "query_service: checkpoint shard count does not match config");
-      }
       // Not logged: the checkpoint replaces the log prefix it summarizes.
       const auto g = checkpoint_group(std::move(ck), svc->cfg_.shards);
       if (auto err = svc->apply_off_lanes(g, /*replayed=*/false)) {

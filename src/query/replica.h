@@ -343,14 +343,20 @@ class replica_set {
                         ")");
       return std::nullopt;
     }
+    const std::uint64_t epoch = ck.epoch;
+    log_group<D> g;
+    try {
+      g = checkpoint_group(std::move(ck), services_[i]->config().shards);
+    } catch (const std::invalid_argument& e) {
+      quarantine(i, why + " (" + e.what() + ")");
+      return std::nullopt;
+    }
     states_[i]->health.store(
         static_cast<std::uint8_t>(replica_health::resyncing),
         std::memory_order_release);
-    const std::uint64_t epoch = ck.epoch;
     const std::size_t errs_before = services_[i]->replay_error_count();
     try {
-      services_[i]->apply_replayed(
-          checkpoint_group(std::move(ck), services_[i]->config().shards));
+      services_[i]->apply_replayed(std::move(g));
       // Not an epoch wait: the replica may already sit AHEAD of
       // ck.epoch (divergence healing), so only a queue-drain barrier
       // proves the rebuild actually ran.
@@ -426,6 +432,9 @@ class replica_set {
         const std::uint64_t e = g.epoch;
         try {
           services_[i]->apply_replayed(std::move(g));
+        } catch (const std::invalid_argument& err) {
+          quarantine(i, err.what());  // log from another topology
+          return;
         } catch (const std::exception&) {
           return;  // replica closed under us; tail is done
         }

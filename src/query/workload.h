@@ -113,7 +113,9 @@ struct workload_spec {
 
 /// Spec parameterized by a single read fraction: reads split 70% k-NN /
 /// 15% box range / 15% ball range, writes split evenly between inserts and
-/// erases — the mix `pargeo_query` and `bench_query_engine` share.
+/// erases — the mix `pargeo_query` drives. Performance numbers come from
+/// perfbench/; EXPERIMENTS.md points at the archived single-run sweeps
+/// over this mix.
 inline workload_spec make_read_write_spec(std::size_t initial_points,
                                           std::size_t num_ops,
                                           double read_frac) {

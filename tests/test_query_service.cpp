@@ -9,8 +9,10 @@
 // spatial bounds bootstrapping, per-shard drain pipelines (4 producers x
 // 4 lanes, lane counters, scratch recycling), ingest backpressure
 // (blocking submit / try_submit / close-while-blocked), config
-// validation, non-finite payload rejection, and
-// degenerate/duplicate-coordinate stripe derivation. (The adversarial-skew
+// validation, non-finite payload rejection,
+// degenerate/duplicate-coordinate stripe derivation, bdltree version
+// reclamation at quiescence, and reads overtaken by a write drain counting
+// as lagged. (The adversarial-skew
 // oracle and rebalance mechanism tests live in tests/test_skew_drain.cpp.)
 // TSan-clean.
 #include <gtest/gtest.h>
@@ -926,6 +928,79 @@ TEST(QueryService, LockfreeIngestSurvivesConcurrentProducers) {
   EXPECT_EQ(service.size(), 200u + kThreads * kTicketsPerThread);
   EXPECT_EQ(service.stats().num_tickets,
             static_cast<std::size_t>(kThreads) * kTicketsPerThread);
+}
+
+// Every BDL-tree version a write stream supersedes goes through the epoch
+// reclaimer, and once the stream is redeemed and the service closed, every
+// retired version has been freed. Read-only tickets ride along, so
+// versions retire while snapshot readers hold reclaim guards.
+TEST(QueryService, BdltreeWriteStreamReclaimsEveryRetiredVersion) {
+  constexpr int kProducers = 2;
+  auto cfg = make_config<2>(backend::bdltree, 2, shard_policy::hash);
+  cfg.max_retained = std::size_t{1} << 20;  // producers redeem at the end
+  query::query_service<2> service(cfg);
+  auto spec = query::make_read_write_spec(2000, 4000, 0.5);
+  spec.batch_size = 256;
+  service.bootstrap(query::make_initial<2>(spec));
+
+  std::vector<std::thread> producers;
+  for (int t = 0; t < kProducers; ++t) {
+    producers.emplace_back([&, t] {
+      auto mine = spec;
+      mine.seed = spec.seed + 300 + t;
+      const auto reqs = query::make_requests<2>(mine);
+      std::vector<query::completion<2>> pending;
+      std::size_t off = 0;
+      while (off < reqs.size()) {  // one ticket per read or write run
+        const bool read_run = query::is_read(reqs[off].kind);
+        std::size_t end = off + 1;
+        while (end < reqs.size() && end - off < spec.batch_size &&
+               query::is_read(reqs[end].kind) == read_run) {
+          ++end;
+        }
+        pending.push_back(
+            service.submit({reqs.begin() + off, reqs.begin() + end}));
+        off = end;
+      }
+      for (auto& c : pending) c.get();
+    });
+  }
+  for (auto& p : producers) p.join();
+  service.close();
+  const auto st = service.stats();
+  EXPECT_GT(st.num_read_groups, 0u);
+  EXPECT_GT(st.retired_snapshots, 0u);
+  EXPECT_EQ(st.reclaimed_snapshots, st.retired_snapshots);
+  EXPECT_EQ(st.limbo_snapshots, 0u);
+}
+
+// A read group that a write drain overtakes counts in snapshot_lag_drains:
+// the reader still executes against the snapshot its lane stamped while
+// the one-point write queued right behind that stamp commits. The read
+// is 16k k-NN queries with k = 64 and the write one buffered point, so
+// the write commits long before the read retires (~3 ms vs ~70 ms on a
+// 4-core x86 VM).
+TEST(QueryService, BdltreeReadOvertakenByAWriteCountsAsLagged) {
+  auto cfg = make_config<2>(backend::bdltree, 1, shard_policy::hash);
+  cfg.cache_capacity = 0;  // every query runs on the snapshot
+  query::query_service<2> service(cfg);
+  const auto pts = datagen::uniform<2>(20000, 23);
+  service.bootstrap(pts);
+
+  std::vector<query::request<2>> reads;
+  for (std::size_t i = 0; i < 16000; ++i) {
+    reads.push_back(query::request<2>::make_knn(pts[i], 64));
+  }
+  auto read = service.submit(std::move(reads));
+  auto write = service.submit(
+      {query::request<2>::make_insert(point<2>{{-1.0, -1.0}})});
+  write.get();
+  EXPECT_EQ(read.get().responses.size(), 16000u);
+  service.close();
+  const auto st = service.stats();
+  EXPECT_EQ(st.num_read_groups, 1u);
+  EXPECT_EQ(st.num_write_groups, 1u);
+  EXPECT_EQ(st.snapshot_lag_drains, 1u);
 }
 
 TEST(QueryService, SpatialPruningStaysExactAcrossStripes) {

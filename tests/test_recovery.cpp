@@ -12,9 +12,10 @@
 // distance sequences, range multisets) against the pre-crash primary.
 // Also here: torn-tail edge cases at the service level (cut inside a
 // frame, inside a checksum, zero-length tail), TTL expiry of recovered
-// points, a rebalance whose append fails, replica self-healing
-// (ring-eviction and replay-divergence resync from checkpoint,
-// quarantine without a source), and request-deadline shedding.
+// points, a rebalance whose append fails, recovery and resync refusing a
+// directory of another shard count, replica self-healing (ring-eviction
+// and replay-divergence resync from checkpoint, quarantine without a
+// source), and request-deadline shedding.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -29,6 +30,7 @@
 
 #include <dirent.h>
 
+#include "query/checkpoint.h"
 #include "query/fault.h"
 #include "query/replica.h"
 #include "query/query_service.h"
@@ -476,6 +478,8 @@ TEST_F(RecoveryEdge, RecoveredServiceContinuesDurably) {
   const std::uint64_t first_target = rec->stats().recovered_epochs;
   EXPECT_EQ(first_target, 5u);  // genesis + 4 batches
   for (std::size_t b = 4; b < 8; ++b) rec->execute(t.batches[b]);
+  // every_commit: the re-attached log fsyncs at least once per group.
+  EXPECT_GE(rec->stats().log_syncs, 4u);
   const auto want = mirror_after(t, 32, 8);
   expect_resident(*rec, want);
   rec->close();
@@ -485,6 +489,44 @@ TEST_F(RecoveryEdge, RecoveredServiceContinuesDurably) {
   expect_resident(*rec2, want);
   rec2->close();
   remove_dir(dir);
+}
+
+// A directory written by a 2-shard spatial primary does not fit a 3-shard
+// service: its stripe cuts split 2 shards, and so does its checkpoint.
+// Recovery refuses the topology instead of installing 1 cut for 3
+// stripes, which range pruning would read past.
+TEST_F(RecoveryEdge, RecoverRejectsAnotherShardCount) {
+  for (const bool checkpointed : {false, true}) {
+    const std::string dir = fresh_dir();
+    service_config cfg = base_cfg(backend::kdtree, dir);
+    ASSERT_EQ(cfg.shards, 2u);
+    {
+      query::query_service<2> svc(cfg);
+      svc.bootstrap(initial_points(32));
+      svc.execute(make_traffic(1).batches[0]);
+      if (checkpointed) {
+        ASSERT_TRUE(svc.checkpoint_now());
+      }
+      svc.close();
+    }
+    cfg.shards = 3;
+    EXPECT_THROW(query::query_service<2>::recover(dir, cfg),
+                 std::invalid_argument)
+        << (checkpointed ? "checkpoint + log" : "log only");
+    remove_dir(dir);
+  }
+}
+
+TEST_F(RecoveryEdge, CheckpointGroupRejectsAnotherTopology) {
+  query::checkpoint_data<2> ck;
+  ck.epoch = 7;
+  ck.shard_points = {{P(0.1, 0.1)}, {P(0.6, 0.6)}};
+  EXPECT_THROW(query::checkpoint_group(ck, 3), std::invalid_argument);
+  ck.bounds_set = true;
+  ck.cuts = {0.5};
+  EXPECT_EQ(query::checkpoint_group(ck, 2).records.size(), 2u);
+  ck.shard_points.push_back({});
+  EXPECT_THROW(query::checkpoint_group(ck, 3), std::invalid_argument);
 }
 
 // A durable-log append failure is contained: the group's tickets fail,
@@ -784,6 +826,31 @@ TEST_F(ReplicaHealing, GapWithoutSourceQuarantinesAndRouterDegrades) {
   EXPECT_NE(metrics.find("pargeo_replicas_quarantined 1"), std::string::npos);
   EXPECT_NE(metrics.find("pargeo_replica_health{replica=\"0\"} 3"),
             std::string::npos);
+  replicas.close();
+  primary.close();
+  remove_dir(dir);
+}
+
+// A checkpoint from another topology cannot heal a replica: the resync
+// quarantines it instead of rebuilding 3 shards from 2 shards' state.
+TEST_F(ReplicaHealing, ResyncFromAnotherTopologyQuarantines) {
+  const std::string dir = fresh_dir();
+  const service_config cfg = base_cfg(backend::kdtree, dir);
+  query::query_service<2> primary(cfg);
+  primary.bootstrap(initial_points(40));
+  primary.execute(make_traffic(1).batches[0]);
+  ASSERT_TRUE(primary.checkpoint_now());  // compacts epochs 1..2 away
+
+  service_config wide = cfg;
+  wide.shards = 3;
+  query::replica_set<2> replicas(primary.log(), wide, 1,
+                                 /*start_tails=*/false, dir);
+  replicas.pump();
+  EXPECT_TRUE(replicas.tail_failed());
+  EXPECT_EQ(replicas.health(0), query::replica_health::quarantined);
+  EXPECT_NE(replicas.tail_error().find("holds 2 shards"), std::string::npos)
+      << replicas.tail_error();
+  EXPECT_EQ(replicas.resyncs(0), 0u);
   replicas.close();
   primary.close();
   remove_dir(dir);

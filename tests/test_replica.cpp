@@ -9,7 +9,9 @@
 // TTL-expiry sweeps and stripe rebalances. On top sit the router
 // semantics: writes to the primary, reads scattered under the staleness
 // bound, read-your-writes via commit_epoch floors, and primary fallback
-// when no replica qualifies.
+// when no replica qualifies. Replay refuses a log of another topology
+// (unknown shards, stripe cuts for another shard count), and a live tail
+// fed one quarantines its replica.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -295,6 +297,41 @@ TEST(ReplicaReplay, RejectsRecordsForUnknownShards) {
   r.pts = {pt(1, 1)};
   g.records.push_back(std::move(r));
   EXPECT_THROW(service.apply_replayed(std::move(g)), std::invalid_argument);
+}
+
+TEST(ReplicaReplay, RejectsStripeCutsForAnotherShardCount) {
+  query::service_config cfg;
+  cfg.shards = 3;
+  cfg.policy = shard_policy::spatial;
+  query::query_service<2> service(cfg);
+
+  log_group<2> g;  // a 2-shard primary's stripes: one cut
+  g.epoch = 1;
+  g.origin = log_origin::bootstrap;
+  g.has_bounds = true;
+  g.cuts = {0.5};
+  EXPECT_THROW(service.apply_replayed(std::move(g)), std::invalid_argument);
+}
+
+// A live tail fed a log of another topology quarantines its replica (the
+// router then stops reading from it) instead of ending silently.
+TEST(ReplicaSet, LiveTailOfAnotherTopologyQuarantines) {
+  query::service_config cfg;
+  cfg.shards = 2;
+  cfg.policy = shard_policy::spatial;
+  auto log = std::make_shared<op_log<2>>();
+  query::query_service<2> primary(cfg);
+  primary.attach_log(log);
+  primary.bootstrap({pt(0, 0), pt(1, 1), pt(2, 2), pt(3, 3)});
+
+  query::service_config wide = cfg;
+  wide.shards = 3;
+  replica_set<2> reps(log, wide, 1, /*start_tails=*/true);
+  wait_until([&] { return reps.tail_failed(); }, "tail quarantines");
+  EXPECT_EQ(reps.health(0), query::replica_health::quarantined);
+  EXPECT_NE(reps.tail_error().find("stripe cuts"), std::string::npos)
+      << reps.tail_error();
+  reps.close();
 }
 
 TEST(ReplicaSet, PumpWithLiveTailsThrows) {

@@ -11,16 +11,22 @@
 //    4 shard lanes; no sample loss (stage counts equal the ticket
 //    count) and the folded legacy `execute_seconds` counters agree with
 //    the execute_write histograms to the nanosecond.
+//  - Stage coverage: a traffic mix through every stage (watches, TTL,
+//    op log, replica replay) leaves every stage histogram non-empty.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <random>
 #include <thread>
 #include <vector>
 
 #include "query/query_service.h"
+#include "query/replica.h"
 #include "query/telemetry.h"
 #include "query/workload.h"
 
@@ -280,6 +286,54 @@ TEST(TelemetryService, ConcurrentRecordersLoseNothing) {
             std::string::npos);
   EXPECT_NE(text.find("stage=\"completion\""), std::string::npos);
   EXPECT_NE(text.find("pargeo_tickets_total"), std::string::npos);
+}
+
+// Every lifecycle stage reaches its histogram under a traffic mix that
+// passes through it: read-only and write tickets (queue_wait through
+// completion, plus the drain's reclaim advance), a standing watch
+// (watch_eval), a TTL sweep (expire), the primary's op-log append
+// (replicate) and a replica applying the log (replay). Each stage must
+// hold samples with p99 > 0: a zero means its stamps stopped reaching
+// the histograms.
+TEST(TelemetryService, EveryStageRecordsUnderMixedTraffic) {
+  auto clock = std::make_shared<std::atomic<std::uint64_t>>(1);
+  query::service_config cfg;
+  cfg.backend = query::backend::bdltree;
+  cfg.shards = 2;
+  cfg.point_ttl_ns = 1000;
+  cfg.ttl_now = [clock] { return clock->load(); };
+  cfg.max_retained = std::size_t{1} << 20;
+  query::query_service<kDim> primary(cfg);
+  auto log = std::make_shared<query::op_log<kDim>>();
+  primary.attach_log(log);
+  const auto spec = telemetry_spec(400, 1500, 51);
+  const auto initial = query::make_initial<kDim>(spec);
+  primary.bootstrap(initial);
+  auto watch = primary.watch_knn(initial.front(), 4,
+                                 [](const query::watch_event<kDim>&) {});
+  submit_stream(primary, spec);
+
+  clock->store(1'000'000);  // every resident point's window has elapsed
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (primary.stats().expired_points == 0) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << "the TTL sweep never ran";
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  query::replica_set<kDim> replicas(log, cfg, 1, /*start_tails=*/false);
+  replicas.pump();
+  primary.close();
+  replicas.close();
+
+  auto rep = primary.stats().telemetry;
+  rep.merge(replicas.replica(0).stats().telemetry);
+  for (std::size_t i = 0; i < query::kNumStages; ++i) {
+    const auto st = static_cast<stage>(i);
+    const auto sum = rep.stage_hist(st).summary();
+    EXPECT_GT(sum.count, 0u) << query::stage_name(st);
+    EXPECT_GT(sum.p99, 0u) << query::stage_name(st);
+  }
 }
 
 // Telemetry off must keep all telemetry surfaces empty (and cheap).
