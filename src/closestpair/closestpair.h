@@ -4,7 +4,8 @@
 // queries over the kd-tree (the closest pair is realized at some point's
 // nearest neighbor). The bichromatic closest pair (BCCP) uses a dual-tree
 // branch-and-bound traversal; the same primitive computes the BCCP of two
-// nodes of one tree, which the EMST module calls for every WSPD pair.
+// nodes of one tree, which the EMST module calls for the WSPD pairs its
+// rounds cannot prune.
 #pragma once
 
 #include <cstddef>

@@ -3,39 +3,12 @@
 #include <algorithm>
 #include <numeric>
 
+#include "core/union_find.h"
 #include "emst/emst.h"
 #include "kdtree/kdtree.h"
 #include "parallel/parallel.h"
 
 namespace pargeo::clustering {
-
-namespace {
-
-class union_find {
- public:
-  explicit union_find(std::size_t n) : parent_(n) {
-    std::iota(parent_.begin(), parent_.end(), std::size_t{0});
-  }
-  std::size_t find(std::size_t x) {
-    while (parent_[x] != x) {
-      parent_[x] = parent_[parent_[x]];
-      x = parent_[x];
-    }
-    return x;
-  }
-  bool unite(std::size_t a, std::size_t b) {
-    a = find(a);
-    b = find(b);
-    if (a == b) return false;
-    parent_[a] = b;
-    return true;
-  }
-
- private:
-  std::vector<std::size_t> parent_;
-};
-
-}  // namespace
 
 template <int D>
 std::vector<merge> single_linkage(const std::vector<point<D>>& pts) {

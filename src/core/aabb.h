@@ -108,6 +108,16 @@ struct aabb {
     }
     return s;
   }
+
+  /// Squared maximum distance between a point of this box and one of `o`.
+  double max_dist_sq(const aabb& o) const {
+    double s = 0;
+    for (int i = 0; i < D; ++i) {
+      const double d = std::max(hi[i] - o.lo[i], o.hi[i] - lo[i]);
+      s += d * d;
+    }
+    return s;
+  }
 };
 
 }  // namespace pargeo

@@ -1,9 +1,12 @@
 #include "emst/emst.h"
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
-#include <numeric>
+#include <limits>
 
 #include "closestpair/closestpair.h"
+#include "core/union_find.h"
 #include "parallel/parallel.h"
 #include "wspd/wspd.h"
 
@@ -11,30 +14,95 @@ namespace pargeo::emst {
 
 namespace {
 
-/// Union-find with path halving; sequential (the Kruskal scan is the only
-/// sequential stage of the pipeline and is cheap relative to BCCPs).
-class union_find {
- public:
-  explicit union_find(std::size_t n) : parent_(n) {
-    std::iota(parent_.begin(), parent_.end(), std::size_t{0});
+template <int D>
+using node_t = typename kdtree::tree<D>::node;
+
+constexpr std::size_t kMixed = std::numeric_limits<std::size_t>::max();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+// Subtrees over more points than this are relabelled in parallel.
+constexpr std::size_t kForkPoints = 8192;
+
+// Per-node component labels: a node whose points all lie in one component
+// carries that component's union-find root, any other node kMixed.
+template <int D>
+struct components {
+  const kdtree::tree<D>& t;
+  std::vector<std::size_t> label;
+
+  bool single(const node_t<D>* nd) const {
+    return label[t.node_index(nd)] != kMixed;
   }
-  std::size_t find(std::size_t x) {
-    while (parent_[x] != x) {
-      parent_[x] = parent_[parent_[x]];
-      x = parent_[x];
-    }
-    return x;
-  }
-  bool unite(std::size_t a, std::size_t b) {
-    a = find(a);
-    b = find(b);
-    if (a == b) return false;
-    parent_[a] = b;
-    return true;
+  bool connected(const node_t<D>* a, const node_t<D>* b) const {
+    const std::size_t la = label[t.node_index(a)];
+    return la != kMixed && la == label[t.node_index(b)];
   }
 
- private:
-  std::vector<std::size_t> parent_;
+  // Leaves hold one point each (the tree is built with leaf_size 1).
+  std::size_t relabel(const node_t<D>* nd, const union_find& uf) {
+    std::size_t l = kMixed;
+    if (nd->is_leaf()) {
+      l = uf.root(t.id_of(nd->lo));
+    } else {
+      std::size_t a = 0, b = 0;
+      auto left = [&] { a = relabel(nd->left, uf); };
+      auto right = [&] { b = relabel(nd->right, uf); };
+      if (nd->size() > kForkPoints) {
+        par::par_do(left, right);
+      } else {
+        left();
+        right();
+      }
+      if (a == b) l = a;
+    }
+    label[t.node_index(nd)] = l;
+    return l;
+  }
+};
+
+// Round pass (a): the smallest box distance of an unconnected pair with
+// more than beta points. Only pairs closer than the running minimum are
+// explored further.
+template <int D>
+struct next_bound {
+  const components<D>& c;
+  std::size_t beta;
+  std::atomic<double> min_sq{kInf};
+
+  bool start(const node_t<D>* nd) const {
+    return nd->size() > beta && !c.single(nd);
+  }
+  bool moveon(const node_t<D>* a, const node_t<D>* b) const {
+    return a->size() + b->size() > beta && !c.connected(a, b) &&
+           a->box.dist_sq(b->box) < min_sq.load(std::memory_order_relaxed);
+  }
+  void run(const node_t<D>* a, const node_t<D>* b, std::vector<edge>&) {
+    par::write_min(&min_sq, a->box.dist_sq(b->box));
+  }
+};
+
+// Round pass (b): the BCCP edges of unconnected pairs whose weight falls in
+// the window [lo, hi). Pairs that cannot hold such an edge are skipped:
+// those at box distance >= hi (hi_sq is the squared distance hi was taken
+// from) and those whose farthest points are closer than lo.
+template <int D>
+struct window_edges {
+  const components<D>& c;
+  double lo, lo_sq, hi, hi_sq;
+
+  bool start(const node_t<D>* nd) const { return !c.single(nd); }
+  bool moveon(const node_t<D>* a, const node_t<D>* b) const {
+    if (c.connected(a, b) || a->box.dist_sq(b->box) >= hi_sq) return false;
+    const double far_sq = a->box.max_dist_sq(b->box);
+    return !(far_sq < lo_sq && std::sqrt(far_sq) < lo);
+  }
+  void run(const node_t<D>* a, const node_t<D>* b,
+           std::vector<edge>& out) const {
+    const auto r = closestpair::bccp_nodes<D>(c.t, a, b);
+    const double w = std::sqrt(r.dist_sq);
+    if (w >= lo && w < hi) {
+      out.push_back({std::min(r.i, r.j), std::max(r.i, r.j), w});
+    }
+  }
 };
 
 }  // namespace
@@ -46,44 +114,43 @@ std::vector<edge> emst(const std::vector<point<D>>& pts) {
   // leaf_size = 1: the EMST-subset-of-BCCP-edges guarantee needs a
   // point-level WSPD (multi-point leaves can hide MST edges).
   kdtree::tree<D> t(pts, kdtree::split_policy::object_median, 1);
-  auto pairs = wspd::decompose<D>(t, 2.0);
-
-  // One BCCP edge per separated pair; leaf self-pairs contribute their
-  // full internal clique (leaves are tiny) so intra-leaf MST edges exist.
-  std::vector<std::vector<edge>> per(pairs.size());
-  par::parallel_for(
-      0, pairs.size(),
-      [&](std::size_t i) {
-        const auto* a = pairs[i].a;
-        const auto* b = pairs[i].b;
-        if (a == b) {
-          for (std::size_t x = a->lo; x < a->hi; ++x) {
-            for (std::size_t y = x + 1; y < a->hi; ++y) {
-              per[i].push_back({t.id_of(x), t.id_of(y),
-                                t.point_at(x).dist(t.point_at(y))});
-            }
-          }
-        } else {
-          auto r = closestpair::bccp_nodes<D>(t, a, b);
-          per[i].push_back({r.i, r.j, std::sqrt(r.dist_sq)});
-        }
-      },
-      8);
-  auto cand = par::flatten(per);
-  par::sort(cand, [](const edge& a, const edge& b) {
-    if (a.weight != b.weight) return a.weight < b.weight;
-    if (a.u != b.u) return a.u < b.u;
-    return a.v < b.v;
-  });
-
+  constexpr double kSeparation = 2.0;
   union_find uf(n);
+  components<D> comp{t, std::vector<std::size_t>(t.num_nodes())};
+  comp.relabel(t.root(), uf);
+
   std::vector<edge> mst;
   mst.reserve(n - 1);
-  for (const edge& e : cand) {
-    if (uf.unite(e.u, e.v)) {
-      mst.push_back(e);
-      if (mst.size() == n - 1) break;
+  // The window's edges are exactly the candidate edges (one BCCP per WSPD
+  // pair) whose weight lies in [lo, hi), so Kruskal over the windows in
+  // order sees the same sequence as Kruskal over every candidate sorted
+  // by (weight, u, v). Doubling beta bounds the rounds: once beta >= n no
+  // pair is larger, hi is infinite and the round completes the tree.
+  double lo = 0, lo_sq = 0;
+  for (std::size_t beta = 2;; beta *= 2) {
+    double hi_sq = kInf;
+    if (beta < n) {
+      next_bound<D> bound{comp, beta};
+      std::vector<edge> none;
+      wspd::traverse<D>(t, kSeparation, bound, none);
+      hi_sq = bound.min_sq.load();
     }
+    const double hi = std::sqrt(hi_sq);
+    window_edges<D> window{comp, lo, lo_sq, hi, hi_sq};
+    std::vector<edge> cand;
+    wspd::traverse<D>(t, kSeparation, window, cand);
+    par::sort(cand, [](const edge& a, const edge& b) {
+      if (a.weight != b.weight) return a.weight < b.weight;
+      if (a.u != b.u) return a.u < b.u;
+      return a.v < b.v;
+    });
+    for (const edge& e : cand) {
+      if (uf.unite(e.u, e.v)) mst.push_back(e);
+    }
+    if (mst.size() == n - 1 || beta >= n) break;
+    comp.relabel(t.root(), uf);
+    lo = hi;
+    lo_sq = hi_sq;
   }
   return mst;
 }

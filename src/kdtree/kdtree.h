@@ -11,6 +11,9 @@
 #include <atomic>
 #include <cassert>
 #include <cstdint>
+#include <memory>
+#include <new>
+#include <type_traits>
 #include <vector>
 
 #include "core/aabb.h"
@@ -50,12 +53,25 @@ class tree {
     par::parallel_for(0, n, [&](std::size_t i) { ids_[i] = i; });
     // Each internal node has two non-empty children, so node count < 2n.
     // n = 0 still gets one (empty leaf) root so queries need no null checks.
-    arena_.resize(std::max<std::size_t>(1, 2 * n));
+    // The bound is reserved, not constructed: a leaf-16 build uses ~n/8
+    // nodes, and alloc_node constructs only those.
+    arena_cap_ = std::max<std::size_t>(1, 2 * n);
+    arena_.reset(
+        static_cast<node*>(::operator new(arena_cap_ * sizeof(node))));
     root_ = build(0, n, compute_box(0, n));
   }
 
   const node* root() const { return root_; }
   std::size_t size() const { return points_.size(); }
+
+  /// Number of nodes. node_index maps each node to a distinct value below
+  /// it, so callers can keep per-node data in a dense array.
+  std::size_t num_nodes() const {
+    return next_node_.load(std::memory_order_relaxed);
+  }
+  std::size_t node_index(const node* nd) const {
+    return static_cast<std::size_t>(nd - arena_.get());
+  }
 
   /// Point stored at internal slot i (post-permutation).
   const point<D>& point_at(std::size_t i) const { return points_[i]; }
@@ -129,13 +145,16 @@ class tree {
   node* alloc_node() {
     const std::size_t idx =
         next_node_.fetch_add(1, std::memory_order_relaxed);
-    assert(idx < arena_.size());
-    return &arena_[idx];
+    assert(idx < arena_cap_);
+    return ::new (static_cast<void*>(arena_.get() + idx)) node();
   }
 
   // Partition [lo,hi) so points with coord < pivot come first (ids_ kept in
   // lock-step); returns the split index. In-place two-pointer partition
-  // below a grain, two-pass parallel counting partition above it.
+  // below a grain, two-pass parallel counting partition above it. The
+  // choice depends on the range size alone, so the permutation, and with
+  // it the tree, is the same at every worker count (object_median_split's
+  // fallback cut depends on the order of the points).
   std::size_t split_range(std::size_t lo, std::size_t hi, int dim,
                           double pivot) {
     struct slot {
@@ -143,7 +162,7 @@ class tree {
       std::size_t id;
     };
     const std::size_t n = hi - lo;
-    if (n <= (std::size_t{1} << 14) || par::num_workers() == 1) {
+    if (n <= (std::size_t{1} << 14)) {
       std::size_t i = lo, j = hi;
       while (i < j) {
         while (i < j && points_[i][dim] < pivot) ++i;
@@ -291,11 +310,18 @@ class tree {
     range_ball_node(nd->right, c, r_sq, out);
   }
 
+  // Nodes are never destroyed one by one: freeing the storage is enough.
+  static_assert(std::is_trivially_destructible_v<node>);
+  struct arena_free {
+    void operator()(node* p) const { ::operator delete(p); }
+  };
+
   std::vector<point<D>> points_;
   std::vector<std::size_t> ids_;
   split_policy policy_;
   std::size_t leaf_size_;
-  std::vector<node> arena_;
+  std::unique_ptr<node, arena_free> arena_;
+  std::size_t arena_cap_ = 0;
   std::atomic<std::size_t> next_node_{0};
   node* root_ = nullptr;
 };

@@ -14,9 +14,11 @@ namespace detail {
 
 inline constexpr std::size_t kSortGrain = 1 << 13;
 
-// Stable merge of [l1,h1) and [l2,h2) into out: always splits the first
-// sequence at its median (never swaps the sequences, which would flip tie
-// order) and the second at the corresponding lower_bound.
+// Stable merge of [l1,h1) and [l2,h2) into out. Splits the longer run at
+// its middle so that both recursive calls are smaller, and cuts the other
+// run so that equal elements of the first run stay ahead of those of the
+// second: at lower_bound when the first run is split, at upper_bound when
+// the second is.
 template <class It, class OutIt, class Cmp>
 void par_merge(It l1, It h1, It l2, It h2, OutIt out, Cmp cmp) {
   const std::size_t n1 = h1 - l1, n2 = h2 - l2;
@@ -24,12 +26,14 @@ void par_merge(It l1, It h1, It l2, It h2, OutIt out, Cmp cmp) {
     std::merge(l1, h1, l2, h2, out, cmp);
     return;
   }
-  if (n1 == 0) {
-    std::move(l2, h2, out);
-    return;
+  It m1 = l1, m2 = l2;
+  if (n1 >= n2) {
+    m1 = l1 + n1 / 2;
+    m2 = std::lower_bound(l2, h2, *m1, cmp);
+  } else {
+    m2 = l2 + n2 / 2;
+    m1 = std::upper_bound(l1, h1, *m2, cmp);
   }
-  It m1 = l1 + n1 / 2;
-  It m2 = std::lower_bound(l2, h2, *m1, cmp);
   OutIt outMid = out + (m1 - l1) + (m2 - l2);
   par_do([&] { par_merge(l1, m1, l2, m2, out, cmp); },
          [&] { par_merge(m1, h1, m2, h2, outMid, cmp); });

@@ -2,113 +2,67 @@
 
 #include <utility>
 
-#include "parallel/parallel.h"
-
 namespace pargeo::wspd {
 
 namespace {
 
-template <int D>
-using node_t = typename kdtree::tree<D>::node;
+using detail::node_t;
 
-// Appends the smaller vector to the larger to keep merges cheap.
-template <class T>
-std::vector<T> merge_vecs(std::vector<T> a, std::vector<T> b) {
-  if (a.size() < b.size()) std::swap(a, b);
-  a.insert(a.end(), b.begin(), b.end());
-  return a;
-}
+// Hooks that prune nothing.
+template <int D>
+struct visit_all {
+  bool start(const node_t<D>*) const { return true; }
+  bool moveon(const node_t<D>*, const node_t<D>*) const { return true; }
+};
 
 template <int D>
-std::vector<node_pair<D>> find_pairs(const node_t<D>* a, const node_t<D>* b,
-                                     double s) {
-  if (well_separated<D>(a, b, s)) return {{a, b}};
-  // Split the node with the larger diameter (leaves cannot be split).
-  const node_t<D>* split = a;
-  const node_t<D>* other = b;
-  if (a->is_leaf() ||
-      (!b->is_leaf() && b->box.diameter_sq() > a->box.diameter_sq())) {
-    split = b;
-    other = a;
+struct keep_pairs : visit_all<D> {
+  void run(const node_t<D>* a, const node_t<D>* b,
+           std::vector<node_pair<D>>& out) const {
+    out.push_back({a, b});
   }
-  if (split->is_leaf()) {
-    // Two non-separated leaves (duplicate or near-duplicate points): emit
-    // the leaf pair as a unit so the decomposition still covers every
-    // point pair exactly once.
-    return {{a, b}};
-  }
-  std::vector<node_pair<D>> left, right;
-  const bool spawn = split->size() + other->size() > 8192;
-  auto doLeft = [&] { left = find_pairs<D>(split->left, other, s); };
-  auto doRight = [&] { right = find_pairs<D>(split->right, other, s); };
-  if (spawn) {
-    par::par_do(doLeft, doRight);
-  } else {
-    doLeft();
-    doRight();
-  }
-  return merge_vecs(std::move(left), std::move(right));
-}
+};
 
+// One edge between arbitrary representatives of each pair; a leaf
+// self-pair contributes its full (tiny) clique so intra-leaf distances are
+// spanned exactly.
 template <int D>
-std::vector<node_pair<D>> wspd_rec(const node_t<D>* nd, double s) {
-  if (nd->is_leaf()) {
-    // Unsplittable multi-point leaf: emit a self-pair covering its
-    // internal point pairs (see header comment).
-    if (nd->size() > 1) return {{nd, nd}};
-    return {};
+struct spanner_edges : visit_all<D> {
+  const kdtree::tree<D>* t;
+  void run(const node_t<D>* a, const node_t<D>* b,
+           std::vector<std::pair<std::size_t, std::size_t>>& out) const {
+    if (a != b) {
+      out.emplace_back(t->id_of(a->lo), t->id_of(b->lo));
+      return;
+    }
+    for (std::size_t x = a->lo; x < a->hi; ++x) {
+      for (std::size_t y = x + 1; y < a->hi; ++y) {
+        out.emplace_back(t->id_of(x), t->id_of(y));
+      }
+    }
   }
-  std::vector<node_pair<D>> left, right, cross;
-  const bool spawn = nd->size() > 8192;
-  auto doLeft = [&] { left = wspd_rec<D>(nd->left, s); };
-  auto doRight = [&] { right = wspd_rec<D>(nd->right, s); };
-  auto doCross = [&] { cross = find_pairs<D>(nd->left, nd->right, s); };
-  if (spawn) {
-    par::par_do3(doLeft, doRight, doCross);
-  } else {
-    doLeft();
-    doRight();
-    doCross();
-  }
-  return merge_vecs(merge_vecs(std::move(left), std::move(right)),
-                    std::move(cross));
-}
+};
 
 }  // namespace
 
 template <int D>
 std::vector<node_pair<D>> decompose(const kdtree::tree<D>& t, double s) {
-  return wspd_rec<D>(t.root(), s);
+  keep_pairs<D> hooks;
+  std::vector<node_pair<D>> pairs;
+  traverse<D>(t, s, hooks, pairs);
+  return pairs;
 }
 
 template <int D>
 std::vector<std::pair<std::size_t, std::size_t>> spanner(
     const kdtree::tree<D>& t, double stretch) {
   // Callahan–Kosaraju: an s-WSPD with s = 4(t+1)/(t-1) yields a t-spanner
-  // with one edge between arbitrary representatives of each pair. Leaf
-  // self-pairs contribute their full (tiny) clique so intra-leaf distances
-  // are spanned exactly.
+  // with one edge per pair.
   const double s = 4.0 * (stretch + 1.0) / (stretch - 1.0);
-  auto pairs = decompose(t, s);
-  std::vector<std::vector<std::pair<std::size_t, std::size_t>>> per(
-      pairs.size());
-  par::parallel_for(
-      0, pairs.size(),
-      [&](std::size_t i) {
-        const auto* a = pairs[i].a;
-        const auto* b = pairs[i].b;
-        if (a == b) {
-          for (std::size_t x = a->lo; x < a->hi; ++x) {
-            for (std::size_t y = x + 1; y < a->hi; ++y) {
-              per[i].emplace_back(t.id_of(x), t.id_of(y));
-            }
-          }
-        } else {
-          per[i].emplace_back(t.id_of(a->lo), t.id_of(b->lo));
-        }
-      },
-      8);
-  return par::flatten(per);
+  spanner_edges<D> hooks{{}, &t};
+  std::vector<std::pair<std::size_t, std::size_t>> edges;
+  traverse<D>(t, s, hooks, edges);
+  return edges;
 }
 
 #define PARGEO_WSPD_INSTANTIATE(D)                          \

@@ -6,6 +6,7 @@
 #include <set>
 
 #include "parallel/parallel.h"
+#include "test_util.h"
 
 namespace par = pargeo::par;
 
@@ -153,6 +154,41 @@ TEST(Sort, CustomComparatorDescending) {
   std::vector<int> v{3, 1, 4, 1, 5, 9, 2, 6};
   par::sort(v, std::greater<int>{});
   EXPECT_TRUE(std::is_sorted(v.begin(), v.end(), std::greater<int>{}));
+}
+
+// Presorted runs once sent the parallel merge into unbounded recursion: it
+// always split the first run, so a one-element first run that is <= all of
+// a long second run recursed on its own arguments.
+TEST(Sort, PresortedEqualAndRandomKeysAtFourWorkers) {
+  pargeo::testutil::scoped_workers workers(4);
+  struct kv {
+    long key;
+    std::size_t idx;
+  };
+  using key_fn = long (*)(std::size_t i, std::size_t n);
+  const std::pair<const char*, key_fn> kinds[] = {
+      {"ascending", [](std::size_t i, std::size_t) { return long(i); }},
+      {"descending", [](std::size_t i, std::size_t n) { return long(n - i); }},
+      {"all-equal", [](std::size_t, std::size_t) { return 7L; }},
+      {"random",
+       [](std::size_t i, std::size_t) { return long(par::hash64(i) % 1000); }},
+      {"two-block",
+       [](std::size_t i, std::size_t n) { return long(i % (n / 2)); }},
+  };
+  const auto by_key = [](const kv& a, const kv& b) { return a.key < b.key; };
+  for (const std::size_t n : {16383u, 16384u, 100000u, 1u << 20}) {
+    for (const auto& [name, key] : kinds) {
+      std::vector<kv> v(n);
+      for (std::size_t i = 0; i < n; ++i) v[i] = {key(i, n), i};
+      auto want = v;
+      std::stable_sort(want.begin(), want.end(), by_key);
+      par::sort(v, by_key);
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(v[i].key, want[i].key) << name << " n=" << n << " i=" << i;
+        ASSERT_EQ(v[i].idx, want[i].idx) << name << " n=" << n << " i=" << i;
+      }
+    }
+  }
 }
 
 TEST(Random, Hash64IsDeterministicAndSpread) {

@@ -2,8 +2,12 @@
 // and dataset shorthands.
 #pragma once
 
+#include <omp.h>
+
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <utility>
 #include <vector>
 
 #include "core/point.h"
@@ -45,26 +49,53 @@ double brute_closest_pair(const std::vector<point<D>>& pts) {
   return best;
 }
 
-/// Prim's MST total weight (n^2) — reference for the EMST.
+/// Prim's MST (n^2) — reference for the EMST.
+struct prim_tree {
+  double weight = 0;
+  std::vector<std::pair<std::size_t, std::size_t>> edges;  // (min, max) ids
+};
+
 template <int D>
-double prim_weight(const std::vector<point<D>>& pts) {
+prim_tree prim(const std::vector<point<D>>& pts) {
   const std::size_t n = pts.size();
   std::vector<double> dist(n, std::numeric_limits<double>::infinity());
+  std::vector<std::size_t> parent(n, 0);
   std::vector<bool> in(n, false);
   dist[0] = 0;
-  double total = 0;
+  prim_tree out;
   for (std::size_t it = 0; it < n; ++it) {
     std::size_t u = n;
     for (std::size_t i = 0; i < n; ++i) {
       if (!in[i] && (u == n || dist[i] < dist[u])) u = i;
     }
     in[u] = true;
-    total += std::sqrt(dist[u]);
+    out.weight += std::sqrt(dist[u]);
+    if (u != 0) out.edges.push_back(std::minmax(u, parent[u]));
     for (std::size_t v = 0; v < n; ++v) {
-      if (!in[v]) dist[v] = std::min(dist[v], pts[u].dist_sq(pts[v]));
+      if (in[v]) continue;
+      const double d = pts[u].dist_sq(pts[v]);
+      if (d < dist[v]) {
+        dist[v] = d;
+        parent[v] = u;
+      }
     }
   }
-  return total;
+  return out;
 }
+
+/// Sets the OpenMP worker count for its scope, so a test takes the
+/// parallel paths even on a one-vCPU runner.
+class scoped_workers {
+ public:
+  explicit scoped_workers(int n) : old_(omp_get_max_threads()) {
+    omp_set_num_threads(n);
+  }
+  ~scoped_workers() { omp_set_num_threads(old_); }
+  scoped_workers(const scoped_workers&) = delete;
+  scoped_workers& operator=(const scoped_workers&) = delete;
+
+ private:
+  int old_;
+};
 
 }  // namespace pargeo::testutil
