@@ -1,14 +1,11 @@
 #include "hull/hull2d.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <functional>
-#include <limits>
-#include <memory>
-#include <stdexcept>
 
 #include "core/predicates.h"
+#include "hull/reservation.h"
 #include "parallel/parallel.h"
 
 namespace pargeo::hull2d {
@@ -164,314 +161,161 @@ std::vector<std::size_t> hull_from_extremes(
 // Reservation-based incremental algorithms (randinc / quickhull batches)
 // ---------------------------------------------------------------------
 
-constexpr uint32_t kNoReservation = std::numeric_limits<uint32_t>::max();
-
-struct edge {
+struct edge : reservation::cell {
   std::size_t u = 0, w = 0;  // directed CCW: interior is to the left
   edge* prev = nullptr;
   edge* next = nullptr;
-  edge* replacement = nullptr;  // the winner's first new edge once dead
-  std::atomic<uint32_t> rsv{kNoReservation};
-  std::atomic<uint64_t> best{0};  // quickhull furthest-point encoding
-  bool dead = false;
 };
 
-inline uint64_t encode_best(double dist, uint32_t rank) {
-  // Positive doubles cast to float keep order under bit reinterpretation;
-  // invert rank so larger encoded value == smaller rank on distance ties.
-  const float f = static_cast<float>(dist);
-  uint32_t bits;
-  static_assert(sizeof(bits) == sizeof(f));
-  __builtin_memcpy(&bits, &f, sizeof(bits));
-  return (static_cast<uint64_t>(bits) << 32) |
-         static_cast<uint64_t>(~rank);
-}
-inline uint32_t decode_best_rank(uint64_t enc) {
-  return ~static_cast<uint32_t>(enc & 0xffffffffu);
-}
+// The contiguous visible arc of a point, materialized at find time: later
+// phases must not chase next/prev pointers because winners rewire the ring
+// while losers' arcs still reference replaced edges.
+struct arc {
+  std::vector<edge*> visible;  // in CCW order
+  std::vector<edge*> ring;     // the alive edges before and after the arc;
+                               // one edge if they coincide
+};
 
-// Shared machinery for the two reservation-based variants. Works on a pool
-// of candidate points, each holding a reference to one visible edge.
-class reservation_hull {
- public:
-  enum class mode { randinc, quickhull };
+// The 2D hooks of reservation::rounds: edges, arcs and two-edge fans.
+struct edge_geometry {
+  using cell = edge;
+  using region = arc;
 
-  reservation_hull(const std::vector<pt>& pts, mode m,
-                   std::size_t batch_factor, uint64_t seed)
-      : pts_(pts), mode_(m) {
-    batch_ = std::max<std::size_t>(1, batch_factor * par::num_workers());
-    const std::size_t n = pts.size();
-    arena_ = std::make_unique<edge[]>(2 * n + 8);
+  const std::vector<pt>& pts;
+  reservation::cell_arena<edge>& arena;
 
-    // Point processing order: random permutation for the randomized
-    // incremental variant, input order for quickhull (selection is by
-    // furthest-distance there).
-    std::vector<std::size_t> order(n);
-    if (mode_ == mode::randinc) {
-      auto perm = par::random_permutation(n, seed);
-      for (std::size_t i = 0; i < n; ++i) order[i] = perm[i];
-    } else {
-      for (std::size_t i = 0; i < n; ++i) order[i] = i;
-    }
-
-    init_hull(order);
-  }
-
-  std::vector<std::size_t> run() {
-    while (!pool_.empty()) round();
-    // Walk the final edge ring to emit the hull CCW.
-    std::vector<std::size_t> hull;
-    edge* e = head_;
-    while (e->dead) e = e->replacement;
-    edge* start = e;
-    do {
-      hull.push_back(e->u);
-      e = e->next;
-    } while (e != start);
-    return hull;
-  }
-
- private:
-  struct pool_entry {
-    std::size_t pid;   // index into pts_
-    uint32_t rank;     // fixed priority (processing order position)
-    edge* ref;         // one edge this point is visible from
-  };
-
-  void init_hull(const std::vector<std::size_t>& order) {
-    const std::size_t n = order.size();
-    // First two distinct points plus a non-collinear third.
-    std::size_t a = order[0], b = n, c = n;
-    for (std::size_t i = 1; i < n; ++i) {
-      if (pts_[order[i]] != pts_[a]) {
-        b = order[i];
-        break;
-      }
-    }
-    if (b == n) {  // all identical
-      trivial_ = {a};
-      return;
-    }
-    for (std::size_t i = 1; i < n; ++i) {
-      if (orient2d(pts_[a], pts_[b], pts_[order[i]]) != 0) {
-        c = order[i];
-        break;
-      }
-    }
-    if (c == n) {  // all collinear: hull = extreme pair
-      std::size_t lo = a, hi = a;
-      for (std::size_t i = 0; i < n; ++i) {
-        if (pts_[order[i]] < pts_[lo]) lo = order[i];
-        if (pts_[hi] < pts_[order[i]]) hi = order[i];
-      }
-      trivial_ = {lo, hi};
-      return;
-    }
-    if (orient2d(pts_[a], pts_[b], pts_[c]) < 0) std::swap(b, c);
-    edge* e0 = alloc();
-    edge* e1 = alloc();
-    edge* e2 = alloc();
-    e0->u = a; e0->w = b;
-    e1->u = b; e1->w = c;
-    e2->u = c; e2->w = a;
-    e0->next = e1; e1->next = e2; e2->next = e0;
-    e0->prev = e2; e1->prev = e0; e2->prev = e1;
-    head_ = e0;
-
-    // Initial assignment: each point picks one visible edge or is dropped.
-    std::vector<pool_entry> pool(order.size());
-    std::vector<uint8_t> keep(order.size());
-    par::parallel_for(0, order.size(), [&](std::size_t i) {
-      const std::size_t pid = order[i];
-      edge* ref = nullptr;
-      if (pid != a && pid != b && pid != c) {
-        for (edge* e : {e0, e1, e2}) {
-          if (visible(pts_[e->u], pts_[e->w], pts_[pid])) {
-            ref = e;
-            break;
-          }
-        }
-      }
-      pool[i] = {pid, static_cast<uint32_t>(i), ref};
-      keep[i] = ref != nullptr;
-    });
-    pool_ = par::pack(pool, keep);
-  }
-
-  edge* alloc() { return &arena_[next_edge_.fetch_add(1)]; }
-
-  // The contiguous visible arc of a candidate, materialized at find time:
-  // later phases must not chase next/prev pointers because winners rewire
-  // the ring while losers' arcs still reference replaced edges.
-  struct arc {
-    std::vector<edge*> edges;  // visible edges, in CCW order
-    edge* ringL = nullptr;     // alive edge before the arc
-    edge* ringR = nullptr;     // alive edge after the arc
-  };
-  arc find_arc(const pt& q, edge* ref) const {
+  void find(std::size_t p, edge* ref, arc& a) const {
     edge* first = ref;
     while (true) {
-      edge* p = first->prev;
-      if (p == ref || !visible(pts_[p->u], pts_[p->w], q)) break;
-      first = p;
+      edge* e = first->prev;
+      if (e == ref || !sees(e, p)) break;
+      first = e;
     }
-    arc a;
+    a.visible.clear();
     for (edge* e = first;; e = e->next) {
-      a.edges.push_back(e);
+      a.visible.push_back(e);
       edge* nx = e->next;
-      if (nx == first || !visible(pts_[nx->u], pts_[nx->w], q)) break;
+      if (nx == first || !sees(nx, p)) break;
     }
-    a.ringL = first->prev;
-    a.ringR = a.edges.back()->next;
-    return a;
-  }
-
-  void round() {
-    // --- Select batch Q ------------------------------------------------
-    std::vector<std::size_t> q_idx;  // indices into pool_
-    if (mode_ == mode::randinc) {
-      const std::size_t take = std::min(batch_, pool_.size());
-      q_idx.resize(take);
-      for (std::size_t i = 0; i < take; ++i) q_idx[i] = i;
-    } else {
-      // Furthest point per edge: champions via atomic write_max.
-      par::parallel_for(0, pool_.size(), [&](std::size_t i) {
-        pool_[i].ref->best.store(0, std::memory_order_relaxed);
-      });
-      par::parallel_for(0, pool_.size(), [&](std::size_t i) {
-        const auto& pe = pool_[i];
-        const double d =
-            line_dist(pts_[pe.ref->u], pts_[pe.ref->w], pts_[pe.pid]);
-        par::write_max(&pe.ref->best, encode_best(d, pe.rank));
-      });
-      std::vector<uint8_t> champ(pool_.size());
-      par::parallel_for(0, pool_.size(), [&](std::size_t i) {
-        champ[i] = decode_best_rank(
-                       pool_[i].ref->best.load(std::memory_order_relaxed)) ==
-                   pool_[i].rank;
-      });
-      q_idx = par::pack_index(champ);
-      if (q_idx.size() > batch_) q_idx.resize(batch_);
+    a.ring.assign(1, first->prev);
+    if (a.visible.back()->next != first->prev) {
+      a.ring.push_back(a.visible.back()->next);
     }
-
-    // --- Reserve: visible arc + bounding ring edges --------------------
-    std::vector<arc> arcs(q_idx.size());
-    par::parallel_for(
-        0, q_idx.size(),
-        [&](std::size_t i) {
-          const auto& pe = pool_[q_idx[i]];
-          arcs[i] = find_arc(pts_[pe.pid], pe.ref);
-          for (edge* e : arcs[i].edges) par::write_min(&e->rsv, pe.rank);
-          par::write_min(&arcs[i].ringL->rsv, pe.rank);
-          par::write_min(&arcs[i].ringR->rsv, pe.rank);
-        },
-        1);
-
-    // --- Check reservations --------------------------------------------
-    std::vector<uint8_t> success(q_idx.size());
-    par::parallel_for(
-        0, q_idx.size(),
-        [&](std::size_t i) {
-          const auto& pe = pool_[q_idx[i]];
-          bool ok =
-              arcs[i].ringL->rsv.load(std::memory_order_relaxed) ==
-                  pe.rank &&
-              arcs[i].ringR->rsv.load(std::memory_order_relaxed) == pe.rank;
-          for (edge* e : arcs[i].edges) {
-            ok = ok && e->rsv.load(std::memory_order_relaxed) == pe.rank;
-          }
-          success[i] = ok;
-        },
-        1);
-
-    // --- Process winners -------------------------------------------------
-    par::parallel_for(
-        0, q_idx.size(),
-        [&](std::size_t i) {
-          if (!success[i]) return;
-          const auto& pe = pool_[q_idx[i]];
-          edge* ringL = arcs[i].ringL;
-          edge* ringR = arcs[i].ringR;
-          edge* n1 = alloc();
-          edge* n2 = alloc();
-          n1->u = arcs[i].edges.front()->u;
-          n1->w = pe.pid;
-          n2->u = pe.pid;
-          n2->w = arcs[i].edges.back()->w;
-          n1->prev = ringL;
-          n1->next = n2;
-          n2->prev = n1;
-          n2->next = ringR;
-          ringL->next = n1;
-          ringR->prev = n2;
-          for (edge* e : arcs[i].edges) {
-            e->dead = true;
-            e->replacement = n1;
-          }
-        },
-        1);
-    // head_ may have died; fixed lazily in run() via replacement chain.
-
-    // --- Reset reservations (winners' edges are dead; losers' need it) --
-    par::parallel_for(
-        0, q_idx.size(),
-        [&](std::size_t i) {
-          arcs[i].ringL->rsv.store(kNoReservation,
-                                   std::memory_order_relaxed);
-          arcs[i].ringR->rsv.store(kNoReservation,
-                                   std::memory_order_relaxed);
-          for (edge* e : arcs[i].edges) {
-            e->rsv.store(kNoReservation, std::memory_order_relaxed);
-          }
-        },
-        1);
-
-    // --- Update pool: re-home points whose edge died; pack survivors ----
-    std::vector<uint8_t> alive(pool_.size());
-    std::vector<uint8_t> consumed(pool_.size(), 0);
-    par::parallel_for(0, q_idx.size(), [&](std::size_t i) {
-      if (success[i]) consumed[q_idx[i]] = 1;
-    });
-    par::parallel_for(0, pool_.size(), [&](std::size_t i) {
-      if (consumed[i]) {
-        alive[i] = 0;
-        return;
-      }
-      auto& pe = pool_[i];
-      if (!pe.ref->dead) {
-        alive[i] = 1;  // edge unchanged => still visible from it
-        return;
-      }
-      // Winner-local re-homing, argued at hull3d.cpp's sequential_quickhull:
-      // the winner's new edges n1 -> n2, then the ring edges it reserved
-      // (n1->prev, n2->next), which only it rewired and no winner killed.
-      edge* const n1 = pe.ref->replacement;
-      edge* const n2 = n1->next;
-      pe.ref = nullptr;
-      for (edge* e : {n1, n2, n1->prev, n2->next}) {
-        if (visible(pts_[e->u], pts_[e->w], pts_[pe.pid])) {
-          pe.ref = e;
-          break;
-        }
-      }
-      alive[i] = pe.ref != nullptr;
-    });
-    pool_ = par::pack(pool_, alive);
   }
-
-  const std::vector<pt>& pts_;
-  mode mode_;
-  std::size_t batch_;
-  std::unique_ptr<edge[]> arena_;
-  std::atomic<std::size_t> next_edge_{0};
-  edge* head_ = nullptr;
-  std::vector<pool_entry> pool_;
-  std::vector<std::size_t> trivial_;
-
- public:
-  bool is_trivial() const { return head_ == nullptr; }
-  const std::vector<std::size_t>& trivial_hull() const { return trivial_; }
+  // The fan is the two edges into and out of p, between the ring edges.
+  void replace(std::size_t p, const arc& a, std::vector<edge*>& fan) const {
+    edge* ringL = a.ring.front();
+    edge* ringR = a.ring.back();
+    edge* n1 = arena.alloc();
+    edge* n2 = arena.alloc();
+    n1->u = a.visible.front()->u;
+    n1->w = p;
+    n2->u = p;
+    n2->w = a.visible.back()->w;
+    n1->prev = ringL;
+    n1->next = n2;
+    n2->prev = n1;
+    n2->next = ringR;
+    ringL->next = n1;
+    ringR->prev = n2;
+    for (edge* e : a.visible) e->dead = true;
+    fan.assign({n1, n2});
+  }
+  bool sees(const edge* e, std::size_t p) const {
+    return visible(pts[e->u], pts[e->w], pts[p]);
+  }
+  double dist(const edge* e, std::size_t p) const {
+    return line_dist(pts[e->u], pts[e->w], pts[p]);
+  }
+  // sequential_quickhull's rule: further along the edge, then the smaller
+  // index.
+  bool tie(const edge* e, std::size_t a, std::size_t b) const {
+    return further_along(pts, e->u, e->w, a, b);
+  }
 };
+
+std::vector<std::size_t> run_reservation(const std::vector<pt>& pts,
+                                         reservation::batch_rule rule,
+                                         std::size_t batch_factor,
+                                         uint64_t seed) {
+  const std::size_t n = pts.size();
+  if (n == 0) return {};
+  if (n == 1) return {0};
+  // Point processing order: random permutation for the randomized
+  // incremental variant, input order for quickhull (selection is by
+  // furthest distance there).
+  std::vector<std::size_t> order;
+  if (rule == reservation::batch_rule::randinc) {
+    order = par::random_permutation(n, seed);
+  }
+  const auto at = [&](std::size_t i) { return order.empty() ? i : order[i]; };
+
+  // First two distinct points plus a non-collinear third.
+  const std::size_t a = at(0);
+  std::size_t b = n, c = n;
+  for (std::size_t i = 1; i < n; ++i) {
+    if (pts[at(i)] != pts[a]) {
+      b = at(i);
+      break;
+    }
+  }
+  if (b == n) return {a};  // all identical
+  for (std::size_t i = 1; i < n; ++i) {
+    if (orient2d(pts[a], pts[b], pts[at(i)]) != 0) {
+      c = at(i);
+      break;
+    }
+  }
+  if (c == n) {  // all collinear: hull = extreme pair
+    std::size_t lo = a, hi = a;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (pts[at(i)] < pts[lo]) lo = at(i);
+      if (pts[hi] < pts[at(i)]) hi = at(i);
+    }
+    return canonicalize(pts, {lo, hi});
+  }
+  if (orient2d(pts[a], pts[b], pts[c]) < 0) std::swap(b, c);
+  reservation::cell_arena<edge> arena;
+  edge* e0 = arena.alloc();
+  edge* e1 = arena.alloc();
+  edge* e2 = arena.alloc();
+  e0->u = a; e0->w = b;
+  e1->u = b; e1->w = c;
+  e2->u = c; e2->w = a;
+  e0->next = e1; e1->next = e2; e2->next = e0;
+  e0->prev = e2; e1->prev = e0; e2->prev = e1;
+
+  edge_geometry geo{pts, arena};
+  reservation::rounds<edge_geometry> rounds(geo, n, rule, batch_factor,
+                                            std::move(order));
+  rounds.run({e0, e1, e2});
+
+  // Walk the final edge ring, from any alive edge, to emit the hull CCW.
+  std::size_t i = 0;
+  while (arena.get(i)->dead) ++i;
+  std::vector<std::size_t> ccw;
+  const edge* start = arena.get(i);
+  const edge* e = start;
+  do {
+    ccw.push_back(e->u);
+    e = e->next;
+  } while (e != start);
+
+  // A point collinear with a hull edge does not see it, so the hull can
+  // grow past the edge's end and leave a straight-angle vertex. The polygon
+  // is convex with no repeated point, so drop each vertex collinear with
+  // its neighbours; hull[0], the lexicographic minimum, always stays.
+  const auto hull = canonicalize(pts, std::move(ccw));
+  const std::size_t h = hull.size();
+  std::vector<std::size_t> strict;
+  for (std::size_t k = 0; k < h; ++k) {
+    if (orient2d(pts[hull[(k + h - 1) % h]], pts[hull[k]],
+                 pts[hull[(k + 1) % h]]) != 0) {
+      strict.push_back(hull[k]);
+    }
+  }
+  return strict;
+}
 
 }  // namespace
 
@@ -496,43 +340,15 @@ std::vector<std::size_t> quickhull(const std::vector<pt>& pts) {
   return canonicalize(pts, std::move(hull));
 }
 
-namespace {
-std::vector<std::size_t> run_reservation(const std::vector<pt>& pts,
-                                         reservation_hull::mode m,
-                                         std::size_t batch_factor,
-                                         uint64_t seed) {
-  if (pts.empty()) return {};
-  if (pts.size() == 1) return {0};
-  reservation_hull rh(pts, m, batch_factor, seed);
-  if (rh.is_trivial()) {
-    return canonicalize(pts, rh.trivial_hull());
-  }
-  // A point collinear with a hull edge does not see it, so the hull can
-  // grow past the edge's end and leave a straight-angle vertex. The polygon
-  // is convex with no repeated point, so drop each vertex collinear with
-  // its neighbours; hull[0], the lexicographic minimum, always stays.
-  const auto hull = canonicalize(pts, rh.run());
-  const std::size_t h = hull.size();
-  std::vector<std::size_t> strict;
-  for (std::size_t i = 0; i < h; ++i) {
-    if (orient2d(pts[hull[(i + h - 1) % h]], pts[hull[i]],
-                 pts[hull[(i + 1) % h]]) != 0) {
-      strict.push_back(hull[i]);
-    }
-  }
-  return strict;
-}
-}  // namespace
-
 std::vector<std::size_t> randinc(const std::vector<pt>& pts,
                                  std::size_t batch_factor, uint64_t seed) {
-  return run_reservation(pts, reservation_hull::mode::randinc, batch_factor,
+  return run_reservation(pts, reservation::batch_rule::randinc, batch_factor,
                          seed);
 }
 
 std::vector<std::size_t> reservation_quickhull(
     const std::vector<pt>& pts, std::size_t batch_factor) {
-  return run_reservation(pts, reservation_hull::mode::quickhull,
+  return run_reservation(pts, reservation::batch_rule::quickhull,
                          batch_factor, 1);
 }
 

@@ -27,15 +27,19 @@ std::vector<std::size_t> quickhull(const std::vector<point<2>>& pts);
 
 /// Reservation-based parallel randomized incremental algorithm.
 /// `batch_factor` is the paper's constant c: round batch = c * numProc.
-/// Re-homing is winner-local: a point whose edge died tests only the two
-/// new edges, then the two ring edges, of the winner that killed it, and
-/// is dropped as interior if it sees none.
+/// Every outside point sits in the conflict list of one hull edge it sees.
+/// A round's winners replace their visible arcs by two new edges each, and
+/// only the points in the lists of the edges they killed move: each tests
+/// the two new edges, then the two ring edges, of the winner that killed
+/// its edge, and is dropped as interior if it sees none. The rounds depend
+/// on c * numProc and the seed only, not on the schedule.
 std::vector<std::size_t> randinc(const std::vector<point<2>>& pts,
                                  std::size_t batch_factor = 8,
                                  uint64_t seed = 1);
 
-/// Reservation-based parallel quickhull (furthest-point batches), with the
-/// same winner-local re-homing as randinc.
+/// Reservation-based parallel quickhull: the same rounds and conflict
+/// lists as randinc, with batches of the furthest point of each edge's
+/// list (ties as in sequential_quickhull), smallest index first.
 std::vector<std::size_t> reservation_quickhull(
     const std::vector<point<2>>& pts, std::size_t batch_factor = 8);
 

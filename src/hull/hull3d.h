@@ -38,16 +38,20 @@ struct stats {
 mesh sequential_quickhull(const std::vector<point<3>>& pts,
                           stats* st = nullptr);
 
-/// Reservation-based parallel randomized incremental hull. Each round a
-/// batch of c * numProc points reserves its visible facets and their ring;
-/// the winners replace their regions by fans. Re-homing is winner-local: a
-/// point whose facet died tests only the fan, then the ring, of the winner
-/// that killed it, and is dropped as interior if it sees neither.
+/// Reservation-based parallel randomized incremental hull. Every outside
+/// point sits in the conflict list of one facet it sees. Each round a batch
+/// of c * numProc points reserves its visible facets and their ring; the
+/// winners replace their regions by fans, and only the points in the lists
+/// of the facets they killed move: each tests the fan, then the ring, of
+/// the winner that killed its facet, and is dropped as interior if it sees
+/// neither. The rounds, and so `st`, depend on c * numProc and the seed
+/// only, not on the schedule.
 mesh randinc(const std::vector<point<3>>& pts, std::size_t batch_factor = 8,
              uint64_t seed = 1, stats* st = nullptr);
 
-/// The same reservation rounds and winner-local re-homing as randinc, with
-/// batches of the furthest point of each facet.
+/// The same reservation rounds and conflict lists as randinc, with batches
+/// of the furthest point of each facet's list (ties to the smaller index,
+/// as in sequential_quickhull), smallest index first.
 mesh reservation_quickhull(const std::vector<point<3>>& pts,
                            std::size_t batch_factor = 8,
                            stats* st = nullptr);

@@ -1,4 +1,7 @@
-// Shared internal facet machinery for the 3D hull algorithms.
+// Facet machinery shared by the 3D hull algorithms: the facet (a
+// reservation::cell with its plane and neighbours), the initial simplex,
+// and the visible region of a point and its replacement by a fan, which
+// sequential_quickhull and the reservation rounds (reservation.h) both use.
 //
 // Orientation convention (matches Shewchuk's orient3d): facets are stored
 // counter-clockwise as seen from outside, so for a facet (a, b, c) and any
@@ -6,76 +9,35 @@
 // from the facet (outside its plane) iff orient3d(a, b, c, p) < 0.
 #pragma once
 
+#include <algorithm>
 #include <array>
-#include <atomic>
-#include <cstdint>
-#include <limits>
-#include <memory>
-#include <mutex>
+#include <cmath>
 #include <stdexcept>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "core/point.h"
 #include "core/predicates.h"
+#include "hull/reservation.h"
+#include "parallel/parallel.h"
 
 namespace pargeo::hull3d::detail {
 
 using pt = point<3>;
 
-inline constexpr uint32_t kNoReservation =
-    std::numeric_limits<uint32_t>::max();
-
-struct facet {
+/// A hull facet. Its conflict list (reservation::cell::conflicts) holds the
+/// outside points homed on it.
+struct facet : reservation::cell {
   std::array<std::size_t, 3> v{};
   // nbr[i] is the facet across directed edge (v[i], v[(i+1)%3]).
   std::array<facet*, 3> nbr{};
   pt normal{};        // unnormalized outward normal
   double offset = 0;  // plane: normal . x == offset
-  std::atomic<uint32_t> rsv{kNoReservation};
-  std::atomic<uint64_t> best{0};
-  uint32_t winner = 0;  // reservation hulls: slot of the winner that killed it
-  bool dead = false;
-  std::vector<std::size_t> conflicts;  // sequential algorithm only
 
   /// Positive outside the facet plane; used for furthest-point selection.
   double plane_dist(const pt& p) const { return normal.dot(p) - offset; }
 };
 
-/// Pointer-stable chunked facet allocator, safe for concurrent alloc().
-class facet_arena {
- public:
-  static constexpr std::size_t kBlockBits = 14;
-  static constexpr std::size_t kBlock = std::size_t{1} << kBlockBits;
-  static constexpr std::size_t kMaxBlocks = 1 << 14;  // ~268M facets cap
-
-  facet* alloc() {
-    const std::size_t i = next_.fetch_add(1, std::memory_order_relaxed);
-    while (i >= cap_.load(std::memory_order_acquire)) {
-      std::lock_guard<std::mutex> g(grow_);
-      const std::size_t cap = cap_.load(std::memory_order_relaxed);
-      if (i >= cap) {
-        const std::size_t b = cap >> kBlockBits;
-        if (b >= kMaxBlocks) throw std::bad_alloc();
-        blocks_[b] = std::make_unique<facet[]>(kBlock);
-        cap_.store(cap + kBlock, std::memory_order_release);
-      }
-    }
-    return get(i);
-  }
-
-  std::size_t size() const { return next_.load(std::memory_order_relaxed); }
-  facet* get(std::size_t i) {
-    return &blocks_[i >> kBlockBits][i & (kBlock - 1)];
-  }
-
- private:
-  std::array<std::unique_ptr<facet[]>, kMaxBlocks> blocks_;
-  std::atomic<std::size_t> next_{0};
-  std::atomic<std::size_t> cap_{0};
-  std::mutex grow_;
-};
+using facet_arena = reservation::cell_arena<facet>;
 
 /// Strict visibility predicate (filtered, escalates to long double).
 inline bool visible(const std::vector<pt>& pts, const facet* f,
@@ -89,40 +51,51 @@ inline void set_plane(const std::vector<pt>& pts, facet* f) {
   f->offset = f->normal.dot(a);
 }
 
-/// Picks four affinely independent points, preferring spread-out extremes.
-/// Throws std::invalid_argument if the input is degenerate (flat in 3D).
+/// The first index in [0, n) with the largest key(i), or n if no key is
+/// positive. A parallel reduction.
+template <class Key>
+std::size_t first_max(std::size_t n, const Key& key) {
+  struct keyed {
+    double k;
+    std::size_t i;
+  };
+  struct view {
+    std::size_t n;
+    const Key& key;
+    std::size_t size() const { return n; }
+    keyed operator[](std::size_t i) const { return {key(i), i}; }
+  };
+  const keyed best = par::reduce(
+      view{n, key}, keyed{0, n}, [](const keyed& x, const keyed& y) {
+        return y.k > x.k || (y.k == x.k && y.i < x.i) ? y : x;
+      });
+  return best.k > 0 ? best.i : n;
+}
+
+/// Picks four affinely independent points, preferring spread-out extremes:
+/// the lexicographic minimum and maximum, the point furthest from their
+/// line, and the point furthest from the plane of those three, each the
+/// first index among equals. Throws std::invalid_argument if the input is
+/// degenerate (flat in 3D).
 inline std::array<std::size_t, 4> initial_simplex(
     const std::vector<pt>& pts) {
   const std::size_t n = pts.size();
   if (n < 4) throw std::invalid_argument("3D hull needs >= 4 points");
-  std::size_t a = 0, b = 0;
-  for (std::size_t i = 1; i < n; ++i) {
-    if (pts[i] < pts[a]) a = i;
-    if (pts[b] < pts[i]) b = i;
-  }
+  const std::size_t a = par::min_element_index(
+      pts, [](const pt& x, const pt& y) { return x < y; });
+  const std::size_t b = par::min_element_index(
+      pts, [](const pt& x, const pt& y) { return y < x; });
   if (pts[a] == pts[b]) {
     throw std::invalid_argument("3D hull of identical points");
   }
   const pt ab = pts[b] - pts[a];
-  std::size_t c = n;
-  double bestC = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double d = cross(ab, pts[i] - pts[a]).length_sq();
-    if (d > bestC) {
-      bestC = d;
-      c = i;
-    }
-  }
+  const std::size_t c = first_max(n, [&](std::size_t i) {
+    return cross(ab, pts[i] - pts[a]).length_sq();
+  });
   if (c == n) throw std::invalid_argument("3D hull of collinear points");
-  std::size_t d = n;
-  double bestD = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double vol = std::abs(orient3d(pts[a], pts[b], pts[c], pts[i]));
-    if (vol > bestD) {
-      bestD = vol;
-      d = i;
-    }
-  }
+  const std::size_t d = first_max(n, [&](std::size_t i) {
+    return std::abs(orient3d(pts[a], pts[b], pts[c], pts[i]));
+  });
   if (d == n || orient3d(pts[a], pts[b], pts[c], pts[d]) == 0) {
     throw std::invalid_argument("3D hull of coplanar points");
   }
@@ -174,51 +147,49 @@ struct region {
   std::vector<facet*> visible;
   std::vector<std::pair<facet*, int>> horizon;  // (visible facet, edge idx)
   std::vector<facet*> ring;
+  std::vector<facet*> stack;  // find_region's work stack
 };
 
+inline bool contains(const std::vector<facet*>& v, const facet* f) {
+  return std::find(v.begin(), v.end(), f) != v.end();
+}
+
 /// Depth-first collection of the visible region starting from `f0`, which
-/// must be visible from p. Read-only with local visited set, so safe to run
-/// concurrently for many points.
+/// must be visible from p. Read-only, so safe to run concurrently for many
+/// points. Regions hold a few dozen facets, so membership is a linear scan:
+/// a facet has been reached iff it is on the stack or already visited.
 inline void find_region(const std::vector<pt>& pts, const pt& p, facet* f0,
                         region& out) {
   out.visible.clear();
   out.horizon.clear();
   out.ring.clear();
-  std::unordered_set<facet*> vis;
-  vis.reserve(16);
-  std::vector<facet*> stack{f0};
-  vis.insert(f0);
-  std::unordered_set<facet*> ringSet;
-  while (!stack.empty()) {
-    facet* f = stack.back();
-    stack.pop_back();
+  out.stack.assign(1, f0);
+  while (!out.stack.empty()) {
+    facet* f = out.stack.back();
+    out.stack.pop_back();
     out.visible.push_back(f);
     for (int e = 0; e < 3; ++e) {
       facet* g = f->nbr[e];
-      if (vis.count(g)) continue;
+      if (contains(out.visible, g) || contains(out.stack, g)) continue;
       if (visible(pts, g, p)) {
-        vis.insert(g);
-        stack.push_back(g);
+        out.stack.push_back(g);
       } else {
         out.horizon.emplace_back(f, e);
-        if (ringSet.insert(g).second) out.ring.push_back(g);
+        if (!contains(out.ring, g)) out.ring.push_back(g);
       }
     }
   }
 }
 
 /// Replaces the visible region of apex point `p` (index into pts) with a
-/// fan of new facets over the horizon and marks the old facets dead.
-/// Returns the new facets. The caller must own every facet in `r.visible`
-/// and `r.ring` (reservation winners / sequential).
-inline std::vector<facet*> replace_region(const std::vector<pt>& pts,
-                                          facet_arena& arena, std::size_t p,
-                                          const region& r) {
+/// fan of new facets over the horizon, one per horizon edge in horizon
+/// order, and marks the old facets dead. The caller must own every facet in
+/// `r.visible` and `r.ring` (reservation winners / sequential).
+inline void replace_region(const std::vector<pt>& pts, facet_arena& arena,
+                           std::size_t p, const region& r,
+                           std::vector<facet*>& fan) {
   const std::size_t h = r.horizon.size();
-  std::vector<facet*> nf(h);
-  std::unordered_map<std::size_t, facet*> byStart, byEnd;
-  byStart.reserve(h);
-  byEnd.reserve(h);
+  fan.resize(h);
   for (std::size_t i = 0; i < h; ++i) {
     auto [f, e] = r.horizon[i];
     const std::size_t u = f->v[e];
@@ -227,7 +198,7 @@ inline std::vector<facet*> replace_region(const std::vector<pt>& pts,
     facet* x = arena.alloc();
     x->v = {u, w, p};
     set_plane(pts, x);
-    x->nbr[0] = g;
+    x->nbr = {g, nullptr, nullptr};
     // Rewire g's edge (w, u) to the new facet.
     for (int e2 = 0; e2 < 3; ++e2) {
       if (g->v[e2] == w && g->v[(e2 + 1) % 3] == u) {
@@ -235,18 +206,20 @@ inline std::vector<facet*> replace_region(const std::vector<pt>& pts,
         break;
       }
     }
-    nf[i] = x;
-    byStart[u] = x;
-    byEnd[w] = x;
+    fan[i] = x;
   }
   // Fan adjacency: edge (w, p) borders the facet starting at w; edge (p, u)
   // borders the facet ending at u.
-  for (facet* x : nf) {
-    x->nbr[1] = byStart.at(x->v[1]);
-    x->nbr[2] = byEnd.at(x->v[0]);
+  for (facet* x : fan) {
+    for (facet* y : fan) {
+      if (y->v[0] == x->v[1]) x->nbr[1] = y;
+      if (y->v[1] == x->v[0]) x->nbr[2] = y;
+    }
+    if (x->nbr[1] == nullptr || x->nbr[2] == nullptr) {
+      throw std::logic_error("3D hull: horizon is not a closed cycle");
+    }
   }
   for (facet* f : r.visible) f->dead = true;
-  return nf;
 }
 
 }  // namespace pargeo::hull3d::detail

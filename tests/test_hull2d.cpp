@@ -8,6 +8,7 @@
 #include "core/predicates.h"
 #include "datagen/datagen.h"
 #include "hull/hull2d.h"
+#include "test_util.h"
 
 using namespace pargeo;
 
@@ -90,10 +91,14 @@ TEST_P(Hull2dSweep, AllMethodsAgreeAndValid) {
   auto pts = dataset(p.dist, p.n, p.seed);
   auto h0 = hull2d::sequential_quickhull(pts);
   check_valid_hull(pts, h0);
-  EXPECT_EQ(h0, hull2d::quickhull(pts));
-  EXPECT_EQ(h0, hull2d::randinc(pts));
-  EXPECT_EQ(h0, hull2d::reservation_quickhull(pts));
-  EXPECT_EQ(h0, hull2d::divide_conquer(pts));
+  for (const int workers : {1, 2, 4}) {
+    SCOPED_TRACE(workers);
+    testutil::scoped_workers w(workers);
+    EXPECT_EQ(h0, hull2d::quickhull(pts));
+    EXPECT_EQ(h0, hull2d::randinc(pts));
+    EXPECT_EQ(h0, hull2d::reservation_quickhull(pts));
+    EXPECT_EQ(h0, hull2d::divide_conquer(pts));
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -104,7 +109,7 @@ INSTANTIATE_TEST_SUITE_P(
                       Hull2dParam{3, 30000, 7}, Hull2dParam{0, 17, 8},
                       Hull2dParam{2, 100, 9}, Hull2dParam{4, 400, 10},
                       Hull2dParam{4, 40000, 11}, Hull2dParam{5, 100, 5},
-                      Hull2dParam{5, 1000, 12}),
+                      Hull2dParam{5, 1000, 12}, Hull2dParam{2, 100000, 13}),
     [](const ::testing::TestParamInfo<Hull2dParam>& info) {
       return "dist" + std::to_string(info.param.dist) + "_n" +
              std::to_string(info.param.n) + "_s" +

@@ -3,13 +3,17 @@
 // degenerate inputs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 #include <set>
+#include <string>
 
 #include "core/predicates.h"
 #include "datagen/datagen.h"
 #include "hull/hull3d.h"
+#include "parallel/random.h"
+#include "test_util.h"
 
 using namespace pargeo;
 
@@ -60,6 +64,19 @@ std::vector<point<3>> dataset(int which, std::size_t n, uint64_t seed) {
   }
 }
 
+// Integer lattice of side^3 points in x, y, z order.
+std::vector<point<3>> lattice(int side) {
+  std::vector<point<3>> pts;
+  for (int x = 0; x < side; ++x) {
+    for (int y = 0; y < side; ++y) {
+      for (int z = 0; z < side; ++z) {
+        pts.push_back(point<3>{{1.0 * x, 1.0 * y, 1.0 * z}});
+      }
+    }
+  }
+  return pts;
+}
+
 }  // namespace
 
 struct Hull3dParam {
@@ -76,10 +93,14 @@ TEST_P(Hull3dSweep, AllMethodsAgreeAndValid) {
   auto m0 = hull3d::sequential_quickhull(pts);
   check_valid_mesh(pts, m0);
   auto v0 = hull3d::hull_vertices(m0);
-  EXPECT_EQ(v0, hull3d::hull_vertices(hull3d::randinc(pts)));
-  EXPECT_EQ(v0, hull3d::hull_vertices(hull3d::reservation_quickhull(pts)));
-  EXPECT_EQ(v0, hull3d::hull_vertices(hull3d::divide_conquer(pts)));
-  EXPECT_EQ(v0, hull3d::hull_vertices(hull3d::pseudohull(pts)));
+  for (const int workers : {1, 2, 4}) {
+    SCOPED_TRACE(workers);
+    testutil::scoped_workers w(workers);
+    EXPECT_EQ(v0, hull3d::hull_vertices(hull3d::randinc(pts)));
+    EXPECT_EQ(v0, hull3d::hull_vertices(hull3d::reservation_quickhull(pts)));
+    EXPECT_EQ(v0, hull3d::hull_vertices(hull3d::divide_conquer(pts)));
+    EXPECT_EQ(v0, hull3d::hull_vertices(hull3d::pseudohull(pts)));
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -88,7 +109,7 @@ INSTANTIATE_TEST_SUITE_P(
                       Hull3dParam{1, 20000, 3}, Hull3dParam{2, 2000, 4},
                       Hull3dParam{2, 20000, 5}, Hull3dParam{3, 20000, 6},
                       Hull3dParam{4, 20000, 7}, Hull3dParam{0, 50, 8},
-                      Hull3dParam{1, 300, 9}),
+                      Hull3dParam{1, 300, 9}, Hull3dParam{0, 100000, 10}),
     [](const ::testing::TestParamInfo<Hull3dParam>& info) {
       return "dist" + std::to_string(info.param.dist) + "_n" +
              std::to_string(info.param.n) + "_s" +
@@ -96,32 +117,32 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(Hull3d, ParallelMeshesAreValidToo) {
-  // Besides on-sphere points, two inputs with many exactly coplanar points
-  // on every hull face: a 14^3 integer lattice, and cube-shell points
-  // rounded to integers. Only validity is asserted: the reservation hulls
-  // may keep points inside a face as vertices.
-  std::vector<point<3>> lattice;
-  for (int x = 0; x < 14; ++x) {
-    for (int y = 0; y < 14; ++y) {
-      for (int z = 0; z < 14; ++z) {
-        lattice.push_back(point<3>{{1.0 * x, 1.0 * y, 1.0 * z}});
-      }
-    }
-  }
+  // Besides on-sphere points, inputs with many exactly coplanar points on
+  // every hull face: a 14^3 integer lattice, a 10^3 one in shuffled index
+  // order, and cube-shell points rounded to integers. Only validity is
+  // asserted: the hulls may keep points inside a face as vertices. The
+  // shuffled lattice makes them do so (the ordered one gives the 8
+  // corners), so points coplanar with a fan facet get re-homed.
   auto cube = datagen::on_cube<3>(20000);
   for (auto& p : cube) {
     for (int d = 0; d < 3; ++d) p[d] = std::round(p[d]);
   }
   const std::pair<const char*, std::vector<point<3>>> inputs[] = {
       {"on_sphere", datagen::on_sphere<3>(5000, 21)},
-      {"lattice", lattice},
+      {"lattice", lattice(14)},
+      {"shuffled_lattice", par::random_shuffle(lattice(10), 3)},
       {"rounded_on_cube", cube}};
-  for (const auto& [name, pts] : inputs) {
-    SCOPED_TRACE(name);
-    check_valid_mesh(pts, hull3d::randinc(pts));
-    check_valid_mesh(pts, hull3d::reservation_quickhull(pts));
-    check_valid_mesh(pts, hull3d::divide_conquer(pts));
-    check_valid_mesh(pts, hull3d::pseudohull(pts));
+  for (const int workers : {1, 4}) {
+    testutil::scoped_workers w(workers);
+    for (const auto& [name, pts] : inputs) {
+      SCOPED_TRACE(std::string(name) + " at " + std::to_string(workers) +
+                   " workers");
+      check_valid_mesh(pts, hull3d::sequential_quickhull(pts));
+      check_valid_mesh(pts, hull3d::randinc(pts));
+      check_valid_mesh(pts, hull3d::reservation_quickhull(pts));
+      check_valid_mesh(pts, hull3d::divide_conquer(pts));
+      check_valid_mesh(pts, hull3d::pseudohull(pts));
+    }
   }
 }
 
@@ -203,6 +224,60 @@ TEST(Hull3d, BatchFactorInvariance) {
   auto v1 = hull3d::hull_vertices(hull3d::reservation_quickhull(pts, 1));
   auto v2 = hull3d::hull_vertices(hull3d::reservation_quickhull(pts, 32));
   EXPECT_EQ(v1, v2);
+}
+
+TEST(Hull3d, RoundsDependOnTheBatchSizeOnly) {
+  // batch_factor x workers is 32 in every setup below, so the reservation
+  // rounds, their counters and the meshes must be the same: a round's
+  // batch, winners and re-homes may not depend on the worker count or on
+  // the schedule.
+  struct input {
+    const char* name;
+    std::vector<point<3>> pts;
+  };
+  std::vector<input> inputs;
+  for (const std::size_t n : {2000, 50000, 200000}) {
+    inputs.push_back({"in_sphere", datagen::in_sphere<3>(n, 5)});
+    inputs.push_back({"on_sphere", datagen::on_sphere<3>(n, 6)});
+    inputs.push_back({"uniform", datagen::uniform<3>(n, 7)});
+  }
+  auto sorted = [](hull3d::mesh m) {
+    std::sort(m.facets.begin(), m.facets.end());
+    return m.facets;
+  };
+  const std::pair<std::size_t, int> setups[] = {{32, 1}, {16, 2}, {8, 4}};
+  for (const auto& [name, pts] : inputs) {
+    for (const bool quick : {false, true}) {
+      SCOPED_TRACE(std::string(name) + " n=" + std::to_string(pts.size()) +
+                   (quick ? " reservation_quickhull" : " randinc"));
+      std::vector<std::array<std::size_t, 3>> first;
+      hull3d::stats first_st;
+      for (const auto& [batch_factor, workers] : setups) {
+        testutil::scoped_workers w(workers);
+        hull3d::stats st;
+        auto m = quick ? hull3d::reservation_quickhull(pts, batch_factor, &st)
+                       : hull3d::randinc(pts, batch_factor, 1, &st);
+        if (workers == 1) {
+          first = sorted(std::move(m));
+          first_st = st;
+          continue;
+        }
+        EXPECT_EQ(st.points_touched, first_st.points_touched) << workers;
+        EXPECT_EQ(st.facets_touched, first_st.facets_touched) << workers;
+        EXPECT_EQ(sorted(std::move(m)), first) << workers;
+      }
+    }
+  }
+  // Pinned randinc counts at batch 32: a change to the batch rule, the
+  // order of a visible region or the re-home rule moves them.
+  testutil::scoped_workers w(1);
+  hull3d::stats in, on;
+  hull3d::randinc(datagen::in_sphere<3>(50000, 5), 32, 1, &in);
+  hull3d::randinc(datagen::on_sphere<3>(50000, 6), 32, 1, &on);
+  EXPECT_EQ(in.points_touched, 375196u);
+  EXPECT_EQ(in.facets_touched, 28784u);
+  EXPECT_EQ(on.points_touched, 434162u);
+  EXPECT_EQ(on.facets_touched, 31857u);
 }
 
 TEST(Hull3d, PseudohullThresholdInvariance) {
