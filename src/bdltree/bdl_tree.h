@@ -326,8 +326,9 @@ class bdl_tree {
         retire_tree(std::move(trees_[i]));
       }
     }
-    // Build the new trees in parallel over contiguous pool slices, largest
-    // first so slice sizes match capacities X*2^i as closely as possible.
+    // Build the new trees over contiguous pool slices (in parallel for a
+    // large pool), largest first so slice sizes match capacities X*2^i as
+    // closely as possible.
     std::vector<int> slots;
     for (int i = 63; i >= 0; --i) {
       if ((create >> i) & 1) slots.push_back(i);
@@ -354,7 +355,7 @@ class bdl_tree {
           trees_[slots[i]] =
               std::make_shared<veb_tree<D>>(std::move(slice), policy_);
         },
-        1);
+        inline_below_fork_cutoff(pool.size(), slots.size()));
   }
 
   /// Batch deletion (paper Algorithm 4). Points not present are ignored.
@@ -363,10 +364,17 @@ class bdl_tree {
   void erase(const std::vector<point<D>>& batch) {
     if (batch.empty()) return;
     detail::erase_sorted<D>(buffer_, batch);
-    // Erase from every non-empty tree in parallel.
+    // Erase from every non-empty tree, in parallel when that moves many
+    // points: a large batch, or large trees that a snapshot shares and that
+    // are copied whole before the erase (the use_count() read here only
+    // picks the grain; the loop decides per tree, after its pin).
     std::vector<int> occupied;
+    std::size_t work = batch.size();
     for (int i = 0; i < static_cast<int>(trees_.size()); ++i) {
-      if (trees_[i] && !trees_[i]->empty()) occupied.push_back(i);
+      if (trees_[i] && !trees_[i]->empty()) {
+        occupied.push_back(i);
+        if (trees_[i].use_count() > 1) work += trees_[i]->size();
+      }
     }
     par::parallel_for(
         0, occupied.size(),
@@ -389,7 +397,7 @@ class bdl_tree {
           slot = std::move(copy);
           retire_tree(std::move(old));
         },
-        1);
+        inline_below_fork_cutoff(work, occupied.size()));
     // Gather trees that fell below half their build capacity; reinsert.
     std::vector<point<D>> reinsert;
     for (const int i : occupied) {
@@ -448,6 +456,15 @@ class bdl_tree {
   std::size_t buffer_capacity() const { return x_; }
 
  private:
+  // Grain for a loop over `slots` trees that builds, copies or looks up
+  // `points` points in all: the whole loop (run inline, no team) below the
+  // builder's fork cutoff, where a single-point erase would otherwise open a
+  // team for microseconds of work; one tree per task above it.
+  static std::size_t inline_below_fork_cutoff(std::size_t points,
+                                              std::size_t slots) {
+    return points < kdtree::kForkCutoff ? slots : 1;
+  }
+
   uint64_t full_mask() const {
     uint64_t f = 0;
     for (std::size_t i = 0; i < trees_.size(); ++i) {

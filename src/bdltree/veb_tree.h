@@ -8,15 +8,27 @@
 // Deletion tombstones points and maintains live counts so empty subtrees
 // are skipped (the array analogue of Algorithm 2's NULL-collapse).
 //
+// *Construction.* The tree is built by kdtree/build.h, the builder the
+// static kd-tree shares: a binary recursion that forks only while a range
+// holds more than kdtree::kForkCutoff points. A node at depth d splits
+// along dimension d mod D by the object median (cut at n/2) or the spatial
+// median; a range above kdtree::kParallelSplitCutoff points is split by a
+// parallel selection and a stable blocked partition, a smaller one in place
+// by std::nth_element. The path depends on the range's size alone, so the
+// point order and the node array are the same at every worker count. A
+// node's array index follows from its depth and its position in its level
+// (`veb_index`), and its box is the union of its children's, filled in as
+// the recursion returns.
+//
 // *Child links.* Each node stores the array indices of its two children,
-// written by the build as it lays out the recursion, and every traversal
-// follows them. Deriving a child's index from the layout instead replays
-// the vEB recursion from the root at every node visit, which is not cheap
-// next to the geometry: on one 1M-point uniform 2D tree, 250k queries
-// with k = 8 on one thread took 1.0-1.3 s that way and 0.57-0.66 s over
-// stored links (the pointer-based static kd-tree: 0.70-0.92 s; 4-vCPU
-// shared VM, gcc 12 -O3). Ranges, live counts and links are 32-bit, so a
-// node is 64 bytes at D = 2 and a tree holds at most 2^32 - 1 points.
+// written by the build, and every traversal follows them. Deriving a
+// child's index from the layout instead replays the vEB recursion from the
+// root at every node visit, which is not cheap next to the geometry: on
+// one 1M-point uniform 2D tree, 250k queries with k = 8 on one thread took
+// 1.0-1.3 s that way and 0.57-0.66 s over stored links (the pointer-based
+// static kd-tree: 0.70-0.92 s; 4-vCPU shared VM, gcc 12 -O3). Ranges, live
+// counts and links are 32-bit, so a node is 64 bytes at D = 2 and a tree
+// holds at most 2^32 - 1 points.
 #pragma once
 
 #include <algorithm>
@@ -24,16 +36,18 @@
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "core/aabb.h"
 #include "core/point.h"
+#include "kdtree/build.h"
 #include "kdtree/knn_buffer.h"
 #include "parallel/parallel.h"
 
 namespace pargeo::bdltree {
 
-enum class split_policy { object_median, spatial_median };
+using split_policy = kdtree::split_policy;
 
 template <int D>
 class veb_tree {
@@ -50,7 +64,7 @@ class veb_tree {
   };
 
   veb_tree(std::vector<point<D>> pts, split_policy policy)
-      : points_(std::move(pts)), policy_(policy) {
+      : points_(std::move(pts)) {
     const std::size_t n = points_.size();
     if (n > std::numeric_limits<std::uint32_t>::max()) {
       throw std::length_error("veb_tree: more than 2^32 - 1 points");
@@ -60,11 +74,34 @@ class veb_tree {
     if (n == 0) return;
     const std::size_t nLeaves =
         std::max<std::size_t>(1, (n + kLeafSize - 1) / kLeafSize);
-    const int levels = 1 + static_cast<int>(std::ceil(std::log2(
-                               static_cast<double>(nLeaves))));
-    nodes_.assign((std::size_t{1} << levels) - 1, node{});
-    build_rec(0, 0, static_cast<std::uint32_t>(n), 0, levels, /*top=*/false);
-    recompute_boxes(0);
+    levels_ = 1 + static_cast<int>(
+                      std::ceil(std::log2(static_cast<double>(nLeaves))));
+    nodes_.assign((std::size_t{1} << levels_) - 1, node{});
+    kdtree::build(
+        points_.data(), n, policy, place{0, 0, 0},
+        [this](place at, std::size_t lo, std::size_t hi) {
+          node& nd = nodes_[at.idx];
+          nd.lo = static_cast<std::uint32_t>(lo);
+          nd.hi = static_cast<std::uint32_t>(hi);
+          nd.live = nd.hi - nd.lo;
+          if (at.depth + 1 < levels_) return at.depth % D;
+          for (std::size_t i = lo; i < hi; ++i) nd.box.extend(points_[i]);
+          return -1;  // a leaf holds its whole range
+        },
+        [this](place at, int dim, double value) {
+          node& nd = nodes_[at.idx];
+          nd.split_dim = dim;
+          nd.split_val = value;
+          const place l = child(at, 0), r = child(at, 1);
+          nd.left = l.idx;
+          nd.right = r.idx;
+          return std::pair{l, r};
+        },
+        [this](place at) {
+          node& nd = nodes_[at.idx];
+          nd.box = nodes_[nd.left].box;
+          nd.box.extend(nodes_[nd.right].box);
+        });
   }
 
   std::size_t size() const { return live_; }
@@ -121,107 +158,46 @@ class veb_tree {
  private:
   // --- construction (paper Algorithm 1) --------------------------------
 
+  // A node's place: its depth, its position in its level (0 = leftmost)
+  // and its array index.
+  struct place {
+    int depth;
+    std::size_t pos;
+    std::uint32_t idx;
+  };
+
   static int hyperceil(int x) {
     int p = 1;
     while (p < x) p <<= 1;
     return p;
   }
 
-  // A child of a top-half frontier node that is not built yet: the
-  // parent's link to fill in and the point range the child covers.
-  struct open_child {
-    std::uint32_t* link;
-    std::uint32_t lo, hi;
-  };
-
-  // Builds an l-level subtree rooted at node index `idx` over points
-  // [lo, hi). In top mode every level is internal (the last level
-  // partitions its range for the bottom subtrees); in bottom mode the last
-  // level stores leaves. Returns the top mode's open children in
-  // left-to-right order, empty otherwise. Bottom subtree i of an l-level
-  // subtree at `idx` sits at idx + (2^lt - 1) + i * (2^lb - 1).
-  std::vector<open_child> build_rec(std::size_t idx, std::uint32_t lo,
-                                    std::uint32_t hi, int dim, int l,
-                                    bool top) {
-    if (l == 1) {
-      node& nd = nodes_[idx];
-      nd.lo = lo;
-      nd.hi = hi;
-      nd.live = hi - lo;
-      if (!top) return {};  // leaf (holds its whole range)
-      const std::uint32_t mid = partition_median(lo, hi, dim, &nd.split_val);
-      nd.split_dim = dim;
-      return {{&nd.left, lo, mid}, {&nd.right, mid, hi}};
-    }
-    const int lb = hyperceil((l + 1) / 2);
-    const int lt = l - lb;
-    const auto open = build_rec(idx, lo, hi, dim, lt, /*top=*/true);
-    const std::size_t subSize = (std::size_t{1} << lb) - 1;
-    const std::size_t base = idx + open.size() - 1;
-    std::vector<std::vector<open_child>> sub(open.size());
-    par::parallel_for(
-        0, open.size(),
-        [&](std::size_t i) {
-          const std::size_t root = base + i * subSize;
-          *open[i].link = static_cast<std::uint32_t>(root);
-          sub[i] = build_rec(root, open[i].lo, open[i].hi, (dim + lt) % D,
-                             lb, top);
-        },
-        1);
-    if (!top) return {};
-    std::vector<open_child> frontier;
-    frontier.reserve(open.size() * 2);
-    for (auto& s : sub) {
-      frontier.insert(frontier.end(), s.begin(), s.end());
-    }
-    return frontier;
+  place child(place at, std::size_t side) const {
+    const std::size_t pos = 2 * at.pos + side;
+    return {at.depth + 1, pos, veb_index(at.depth + 1, pos)};
   }
 
-  // Splits [lo, hi) along `dim` (object median or spatial median with an
-  // object-median fallback) and returns the split position.
-  std::uint32_t partition_median(std::uint32_t lo, std::uint32_t hi, int dim,
-                                 double* split_val) {
-    const std::uint32_t n = hi - lo;
-    if (n <= 1) {
-      *split_val = n == 1 ? points_[lo][dim] : 0.0;
-      return hi;
-    }
-    auto cmp = [dim](const point<D>& a, const point<D>& b) {
-      return a[dim] < b[dim];
-    };
-    if (policy_ == split_policy::spatial_median) {
-      double mn = points_[lo][dim], mx = mn;
-      for (std::uint32_t i = lo; i < hi; ++i) {
-        mn = std::min(mn, points_[i][dim]);
-        mx = std::max(mx, points_[i][dim]);
+  // Array index of the node at (depth, pos): the vEB recursion replayed
+  // for one node. A subtree of l levels at `base` lays out its top
+  // lt = l - lb levels first, then its 2^lt bottom subtrees of lb levels,
+  // lb = hyperceil((l + 1) / 2), left to right.
+  std::uint32_t veb_index(int depth, std::size_t pos) const {
+    std::size_t base = 0;
+    int l = levels_;
+    while (l > 1) {
+      const int lb = hyperceil((l + 1) / 2);
+      const int lt = l - lb;
+      if (depth < lt) {
+        l = lt;
+        continue;
       }
-      const double pivot = 0.5 * (mn + mx);
-      auto it = std::partition(
-          points_.begin() + lo, points_.begin() + hi,
-          [&](const point<D>& p) { return p[dim] < pivot; });
-      const auto mid = static_cast<std::uint32_t>(it - points_.begin());
-      if (mid != lo && mid != hi) {
-        *split_val = pivot;
-        return mid;
-      }
-      // Degenerate cut: fall through to the object median.
+      depth -= lt;
+      base += ((std::size_t{1} << lt) - 1) +
+              (pos >> depth) * ((std::size_t{1} << lb) - 1);
+      pos &= (std::size_t{1} << depth) - 1;
+      l = lb;
     }
-    auto midIt = points_.begin() + lo + n / 2;
-    std::nth_element(points_.begin() + lo, midIt, points_.begin() + hi, cmp);
-    *split_val = (*midIt)[dim];
-    return lo + n / 2;
-  }
-
-  // Post-build pass computing exact bounding boxes bottom-up.
-  const aabb<D>& recompute_boxes(std::uint32_t idx) {
-    node& nd = nodes_[idx];
-    if (nd.split_dim < 0) {
-      for (std::uint32_t i = nd.lo; i < nd.hi; ++i) nd.box.extend(points_[i]);
-      return nd.box;
-    }
-    nd.box = recompute_boxes(nd.left);
-    nd.box.extend(recompute_boxes(nd.right));
-    return nd.box;
+    return static_cast<std::uint32_t>(base);
   }
 
   // --- queries ----------------------------------------------------------
@@ -334,7 +310,7 @@ class veb_tree {
   std::vector<point<D>> points_;
   std::vector<uint8_t> alive_;
   std::vector<node> nodes_;
-  split_policy policy_;
+  int levels_ = 0;
   std::size_t live_ = 0;
 };
 

@@ -1,0 +1,265 @@
+// The one construction of the library's two static kd-trees: the pointer
+// kd-tree (`kdtree::tree`) and the BDL-tree's vEB-layout tree
+// (`bdltree::veb_tree`).
+//
+// *Recursion.* `build` visits a tree's nodes by a binary recursion over
+// ranges of its point array. Each node splits its range along one
+// dimension with `split`, then builds its two halves: in parallel
+// (`par_do`) while the range holds more than kForkCutoff points, in the
+// calling task below that, where a fork costs more than the subtree.
+//
+// *Split.* The object median cuts a range of n points at n/2 around v, its
+// n/2-th smallest coordinate: every point before the cut is <= v and every
+// point from it on is >= v. The spatial median cuts at the midpoint of the
+// range's extent, after the points below it; a cut that would leave a side
+// empty falls back to the object median. Up to kParallelSplitCutoff points
+// a split runs in place on one worker (`std::nth_element`,
+// `std::partition`). Above it, a parallel selection finds v (a sample
+// brackets it, then only the points inside the bracket are selected from)
+// and a blocked, stable three-way partition [< v | = v | > v] reorders the
+// range through a scratch buffer (`par::counting_scatter`).
+//
+// *Determinism.* Which path splits a range depends on the range's size
+// alone, and each path's output depends only on the points (the selection
+// returns an exact order statistic; the blocked partition is stable), so a
+// tree comes out the same, point order and nodes, at every worker count.
+#pragma once
+
+#include <algorithm>
+#include <cstddef>
+#include <limits>
+#include <memory>
+#include <new>
+#include <optional>
+#include <type_traits>
+#include <utility>
+#include <vector>
+
+#include "parallel/parallel.h"
+
+namespace pargeo::kdtree {
+
+enum class split_policy { object_median, spatial_median };
+
+/// A range builds its two halves in parallel only above this many points.
+inline constexpr std::size_t kForkCutoff = std::size_t{1} << 14;
+/// A range is split by the parallel path only above this many points.
+inline constexpr std::size_t kParallelSplitCutoff = std::size_t{1} << 17;
+
+/// Storage for n trivially copyable T, left uninitialised: its owner
+/// constructs the slots it uses (zeroing them first would be one more
+/// serial pass over the buffer).
+template <class T>
+class raw_buffer {
+  static_assert(std::is_trivially_copyable_v<T>);
+
+ public:
+  explicit raw_buffer(std::size_t n)
+      : p_(static_cast<T*>(::operator new(n * sizeof(T)))) {}
+  T* data() const { return p_.get(); }
+
+ private:
+  struct free_storage {
+    void operator()(T* p) const { ::operator delete(p); }
+  };
+  std::unique_ptr<T, free_storage> p_;
+};
+
+/// Where a split cut its range (the right half starts at offset `at`) and
+/// the coordinate it cut at: left points <= value <= right points.
+struct cut {
+  std::size_t at;
+  double value;
+};
+
+namespace detail {
+
+// Runs f(lo, hi) over blocks of [0, n) on the workers and folds the
+// results in block order.
+template <class R, class F, class Fold>
+R blocked(std::size_t n, R id, F f, Fold fold) {
+  const std::size_t block = std::size_t{1} << 14;
+  const std::size_t nb = par::detail::num_blocks(n, block);
+  std::vector<R> part(nb, id);
+  par::parallel_for(
+      0, nb,
+      [&](std::size_t b) {
+        part[b] = f(b * block, std::min(n, (b + 1) * block));
+      },
+      1);
+  R acc = id;
+  for (auto& r : part) acc = fold(std::move(acc), std::move(r));
+  return acc;
+}
+
+// min and max of coordinate `dim` over a[0, n), n > 0.
+template <class T>
+std::pair<double, double> extent(const T* a, std::size_t n, int dim) {
+  const auto scan = [&](std::size_t lo, std::size_t hi) {
+    std::pair<double, double> e{std::numeric_limits<double>::infinity(),
+                                -std::numeric_limits<double>::infinity()};
+    for (std::size_t i = lo; i < hi; ++i) {
+      e.first = std::min(e.first, a[i][dim]);
+      e.second = std::max(e.second, a[i][dim]);
+    }
+    return e;
+  };
+  if (n <= kParallelSplitCutoff) return scan(0, n);
+  return blocked(n, scan(0, 0), scan, [](auto x, auto y) {
+    return std::pair{std::min(x.first, y.first),
+                     std::max(x.second, y.second)};
+  });
+}
+
+// The (n/2)-th smallest coordinate `dim` of a[0, n), n > 0, on the
+// workers. Two order statistics of a sample at hashed positions (fixed by
+// n) bracket it; one pass counts the points below the bracket and gathers
+// those inside, and a selection among the gathered finds it. A bracket
+// that misses (rare: 4 standard deviations of the sample median's rank on
+// either side) falls back to selecting among all n.
+template <class T>
+double parallel_median(const T* a, std::size_t n, int dim) {
+  constexpr std::size_t kSample = 4096, kSlack = 128;
+  const std::size_t k = n / 2;
+  std::vector<double> sample(kSample);
+  for (std::size_t j = 0; j < kSample; ++j) {
+    sample[j] = a[par::rand_at(n, j) % n][dim];
+  }
+  std::sort(sample.begin(), sample.end());
+  const double lo = sample[kSample / 2 - kSlack];
+  const double hi = sample[kSample / 2 + kSlack];
+  struct tally {
+    std::size_t below = 0;
+    std::vector<double> inside;
+  };
+  tally t = blocked(
+      n, tally{},
+      [&](std::size_t s, std::size_t e) {
+        // Branch-free: every coordinate is written, and the cursor moves
+        // past those inside (on a 1M-point range, a branch per point made
+        // the pass three times slower).
+        std::unique_ptr<double[]> buf(new double[e - s]);
+        tally r;
+        std::size_t m = 0;
+        for (std::size_t i = s; i < e; ++i) {
+          const double c = a[i][dim];
+          r.below += c < lo;
+          buf[m] = c;
+          m += (c >= lo) & (c <= hi);
+        }
+        r.inside.assign(buf.get(), buf.get() + m);
+        return r;
+      },
+      [](tally x, tally y) {
+        x.below += y.below;
+        x.inside.insert(x.inside.end(), y.inside.begin(), y.inside.end());
+        return x;
+      });
+  std::vector<double>& pick = t.inside;
+  std::size_t rank = k - t.below;
+  if (k < t.below || rank >= pick.size()) {
+    pick.resize(n);
+    par::parallel_for(0, n, [&](std::size_t i) { pick[i] = a[i][dim]; });
+    rank = k;
+  } else if (lo == hi) {
+    return lo;
+  }
+  std::nth_element(pick.begin(), pick.begin() + rank, pick.end());
+  return pick[rank];
+}
+
+// Reorders a[0, n) into [< v | = v | > v] along `dim`, each part in its
+// old order, through scratch[0, n); returns the number of points < v.
+template <class T>
+std::size_t partition3(T* a, std::size_t n, int dim, double v, T* scratch) {
+  const auto start = par::counting_scatter(
+      n, 3, [a](std::size_t i) { return a[i]; },
+      [dim, v](const T& x) { return int{x[dim] >= v} + int{x[dim] > v}; },
+      scratch);
+  par::parallel_for(0, n, [&](std::size_t i) { a[i] = scratch[i]; });
+  return start[1];
+}
+
+}  // namespace detail
+
+/// Splits a[0, n) along `dim` by `policy` (see the header comment).
+/// scratch: n slots, used only above kParallelSplitCutoff.
+template <class T>
+cut split(T* a, std::size_t n, int dim, split_policy policy, T* scratch) {
+  if (n == 0) return {0, 0.0};
+  const bool parallel = n > kParallelSplitCutoff;
+  if (policy == split_policy::spatial_median) {
+    const auto [mn, mx] = detail::extent(a, n, dim);
+    const double pivot = 0.5 * (mn + mx);
+    // mn < pivot <= mx: both sides keep at least one point.
+    if (mn < pivot && parallel) {
+      return {detail::partition3(a, n, dim, pivot, scratch), pivot};
+    }
+    if (mn < pivot) {
+      const T* const below_end = std::partition(
+          a, a + n, [&](const T& x) { return x[dim] < pivot; });
+      return {static_cast<std::size_t>(below_end - a), pivot};
+    }
+  }
+  const std::size_t mid = n / 2;
+  if (parallel) {
+    const double v = detail::parallel_median(a, n, dim);
+    detail::partition3(a, n, dim, v, scratch);
+    return {mid, v};
+  }
+  std::nth_element(a, a + mid, a + n, [dim](const T& x, const T& y) {
+    return x[dim] < y[dim];
+  });
+  return {mid, a[mid][dim]};
+}
+
+namespace detail {
+
+template <class T, class P, class Open, class Link, class Close>
+void build_range(T* a, T* scratch, std::size_t lo, std::size_t hi,
+                 split_policy policy, P at, Open& open, Link& link,
+                 Close& close) {
+  const int dim = open(at, lo, hi);
+  if (dim < 0) return;
+  const std::size_t n = hi - lo;
+  const cut c = split(a + lo, n, dim, policy,
+                      scratch == nullptr ? nullptr : scratch + lo);
+  const std::size_t mid = lo + c.at;
+  const std::pair<P, P> kids = link(at, dim, c.value);
+  const auto left = [&] {
+    build_range(a, scratch, lo, mid, policy, kids.first, open, link, close);
+  };
+  const auto right = [&] {
+    build_range(a, scratch, mid, hi, policy, kids.second, open, link, close);
+  };
+  if (n > kForkCutoff) {
+    par::par_do(left, right);
+  } else {
+    left();
+    right();
+  }
+  close(at);
+}
+
+}  // namespace detail
+
+/// Builds a tree over a[0, n), permuting it so that every node covers a
+/// contiguous range. The tree records its nodes through three hooks, given
+/// the place `at` of a node (the root's is `root`):
+///   int open(P at, lo, hi)   records the node over a[lo, hi); returns the
+///                            dimension to split it along, or -1 (a leaf);
+///   std::pair<P, P> link(P at, int dim, double value)
+///                            records its split; returns its children's
+///                            places;
+///   void close(P at)         runs once both children are built.
+/// Hooks of different subtrees run concurrently.
+template <class T, class P, class Open, class Link, class Close>
+void build(T* a, std::size_t n, split_policy policy, P root, Open open,
+           Link link, Close close) {
+  std::optional<raw_buffer<T>> scratch;
+  if (n > kParallelSplitCutoff) scratch.emplace(n);
+  detail::build_range(a, scratch ? scratch->data() : nullptr, 0, n, policy,
+                      root, open, link, close);
+}
+
+}  // namespace pargeo::kdtree

@@ -1,29 +1,37 @@
 // Static parallel kd-tree (paper Module 1).
 //
-// Construction partitions points in parallel at every level, splitting by
-// either the object median (median point along the widest dimension) or
-// the spatial median (midpoint of the bounding box). Queries: exact k-NN
-// (single and data-parallel batch), orthogonal range search, and ball
-// range search. Nodes expose bounding boxes so other modules (WSPD, BCCP,
-// EMST) can run dual-tree traversals over the same structure.
+// Construction runs the builder in kdtree/build.h, which the BDL-tree's
+// vEB trees share: a binary recursion that forks only while a range holds
+// more than kForkCutoff points, splitting each node's range along its
+// bounding box's widest dimension by the object median (cut at n/2 around
+// the median coordinate) or the spatial median (the box's midpoint). A
+// range above kParallelSplitCutoff points is split by a parallel selection
+// and a stable blocked partition, a smaller one in place by
+// std::nth_element; the path depends on the range's size alone, so the
+// point order and every node's contents are the same at every worker
+// count. (The nodes' places in the arena are not: concurrent subtrees take
+// slots from one shared counter.) Queries: exact k-NN (single and
+// data-parallel batch), orthogonal range search, and ball range search.
+// Nodes expose bounding boxes so other modules (WSPD, BCCP, EMST) can run
+// dual-tree traversals over the same structure.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <cstdint>
-#include <memory>
 #include <new>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "core/aabb.h"
 #include "core/point.h"
+#include "kdtree/build.h"
 #include "kdtree/knn_buffer.h"
 #include "parallel/parallel.h"
 
 namespace pargeo::kdtree {
-
-enum class split_policy { object_median, spatial_median };
 
 template <int D>
 class tree {
@@ -47,18 +55,44 @@ class tree {
   explicit tree(const std::vector<point<D>>& pts,
                 split_policy policy = split_policy::object_median,
                 std::size_t leaf_size = kDefaultLeafSize)
-      : points_(pts), ids_(pts.size()), policy_(policy),
-        leaf_size_(std::max<std::size_t>(1, leaf_size)) {
-    const std::size_t n = points_.size();
-    par::parallel_for(0, n, [&](std::size_t i) { ids_[i] = i; });
-    // Each internal node has two non-empty children, so node count < 2n.
-    // n = 0 still gets one (empty leaf) root so queries need no null checks.
-    // The bound is reserved, not constructed: a leaf-16 build uses ~n/8
-    // nodes, and alloc_node constructs only those.
-    arena_cap_ = std::max<std::size_t>(1, 2 * n);
-    arena_.reset(
-        static_cast<node*>(::operator new(arena_cap_ * sizeof(node))));
-    root_ = build(0, n, compute_box(0, n));
+      : points_(pts.size()),
+        ids_(pts.size()),
+        // Each internal node has two non-empty children, so node count
+        // < 2n. n = 0 still gets one (empty leaf) root so queries need no
+        // null checks. The bound is reserved, not constructed: a leaf-16
+        // build uses ~n/8 nodes, and alloc_node constructs only those.
+        arena_cap_(std::max<std::size_t>(1, 2 * pts.size())),
+        arena_(arena_cap_) {
+    const std::size_t n = pts.size();
+    // The builder permutes (point, input index) pairs, which are then
+    // unzipped so that queries scan the points alone.
+    raw_buffer<item> items(n);
+    item* const a = items.data();
+    par::parallel_for(0, n, [&](std::size_t i) {
+      ::new (static_cast<void*>(a + i)) item{pts[i], i};
+    });
+    leaf_size = std::max<std::size_t>(1, leaf_size);
+    kdtree::build(
+        a, n, policy, &root_,
+        [&](node** at, std::size_t lo, std::size_t hi) {
+          node* nd = alloc_node();
+          *at = nd;
+          nd->lo = lo;
+          nd->hi = hi;
+          nd->box = box_of(a + lo, hi - lo);
+          return hi - lo <= leaf_size ? -1 : nd->box.widest_dim();
+        },
+        [](node** at, int dim, double value) {
+          node* nd = *at;
+          nd->split_dim = dim;
+          nd->split_val = value;
+          return std::pair{&nd->left, &nd->right};
+        },
+        [](node**) {});
+    par::parallel_for(0, n, [&](std::size_t i) {
+      points_[i] = a[i].p;
+      ids_[i] = a[i].id;
+    });
   }
 
   const node* root() const { return root_; }
@@ -70,7 +104,7 @@ class tree {
     return next_node_.load(std::memory_order_relaxed);
   }
   std::size_t node_index(const node* nd) const {
-    return static_cast<std::size_t>(nd - arena_.get());
+    return static_cast<std::size_t>(nd - arena_.data());
   }
 
   /// Point stored at internal slot i (post-permutation).
@@ -116,150 +150,31 @@ class tree {
   }
 
  private:
-  aabb<D> compute_box(std::size_t lo, std::size_t hi) const {
-    // Blocked parallel reduction over the range.
-    const std::size_t n = hi - lo;
-    const std::size_t block = 8192;
-    const std::size_t nb = (n + block - 1) / block;
-    if (nb <= 1) {
+  // A point and its input index, as the builder moves them.
+  struct item {
+    point<D> p;
+    std::size_t id;
+    double operator[](int d) const { return p[d]; }
+  };
+
+  static aabb<D> box_of(const item* a, std::size_t n) {
+    const auto scan = [a](std::size_t lo, std::size_t hi) {
       aabb<D> b;
-      for (std::size_t i = lo; i < hi; ++i) b.extend(points_[i]);
+      for (std::size_t i = lo; i < hi; ++i) b.extend(a[i].p);
       return b;
-    }
-    std::vector<aabb<D>> partial(nb);
-    par::parallel_for(
-        0, nb,
-        [&](std::size_t bidx) {
-          aabb<D> b;
-          const std::size_t s = lo + bidx * block;
-          const std::size_t e = std::min(hi, s + block);
-          for (std::size_t i = s; i < e; ++i) b.extend(points_[i]);
-          partial[bidx] = b;
-        },
-        1);
-    aabb<D> b;
-    for (const auto& pb : partial) b.extend(pb);
-    return b;
+    };
+    if (n <= kParallelSplitCutoff) return scan(0, n);
+    return detail::blocked(n, aabb<D>{}, scan, [](aabb<D> x, const aabb<D>& y) {
+      x.extend(y);
+      return x;
+    });
   }
 
   node* alloc_node() {
     const std::size_t idx =
         next_node_.fetch_add(1, std::memory_order_relaxed);
     assert(idx < arena_cap_);
-    return ::new (static_cast<void*>(arena_.get() + idx)) node();
-  }
-
-  // Partition [lo,hi) so points with coord < pivot come first (ids_ kept in
-  // lock-step); returns the split index. In-place two-pointer partition
-  // below a grain, two-pass parallel counting partition above it. The
-  // choice depends on the range size alone, so the permutation, and with
-  // it the tree, is the same at every worker count (object_median_split's
-  // fallback cut depends on the order of the points).
-  std::size_t split_range(std::size_t lo, std::size_t hi, int dim,
-                          double pivot) {
-    struct slot {
-      point<D> p;
-      std::size_t id;
-    };
-    const std::size_t n = hi - lo;
-    if (n <= (std::size_t{1} << 14)) {
-      std::size_t i = lo, j = hi;
-      while (i < j) {
-        while (i < j && points_[i][dim] < pivot) ++i;
-        while (i < j && !(points_[j - 1][dim] < pivot)) --j;
-        if (i < j) {
-          std::swap(points_[i], points_[j - 1]);
-          std::swap(ids_[i], ids_[j - 1]);
-          ++i;
-          --j;
-        }
-      }
-      return i;
-    }
-    // Parallel out-of-place partition.
-    std::vector<uint8_t> flags(n);
-    par::parallel_for(0, n, [&](std::size_t i) {
-      flags[i] = points_[lo + i][dim] < pivot ? 1 : 0;
-    });
-    std::vector<std::size_t> offLow(n), offHigh(n);
-    par::parallel_for(0, n, [&](std::size_t i) {
-      offLow[i] = flags[i];
-      offHigh[i] = 1 - flags[i];
-    });
-    const std::size_t numLow = par::scan_exclusive(offLow);
-    par::scan_exclusive(offHigh);
-    std::vector<slot> tmp(n);
-    par::parallel_for(0, n, [&](std::size_t i) {
-      const std::size_t pos =
-          flags[i] ? offLow[i] : numLow + offHigh[i];
-      tmp[pos] = {points_[lo + i], ids_[lo + i]};
-    });
-    par::parallel_for(0, n, [&](std::size_t i) {
-      points_[lo + i] = tmp[i].p;
-      ids_[lo + i] = tmp[i].id;
-    });
-    return lo + numLow;
-  }
-
-  // Object-median split: nth_element on the widest dimension. Parallel
-  // variant uses the median of the spatial distribution found by
-  // partitioning around the exact median value obtained via nth_element
-  // on a copy for large inputs (cheaper than a full parallel selection and
-  // deterministic).
-  std::size_t object_median_split(std::size_t lo, std::size_t hi, int dim,
-                                  double* out_pivot) {
-    const std::size_t n = hi - lo;
-    std::vector<double> coords(n);
-    par::parallel_for(0, n,
-                      [&](std::size_t i) { coords[i] = points_[lo + i][dim]; });
-    auto midIt = coords.begin() + n / 2;
-    std::nth_element(coords.begin(), midIt, coords.end());
-    const double pivot = *midIt;
-    std::size_t split = split_range(lo, hi, dim, pivot);
-    // All coordinates may equal the pivot (duplicates): fall back to an
-    // arbitrary balanced cut to guarantee progress.
-    if (split == lo || split == hi) split = lo + n / 2;
-    *out_pivot = pivot;
-    return split;
-  }
-
-  node* build(std::size_t lo, std::size_t hi, const aabb<D>& box) {
-    node* nd = alloc_node();
-    nd->box = box;
-    nd->lo = lo;
-    nd->hi = hi;
-    const std::size_t n = hi - lo;
-    if (n <= leaf_size_) return nd;
-
-    const int dim = box.widest_dim();
-    std::size_t split = 0;
-    double pivot = 0;
-    if (policy_ == split_policy::spatial_median) {
-      pivot = 0.5 * (box.lo[dim] + box.hi[dim]);
-      split = split_range(lo, hi, dim, pivot);
-      if (split == lo || split == hi) {
-        // Degenerate spatial cut (all points on one side): use the object
-        // median instead so the tree height stays bounded.
-        split = object_median_split(lo, hi, dim, &pivot);
-      }
-    } else {
-      split = object_median_split(lo, hi, dim, &pivot);
-    }
-    nd->split_dim = dim;
-    nd->split_val = pivot;
-    const bool bigEnough = n > (std::size_t{1} << 12);
-    aabb<D> lbox, rbox;
-    auto buildL = [&] { nd->left = build(lo, split, lbox); };
-    auto buildR = [&] { nd->right = build(split, hi, rbox); };
-    lbox = compute_box(lo, split);
-    rbox = compute_box(split, hi);
-    if (bigEnough) {
-      par::par_do(buildL, buildR);
-    } else {
-      buildL();
-      buildR();
-    }
-    return nd;
+    return ::new (static_cast<void*>(arena_.data() + idx)) node();
   }
 
   void knn_node(const node* nd, const point<D>& q, knn_buffer& buf) const {
@@ -312,16 +227,11 @@ class tree {
 
   // Nodes are never destroyed one by one: freeing the storage is enough.
   static_assert(std::is_trivially_destructible_v<node>);
-  struct arena_free {
-    void operator()(node* p) const { ::operator delete(p); }
-  };
 
   std::vector<point<D>> points_;
   std::vector<std::size_t> ids_;
-  split_policy policy_;
-  std::size_t leaf_size_;
-  std::unique_ptr<node, arena_free> arena_;
-  std::size_t arena_cap_ = 0;
+  std::size_t arena_cap_;
+  raw_buffer<node> arena_;
   std::atomic<std::size_t> next_node_{0};
   node* root_ = nullptr;
 };

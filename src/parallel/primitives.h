@@ -1,13 +1,17 @@
-// Data-parallel sequence primitives: reduce, scan, pack, filter, flatten.
+// Data-parallel sequence primitives: reduce, scan, pack, filter, counting
+// scatter, flatten.
 //
 // These mirror the ParlayLib operations the ParGeo paper's pseudocode uses
 // (e.g. ParallelPack on line 17 of the hull algorithm). All primitives are
 // deterministic regardless of worker count.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <functional>
+#include <new>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include "parallel/scheduler.h"
@@ -195,6 +199,57 @@ std::size_t count_if(const Seq& s, Pred pred) {
       },
       1);
   return std::accumulate(partial.begin(), partial.end(), std::size_t{0});
+}
+
+/// Stable counting sort by a small key: writes item(0), ..., item(n - 1)
+/// to out[0, n) so that the items of bucket 0 come first, then those of
+/// bucket 1, and so on, each bucket in input order. `key(x)` is x's bucket,
+/// in [0, buckets); out may be uninitialised storage (items are written by
+/// placement new). One counting pass and one scatter pass, each parallel
+/// over blocks; being stable, the output does not depend on the blocking.
+/// Returns the bucket starts with n appended (buckets + 1 entries).
+template <class T, class Item, class Key>
+std::vector<std::size_t> counting_scatter(std::size_t n, std::size_t buckets,
+                                          Item item, Key key, T* out) {
+  // A block writes one run per bucket: with many buckets, larger blocks
+  // keep the runs long enough that two blocks rarely share a cache line.
+  const std::size_t block = std::max(detail::kBlock, 16 * buckets);
+  const std::size_t nb = detail::num_blocks(n, block);
+  std::vector<std::size_t> offs(nb * buckets, 0);  // row b: block b's runs
+  parallel_for(
+      0, nb,
+      [&](std::size_t b) {
+        // Local counters: neighbouring blocks' rows share cache lines.
+        std::vector<std::size_t> count(buckets, 0);
+        const std::size_t hi = std::min(n, (b + 1) * block);
+        for (std::size_t i = b * block; i < hi; ++i) ++count[key(item(i))];
+        std::copy(count.begin(), count.end(), offs.begin() + b * buckets);
+      },
+      1);
+  std::vector<std::size_t> start(buckets + 1);
+  std::size_t total = 0;
+  for (std::size_t k = 0; k < buckets; ++k) {
+    start[k] = total;
+    for (std::size_t b = 0; b < nb; ++b) {
+      const std::size_t c = offs[b * buckets + k];
+      offs[b * buckets + k] = total;
+      total += c;
+    }
+  }
+  start[buckets] = total;
+  parallel_for(
+      0, nb,
+      [&](std::size_t b) {
+        std::vector<std::size_t> at(offs.begin() + b * buckets,
+                                    offs.begin() + (b + 1) * buckets);
+        const std::size_t hi = std::min(n, (b + 1) * block);
+        for (std::size_t i = b * block; i < hi; ++i) {
+          auto x = item(i);
+          ::new (static_cast<void*>(out + at[key(x)]++)) T(std::move(x));
+        }
+      },
+      1);
+  return start;
 }
 
 /// flatten(vector<vector<T>>): concatenation, preserving order.

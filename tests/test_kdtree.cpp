@@ -8,35 +8,11 @@
 #include "datagen/datagen.h"
 #include "kdtree/kdtree.h"
 #include "test_util.h"
+#include "tree_checks.h"
 
 using namespace pargeo;
 using kdtree::split_policy;
-
-namespace {
-
-template <int D>
-void check_structure(const kdtree::tree<D>& t) {
-  // Every node's box contains its points; children partition the range.
-  std::vector<const typename kdtree::tree<D>::node*> stack{t.root()};
-  while (!stack.empty()) {
-    const auto* nd = stack.back();
-    stack.pop_back();
-    for (std::size_t i = nd->lo; i < nd->hi; ++i) {
-      ASSERT_TRUE(nd->box.contains(t.point_at(i)));
-    }
-    if (!nd->is_leaf()) {
-      ASSERT_EQ(nd->left->lo, nd->lo);
-      ASSERT_EQ(nd->left->hi, nd->right->lo);
-      ASSERT_EQ(nd->right->hi, nd->hi);
-      ASSERT_GT(nd->left->size(), 0u);
-      ASSERT_GT(nd->right->size(), 0u);
-      stack.push_back(nd->left);
-      stack.push_back(nd->right);
-    }
-  }
-}
-
-}  // namespace
+using testutil::check_structure;
 
 TEST(Kdtree, EmptyInputBuildsAndQueriesReturnNothing) {
   std::vector<point<2>> empty;

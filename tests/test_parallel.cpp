@@ -1,9 +1,12 @@
 // Tests for the OpenMP-backed parallel substrate.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <numeric>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "parallel/parallel.h"
 #include "test_util.h"
@@ -213,6 +216,24 @@ TEST(Random, PermutationIsBijective) {
     ASSERT_LT(p, perm.size());
     ASSERT_EQ(seen[p], 0);
     seen[p] = 1;
+  }
+}
+
+// The bucketed permutation is the order of one plain sort of the
+// (key, index) pairs, from the fewest buckets (2, up to n = 1023) to the
+// most (2^11, from n = 2^20 on).
+TEST(Random, PermutationEqualsSortedKeyIndexPairs) {
+  for (const std::size_t n : {0, 1, 2, 16383, 16384, 500000, 1 << 20}) {
+    std::vector<std::pair<uint64_t, std::size_t>> ki(n);
+    for (std::size_t i = 0; i < n; ++i) ki[i] = {par::rand_at(42, i), i};
+    std::sort(ki.begin(), ki.end());
+    std::vector<std::size_t> want(n);
+    for (std::size_t i = 0; i < n; ++i) want[i] = ki[i].second;
+    for (const int w : {1, 4}) {
+      pargeo::testutil::scoped_workers workers(w);
+      EXPECT_TRUE(par::random_permutation(n, 42) == want)
+          << "n=" << n << " workers=" << w;
+    }
   }
 }
 

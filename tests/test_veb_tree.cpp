@@ -9,10 +9,12 @@
 #include "bdltree/veb_tree.h"
 #include "datagen/datagen.h"
 #include "test_util.h"
+#include "tree_checks.h"
 
 using namespace pargeo;
 using bdltree::split_policy;
 using bdltree::veb_tree;
+using testutil::expect_sound_links;
 
 namespace {
 
@@ -26,63 +28,6 @@ std::vector<point<D>> knn_points(const veb_tree<D>& t, const point<D>& q,
     out.push_back(veb_tree<D>::decode_id(e.id));
   }
   return out;
-}
-
-using node2 = veb_tree<2>::node;
-
-// Walks the child links from the root and checks every internal node:
-// distinct in-range children whose point ranges split the parent's and
-// whose boxes lie inside the parent's. Every node must be reached exactly
-// once, every leaf at the same depth, and the leaves must tile [0, n) in
-// order. Returns the number of levels.
-int expect_sound_links(const veb_tree<2>& t, std::size_t n) {
-  std::vector<int> visits(t.num_nodes(), 0);
-  std::vector<std::pair<std::uint32_t, int>> stack{{0, 1}};
-  std::vector<const node2*> leaves;
-  int leafDepth = -1;
-  while (!stack.empty()) {
-    const auto [idx, depth] = stack.back();
-    stack.pop_back();
-    EXPECT_LT(idx, t.num_nodes());
-    if (idx >= t.num_nodes()) continue;
-    ++visits[idx];
-    const node2& nd = t.node_at(idx);
-    EXPECT_LE(nd.lo, nd.hi);
-    EXPECT_EQ(nd.live, nd.hi - nd.lo);
-    if (nd.split_dim < 0) {
-      if (leafDepth < 0) leafDepth = depth;
-      EXPECT_EQ(depth, leafDepth) << "leaf " << idx;
-      leaves.push_back(&nd);
-      continue;
-    }
-    EXPECT_NE(nd.left, nd.right);
-    EXPECT_NE(nd.left, idx);
-    EXPECT_NE(nd.right, idx);
-    if (nd.left >= t.num_nodes() || nd.right >= t.num_nodes()) {
-      ADD_FAILURE() << "child index out of range at node " << idx;
-      continue;
-    }
-    const node2& l = t.node_at(nd.left);
-    const node2& r = t.node_at(nd.right);
-    EXPECT_EQ(l.lo, nd.lo);
-    EXPECT_EQ(l.hi, r.lo);
-    EXPECT_EQ(r.hi, nd.hi);
-    EXPECT_TRUE(l.box.inside(nd.box)) << "node " << idx;
-    EXPECT_TRUE(r.box.inside(nd.box)) << "node " << idx;
-    // Push right first so leaves pop left to right.
-    stack.push_back({nd.right, depth + 1});
-    stack.push_back({nd.left, depth + 1});
-  }
-  for (std::size_t i = 0; i < visits.size(); ++i) {
-    EXPECT_EQ(visits[i], 1) << "node " << i;
-  }
-  std::uint32_t next = 0;
-  for (const node2* leaf : leaves) {
-    EXPECT_EQ(leaf->lo, next);
-    next = leaf->hi;
-  }
-  EXPECT_EQ(next, n);
-  return leafDepth;
 }
 
 int hyperceil(int x) {
