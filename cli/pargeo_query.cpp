@@ -1,6 +1,6 @@
 // CLI: run a synthetic mixed read/write workload through the query service.
 //
-//   pargeo_query <backend> <dim 2|3> <initial_n> <num_ops>
+//   pargeo_query <dim 2|3> <initial_n> <num_ops>
 //                [read_frac=0.9]
 //                [dist uniform|clustered|zipf|skewed|drifting|churn]
 //                [batch_size=2048] [seed=1] [shards=1] [policy hash|spatial]
@@ -16,15 +16,13 @@
 // parsing):
 //   --verbose             print the per-shard lane table (drains, queue
 //                         high-water, per-shard execute percentiles)
-//                         after each backend row
+//                         after the result row
 //   --telemetry LEVEL     off | stats (default) | trace
 //   --trace-out PATH      write sampled trace spans as Chrome
 //                         chrome://tracing / Perfetto JSON; implies
-//                         --telemetry trace (sample 1-in-8). With
-//                         backend=all the file is rewritten per backend —
-//                         the last backend's trace survives.
+//                         --telemetry trace (sample 1-in-8)
 //   --metrics-out PATH    write Prometheus text exposition of the final
-//                         service counters (same overwrite rule)
+//                         service counters
 //   --ttl NS              sliding-window TTL: every bootstrapped or
 //                         inserted point is retired NS nanoseconds after
 //                         it arrived (query/subscription docs in
@@ -32,7 +30,7 @@
 //   --watches N           register N standing queries (alternating k-NN
 //                         and box watches spread over the workload bbox)
 //                         before the stream runs; their re-fire /
-//                         suppression counters print after each backend
+//                         suppression counters print after the result
 //                         row. Pair with dist=churn or --ttl to watch a
 //                         moving population.
 //   --replicas N          attach an op log to the primary and host N
@@ -43,8 +41,8 @@
 //                         read-your-writes floors threaded batch to
 //                         batch. A replication summary line (per-replica
 //                         applied epoch / lag, routed-read split,
-//                         fallbacks, replayed groups) prints after each
-//                         backend row; --metrics-out additionally gets
+//                         fallbacks, replayed groups) prints after the
+//                         result row; --metrics-out additionally gets
 //                         the replication gauges appended.
 //   --max-lag EPOCHS      staleness bound for --replicas: a replica may
 //                         serve reads while trailing the log head by at
@@ -55,12 +53,9 @@
 //                         its tickets complete; `pargeo_query` can be
 //                         killed and the directory recovered with
 //                         query_service::recover (query/oplog.h,
-//                         query/checkpoint.h). With backend=all each
-//                         backend rewrites the directory — the last
-//                         backend's state survives (same overwrite rule
-//                         as --metrics-out). A durability summary line
+//                         query/checkpoint.h). A durability summary line
 //                         (checkpoints, syncs, bytes, shed requests)
-//                         prints after each backend row.
+//                         prints after the result row.
 //   --sync POLICY         fsync cadence for --log-dir: none (page cache
 //                         only), interval (default; every 32 groups), or
 //                         every_commit (power-loss safe; EXPERIMENTS.md
@@ -75,9 +70,8 @@
 //                         (0 = off). Counted in the durability summary
 //                         and pargeo_deadline_expired_total.
 //
-// backend: kdtree | zdtree | bdltree | all (run every backend on the same
-// stream and print one row each). The service shards the logical index
-// across `shards` engines by `policy`; reads scatter/gather-merge, writes
+// The service shards the logical index across `shards` BDL-trees by
+// `policy`; reads scatter/gather-merge, writes
 // route to owning shards, and write groups pipeline across one executor
 // lane per shard. `cache_capacity` sizes the epoch-keyed hot k-NN result
 // cache (0 disables it). `rebalance_threshold` (> 1, spatial policy only)
@@ -94,8 +88,8 @@
 // per-lane drain counts, rebalance counters, and the cache's
 // hit/miss/evict line, then an ingest/reclaim summary line (producer
 // spins on a full ingest ring, snapshot versions retired / freed / in
-// limbo, reclaim stalls, epoch lag). With telemetry on (the default) each
-// backend row is followed by the request-lifecycle stage-latency table
+// limbo, reclaim stalls, epoch lag). With telemetry on (the default) the
+// result row is followed by the request-lifecycle stage-latency table
 // (p50/p95/p99/p999/max per stage, from query/telemetry.h).
 #include <cerrno>
 #include <chrono>
@@ -157,11 +151,17 @@ void print_stage_table(const query::telemetry_report& rep) {
 }
 
 template <int D>
-int run_backend(query::backend b, const query::workload_spec& spec,
-                const query::service_config& base_cfg,
-                const cli_opts& opts) {
+int run(const query::workload_spec& spec,
+        const query::service_config& base_cfg, const cli_opts& opts) {
   query::service_config cfg = base_cfg;
-  cfg.backend = b;
+  std::printf(
+      "workload: dim=%d initial=%zu ops=%zu dist=%s batch=%zu seed=%llu "
+      "shards=%zu policy=%s cache=%zu rebalance=%.2f\n",
+      D, spec.initial_points, spec.num_ops,
+      query::distribution_name(spec.dist), spec.batch_size,
+      static_cast<unsigned long long>(spec.seed), cfg.shards,
+      query::shard_policy_name(cfg.policy), cfg.cache_capacity,
+      cfg.rebalance_threshold);
   if (!opts.trace_out.empty() && cfg.telemetry != query::telemetry_level::trace) {
     cfg.telemetry = query::telemetry_level::trace;
     cfg.trace_sample = 8;  // denser than the service default for a CLI run
@@ -224,9 +224,9 @@ int run_backend(query::backend b, const query::workload_spec& spec,
     stats = query::run_workload<D>(service, spec, &responses);
   }
 
-  // Result checksum: total hits returned, comparable across backends,
-  // shard counts, and cache settings (identical streams yield identical
-  // hits).
+  // Result checksum: total hits returned, comparable across shard
+  // counts, shard policies and cache settings (identical streams yield
+  // identical hits).
   std::size_t hits = 0;
   for (const auto& r : responses) hits += r.points.size();
 
@@ -239,11 +239,11 @@ int run_backend(query::backend b, const query::workload_spec& spec,
   std::size_t lane_drains = 0;
   for (const auto& lane : svc.per_shard) lane_drains += lane.num_drains;
   std::printf(
-      "%-8s ops=%zu reads=%zu writes=%zu phases=%zu  %10.0f ops/s  "
+      "ops=%zu reads=%zu writes=%zu phases=%zu  %10.0f ops/s  "
       "lat p50=%.3fms p90=%.3fms p99=%.3fms  hits=%zu size=%zu  "
       "drains=%zu (r=%zu w=%zu lag=%zu lane=%zu)  "
       "rebal=%zu moved=%zu  cache h=%zu m=%zu (%.0f%%) ev=%zu\n",
-      query::backend_name(b), stats.num_requests, stats.num_reads,
+      stats.num_requests, stats.num_reads,
       stats.num_writes, stats.num_phases(), stats.ops_per_sec(),
       query::percentile(phase_ms, 50), query::percentile(phase_ms, 90),
       query::percentile(phase_ms, 99), hits, service.size(),
@@ -316,7 +316,7 @@ int run_backend(query::backend b, const query::workload_spec& spec,
   }
   if (opts.verbose) {
     // Per-shard lane table (behind --verbose: at high shard counts this
-    // is a screenful per backend).
+    // is a screenful).
     std::printf("  %-6s %8s %9s %8s %7s %10s %10s\n", "shard", "drains",
                 "requests", "exec_s", "maxq", "exec_p50us", "exec_p99us");
     for (std::size_t s = 0; s < svc.per_shard.size(); ++s) {
@@ -356,35 +356,6 @@ int run_backend(query::backend b, const query::workload_spec& spec,
                    opts.metrics_out.c_str());
       return 1;
     }
-  }
-  return 0;
-}
-
-template <int D>
-int run(const std::string& backend_arg, const query::workload_spec& spec,
-        const query::service_config& cfg, const cli_opts& opts) {
-  std::vector<query::backend> backends;
-  if (backend_arg == "all") {
-    backends = {query::backend::kdtree, query::backend::zdtree,
-                query::backend::bdltree};
-  } else {
-    try {
-      backends = {query::backend_from_string(backend_arg)};
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "%s\n", e.what());
-      return 2;
-    }
-  }
-  std::printf(
-      "workload: dim=%d initial=%zu ops=%zu dist=%s batch=%zu seed=%llu "
-      "shards=%zu policy=%s cache=%zu rebalance=%.2f\n",
-      D, spec.initial_points, spec.num_ops,
-      query::distribution_name(spec.dist), spec.batch_size,
-      static_cast<unsigned long long>(spec.seed), cfg.shards,
-      query::shard_policy_name(cfg.policy), cfg.cache_capacity,
-      cfg.rebalance_threshold);
-  for (auto b : backends) {
-    if (const int rc = run_backend<D>(b, spec, cfg, opts)) return rc;
   }
   return 0;
 }
@@ -477,11 +448,10 @@ int main(int argc, char** argv) {
   argc = static_cast<int>(pos.size());
   argv = pos.data();
 
-  if (argc < 5) {
+  if (argc < 4) {
     std::fprintf(
         stderr,
-        "usage: %s <backend kdtree|zdtree|bdltree|all> <dim 2|3> "
-        "<initial_n> <num_ops> [read_frac=0.9] "
+        "usage: %s <dim 2|3> <initial_n> <num_ops> [read_frac=0.9] "
         "[dist uniform|clustered|zipf|skewed|drifting|churn] "
         "[batch_size=2048] "
         "[seed=1] [shards=1] [policy hash|spatial] "
@@ -494,15 +464,14 @@ int main(int argc, char** argv) {
         argv[0]);
     return 2;
   }
-  const std::string backend_arg = argv[1];
   std::size_t dim = 0, initial_n = 0, num_ops = 0, batch_size = 2048;
   std::size_t shards = 1;
   double read_frac = 0.9;
   std::uint64_t seed = 1;
-  if (!parse_arg(argv[2], "dim", dim) ||
-      !parse_arg(argv[3], "initial_n", initial_n) ||
-      !parse_arg(argv[4], "num_ops", num_ops) ||
-      (argc > 5 && !parse_arg(argv[5], "read_frac", read_frac))) {
+  if (!parse_arg(argv[1], "dim", dim) ||
+      !parse_arg(argv[2], "initial_n", initial_n) ||
+      !parse_arg(argv[3], "num_ops", num_ops) ||
+      (argc > 4 && !parse_arg(argv[4], "read_frac", read_frac))) {
     return 2;
   }
   if (read_frac > 1) {
@@ -510,17 +479,17 @@ int main(int argc, char** argv) {
     return 2;
   }
   query::distribution dist = query::distribution::uniform;
-  if (argc > 6) {
+  if (argc > 5) {
     try {
-      dist = query::distribution_from_string(argv[6]);
+      dist = query::distribution_from_string(argv[5]);
     } catch (const std::exception& e) {
       std::fprintf(stderr, "%s\n", e.what());
       return 2;
     }
   }
-  if ((argc > 7 && !parse_arg(argv[7], "batch_size", batch_size)) ||
-      (argc > 8 && !parse_arg(argv[8], "seed", seed)) ||
-      (argc > 9 && !parse_arg(argv[9], "shards", shards))) {
+  if ((argc > 6 && !parse_arg(argv[6], "batch_size", batch_size)) ||
+      (argc > 7 && !parse_arg(argv[7], "seed", seed)) ||
+      (argc > 8 && !parse_arg(argv[8], "shards", shards))) {
     return 2;
   }
   if (shards < 1) {
@@ -535,17 +504,17 @@ int main(int argc, char** argv) {
   cfg.sync = opts.sync;
   cfg.checkpoint_every = opts.checkpoint_every;
   cfg.deadline_ns = opts.deadline_us * 1000;
-  if (argc > 10) {
+  if (argc > 9) {
     try {
-      cfg.policy = query::shard_policy_from_string(argv[10]);
+      cfg.policy = query::shard_policy_from_string(argv[9]);
     } catch (const std::exception& e) {
       std::fprintf(stderr, "%s\n", e.what());
       return 2;
     }
   }
-  if ((argc > 11 &&
-       !parse_arg(argv[11], "cache_capacity", cfg.cache_capacity)) ||
-      (argc > 12 && !parse_arg(argv[12], "rebalance_threshold",
+  if ((argc > 10 &&
+       !parse_arg(argv[10], "cache_capacity", cfg.cache_capacity)) ||
+      (argc > 11 && !parse_arg(argv[11], "rebalance_threshold",
                                cfg.rebalance_threshold))) {
     return 2;
   }
@@ -553,8 +522,8 @@ int main(int argc, char** argv) {
   const auto spec =
       make_spec(initial_n, num_ops, read_frac, dist, batch_size, seed);
   switch (dim) {
-    case 2: return run<2>(backend_arg, spec, cfg, opts);
-    case 3: return run<3>(backend_arg, spec, cfg, opts);
+    case 2: return run<2>(spec, cfg, opts);
+    case 3: return run<3>(spec, cfg, opts);
     default:
       std::fprintf(stderr, "unsupported dim %zu (want 2 or 3)\n", dim);
       return 2;

@@ -5,10 +5,12 @@
 // Batch insertion follows the bitmask cascade of Figure 7 / Algorithm 3:
 // F_new = F + floor(|P|/X); trees set in F but not F_new are destroyed and
 // their points, together with the batch, build the trees set in F_new but
-// not F. Batch deletion (Algorithm 4) erases from every tree and rebuilds
-// any tree that drops below half of its build size by reinserting its
-// points. k-NN queries share one k-NN buffer per query point across all
-// trees and the buffer (Appendix C.4).
+// not F. Batch deletion (Algorithm 4) removes one stored copy per batch
+// entry — from the buffer first, then from the trees, largest first, each
+// seeing only the entries still unmatched — and rebuilds any tree that
+// drops below half of its build size by reinserting its points. k-NN
+// queries share one k-NN buffer per query point across all trees and the
+// buffer (Appendix C.4).
 //
 // *Query order.* A k-NN query walks the trees largest first, so the bound
 // is already tight when it reaches the small trees, and scans the staging
@@ -24,13 +26,14 @@
 // *Snapshots (chunk-level COW).* The forest's unit of immutability is the
 // static vEB tree: insertion never mutates an existing tree (the cascade
 // destroys whole trees and builds fresh ones), and deletion — the one
-// historically in-place operation — now copies any tree that is shared
-// with a snapshot before erasing from the copy (`use_count() == 1` keeps
-// the un-shared fast path in place). Trees therefore live behind
-// shared_ptr, and `view()` publishes an isolated `bdl_forest_view`: a copy
-// of the (bounded, <= X points) staging buffer plus shared references to
-// every live tree. The view answers queries exactly as of its creation no
-// matter what the live forest does afterwards.
+// historically in-place operation — now copies a tree that is shared
+// with a snapshot, and that the batch has a live copy in, before erasing
+// from the copy (`use_count() == 1` keeps the un-shared fast path in
+// place). Trees therefore live behind shared_ptr, and `view()` publishes
+// an isolated `bdl_forest_view`: a copy of the (bounded, <= X points)
+// staging buffer plus shared references to every live tree. The view
+// answers queries exactly as of its creation no matter what the live
+// forest does afterwards.
 //
 // Superseded trees are handed to an optional *retire hook*
 // (`set_retire_hook`) instead of being destroyed inline — the query
@@ -72,28 +75,29 @@ void insert_sorted(std::vector<point<D>>& sorted, std::vector<point<D>> add) {
 }
 
 /// Removes one stored copy per batch entry from `sorted`, a vector in
-/// lexicographic order, and keeps it in order; entries with no copy left
-/// are ignored. Each entry is matched by binary search:
-/// O(|batch| log |sorted| + |sorted|). Returns the number removed.
+/// lexicographic order, and keeps it in order. Each entry is matched by
+/// binary search: O(|batch| log |sorted| + |sorted|). Returns the entries
+/// that found no copy left, in batch order.
 template <int D>
-std::size_t erase_sorted(std::vector<point<D>>& sorted,
-                         const std::vector<point<D>>& batch) {
+std::vector<point<D>> erase_sorted(std::vector<point<D>>& sorted,
+                                   const std::vector<point<D>>& batch) {
   // taken[i] = copies consumed from the run of equal points starting at i
   // (binary search always lands on a run's first element).
   std::vector<std::uint32_t> taken(sorted.size(), 0);
-  std::size_t removed = 0, first = sorted.size();
+  std::vector<point<D>> rest;
+  std::size_t first = sorted.size();
   for (const auto& q : batch) {
     const std::size_t run = static_cast<std::size_t>(
         std::lower_bound(sorted.begin(), sorted.end(), q) - sorted.begin());
-    if (run == sorted.size()) continue;
-    const std::size_t at = run + taken[run];
+    const std::size_t at = run == sorted.size() ? run : run + taken[run];
     if (at < sorted.size() && sorted[at] == q) {
       ++taken[run];
-      ++removed;
       first = std::min(first, run);
+    } else {
+      rest.push_back(q);
     }
   }
-  if (removed == 0) return 0;
+  if (first == sorted.size()) return rest;
   std::size_t out = first;
   for (std::size_t i = first; i < sorted.size();) {
     if (taken[i] > 0) {
@@ -103,7 +107,7 @@ std::size_t erase_sorted(std::vector<point<D>>& sorted,
     }
   }
   sorted.resize(out);
-  return removed;
+  return rest;
 }
 
 /// Visits the points of `sorted` (lexicographic order, so sorted by x)
@@ -252,8 +256,8 @@ class bdl_tree {
   static constexpr std::size_t kDefaultBufferSize = 1024;
 
   /// Receives every superseded tree (destroyed by the insert cascade,
-  /// replaced by a COW erase, or gathered below half capacity). Must be
-  /// thread-safe: the erase loop retires from parallel workers.
+  /// replaced by a COW erase, or gathered below half capacity), on the
+  /// thread that runs the insert or erase.
   using retire_fn = std::function<void(std::shared_ptr<const void>)>;
 
   explicit bdl_tree(split_policy policy = split_policy::object_median,
@@ -358,49 +362,40 @@ class bdl_tree {
         inline_below_fork_cutoff(pool.size(), slots.size()));
   }
 
-  /// Batch deletion (paper Algorithm 4). Points not present are ignored.
-  /// A tree shared with a snapshot is copied before the erase touches it
-  /// (chunk-level COW); an exclusively-owned tree erases in place.
+  /// Batch deletion (paper Algorithm 4): each entry removes one stored
+  /// copy, if one is left. The staging buffer takes the entries it matches
+  /// first; then each tree, largest first, gets only the entries still
+  /// unmatched. A tree shared with a snapshot is copied (chunk-level COW)
+  /// only when a remaining entry has a live copy in it; an exclusively
+  /// owned tree erases in place.
   void erase(const std::vector<point<D>>& batch) {
     if (batch.empty()) return;
-    detail::erase_sorted<D>(buffer_, batch);
-    // Erase from every non-empty tree, in parallel when that moves many
-    // points: a large batch, or large trees that a snapshot shares and that
-    // are copied whole before the erase (the use_count() read here only
-    // picks the grain; the loop decides per tree, after its pin).
-    std::vector<int> occupied;
-    std::size_t work = batch.size();
-    for (int i = 0; i < static_cast<int>(trees_.size()); ++i) {
-      if (trees_[i] && !trees_[i]->empty()) {
-        occupied.push_back(i);
-        if (trees_[i].use_count() > 1) work += trees_[i]->size();
+    std::vector<point<D>> rest = detail::erase_sorted<D>(buffer_, batch);
+    for (std::size_t i = trees_.size(); i-- > 0 && !rest.empty();) {
+      auto& slot = trees_[i];
+      if (!slot || slot->empty()) continue;
+      // use_count == 1: only the live forest holds this tree — no snapshot
+      // can appear mid-erase (view() and writes are serialized by the
+      // caller), so mutate in place. use_count() is a relaxed load; the
+      // pin's increment, an acq_rel read-modify-write of the same count, is
+      // what orders this erase after the reads of every snapshot that
+      // released it.
+      if (slot.use_count() == 1) {
+        { const auto pin = slot; }
+        slot->erase_matched(rest);
+        continue;
       }
+      if (!slot->contains_any(rest)) continue;
+      auto copy = std::make_shared<veb_tree<D>>(*slot);
+      copy->erase_matched(rest);
+      auto old = std::move(slot);
+      slot = std::move(copy);
+      retire_tree(std::move(old));
     }
-    par::parallel_for(
-        0, occupied.size(),
-        [&](std::size_t i) {
-          auto& slot = trees_[occupied[i]];
-          // use_count == 1: only the live forest holds this tree — no
-          // snapshot can appear mid-erase (view() and writes are
-          // serialized by the caller), so mutate in place. use_count()
-          // is a relaxed load; the pin's increment, an acq_rel
-          // read-modify-write of the same count, is what orders this
-          // erase after the reads of every snapshot that released it.
-          if (slot.use_count() == 1) {
-            { const auto pin = slot; }
-            slot->erase(batch);
-            return;
-          }
-          auto copy = std::make_shared<veb_tree<D>>(*slot);
-          if (copy->erase(batch) == 0) return;  // untouched: keep original
-          auto old = std::move(slot);
-          slot = std::move(copy);
-          retire_tree(std::move(old));
-        },
-        inline_below_fork_cutoff(work, occupied.size()));
     // Gather trees that fell below half their build capacity; reinsert.
     std::vector<point<D>> reinsert;
-    for (const int i : occupied) {
+    for (std::size_t i = 0; i < trees_.size(); ++i) {
+      if (!trees_[i] || trees_[i]->empty()) continue;
       const std::size_t cap = x_ << i;
       if (trees_[i]->size() < (cap + 1) / 2) {
         auto pts = trees_[i]->gather();
@@ -456,10 +451,10 @@ class bdl_tree {
   std::size_t buffer_capacity() const { return x_; }
 
  private:
-  // Grain for a loop over `slots` trees that builds, copies or looks up
-  // `points` points in all: the whole loop (run inline, no team) below the
-  // builder's fork cutoff, where a single-point erase would otherwise open a
-  // team for microseconds of work; one tree per task above it.
+  // Grain for a loop over `slots` trees that builds `points` points in all:
+  // the whole loop (run inline, no team) below the builder's fork cutoff,
+  // where a small insert would otherwise open a team for microseconds of
+  // work; one tree per task above it.
   static std::size_t inline_below_fork_cutoff(std::size_t points,
                                               std::size_t slots) {
     return points < kdtree::kForkCutoff ? slots : 1;

@@ -5,8 +5,9 @@
 // recursion: the top half of the levels is laid out first, followed by the
 // bottom subtrees left to right, recursively. Points are owned by the tree
 // in a permuted buffer; every node references a contiguous range of it.
-// Deletion tombstones points and maintains live counts so empty subtrees
-// are skipped (the array analogue of Algorithm 2's NULL-collapse).
+// Deletion tombstones one live copy per batch entry and maintains live
+// counts so empty subtrees are skipped (the array analogue of Algorithm 2's
+// NULL-collapse).
 //
 // *Construction.* The tree is built by kdtree/build.h, the builder the
 // static kd-tree shares: a binary recursion that forks only while a range
@@ -119,14 +120,33 @@ class veb_tree {
     return out;
   }
 
-  /// Tombstones every stored point equal to a member of `batch` (each
-  /// batch entry deletes at most one copy). Returns #deleted.
+  /// Tombstones one live copy per entry of `batch`; an entry with no live
+  /// copy left is ignored. Returns #deleted.
   std::size_t erase(const std::vector<point<D>>& batch) {
-    if (points_.empty() || batch.empty()) return 0;
-    std::vector<point<D>> q(batch);
-    const std::size_t removed = erase_rec(0, q.data(), q.size());
+    std::vector<point<D>> rest(batch);
+    return erase_matched(rest);
+  }
+
+  /// As erase, but leaves in `batch` the entries that found no live copy
+  /// (in no particular order), so a caller can hand them on to another
+  /// tree.
+  std::size_t erase_matched(std::vector<point<D>>& batch) {
+    if (live_ == 0 || batch.empty()) return 0;
+    const std::size_t rest = erase_rec(0, batch.data(), batch.size());
+    const std::size_t removed = batch.size() - rest;
+    batch.resize(rest);
     live_ -= removed;
     return removed;
+  }
+
+  /// True if some entry of `batch` has a live copy here. Read-only, so a
+  /// caller can test a tree it shares before copying it.
+  bool contains_any(const std::vector<point<D>>& batch) const {
+    if (live_ == 0) return false;
+    for (const auto& q : batch) {
+      if (contains(0, q)) return true;
+    }
+    return false;
   }
 
   /// Accumulates the k nearest live points to `q` into `buf`. Entry ids
@@ -256,55 +276,74 @@ class veb_tree {
     range_box_rec(nd.right, qb, out);
   }
 
-  // Batch erase per paper Algorithm 2: partition the queries q[0, nq)
-  // around the split in place and recurse; leaves do linear matching.
-  // Returns #deleted.
+  bool contains(std::uint32_t idx, const point<D>& q) const {
+    const node& nd = nodes_[idx];
+    if (nd.live == 0 || !nd.box.contains(q)) return false;
+    if (nd.split_dim < 0) {
+      for (std::uint32_t i = nd.lo; i < nd.hi; ++i) {
+        if (alive_[i] && points_[i] == q) return true;
+      }
+      return false;
+    }
+    const double c = q[nd.split_dim];
+    if (c < nd.split_val) return contains(nd.left, q);
+    if (c > nd.split_val) return contains(nd.right, q);
+    return contains(nd.left, q) || contains(nd.right, q);
+  }
+
+  // Batch erase per paper Algorithm 2: partition the entries q[0, nq)
+  // around the split in place and recurse; leaves match linearly. Each
+  // entry tombstones at most one live copy. Returns how many entries found
+  // none, and leaves those at the front of q.
   std::size_t erase_rec(std::uint32_t idx, point<D>* q, std::size_t nq) {
     if (nq == 0) return 0;
     node& nd = nodes_[idx];
-    if (nd.live == 0) return 0;
+    if (nd.live == 0) return nq;
     if (nd.split_dim < 0) {
-      std::uint32_t removed = 0;
+      std::size_t rest = 0;
       for (std::size_t t = 0; t < nq; ++t) {
-        for (std::uint32_t i = nd.lo; i < nd.hi; ++i) {
+        bool hit = false;
+        for (std::uint32_t i = nd.lo; i < nd.hi && !hit; ++i) {
           if (alive_[i] && points_[i] == q[t]) {
             alive_[i] = 0;
-            ++removed;
-            break;
+            hit = true;
           }
         }
+        if (!hit) q[rest++] = q[t];
       }
-      nd.live -= removed;
-      return removed;
+      nd.live -= static_cast<std::uint32_t>(nq - rest);
+      return rest;
     }
     const int dim = nd.split_dim;
     const double sv = nd.split_val;
-    // Order the queries [less | equal | greater] than the split. Median
-    // partitions may place split-value duplicates on either side, so
-    // queries equal to the split descend both ways: the left side takes
-    // them in place, the right side a copy. (With duplicate stored points
-    // this can remove more than one copy per query.)
+    auto below = [&](const point<D>& p) { return p[dim] < sv; };
+    // Order the entries [less | equal | greater] than the split. Median
+    // partitions may place split-value duplicates on either side, so an
+    // equal entry tries the left side first and goes right only if it is
+    // still unmatched there.
     point<D>* const end = q + nq;
-    point<D>* const eqBegin = std::partition(
-        q, end, [&](const point<D>& p) { return p[dim] < sv; });
-    point<D>* const eqEnd = std::partition(
-        eqBegin, end, [&](const point<D>& p) { return p[dim] == sv; });
-    std::vector<point<D>> eq(eqBegin, eqEnd);
-    std::size_t remL = 0, remR = 0;
-    auto doL = [&] { remL = erase_rec(nd.left, q, eqEnd - q); };
-    auto doR = [&] {
-      remR = erase_rec(nd.right, eqEnd, end - eqEnd) +
-             erase_rec(nd.right, eq.data(), eq.size());
-    };
+    point<D>* const eq = std::partition(q, end, below);
+    point<D>* const gt = std::partition(
+        eq, end, [&](const point<D>& p) { return p[dim] == sv; });
+    std::size_t restL = 0, restR = 0;
+    auto doL = [&] { restL = erase_rec(nd.left, q, gt - q); };
+    auto doR = [&] { restR = erase_rec(nd.right, gt, end - gt); };
     if (nq > 4096) {
       par::par_do(doL, doR);
     } else {
       doL();
       doR();
     }
-    const std::size_t removed = remL + remR;
-    nd.live -= static_cast<std::uint32_t>(removed);
-    return removed;
+    // Of the left side's leftovers, the less-than entries are final and
+    // the equal ones retry on the right; then the right side's leftovers
+    // move down behind them.
+    point<D>* const retry = std::partition(q, q + restL, below);
+    std::size_t rest = static_cast<std::size_t>(retry - q);
+    rest += erase_rec(nd.right, retry, q + restL - retry);
+    std::move(gt, gt + restR, q + rest);
+    rest += restR;
+    nd.live -= static_cast<std::uint32_t>(nq - rest);
+    return rest;
   }
 
   std::vector<point<D>> points_;

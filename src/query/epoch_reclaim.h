@@ -1,5 +1,5 @@
 // QSBR-style epoch-based reclamation for index snapshot structure: it lets
-// snapshot readers run concurrently with writers on every backend without
+// snapshot readers run concurrently with writers on every shard without
 // a per-shard write gate (the discipline follows the quiescent-state
 // reclaimers in setbench's recordmgr family).
 //
@@ -7,8 +7,9 @@
 // A reader *enters* by claiming a free slot and stamping it with the
 // current epoch (RAII `guard`); while the slot is stamped, no structure
 // retired at an epoch >= that stamp will be destroyed. Writers never wait
-// for readers: when they supersede a structure version (an old vEB tree, a
-// Morton array, a kd-tree base) they `retire()` it onto a limbo list
+// for readers: when they supersede a structure version (a vEB tree that
+// an insert cascade destroyed or a copy-on-write erase replaced) they
+// `retire()` it onto a limbo list
 // stamped with the current epoch and move on. At drain boundaries the
 // service calls `advance_and_reclaim()`: the global epoch advances, the
 // minimum epoch across occupied reader slots is computed, and every limbo

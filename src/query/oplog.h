@@ -5,10 +5,10 @@
 // not the raw client ops. A primary with a log appends each group here
 // before it applies it, then executes exactly the records it logged, and
 // a replica applies the same records with the same function. That is
-// what makes replay byte-identical: the batch-dynamic backends are
-// deterministic functions of their call sequence (a kdtree rebuild
-// threshold, the zdtree's sorted merges, the bdltree cascade all depend
-// on how the stream was cut into `batch_insert`/`batch_erase` calls), so
+// what makes replay byte-identical: the BDL-tree is a deterministic
+// function of its call sequence (its insert cascade and below-half
+// rebuilds depend on how the stream was cut into
+// `batch_insert`/`batch_erase` calls), so
 // a replica that re-issues the same per-shard call sequence converges to
 // the same structure — and hence the same k-NN tie order — as the
 // primary, without ever re-deriving the cuts itself.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "query/spatial_index.h"
 #include "query/workload.h"
 
 namespace pargeo::query {
@@ -19,15 +20,9 @@ double percentile(std::vector<double> v, double p) {
   return v[rank == 0 ? 0 : rank - 1];
 }
 
-// Definitions for the `extern template` declarations in the headers: the
-// engine and adapters instantiate here once instead of in every consumer.
-template class query_engine<2>;
-template class query_engine<3>;
-template class kdtree_index<2>;
-template class kdtree_index<3>;
-template class zdtree_index<2>;
-template class zdtree_index<3>;
-template class bdltree_index<2>;
-template class bdltree_index<3>;
+// Definitions for the `extern template` declarations in spatial_index.h:
+// the shard index instantiates here once instead of in every consumer.
+template class spatial_index<2>;
+template class spatial_index<3>;
 
 }  // namespace pargeo::query

@@ -1,32 +1,35 @@
-// Batched mixed-workload execution engine (query subsystem, layer 2 of 3).
+// Request types and the phase discipline of the query subsystem (layer 2
+// of 3, between spatial_index.h and workload.h).
 //
-// Accepts a heterogeneous, ordered stream of tagged requests (insert /
-// erase / k-NN / box range / ball range) and executes it against any
-// spatial_index backend with POP-style batching (Narayanan et al., 2021):
+// A client hands the query_service a heterogeneous, ordered batch of tagged
+// requests (insert / erase / k-NN / box range / ball range). The service
+// executes each shard's share of it with POP-style batching (Narayanan et
+// al., 2021), using the pieces defined here:
 //
-//   1. *Partition*: the stream is cut into phase groups — maximal runs of
-//      same-class requests (insert | erase | read). Phase boundaries
-//      preserve program order between writes and reads; within a phase,
-//      requests are independent by construction.
+//   1. *Partition*: `phase_end` cuts a batch into phase groups — maximal
+//      runs of same-class requests (insert | erase | read). Phase
+//      boundaries preserve program order between writes and reads; within
+//      a phase, requests are independent by construction.
 //   2. *Execute*: a write phase becomes one batched update (the paper's
-//      batch-dynamic entry points). A read phase is sharded by operation
-//      shape (k-NN per distinct k, box ranges, ball ranges); each shard
-//      executes data-parallel via pargeo::par inside the backend.
-//   3. *Merge*: shard results are scattered back into per-request
-//      `response` slots, so callers see answers in submission order.
+//      batch-dynamic entry points). `detail::execute_read_phase_on` splits
+//      a read phase by operation shape (k-NN per distinct k, box ranges,
+//      ball ranges) and runs each part as one data-parallel index call.
+//   3. *Merge*: rows are scattered back into per-request `response` slots,
+//      so callers see answers in submission order.
 //
-// Per-phase wall-clock timings are recorded; a request's reported latency
-// is its phase's duration (requests in a phase complete together).
+// `execute_phases` records per-phase wall-clock timings; a request's
+// reported latency is its phase's duration (requests in a phase complete
+// together).
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <utility>
 #include <vector>
 
+#include "core/aabb.h"
+#include "core/point.h"
 #include "core/timer.h"
-#include "query/spatial_index.h"
 
 namespace pargeo::query {
 
@@ -245,64 +248,7 @@ void execute_read_phase_on(const Target& target,
   }
 }
 
-/// One same-kind write run `batch[begin, end)` as a single batched update:
-/// all payload points of the run go through the backend's batch entry
-/// point at once.
-template <int D>
-void apply_write_run(spatial_index<D>& index,
-                     const std::vector<request<D>>& batch, std::size_t begin,
-                     std::size_t end) {
-  std::vector<point<D>> pts;
-  pts.reserve(end - begin);
-  for (std::size_t i = begin; i < end; ++i) pts.push_back(batch[i].p);
-  if (batch[begin].kind == op::insert) {
-    index.batch_insert(pts);
-  } else {
-    index.batch_erase(pts);
-  }
-}
-
 }  // namespace detail
-
-/// Executes request batches against one backend. Not thread-safe: callers
-/// submit batches from one thread and the engine parallelizes internally
-/// (the paper's model — parallelism lives inside the batch).
-template <int D>
-class query_engine {
- public:
-  explicit query_engine(std::unique_ptr<spatial_index<D>> index)
-      : index_(std::move(index)) {}
-
-  spatial_index<D>& index() { return *index_; }
-  const spatial_index<D>& index() const { return *index_; }
-
-  /// Loads the initial point set (replacing any current contents).
-  void bootstrap(const std::vector<point<D>>& pts) { index_->build(pts); }
-
-  /// Executes `batch` and returns per-request responses plus timing stats.
-  batch_result<D> execute(const std::vector<request<D>>& batch) {
-    batch_result<D> result;
-    execute_phases<D>(batch, result.responses, result.stats,
-                      [&](std::size_t begin, std::size_t end, bool read) {
-                        if (read) {
-                          detail::execute_read_phase_on<D>(*index_, batch,
-                                                           begin, end,
-                                                           result.responses);
-                        } else {
-                          detail::apply_write_run<D>(*index_, batch, begin,
-                                                     end);
-                        }
-                      });
-    return result;
-  }
-
- private:
-  std::unique_ptr<spatial_index<D>> index_;
-};
-
-// The common dimensions are instantiated once in query.cpp.
-extern template class query_engine<2>;
-extern template class query_engine<3>;
 
 /// p in [0, 100]; nearest-rank percentile of `v` (0 for empty input).
 double percentile(std::vector<double> v, double p);

@@ -1,9 +1,10 @@
 // Sharded, multi-producer, asynchronous front door for the query subsystem
 // (the public serving API).
 //
-// A `query_service<D>` owns N `spatial_index<D>` shards behind one logical
-// index, built from a `service_config` (backend, shard count, shard policy,
-// ingest-batch window, backpressure bound, cache capacity, retention cap).
+// A `query_service<D>` owns N `spatial_index<D>` shards — one BDL-tree
+// each — behind one logical index, built from a `service_config` (shard
+// count, shard policy, ingest-batch window, backpressure bound, cache
+// capacity, retention cap).
 // Every ticket takes one pipeline: lock-free MPSC ring -> drain thread ->
 // one executor lane per shard -> snapshot readers.
 //
@@ -63,7 +64,7 @@
 //   when max/mean imbalance crosses the threshold at a drain boundary it
 //   quiesces the lanes, re-derives the quantile stripe bounds from a
 //   sample of the live points, and builds one `rebalance` group carrying
-//   the new bounds and the migration (erase rounds, then inserts, so
+//   the new bounds and the migration (erases, then inserts, so
 //   epochs bump on affected shards and cached k-NN rows invalidate
 //   through the normal epoch keys). Appended and then applied like any
 //   group, it swaps the bounds only if it commits. Earlier groups execute
@@ -75,10 +76,9 @@
 //   stamps its shard's epoch snapshot (`spatial_index::snapshot()`) after
 //   the shard's earlier writes — per-shard FIFO again — and the fully
 //   stamped group executes on a pool of two snapshot-read executors.
-//   Every backend's snapshots are isolated (kdtree: shared tree + copied
-//   write buffers; zdtree: copy-on-write Morton array; bdltree:
-//   chunk-level COW forest view), so those reads run fully concurrently
-//   with the next write drains on every shard.
+//   A snapshot is isolated (a chunk-level COW view of the shard's
+//   BDL-tree forest), so those reads run fully concurrently with the next
+//   write drains on every shard.
 //   Reader threads hold an epoch-reclaimer guard (query/epoch_reclaim.h)
 //   while executing; structure versions superseded by writes are retired
 //   onto a limbo list and destroyed at drain-boundary reclaim points once
@@ -214,6 +214,7 @@ inline shard_policy shard_policy_from_string(const std::string& s) {
 }
 
 struct service_config {
+  /// The shard index; `bdltree` is the only value (see spatial_index.h).
   query::backend backend = query::backend::bdltree;
   std::size_t shards = 1;
   shard_policy policy = shard_policy::hash;
@@ -1266,7 +1267,7 @@ class query_service {
   /// serving primary, byte-identically continuing the committed history.
   /// Every recovered point restarts one full TTL window (deadlines are
   /// not persisted; erring long keeps data). `cfg` must describe the
-  /// same topology (backend, shards, policy) as the crashed service; a
+  /// same topology (shards, policy) as the crashed service; a
   /// checkpoint or log group that does not fit its shard count throws
   /// std::invalid_argument (checkpoint_group(), apply_replayed()).
   /// `service_stats::recovered_epochs` and `::truncated_groups` record
@@ -1853,8 +1854,8 @@ class query_service {
   // against the live index at its current epoch (stable here: only this
   // lane writes this shard) — records the lane's counters, and, if this
   // lane finishes the group, completes it. Writes never wait on readers:
-  // every backend's snapshots are isolated, and superseded structure
-  // goes through the epoch reclaimer.
+  // snapshots are isolated, and superseded trees go through the epoch
+  // reclaimer.
   void run_lane_write(std::size_t s, shard_task task) {
     auto g = std::move(task.exec);
     // One ns delta feeds both the execute_write histogram and the lane's
@@ -2245,9 +2246,9 @@ class query_service {
   // old bounds, every later group is routed (and every later read pruned)
   // under the new ones, so routing and pruning never disagree. The group
   // is appended, then applied like any other: if its append fails, no
-  // point moves and the old bounds stay. Migration is erase rounds, then
-  // inserts, per shard, so epochs bump on every shard that gains or loses
-  // points — stale k-NN cache rows become unreachable and
+  // point moves and the old bounds stay. Migration is one erase record per
+  // losing shard, then inserts, so epochs bump on every shard that gains
+  // or loses points — stale k-NN cache rows become unreachable and
   // already-stamped snapshot readers keep answering at their epochs.
   void rebalance_stripes() {
     quiesce_lanes();
@@ -2284,7 +2285,7 @@ class query_service {
     log_group<D> g;
     g.origin = log_origin::rebalance;
     derive_stripes(sample, g);
-    // Classify against the new stripes; every shard's erase rounds come
+    // Classify against the new stripes; every shard's erase record comes
     // before any insert, so no point is counted (or gathered) twice.
     std::vector<std::vector<point<D>>> arrivals(cfg_.shards);
     std::size_t moved = 0;
@@ -2297,7 +2298,9 @@ class query_service {
         arrivals[t].push_back(p);
         ++moved;
       }
-      append_erase_rounds(g, s, std::move(leavers));
+      if (leavers.empty()) continue;
+      g.records.push_back({static_cast<std::uint32_t>(s), log_op::erase,
+                           std::move(leavers)});
     }
     for (std::size_t t = 0; t < cfg_.shards; ++t) {
       if (arrivals[t].empty()) continue;
@@ -2320,30 +2323,6 @@ class query_service {
     last_rebalance_futile_ = moved == 0;
     ctr_.rebalances.fetch_add(1, std::memory_order_relaxed);
     ctr_.rebalance_moved.fetch_add(moved, std::memory_order_relaxed);
-  }
-
-  // Appends to `g` the records that erase every entry of `pts` (a
-  // multiset) from shard s, exactly one stored copy per entry.
-  // batch_erase only guarantees that for DISTINCT batch points (backends
-  // disagree on duplicated entries), so duplicated entries are split
-  // across successive erase records of distinct points.
-  static void append_erase_rounds(log_group<D>& g, std::size_t s,
-                                  std::vector<point<D>> pts) {
-    std::sort(pts.begin(), pts.end());
-    std::vector<point<D>> rest;
-    while (!pts.empty()) {
-      log_record<D> rec{static_cast<std::uint32_t>(s), log_op::erase, {}};
-      rest.clear();
-      for (const auto& p : pts) {
-        if (!rec.pts.empty() && rec.pts.back() == p) {
-          rest.push_back(p);
-        } else {
-          rec.pts.push_back(p);
-        }
-      }
-      g.records.push_back(std::move(rec));
-      pts.swap(rest);
-    }
   }
 
   // ---- cache-intercepted reads --------------------------------------------
@@ -2751,10 +2730,9 @@ class query_service {
   // the erases as an internal write group through the normal drain
   // machinery under a synthetic ticket (id 0, total 0: fulfilment skips
   // the completion bookkeeping, and the erases were never admitted
-  // against the backpressure bound). Duplicate coordinates within one
-  // sweep are re-queued at the front — still due, they retire on the
-  // next sweep — because batch_erase is only exact on distinct points,
-  // exactly like append_erase_rounds. Drain-thread only.
+  // against the backpressure bound). Each expired arrival erases one
+  // stored copy, so duplicate coordinates in one sweep retire together.
+  // Drain-thread only.
   void maybe_expire() {
     if (cfg_.point_ttl_ns == 0) return;
     const std::uint64_t now = ttl_now_();
@@ -2768,26 +2746,10 @@ class query_service {
     }
     if (due.empty()) return;
     const std::uint64_t t0 = tel_.now_ns();
-    std::sort(due.begin(), due.end(),
-              [](const std::pair<std::uint64_t, point<D>>& a,
-                 const std::pair<std::uint64_t, point<D>>& b) {
-                return a.second < b.second;
-              });
     std::vector<request<D>> erases;
     erases.reserve(due.size());
-    std::vector<std::pair<std::uint64_t, point<D>>> leftovers;
-    for (auto& e : due) {
-      if (!erases.empty() && erases.back().p == e.second) {
-        leftovers.push_back(std::move(e));
-      } else {
-        erases.push_back(request<D>::make_erase(e.second));
-      }
-    }
-    if (!leftovers.empty()) {
-      // Already due, so they stay ahead of every queued deadline.
-      std::lock_guard<std::mutex> lk(ttl_mu_);
-      ttl_q_.insert(ttl_q_.begin(), std::make_move_iterator(leftovers.begin()),
-                    std::make_move_iterator(leftovers.end()));
+    for (const auto& e : due) {
+      erases.push_back(request<D>::make_erase(e.second));
     }
     const std::size_t count = erases.size();
     begin_write_group();
@@ -3210,7 +3172,7 @@ class query_service {
   /// it is constructed from it and everything below may record into it.
   class telemetry tel_;
   /// Epoch-based snapshot reclamation (query/epoch_reclaim.h). Declared
-  /// before shards_ on purpose: the backends hold a raw pointer to it
+  /// before shards_ on purpose: the shards hold a raw pointer to it
   /// (set_reclaimer) and their retire hooks may fire during index
   /// destruction, so the reclaimer must be destroyed after them.
   epoch_reclaimer reclaim_;

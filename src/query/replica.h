@@ -83,8 +83,8 @@ inline const char* replica_health_name(replica_health h) {
   return "unknown";
 }
 
-/// Derives a replica's config from the primary's: same backend, shards
-/// and routing policy (replay re-issues the primary's explicit per-shard
+/// Derives a replica's config from the primary's: same shards and
+/// routing policy (replay re-issues the primary's explicit per-shard
 /// calls), but with TTL expiry and stripe rebalancing off — a replica
 /// must never originate writes of its own, or it diverges from the log.
 inline service_config replica_config(service_config cfg) {

@@ -14,7 +14,7 @@
 // older epoch still hits the entries computed for that epoch. Because the
 // key captures everything the answer depends on, a hit is byte-identical
 // to re-running the query (the correctness oracle in
-// tests/test_result_cache.cpp enforces this on every backend).
+// tests/test_result_cache.cpp enforces this).
 //
 // The query_service shards the cache alongside the index: one instance per
 // index shard (the shard id is part of the logical key by construction),

@@ -6,8 +6,8 @@
 // (datagen::visualvar) / with skewed-Zipf key reuse (hot points are
 // re-inserted, re-queried, and re-erased, producing duplicates and
 // contended keys like a caching tier would see). Everything is a pure
-// function of (spec, index), so two runs — or two backends — replay the
-// identical stream.
+// function of (spec, index), so two runs — or a service and the
+// brute-force reference of the tests — replay the identical stream.
 #pragma once
 
 #include <algorithm>
@@ -309,8 +309,8 @@ std::vector<request<D>> make_requests(const workload_spec& spec) {
   return make_requests<D>(spec, make_initial<D>(spec));
 }
 
-/// Runs the whole spec against `executor` — a query_engine<D> or a
-/// query_service<D> (anything with bootstrap/execute) — in batches of
+/// Runs the whole spec against `executor` — a query_service<D>, or
+/// anything else with bootstrap/execute — in batches of
 /// spec.batch_size and returns the accumulated stats (bootstrap time
 /// excluded, as in the paper's figures). `responses`, when non-null,
 /// collects every response in stream order.

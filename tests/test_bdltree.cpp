@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 
 #include "bdltree/baselines.h"
 #include "bdltree/bdl_tree.h"
@@ -157,15 +158,67 @@ TEST(BdlTree, DuplicatedLatticeAfterHalfCapacityRebuild) {
   t.insert(first);  // slot 3 (256 points) + 20 buffered
   ASSERT_NE(t.view().trees[3], nullptr);
   // Erase 140 of the tree's points: it drops below half its capacity, so
-  // its remaining points are gathered and reinserted. A site stored both
-  // in the buffer and in a tree loses a copy in each (see spatial_index.h),
-  // so the reference is the stored multiset, whose size must agree.
+  // its remaining points are gathered and reinserted. Each entry takes one
+  // copy, wherever the copies of its site sit.
   std::vector<point<2>> del(first.begin(), first.begin() + 140);
   t.erase(del);
   EXPECT_EQ(t.view().trees[3], nullptr);
-  const auto live = t.gather();
-  EXPECT_LE(live.size(), first.size() - del.size());
+  std::vector<point<2>> live(first.begin() + 140, first.end());
+  expect_same_multiset<2>(t.gather(), live);
   expect_queries_match_brute(t, live);
+}
+
+// A point stored once in a tree and once in the staging buffer: one erase
+// entry takes one copy, whether the tree is exclusively owned (erased in
+// place) or shared with a view (copied first).
+TEST(BdlTree, EraseTakesOneCopyAcrossTreeAndBuffer) {
+  const point<2> p{{2, 3}};
+  for (const bool shared : {false, true}) {
+    bdl_tree<2> t(split_policy::object_median, /*buffer_size=*/32);
+    auto pts = datagen::uniform<2>(31, 53);
+    pts.push_back(p);
+    t.insert(pts);  // one full tree in slot 0
+    t.insert({p});  // the second copy stays in the buffer
+    ASSERT_EQ(t.num_static_trees(), 1u);
+    ASSERT_EQ(t.view().buffer.size(), 1u);
+    std::optional<bdl_forest_view<2>> pinned;
+    if (shared) pinned = t.view();
+    t.erase({p});
+    SCOPED_TRACE(shared ? "shared with a view" : "exclusively owned");
+    auto kept = t.gather();
+    EXPECT_EQ(kept.size(), 32u);
+    EXPECT_EQ(std::count(kept.begin(), kept.end(), p), 1);
+    t.erase({p});
+    kept = t.gather();
+    EXPECT_EQ(std::count(kept.begin(), kept.end(), p), 0);
+    t.erase({p});  // nothing left to take
+    EXPECT_EQ(t.size(), 31u);
+    if (shared) EXPECT_EQ(pinned->size(), 33u);  // the view kept both copies
+  }
+}
+
+// 64 copies of one point in one tree: every erase entry takes exactly one,
+// even though entries equal to a split value may descend both sides.
+TEST(BdlTree, EraseTakesOneCopyPerEntryWithinATree) {
+  const point<2> p{{2, 3}};
+  bdl_tree<2> t(split_policy::object_median, /*buffer_size=*/16);
+  std::vector<point<2>> pts(64, p);
+  const auto others = datagen::uniform<2>(64, 54);
+  pts.insert(pts.end(), others.begin(), others.end());
+  t.insert(pts);  // 128 points: one tree in slot 3, empty buffer
+  ASSERT_EQ(t.num_static_trees(), 1u);
+  ASSERT_TRUE(t.view().buffer.empty());
+  auto copies = [&] {
+    const auto kept = t.gather();
+    return std::count(kept.begin(), kept.end(), p);
+  };
+  t.erase({p});
+  EXPECT_EQ(copies(), 63);
+  t.erase(std::vector<point<2>>(10, p));
+  EXPECT_EQ(copies(), 53);
+  t.erase(std::vector<point<2>>(60, p));
+  EXPECT_EQ(copies(), 0);
+  expect_same_multiset<2>(t.gather(), others);
 }
 
 TEST(BdlTree, BufferEraseIsMultisetAndKeepsOrder) {

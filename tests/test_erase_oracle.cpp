@@ -4,22 +4,23 @@
 // erase-heavy churn stream — plus deliberately nasty shapes: duplicate
 // points inside one batch, erases of points that were never inserted,
 // erase-then-reinsert of the same coordinate — runs through the sharded
-// service with pipelined concurrent drains on every backend, and every
-// response plus the final resident set must match an unsharded reference
-// engine executing the same stream sequentially.
+// service with pipelined concurrent drains, and every response plus the
+// final resident set must match the brute-force reference
+// (test_query_util.h) executing the same stream sequentially.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstddef>
 #include <vector>
 
+#include "datagen/datagen.h"
 #include "query/query_service.h"
 #include "query/workload.h"
 #include "test_query_util.h"
 
 using namespace pargeo;
-using query::backend;
 using query::shard_policy;
+using testutil::expect_same_multiset;
 using testutil::expect_same_responses;
 
 namespace {
@@ -32,18 +33,17 @@ point<2> pt(double x, double y) {
 }
 
 // Runs `reqs` through a sharded service (async pipelined submits, so write
-// groups drain concurrently across lanes) and through an unsharded
-// reference engine sequentially, then compares every response and the
-// final resident multiset.
-void run_against_reference(backend b, shard_policy policy,
+// groups drain concurrently across lanes) and through the brute-force
+// reference sequentially, then compares every response and the final
+// resident multiset.
+void run_against_reference(shard_policy policy,
                            const std::vector<point<2>>& initial,
                            const std::vector<query::request<2>>& reqs) {
-  query::query_engine<2> reference(query::make_index<2>(backend::kdtree));
+  testutil::reference_index<2> reference;
   reference.bootstrap(initial);
   const auto want = reference.execute(reqs);
 
   query::service_config cfg;
-  cfg.backend = b;
   cfg.shards = 4;
   cfg.policy = policy;
   query::query_service<2> service(cfg);
@@ -68,45 +68,37 @@ void run_against_reference(backend b, shard_policy policy,
                std::make_move_iterator(r.responses.end()));
   }
   expect_same_responses<2>(reqs, got, want.responses);
-
-  auto have = service.gather();
-  auto expect = reference.index().gather();
-  std::sort(have.begin(), have.end());
-  std::sort(expect.begin(), expect.end());
-  ASSERT_EQ(have.size(), expect.size());
-  ASSERT_EQ(have, expect);
+  expect_same_multiset<2>(service.gather(), reference.gather());
 }
-
-class EraseOracle : public ::testing::TestWithParam<backend> {};
 
 // Erase-heavy churn: departures outnumber arrivals, so the stream keeps
 // erasing points that recently existed (the FIFO-churn order TTL expiry
 // retires them in), interleaved with enough reads to catch a stale or
 // double-freed slot immediately.
-TEST_P(EraseOracle, EraseHeavyChurnMatchesReference) {
+TEST(EraseOracle, EraseHeavyChurnMatchesReference) {
   auto spec = query::make_churn_spec(600, 2000, 0.20, 0.30);
   spec.seed = 11;
   auto initial = query::make_initial<2>(spec);
   const auto reqs = query::make_requests<2>(spec, initial);
-  run_against_reference(GetParam(), shard_policy::hash, initial, reqs);
+  run_against_reference(shard_policy::hash, initial, reqs);
 }
 
 // Same stream under spatial striping: erases must route to the owner
 // stripe, and a mis-route would strand the point (caught by the final
 // gather comparison).
-TEST_P(EraseOracle, EraseHeavyChurnSpatialPolicy) {
+TEST(EraseOracle, EraseHeavyChurnSpatialPolicy) {
   auto spec = query::make_churn_spec(600, 1500, 0.25, 0.35);
   spec.seed = 13;
   auto initial = query::make_initial<2>(spec);
   const auto reqs = query::make_requests<2>(spec, initial);
-  run_against_reference(GetParam(), shard_policy::spatial, initial, reqs);
+  run_against_reference(shard_policy::spatial, initial, reqs);
 }
 
 // Duplicate coordinates inside one batch — inserted twice, erased once,
 // erased again, re-inserted — plus erases of points that never existed.
 // The service must agree with the reference on every intermediate read
 // and on what survives.
-TEST_P(EraseOracle, DuplicateAndMissingPointEdgeCases) {
+TEST(EraseOracle, DuplicateAndMissingPointEdgeCases) {
   std::vector<point<2>> initial;
   for (int i = 0; i < 64; ++i) initial.push_back(pt(i % 8, i / 8));
 
@@ -142,12 +134,37 @@ TEST_P(EraseOracle, DuplicateAndMissingPointEdgeCases) {
   }
   probe();
 
-  run_against_reference(GetParam(), shard_policy::hash, initial, reqs);
+  run_against_reference(shard_policy::hash, initial, reqs);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllBackends, EraseOracle,
-    ::testing::Values(backend::kdtree, backend::zdtree, backend::bdltree),
-    [](const auto& info) { return query::backend_name(info.param); });
+// Copies of one point spread over a shard's static trees (the front of
+// its bootstrap build) and its staging buffer (later inserts): every erase
+// entry takes exactly one copy, wherever the copies sit, and a surplus
+// entry is a no-op.
+TEST(EraseOracle, CopiesInTreesAndBufferLoseOneEach) {
+  const point<2> p = pt(3, 3);
+  std::vector<point<2>> initial(64, p);
+  const auto rest = datagen::uniform<2>(5000, 17);
+  initial.insert(initial.end(), rest.begin(), rest.end());
+
+  std::vector<query::request<2>> reqs;
+  const auto probe = [&] {
+    reqs.push_back(query::request<2>::make_ball(p, 0.0));
+    reqs.push_back(query::request<2>::make_knn(p, 80));
+  };
+  for (int i = 0; i < 3; ++i) {
+    reqs.push_back(query::request<2>::make_insert(p));
+  }
+  probe();
+  reqs.push_back(query::request<2>::make_erase(p));
+  probe();
+  for (int i = 0; i < 5; ++i) reqs.push_back(query::request<2>::make_erase(p));
+  probe();
+  for (int i = 0; i < 70; ++i) {
+    reqs.push_back(query::request<2>::make_erase(p));
+  }
+  probe();
+  run_against_reference(shard_policy::hash, initial, reqs);
+}
 
 }  // namespace

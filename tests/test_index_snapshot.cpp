@@ -1,13 +1,12 @@
 // Unit tests for the epoch/snapshot layer of spatial_index (layer 1):
 // write epochs advance monotonically on every content change; isolated
-// snapshots (kdtree: shared tree + copied write buffers, zdtree:
-// copy-on-write Morton array, bdltree: chunk-level COW forest view) keep
-// answering exactly as of their epoch while the live index absorbs
-// further writes; and the engine's read-phase runner answers a mixed read
-// run from a snapshot.
+// snapshots (chunk-level COW views of the BDL-tree forest) keep answering
+// exactly as of their epoch while the live index absorbs further writes;
+// and the read-phase runner answers a mixed read run from a snapshot.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <vector>
 
 #include "datagen/datagen.h"
@@ -16,16 +15,9 @@
 #include "test_util.h"
 
 using namespace pargeo;
-using query::backend;
 
-namespace {
-
-class SnapshotEpochs : public ::testing::TestWithParam<backend> {};
-
-}  // namespace
-
-TEST_P(SnapshotEpochs, EpochAdvancesOnEveryContentChange) {
-  auto idx = query::make_index<2>(GetParam());
+TEST(SnapshotEpochs, EpochAdvancesOnEveryContentChange) {
+  auto idx = std::make_unique<query::spatial_index<2>>();
   const auto e0 = idx->epoch();
   idx->build(datagen::uniform<2>(100, 3));
   const auto e1 = idx->epoch();
@@ -49,8 +41,8 @@ TEST_P(SnapshotEpochs, EpochAdvancesOnEveryContentChange) {
   EXPECT_EQ(idx->epoch(), e3);
 }
 
-TEST_P(SnapshotEpochs, SnapshotCarriesEpochAndContents) {
-  auto idx = query::make_index<2>(GetParam());
+TEST(SnapshotEpochs, SnapshotCarriesEpochAndContents) {
+  auto idx = std::make_unique<query::spatial_index<2>>();
   idx->build(datagen::uniform<2>(200, 7));
   auto snap = idx->snapshot();
   EXPECT_EQ(snap->epoch(), idx->epoch());
@@ -69,20 +61,13 @@ TEST_P(SnapshotEpochs, SnapshotCarriesEpochAndContents) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllBackends, SnapshotEpochs,
-    ::testing::Values(backend::kdtree, backend::zdtree, backend::bdltree),
-    [](const ::testing::TestParamInfo<backend>& info) {
-      return query::backend_name(info.param);
-    });
-
 namespace {
 
 // Writes applied after the snapshot must be invisible to it: the isolation
 // property the query_service's concurrent read drains rely on.
 template <int D>
-void expect_isolated_from_later_writes(backend b) {
-  auto idx = query::make_index<D>(b);
+void expect_isolated_from_later_writes() {
+  auto idx = std::make_unique<query::spatial_index<D>>();
   const auto initial = datagen::uniform<D>(150, 11);
   idx->build(initial);
 
@@ -125,60 +110,24 @@ void expect_isolated_from_later_writes(backend b) {
 
 }  // namespace
 
-TEST(SnapshotIsolation, KdtreeSnapshotIgnoresLaterWrites2D) {
-  expect_isolated_from_later_writes<2>(backend::kdtree);
-}
-
-TEST(SnapshotIsolation, KdtreeSnapshotIgnoresLaterWrites3D) {
-  expect_isolated_from_later_writes<3>(backend::kdtree);
-}
-
-TEST(SnapshotIsolation, ZdtreeSnapshotIgnoresLaterWrites2D) {
-  expect_isolated_from_later_writes<2>(backend::zdtree);
-}
-
-TEST(SnapshotIsolation, KdtreeSnapshotSurvivesRebuild) {
-  // A rebuild swaps the live tree + base arrays; a snapshot taken before
-  // must keep answering from the structures it captured.
-  query::kdtree_index<2> idx(kdtree::split_policy::object_median, 16,
-                             /*rebuild_threshold=*/0.1);
-  const auto initial = datagen::uniform<2>(100, 17);
-  idx.build(initial);
-  auto snap = idx.snapshot();
-  const std::size_t rebuilds_before = idx.rebuild_count();
-
-  idx.batch_insert(datagen::uniform<2>(60, 19));  // > 10% -> rebuild
-  EXPECT_GT(idx.rebuild_count(), rebuilds_before);
-
-  const auto queries = datagen::uniform<2>(5, 23);
-  auto rows = snap->batch_knn(queries, 3);
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    auto expect = testutil::brute_knn_dists(initial, queries[i], 3);
-    ASSERT_EQ(rows[i].size(), expect.size());
-    for (std::size_t j = 0; j < expect.size(); ++j) {
-      EXPECT_EQ(rows[i][j].dist_sq(queries[i]), expect[j]);
-    }
-  }
-}
-
 TEST(SnapshotIsolation, BdltreeSnapshotIgnoresLaterWrites2D) {
   // The BDL forest used to hand out pinned (non-isolated) views that
   // required the service to gate writes while reads were in flight.
   // Snapshots are now chunk-level COW forest views: fully isolated, and
   // superseded structure versions are retired through the epoch
   // reclaimer instead of blocking writers.
-  expect_isolated_from_later_writes<2>(backend::bdltree);
+  expect_isolated_from_later_writes<2>();
 }
 
 TEST(SnapshotIsolation, BdltreeSnapshotIgnoresLaterWrites3D) {
-  expect_isolated_from_later_writes<3>(backend::bdltree);
+  expect_isolated_from_later_writes<3>();
 }
 
 TEST(SnapshotIsolation, BdltreeSnapshotSurvivesManyWriteRounds) {
   // Rounds of insert+erase churn rebuild / merge BDL levels repeatedly;
   // a snapshot captured up front must keep answering from its original
   // chunk set no matter how much the live forest restructures.
-  auto idx = query::make_index<2>(backend::bdltree);
+  auto idx = std::make_unique<query::spatial_index<2>>();
   const auto initial = datagen::uniform<2>(150, 41);
   idx->build(initial);
   auto snap = idx->snapshot();
@@ -203,7 +152,7 @@ TEST(SnapshotIsolation, BdltreeSnapshotSurvivesManyWriteRounds) {
 }
 
 TEST(SnapshotReads, ReadPhaseRunsAgainstASnapshot) {
-  auto idx = query::make_index<2>(backend::kdtree);
+  auto idx = std::make_unique<query::spatial_index<2>>();
   const auto initial = datagen::uniform<2>(180, 37);
   idx->build(initial);
   auto snap = idx->snapshot();

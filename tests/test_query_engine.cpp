@@ -1,95 +1,37 @@
-// Integration tests for the unified query subsystem driven through the
+// Integration tests for the query subsystem driven through the
 // query_service front door (1 shard — the per-shard executor path; sharded
 // equivalence lives in test_query_service.cpp): mixed batched
-// insert/erase/knn/range streams on every backend, checked request-by-
-// request against a brute-force multiset oracle; plus phase-grouping,
-// duplicate-point, empty-result, and kd-tree rebuild-policy checks.
+// insert/erase/knn/range streams, checked request-by-request against the
+// brute-force reference of test_query_util.h; plus phase-grouping,
+// duplicate-point and empty-result checks, and run_workload driving the
+// service and the reference through the same stream.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <vector>
 
 #include "parallel/random.h"
 #include "query/query_service.h"
 #include "query/workload.h"
-#include "test_util.h"
+#include "test_query_util.h"
 
 using namespace pargeo;
-using query::backend;
 using query::op;
+using testutil::expect_same_multiset;
+using testutil::expect_same_responses;
 
 namespace {
 
 template <int D>
-query::query_service<D> make_service(backend b, std::size_t shards = 1) {
-  query::service_config cfg;
-  cfg.backend = b;
-  cfg.shards = shards;
-  return query::query_service<D>(cfg);
+query::query_service<D> make_service() {
+  return query::query_service<D>(query::service_config{});
 }
 
-// Brute-force multiset reference applying requests one at a time. Erase
-// removes one stored copy per request — identical to every backend as long
-// as erased points are stored at most once (the streams below guarantee
-// that; backends legitimately differ on erasing multiply-stored points).
-template <int D>
-struct oracle {
-  std::vector<point<D>> pts;
-
-  void apply_write(const query::request<D>& r) {
-    if (r.kind == op::insert) {
-      pts.push_back(r.p);
-    } else if (r.kind == op::erase) {
-      auto it = std::find(pts.begin(), pts.end(), r.p);
-      if (it != pts.end()) pts.erase(it);
-    }
-  }
-
-  // Checks one service response against the current state.
-  void check_read(const query::request<D>& r,
-                  const query::response<D>& resp) const {
-    switch (r.kind) {
-      case op::knn: {
-        auto expect = testutil::brute_knn_dists(pts, r.p, r.k);
-        ASSERT_EQ(resp.points.size(), expect.size());
-        for (std::size_t j = 0; j < expect.size(); ++j) {
-          EXPECT_EQ(resp.points[j].dist_sq(r.p), expect[j]) << "knn row " << j;
-        }
-        break;
-      }
-      case op::range_box: {
-        std::vector<point<D>> expect;
-        for (const auto& p : pts) {
-          if (r.box.contains(p)) expect.push_back(p);
-        }
-        auto got = resp.points;
-        std::sort(got.begin(), got.end());
-        std::sort(expect.begin(), expect.end());
-        EXPECT_EQ(got, expect);
-        break;
-      }
-      case op::range_ball: {
-        std::vector<point<D>> expect;
-        for (const auto& p : pts) {
-          if (p.dist_sq(r.p) <= r.radius * r.radius) expect.push_back(p);
-        }
-        auto got = resp.points;
-        std::sort(got.begin(), got.end());
-        std::sort(expect.begin(), expect.end());
-        EXPECT_EQ(got, expect);
-        break;
-      }
-      default:
-        break;
-    }
-  }
-};
-
-// Deterministic mixed stream. Duplicates only ever enter via repeated
-// inserts of "hot" points in a disjoint coordinate region that is never
-// an erase target, so oracle erase semantics match every backend.
+// Deterministic mixed stream. Duplicates enter via repeated inserts of a
+// "hot" point in a disjoint coordinate region; the hot point joins the
+// erase pool like any other insert, so erases hit its stored copies too
+// and must remove exactly one each.
 template <int D>
 std::vector<query::request<D>> make_oracle_stream(std::size_t num_ops,
                                                   double side,
@@ -111,9 +53,9 @@ std::vector<query::request<D>> make_oracle_stream(std::size_t num_ops,
     };
     if (u < 0.15) {  // insert (1 in 5 a duplicate of the hot point)
       const auto p = par::rand_range(seed + 1, i, 5) == 0 ? hot : fresh();
-      if (!(p == hot)) pool.push_back(p);
+      pool.push_back(p);
       reqs.push_back(query::request<D>::make_insert(p));
-    } else if (u < 0.30 && !pool.empty()) {  // erase a (unique) pool point
+    } else if (u < 0.30 && !pool.empty()) {  // erase a pool point
       const std::size_t r = par::rand_range(seed + 2, i, pool.size());
       reqs.push_back(query::request<D>::make_erase(pool[r]));
     } else if (u < 0.60) {  // knn, k varying, sometimes k > n
@@ -138,7 +80,7 @@ std::vector<query::request<D>> make_oracle_stream(std::size_t num_ops,
 }
 
 template <int D>
-void run_oracle_stream(backend b, std::size_t initial_n, std::size_t num_ops,
+void run_oracle_stream(std::size_t initial_n, std::size_t num_ops,
                        std::size_t service_batch, uint64_t seed) {
   const auto initial = datagen::uniform<D>(initial_n, seed);
   const double side = std::sqrt(static_cast<double>(std::max<std::size_t>(
@@ -146,53 +88,39 @@ void run_oracle_stream(backend b, std::size_t initial_n, std::size_t num_ops,
   const auto reqs =
       make_oracle_stream<D>(num_ops, side > 0 ? side : 1.0, initial, seed);
 
-  auto service = make_service<D>(b);
+  auto service = make_service<D>();
   service.bootstrap(initial);
-  oracle<D> ref;
-  ref.pts = initial;
+  testutil::reference_index<D> ref;
+  ref.bootstrap(initial);
 
   for (std::size_t off = 0; off < reqs.size(); off += service_batch) {
     const std::size_t end = std::min(reqs.size(), off + service_batch);
     std::vector<query::request<D>> batch(reqs.begin() + off,
                                          reqs.begin() + end);
     auto result = service.execute(batch);
-    ASSERT_EQ(result.responses.size(), batch.size());
-    // Replay against the oracle in stream order: reads are checked against
-    // the state at their position, writes advance the state.
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      if (query::is_read(batch[i].kind)) {
-        ref.check_read(batch[i], result.responses[i]);
-      } else {
-        ref.apply_write(batch[i]);
-      }
-    }
+    auto want = ref.execute(batch);
+    expect_same_responses<D>(batch, result.responses, want.responses);
   }
-  EXPECT_EQ(service.size(), ref.pts.size());
-  auto stored = service.gather();
-  auto expect = ref.pts;
-  std::sort(stored.begin(), stored.end());
-  std::sort(expect.begin(), expect.end());
-  EXPECT_EQ(stored, expect);
+  EXPECT_EQ(service.size(), ref.size());
+  expect_same_multiset<D>(service.gather(), ref.gather());
 }
-
-class QueryEngineOracle : public ::testing::TestWithParam<backend> {};
 
 }  // namespace
 
-TEST_P(QueryEngineOracle, MixedStreamMatchesOracle2D) {
-  run_oracle_stream<2>(GetParam(), 400, 900, 64, 7);
+TEST(QueryEngineOracle, MixedStreamMatchesOracle2D) {
+  run_oracle_stream<2>(400, 900, 64, 7);
 }
 
-TEST_P(QueryEngineOracle, MixedStreamMatchesOracle3D) {
-  run_oracle_stream<3>(GetParam(), 300, 600, 48, 11);
+TEST(QueryEngineOracle, MixedStreamMatchesOracle3D) {
+  run_oracle_stream<3>(300, 600, 48, 11);
 }
 
-TEST_P(QueryEngineOracle, StartsEmpty) {
-  run_oracle_stream<2>(GetParam(), 0, 400, 32, 13);
+TEST(QueryEngineOracle, StartsEmpty) {
+  run_oracle_stream<2>(0, 400, 32, 13);
 }
 
-TEST_P(QueryEngineOracle, EmptyIndexQueriesReturnNothing) {
-  auto service = make_service<2>(GetParam());
+TEST(QueryEngineOracle, EmptyIndexQueriesReturnNothing) {
+  auto service = make_service<2>();
   std::vector<query::request<2>> batch{
       query::request<2>::make_knn(point<2>{{1, 2}}, 5),
       query::request<2>::make_range(
@@ -205,8 +133,8 @@ TEST_P(QueryEngineOracle, EmptyIndexQueriesReturnNothing) {
   EXPECT_EQ(service.size(), 0u);
 }
 
-TEST_P(QueryEngineOracle, DuplicatePointsKnn) {
-  auto service = make_service<2>(GetParam());
+TEST(QueryEngineOracle, DuplicatePointsKnn) {
+  auto service = make_service<2>();
   const point<2> dup{{3, 4}};
   std::vector<query::request<2>> batch;
   for (int i = 0; i < 10; ++i) {
@@ -223,23 +151,16 @@ TEST_P(QueryEngineOracle, DuplicatePointsKnn) {
   EXPECT_EQ(service.size(), 11u);
 }
 
-TEST_P(QueryEngineOracle, KnnKZeroReturnsEmptyRows) {
-  auto idx = query::make_index<2>(GetParam());
-  idx->build(datagen::uniform<2>(100, 5));
-  auto rows = idx->batch_knn(datagen::uniform<2>(10, 6), 0);
+TEST(QueryEngineOracle, KnnKZeroReturnsEmptyRows) {
+  query::spatial_index<2> idx;
+  idx.build(datagen::uniform<2>(100, 5));
+  auto rows = idx.batch_knn(datagen::uniform<2>(10, 6), 0);
   ASSERT_EQ(rows.size(), 10u);
   for (const auto& r : rows) EXPECT_TRUE(r.empty());
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllBackends, QueryEngineOracle,
-    ::testing::Values(backend::kdtree, backend::zdtree, backend::bdltree),
-    [](const ::testing::TestParamInfo<backend>& info) {
-      return query::backend_name(info.param);
-    });
-
 TEST(QueryEngine, PhaseGroupingPreservesOrder) {
-  auto service = make_service<2>(backend::bdltree);
+  auto service = make_service<2>();
   const point<2> a{{1, 1}}, b{{2, 2}};
   std::vector<query::request<2>> batch{
       query::request<2>::make_insert(a),
@@ -271,7 +192,7 @@ TEST(QueryEngine, PhaseGroupingPreservesOrder) {
 
 TEST(QueryEngine, KnnShardsByK) {
   // One read phase mixing k values still answers each request with its k.
-  auto service = make_service<2>(backend::kdtree);
+  auto service = make_service<2>();
   service.bootstrap(datagen::uniform<2>(200, 3));
   std::vector<query::request<2>> batch;
   const auto q = datagen::uniform<2>(1, 4)[0];
@@ -286,122 +207,28 @@ TEST(QueryEngine, KnnShardsByK) {
   }
 }
 
-TEST(Workload, RunWorkloadAcrossBackendsAgrees) {
-  // Same uniform spec on all three backends: identical streams must yield
-  // identical k-NN distances and range hit counts response-by-response.
+TEST(Workload, RunWorkloadMatchesReference) {
+  // run_workload drives the service and the brute-force reference through
+  // the same uniform stream; every response must agree.
   query::workload_spec spec;
   spec.initial_points = 300;
   spec.num_ops = 800;
   spec.batch_size = 128;
   spec.k = 4;
-  std::vector<std::vector<query::response<2>>> all;
-  for (auto b : {backend::kdtree, backend::zdtree, backend::bdltree}) {
-    auto service = make_service<2>(b);
-    std::vector<query::response<2>> responses;
-    const auto stats = query::run_workload<2>(service, spec, &responses);
-    EXPECT_EQ(stats.num_requests, spec.num_ops);
-    // Phase ids are rebased across batches: they index the accumulated
-    // stats.phases and never decrease along the stream.
-    for (std::size_t i = 0; i < responses.size(); ++i) {
-      ASSERT_LT(responses[i].phase, stats.num_phases());
-      if (i > 0) ASSERT_GE(responses[i].phase, responses[i - 1].phase);
-    }
-    all.push_back(std::move(responses));
+  auto service = make_service<2>();
+  std::vector<query::response<2>> got;
+  const auto stats = query::run_workload<2>(service, spec, &got);
+  EXPECT_EQ(stats.num_requests, spec.num_ops);
+  // Phase ids are rebased across batches: they index the accumulated
+  // stats.phases and never decrease along the stream.
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_LT(got[i].phase, stats.num_phases());
+    if (i > 0) ASSERT_GE(got[i].phase, got[i - 1].phase);
   }
-  for (std::size_t i = 0; i < all[0].size(); ++i) {
-    for (std::size_t b = 1; b < all.size(); ++b) {
-      ASSERT_EQ(all[0][i].points.size(), all[b][i].points.size())
-          << "response " << i << " backend " << b;
-    }
-  }
-}
-
-TEST(KdtreeRebuildPolicy, DefersRebuildsBelowThreshold) {
-  query::kdtree_index<2> idx(kdtree::split_policy::object_median, 16,
-                             /*rebuild_threshold=*/0.5);
-  idx.build(datagen::uniform<2>(1000, 17));
-  const std::size_t after_build = idx.rebuild_count();
-
-  // 100 buffered writes against 1000 points stay under the 0.5 threshold.
-  idx.batch_insert(datagen::uniform<2>(60, 18));
-  auto victims = datagen::uniform<2>(1000, 17);
-  victims.resize(40);
-  idx.batch_erase(victims);
-  EXPECT_EQ(idx.rebuild_count(), after_build);
-  EXPECT_EQ(idx.pending_writes(), 100u);
-  EXPECT_EQ(idx.size(), 1020u);
-
-  // Crossing the threshold flattens the buffer into a fresh tree.
-  idx.batch_insert(datagen::uniform<2>(600, 19));
-  EXPECT_EQ(idx.rebuild_count(), after_build + 1);
-  EXPECT_EQ(idx.pending_writes(), 0u);
-  EXPECT_EQ(idx.size(), 1620u);
-}
-
-TEST(KdtreeRebuildPolicy, ZeroThresholdRebuildsEveryBatch) {
-  query::kdtree_index<2> idx(kdtree::split_policy::object_median, 16,
-                             /*rebuild_threshold=*/0.0);
-  idx.build(datagen::uniform<2>(100, 23));
-  const std::size_t after_build = idx.rebuild_count();
-  idx.batch_insert(datagen::uniform<2>(1, 24));
-  EXPECT_EQ(idx.rebuild_count(), after_build + 1);
-  EXPECT_EQ(idx.pending_writes(), 0u);
-  // An erase batch that matches nothing must not pay a rebuild.
-  idx.batch_erase({point<2>{{-500, -500}}, point<2>{{-501, -501}}});
-  EXPECT_EQ(idx.rebuild_count(), after_build + 1);
-}
-
-TEST(KdtreeRebuildPolicy, QueriesExactWhileWritesBuffered) {
-  // With a huge threshold nothing ever rebuilds after build(); every query
-  // must still merge the buffer exactly.
-  query::kdtree_index<2> idx(kdtree::split_policy::object_median, 16,
-                             /*rebuild_threshold=*/100.0);
-  const auto initial = datagen::uniform<2>(300, 29);
-  idx.build(initial);
-  const std::size_t after_build = idx.rebuild_count();
-
-  std::vector<point<2>> live = initial;
-  const auto extra = datagen::uniform<2>(80, 31);
-  for (std::size_t step = 0; step < 8; ++step) {
-    // Alternate small inserts and erases (erases target distinct points).
-    if (step % 2 == 0) {
-      std::vector<point<2>> add(extra.begin() + step * 10,
-                                extra.begin() + (step + 1) * 10);
-      idx.batch_insert(add);
-      live.insert(live.end(), add.begin(), add.end());
-    } else {
-      std::vector<point<2>> del(live.begin() + step, live.begin() + step + 7);
-      idx.batch_erase(del);
-      for (const auto& p : del) {
-        auto it = std::find(live.begin(), live.end(), p);
-        if (it != live.end()) live.erase(it);
-      }
-    }
-    ASSERT_EQ(idx.size(), live.size());
-
-    const auto queries = datagen::uniform<2>(10, 37 + step);
-    auto rows = idx.batch_knn(queries, 5);
-    for (std::size_t i = 0; i < queries.size(); ++i) {
-      auto expect = testutil::brute_knn_dists(live, queries[i], 5);
-      ASSERT_EQ(rows[i].size(), expect.size());
-      for (std::size_t j = 0; j < expect.size(); ++j) {
-        EXPECT_EQ(rows[i][j].dist_sq(queries[i]), expect[j]);
-      }
-    }
-    const point<2> c = queries[0];
-    auto balls = idx.batch_ball({c}, {3.0});
-    std::vector<point<2>> expect_ball;
-    for (const auto& p : live) {
-      if (p.dist_sq(c) <= 9.0) expect_ball.push_back(p);
-    }
-    std::sort(balls[0].begin(), balls[0].end());
-    std::sort(expect_ball.begin(), expect_ball.end());
-    EXPECT_EQ(balls[0], expect_ball);
-  }
-  EXPECT_EQ(idx.rebuild_count(), after_build);
-
-  auto stored = idx.gather();
-  std::sort(stored.begin(), stored.end());
-  std::sort(live.begin(), live.end());
-  EXPECT_EQ(stored, live);
+  testutil::reference_index<2> ref;
+  std::vector<query::response<2>> want;
+  const auto ref_stats = query::run_workload<2>(ref, spec, &want);
+  EXPECT_EQ(ref_stats.num_phases(), stats.num_phases());
+  expect_same_responses<2>(query::make_requests<2>(spec), got, want);
+  expect_same_multiset<2>(service.gather(), ref.gather());
 }

@@ -1,7 +1,7 @@
 // Oracle + lifecycle tests for the sharded, multi-producer, asynchronous
 // query_service front door: sharded (spatial and hash, >= 4 shards)
 // responses must match a 1-shard reference on mixed insert/erase/kNN/range
-// streams on every backend; concurrent submitters (>= 4 threads) get their
+// streams; concurrent submitters (>= 4 threads) get their
 // responses back in their own submission order; plus the completion-handle
 // lifecycle (drain-without-waiters, callbacks firing exactly once, orderly
 // close/destructor flush, double-get and empty-handle errors, bounded
@@ -33,7 +33,6 @@
 #include "test_query_util.h"
 
 using namespace pargeo;
-using query::backend;
 using query::op;
 using query::shard_policy;
 using testutil::expect_same_responses;
@@ -41,19 +40,16 @@ using testutil::expect_same_responses;
 namespace {
 
 template <int D>
-query::service_config make_config(backend b, std::size_t shards,
-                                  shard_policy policy) {
+query::service_config make_config(std::size_t shards, shard_policy policy) {
   query::service_config cfg;
-  cfg.backend = b;
   cfg.shards = shards;
   cfg.policy = policy;
   return cfg;
 }
 
 template <int D>
-query::query_service<D> make_service(backend b, std::size_t shards,
-                                     shard_policy policy) {
-  return query::query_service<D>(make_config<D>(b, shards, policy));
+query::query_service<D> make_service(std::size_t shards, shard_policy policy) {
+  return query::query_service<D>(make_config<D>(shards, policy));
 }
 
 // Spins until `done()` holds (the drain pipeline is asynchronous), failing
@@ -69,8 +65,7 @@ void wait_until(const Pred& done, const char* what) {
 }
 
 template <int D>
-void run_sharded_vs_reference(backend b, shard_policy policy,
-                              std::size_t shards) {
+void run_sharded_vs_reference(shard_policy policy, std::size_t shards) {
   query::workload_spec spec;
   spec.initial_points = 400;
   spec.num_ops = 1000;
@@ -80,11 +75,11 @@ void run_sharded_vs_reference(backend b, shard_policy policy,
   // 10% box / 10% ball.
   const auto reqs = query::make_requests<D>(spec);
 
-  auto reference = make_service<D>(b, 1, policy);
+  auto reference = make_service<D>(1, policy);
   std::vector<query::response<D>> want;
   query::run_workload<D>(reference, spec, &want);
 
-  auto sharded = make_service<D>(b, shards, policy);
+  auto sharded = make_service<D>(shards, policy);
   std::vector<query::response<D>> got;
   query::run_workload<D>(sharded, spec, &got);
 
@@ -98,26 +93,21 @@ void run_sharded_vs_reference(backend b, shard_policy policy,
   EXPECT_EQ(a, e);
 }
 
-using ServiceParam = std::tuple<backend, shard_policy>;
-
-class QueryServiceOracle : public ::testing::TestWithParam<ServiceParam> {};
+class QueryServiceOracle : public ::testing::TestWithParam<shard_policy> {};
 
 }  // namespace
 
 TEST_P(QueryServiceOracle, ShardedMatchesReference2D) {
-  run_sharded_vs_reference<2>(std::get<0>(GetParam()),
-                              std::get<1>(GetParam()), 4);
+  run_sharded_vs_reference<2>(GetParam(), 4);
 }
 
 TEST_P(QueryServiceOracle, ShardedMatchesReference3D) {
-  run_sharded_vs_reference<3>(std::get<0>(GetParam()),
-                              std::get<1>(GetParam()), 5);
+  run_sharded_vs_reference<3>(GetParam(), 5);
 }
 
 TEST_P(QueryServiceOracle, ShardedStartsEmptyMatchesReference) {
   // No bootstrap: spatial stripes must derive from the first write phase.
-  const backend b = std::get<0>(GetParam());
-  const shard_policy policy = std::get<1>(GetParam());
+  const shard_policy policy = GetParam();
   query::workload_spec spec;
   spec.initial_points = 0;
   spec.num_ops = 600;
@@ -126,11 +116,11 @@ TEST_P(QueryServiceOracle, ShardedStartsEmptyMatchesReference) {
   spec.insert_frac = 0.3;  // write-heavy so the index fills up
   const auto reqs = query::make_requests<2>(spec);
 
-  auto reference = make_service<2>(b, 1, policy);
+  auto reference = make_service<2>(1, policy);
   std::vector<query::response<2>> want;
   query::run_workload<2>(reference, spec, &want);
 
-  auto sharded = make_service<2>(b, 4, policy);
+  auto sharded = make_service<2>(4, policy);
   std::vector<query::response<2>> got;
   query::run_workload<2>(sharded, spec, &got);
 
@@ -139,8 +129,7 @@ TEST_P(QueryServiceOracle, ShardedStartsEmptyMatchesReference) {
 }
 
 TEST_P(QueryServiceOracle, BootstrapDistributesAcrossShards) {
-  auto service =
-      make_service<2>(std::get<0>(GetParam()), 4, std::get<1>(GetParam()));
+  auto service = make_service<2>(4, GetParam());
   service.bootstrap(datagen::uniform<2>(400, 3));
   EXPECT_EQ(service.size(), 400u);
   std::size_t populated = 0;
@@ -153,23 +142,13 @@ TEST_P(QueryServiceOracle, BootstrapDistributesAcrossShards) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    AllBackendsAndPolicies, QueryServiceOracle,
-    ::testing::Combine(::testing::Values(backend::kdtree, backend::zdtree,
-                                         backend::bdltree),
-                       ::testing::Values(shard_policy::spatial,
-                                         shard_policy::hash)),
-    [](const ::testing::TestParamInfo<ServiceParam>& info) {
-      return std::string(query::backend_name(std::get<0>(info.param))) + "_" +
-             query::shard_policy_name(std::get<1>(info.param));
+    Policies, QueryServiceOracle,
+    ::testing::Values(shard_policy::spatial, shard_policy::hash),
+    [](const ::testing::TestParamInfo<shard_policy>& info) {
+      return std::string(query::shard_policy_name(info.param));
     });
 
-namespace {
-
-class QueryServiceConcurrent : public ::testing::TestWithParam<backend> {};
-
-}  // namespace
-
-TEST_P(QueryServiceConcurrent, SubmittersGetOwnOrderBack) {
+TEST(QueryServiceConcurrent, SubmittersGetOwnOrderBack) {
   // >= 4 truly parallel clients hammer one service. Each thread works in
   // its own coordinate stripe >= 1000 away from the others, so every
   // expected answer is independent of how tickets interleave globally;
@@ -179,7 +158,7 @@ TEST_P(QueryServiceConcurrent, SubmittersGetOwnOrderBack) {
   constexpr int kTicketsPerThread = 6;
   constexpr int kPointsPerTicket = 3;
 
-  auto service = make_service<2>(GetParam(), 4, shard_policy::hash);
+  auto service = make_service<2>(4, shard_policy::hash);
   service.bootstrap(datagen::uniform<2>(200, 5));
   const std::size_t initial = 200;
 
@@ -251,18 +230,12 @@ TEST_P(QueryServiceConcurrent, SubmittersGetOwnOrderBack) {
                                     (2 * kPointsPerTicket + 1)));
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllBackends, QueryServiceConcurrent,
-    ::testing::Values(backend::kdtree, backend::zdtree, backend::bdltree),
-    [](const ::testing::TestParamInfo<backend>& info) {
-      return query::backend_name(info.param);
-    });
 
 TEST(QueryService, SubmitWithoutWaiterDrainsAlone) {
   // The acceptance property of the dedicated drain thread: a ticket nobody
   // blocks on still executes. Submit, never call get(), and watch the
   // drain counters advance on their own.
-  auto service = make_service<2>(backend::bdltree, 2, shard_policy::hash);
+  auto service = make_service<2>(2, shard_policy::hash);
   std::vector<query::request<2>> batch;
   for (int i = 0; i < 8; ++i) {
     batch.push_back(query::request<2>::make_insert(point<2>{{1.0 * i, 2.0}}));
@@ -279,7 +252,7 @@ TEST(QueryService, SubmitWithoutWaiterDrainsAlone) {
 }
 
 TEST(QueryService, CallbacksFireExactlyOnce) {
-  auto service = make_service<2>(backend::bdltree, 2, shard_policy::hash);
+  auto service = make_service<2>(2, shard_policy::hash);
   service.bootstrap(datagen::uniform<2>(100, 3));
 
   constexpr int kTickets = 12;
@@ -319,7 +292,7 @@ TEST(QueryService, CallbacksFireExactlyOnce) {
 TEST(QueryService, CallbackOutlivesDroppedHandle) {
   // Registering on_complete and dropping the handle must still fire the
   // callback exactly once (the record stays alive for delivery).
-  auto service = make_service<2>(backend::bdltree, 1, shard_policy::hash);
+  auto service = make_service<2>(1, shard_policy::hash);
   std::atomic<int> fired{0};
   {
     auto c = service.submit({query::request<2>::make_insert(point<2>{{1, 1}})});
@@ -335,7 +308,7 @@ TEST(QueryService, CallbackOutlivesDroppedHandle) {
 TEST(QueryService, CloseFlushesInFlightTickets) {
   // close() with submitted-but-unexecuted tickets must neither deadlock
   // nor drop responses: every handle redeems normally afterwards.
-  auto service = make_service<2>(backend::bdltree, 2, shard_policy::hash);
+  auto service = make_service<2>(2, shard_policy::hash);
   service.bootstrap(datagen::uniform<2>(150, 7));
   std::vector<query::completion<2>> cs;
   for (int j = 0; j < 10; ++j) {
@@ -367,8 +340,8 @@ TEST(QueryService, HandlesOutliveTheService) {
   std::vector<query::completion<2>> cs;
   {
     auto service =
-        std::make_unique<query::query_service<2>>(make_config<2>(
-            backend::zdtree, 2, shard_policy::hash));
+        std::make_unique<query::query_service<2>>(
+            make_config<2>(2, shard_policy::hash));
     service->bootstrap(datagen::uniform<2>(80, 11));
     for (int j = 0; j < 4; ++j) {
       cs.push_back(service->submit(
@@ -383,7 +356,7 @@ TEST(QueryService, HandlesOutliveTheService) {
 }
 
 TEST(QueryService, DoubleGetAndEmptyHandlesThrow) {
-  auto service = make_service<2>(backend::bdltree, 1, shard_policy::hash);
+  auto service = make_service<2>(1, shard_policy::hash);
   auto c = service.submit({query::request<2>::make_insert(point<2>{{1, 1}})});
   c.get();
   EXPECT_THROW(c.get(), std::logic_error);  // second redemption
@@ -407,7 +380,7 @@ TEST(QueryService, RetentionCapEvictsOldestUnredeemed) {
   // Satellite: completed-but-unredeemed results are bounded. With a cap of
   // 2, five un-waited tickets leave exactly the two newest redeemable; the
   // three oldest report eviction instead of deadlocking or leaking.
-  auto cfg = make_config<2>(backend::bdltree, 1, shard_policy::hash);
+  auto cfg = make_config<2>(1, shard_policy::hash);
   cfg.max_retained = 2;
   query::query_service<2> service(cfg);
   std::vector<query::completion<2>> cs;
@@ -432,7 +405,7 @@ TEST(QueryService, RetentionCapEvictsOldestUnredeemed) {
 TEST(QueryService, DroppedHandleReleasesItsResult) {
   // Redemption-by-destruction: dropping an unredeemed handle evicts its
   // retained result immediately (nothing waits for the cap).
-  auto service = make_service<2>(backend::bdltree, 1, shard_policy::hash);
+  auto service = make_service<2>(1, shard_policy::hash);
   {
     auto c = service.submit(
         {query::request<2>::make_insert(point<2>{{3, 3}})});
@@ -449,7 +422,7 @@ TEST(QueryService, ReadTicketsSeeEarlierWriteTickets) {
   // FIFO program order across tickets survives the snapshot path: a
   // read-only ticket submitted after a write ticket snapshots state that
   // already includes the write, and is stamped with a snapshot epoch.
-  auto service = make_service<2>(backend::kdtree, 2, shard_policy::hash);
+  auto service = make_service<2>(2, shard_policy::hash);
   service.bootstrap(datagen::uniform<2>(120, 13));
   const point<2> fresh{{900.0, 900.0}};
   auto w = service.submit({query::request<2>::make_insert(fresh)});
@@ -471,7 +444,7 @@ TEST(QueryService, ReadTicketsSeeEarlierWriteTickets) {
 
 TEST(QueryService, ReadOnlyStreamUsesSnapshotPath) {
   // A pure-read stream drains entirely through the snapshot executors.
-  auto service = make_service<2>(backend::zdtree, 2, shard_policy::hash);
+  auto service = make_service<2>(2, shard_policy::hash);
   service.bootstrap(datagen::uniform<2>(300, 17));
   std::vector<query::completion<2>> cs;
   for (int j = 0; j < 6; ++j) {
@@ -497,7 +470,6 @@ TEST(QueryService, IngestWindowGroupsPendingBatches) {
     // whatever has accumulated when it wakes — never more drains than
     // tickets, and the window invariant caps each group.
     query::service_config cfg;
-    cfg.backend = backend::bdltree;
     cfg.shards = 2;
     query::query_service<2> service(cfg);
     std::vector<query::completion<2>> cs;
@@ -521,7 +493,6 @@ TEST(QueryService, IngestWindowGroupsPendingBatches) {
     // Window smaller than one batch: every drain takes exactly one ticket
     // (an over-sized batch still drains alone rather than starving).
     query::service_config cfg;
-    cfg.backend = backend::bdltree;
     cfg.shards = 2;
     cfg.ingest_window = 1;
     query::query_service<2> service(cfg);
@@ -542,7 +513,7 @@ TEST(QueryService, IngestWindowGroupsPendingBatches) {
 }
 
 TEST(QueryService, TicketResultCarriesGroupStatsAndLatency) {
-  auto service = make_service<2>(backend::bdltree, 2, shard_policy::hash);
+  auto service = make_service<2>(2, shard_policy::hash);
   std::vector<query::request<2>> batch{
       query::request<2>::make_insert(point<2>{{1, 1}}),
       query::request<2>::make_insert(point<2>{{2, 2}}),
@@ -578,20 +549,20 @@ TEST(QueryService, InvalidConfigThrows) {
 }
 
 TEST(QueryService, NegativeBallRadiusMatchesUnshardedAcrossPolicies) {
-  // Backends compare dist_sq <= radius^2, so a negative radius acts as its
-  // magnitude; spatial pruning must not invert the stripe interval.
+  // The index compares dist_sq <= radius^2, so a negative radius acts as
+  // its magnitude; spatial pruning must not invert the stripe interval.
   const auto pts = datagen::uniform<2>(300, 13);
   const point<2> center = pts[7];
   std::vector<query::request<2>> batch{
       query::request<2>::make_ball(center, -2.5),
       query::request<2>::make_ball(center, 2.5),
   };
-  auto reference = make_service<2>(backend::kdtree, 1, shard_policy::hash);
+  testutil::reference_index<2> reference;
   reference.bootstrap(pts);
   auto want = reference.execute(batch);
   ASSERT_FALSE(want.responses[0].points.empty());
   for (auto policy : {shard_policy::spatial, shard_policy::hash}) {
-    auto sharded = make_service<2>(backend::kdtree, 4, policy);
+    auto sharded = make_service<2>(4, policy);
     sharded.bootstrap(pts);
     auto got = sharded.execute(batch);
     expect_same_responses<2>(batch, got.responses, want.responses);
@@ -603,7 +574,7 @@ TEST(QueryService, NegativeZeroRoutesLikeZero) {
   // -0.0 == 0.0 as a coordinate: an erase of {-0.0, y} must find an
   // insert of {0.0, y} on every shard count and policy.
   for (auto policy : {shard_policy::hash, shard_policy::spatial}) {
-    auto service = make_service<2>(backend::bdltree, 4, policy);
+    auto service = make_service<2>(4, policy);
     service.bootstrap(datagen::uniform<2>(100, 21));
     const point<2> pos{{0.0, 3.0}};
     point<2> neg{{0.0, 3.0}};
@@ -626,7 +597,7 @@ TEST(QueryService, FourProducersDrainAcrossShardLanes) {
   // concurrently; lane counters prove the work actually spread.
   constexpr int kThreads = 4;
   constexpr int kTicketsPerThread = 16;
-  auto cfg = make_config<2>(backend::bdltree, 4, shard_policy::hash);
+  auto cfg = make_config<2>(4, shard_policy::hash);
   query::query_service<2> service(cfg);
   service.bootstrap(datagen::uniform<2>(200, 5));
 
@@ -707,7 +678,7 @@ TEST(QueryService, BackpressureBoundsInFlightRequests) {
   // Deterministic backpressure: a callback parks the lane worker, so
   // admitted work stays unfulfilled and the in-flight count is fully
   // under test control. Bound = 2 requests.
-  auto cfg = make_config<2>(backend::bdltree, 1, shard_policy::hash);
+  auto cfg = make_config<2>(1, shard_policy::hash);
   cfg.max_pending_requests = 2;
   query::query_service<2> service(cfg);
 
@@ -754,7 +725,7 @@ TEST(QueryService, BackpressureBoundsInFlightRequests) {
 TEST(QueryService, CloseWakesBlockedSubmitters) {
   // close() while a producer is blocked on backpressure: the producer
   // wakes and throws (like any post-close submit) instead of deadlocking.
-  auto cfg = make_config<2>(backend::bdltree, 1, shard_policy::hash);
+  auto cfg = make_config<2>(1, shard_policy::hash);
   cfg.max_pending_requests = 1;
   query::query_service<2> service(cfg);
 
@@ -781,7 +752,7 @@ TEST(QueryService, CloseWakesBlockedSubmitters) {
 TEST(QueryService, OversizedBatchAdmitsAloneUnderBackpressure) {
   // A batch larger than the bound must not deadlock: it is admitted when
   // the pipeline is empty.
-  auto cfg = make_config<2>(backend::bdltree, 2, shard_policy::hash);
+  auto cfg = make_config<2>(2, shard_policy::hash);
   cfg.max_pending_requests = 2;
   query::query_service<2> service(cfg);
   std::vector<query::request<2>> big;
@@ -799,7 +770,7 @@ TEST(QueryService, NonFiniteCoordinatesRejectedAtSubmit) {
   // comparison on NaN is false, so the point lands in an arbitrary shard
   // and bit-distinct NaNs key the cache inconsistently): the front door
   // rejects them before a ticket exists.
-  auto service = make_service<2>(backend::bdltree, 2, shard_policy::spatial);
+  auto service = make_service<2>(2, shard_policy::spatial);
   service.bootstrap(datagen::uniform<2>(100, 3));
   const double nan = std::nan("");
   const double inf = std::numeric_limits<double>::infinity();
@@ -843,7 +814,7 @@ TEST(QueryService, DuplicateCoordinateStripesStayNonDegenerate) {
     // x in {0, 1, 2} (widest dim), y packed into [0, 0.5).
     pts.push_back(point<2>{{1.0 * (i % 3), 0.5 * (i % 7) / 7.0}});
   }
-  auto sharded = make_service<2>(backend::bdltree, 4, shard_policy::spatial);
+  auto sharded = make_service<2>(4, shard_policy::spatial);
   sharded.bootstrap(pts);
   EXPECT_EQ(sharded.size(), 300u);
   std::size_t populated = 0;
@@ -859,7 +830,7 @@ TEST(QueryService, DuplicateCoordinateStripesStayNonDegenerate) {
   }
   batch.push_back(query::request<2>::make_range(
       aabb<2>(point<2>{{-1.0, -1.0}}, point<2>{{3.0, 1.0}})));
-  auto reference = make_service<2>(backend::bdltree, 1, shard_policy::spatial);
+  auto reference = make_service<2>(1, shard_policy::spatial);
   reference.bootstrap(pts);
   auto want = reference.execute(batch);
   auto got = sharded.execute(batch);
@@ -870,26 +841,24 @@ TEST(QueryService, AllIdenticalWritesStillRouteConsistently) {
   // The fully degenerate case — every write is the same point, so there
   // is no coordinate spread to stripe on. All copies must land on ONE
   // owner (insert and erase agree), and answers must match the reference.
-  for (auto b : {backend::kdtree, backend::zdtree, backend::bdltree}) {
-    auto sharded = make_service<2>(b, 4, shard_policy::spatial);
-    auto reference = make_service<2>(b, 1, shard_policy::spatial);
-    const point<2> p{{7.0, 7.0}};
-    std::vector<query::request<2>> writes(20, query::request<2>::make_insert(p));
-    std::vector<query::request<2>> reads{
-        query::request<2>::make_knn(p, 4),
-        query::request<2>::make_ball(p, 0.5),
-        query::request<2>::make_erase(p),
-        query::request<2>::make_ball(p, 0.5),
-    };
-    auto got_w = sharded.execute(writes);
-    auto want_w = reference.execute(writes);
-    auto got = sharded.execute(reads);
-    auto want = reference.execute(reads);
-    expect_same_responses<2>(writes, got_w.responses, want_w.responses);
-    expect_same_responses<2>(reads, got.responses, want.responses);
-    EXPECT_EQ(sharded.size(), reference.size()) << query::backend_name(b);
-    EXPECT_EQ(sharded.size(), 19u) << query::backend_name(b);
-  }
+  auto sharded = make_service<2>(4, shard_policy::spatial);
+  auto reference = make_service<2>(1, shard_policy::spatial);
+  const point<2> p{{7.0, 7.0}};
+  std::vector<query::request<2>> writes(20, query::request<2>::make_insert(p));
+  std::vector<query::request<2>> reads{
+      query::request<2>::make_knn(p, 4),
+      query::request<2>::make_ball(p, 0.5),
+      query::request<2>::make_erase(p),
+      query::request<2>::make_ball(p, 0.5),
+  };
+  auto got_w = sharded.execute(writes);
+  auto want_w = reference.execute(writes);
+  auto got = sharded.execute(reads);
+  auto want = reference.execute(reads);
+  expect_same_responses<2>(writes, got_w.responses, want_w.responses);
+  expect_same_responses<2>(reads, got.responses, want.responses);
+  EXPECT_EQ(sharded.size(), reference.size());
+  EXPECT_EQ(sharded.size(), 19u);
 }
 
 TEST(QueryService, LockfreeIngestSurvivesConcurrentProducers) {
@@ -897,7 +866,7 @@ TEST(QueryService, LockfreeIngestSurvivesConcurrentProducers) {
   // its own answers in its own order.
   constexpr int kThreads = 4;
   constexpr int kTicketsPerThread = 24;
-  auto cfg = make_config<2>(backend::bdltree, 4, shard_policy::hash);
+  auto cfg = make_config<2>(4, shard_policy::hash);
   cfg.ingest_ring_capacity = 8;  // tiny ring: force wraparound + blocking
   query::query_service<2> service(cfg);
   service.bootstrap(datagen::uniform<2>(200, 5));
@@ -936,7 +905,7 @@ TEST(QueryService, LockfreeIngestSurvivesConcurrentProducers) {
 // versions retire while snapshot readers hold reclaim guards.
 TEST(QueryService, BdltreeWriteStreamReclaimsEveryRetiredVersion) {
   constexpr int kProducers = 2;
-  auto cfg = make_config<2>(backend::bdltree, 2, shard_policy::hash);
+  auto cfg = make_config<2>(2, shard_policy::hash);
   cfg.max_retained = std::size_t{1} << 20;  // producers redeem at the end
   query::query_service<2> service(cfg);
   auto spec = query::make_read_write_spec(2000, 4000, 0.5);
@@ -981,7 +950,7 @@ TEST(QueryService, BdltreeWriteStreamReclaimsEveryRetiredVersion) {
 // the write commits long before the read retires (~3 ms vs ~70 ms on a
 // 4-core x86 VM).
 TEST(QueryService, BdltreeReadOvertakenByAWriteCountsAsLagged) {
-  auto cfg = make_config<2>(backend::bdltree, 1, shard_policy::hash);
+  auto cfg = make_config<2>(1, shard_policy::hash);
   cfg.cache_capacity = 0;  // every query runs on the snapshot
   query::query_service<2> service(cfg);
   const auto pts = datagen::uniform<2>(20000, 23);
@@ -1005,9 +974,9 @@ TEST(QueryService, BdltreeReadOvertakenByAWriteCountsAsLagged) {
 
 TEST(QueryService, SpatialPruningStaysExactAcrossStripes) {
   // Boxes/balls confined to one stripe, spanning several, and covering
-  // everything must all match the 1-shard reference exactly.
-  auto reference = make_service<2>(backend::kdtree, 1, shard_policy::spatial);
-  auto sharded = make_service<2>(backend::kdtree, 4, shard_policy::spatial);
+  // everything must all match the brute-force reference exactly.
+  testutil::reference_index<2> reference;
+  auto sharded = make_service<2>(4, shard_policy::spatial);
   const auto pts = datagen::uniform<2>(500, 9);
   reference.bootstrap(pts);
   sharded.bootstrap(pts);

@@ -1,7 +1,7 @@
 // Crash-recovery integration suite: deterministic fault injection
 // (query/fault.h) kills a durable primary at each named seam — log
 // append, log file write (torn), checkpoint serialize, lane execute —
-// on every backend, then `query_service::recover()` rebuilds from the
+// then `query_service::recover()` rebuilds from the
 // directory and must byte-identically reproduce the committed history.
 // The oracle for log-only recovery is a fresh service replaying the
 // salvaged log through apply_replayed(): both sides re-issue the
@@ -37,7 +37,6 @@
 #include "test_query_util.h"
 
 using namespace pargeo;
-using query::backend;
 using query::op;
 using query::request;
 using query::service_config;
@@ -98,9 +97,8 @@ void spit(const std::string& path, const std::vector<unsigned char>& buf) {
   ASSERT_EQ(std::fclose(f), 0);
 }
 
-service_config base_cfg(backend b, const std::string& log_dir) {
+service_config base_cfg(const std::string& log_dir) {
   service_config cfg;
-  cfg.backend = b;
   cfg.shards = 2;
   cfg.policy = shard_policy::spatial;
   cfg.log_dir = log_dir;
@@ -238,9 +236,9 @@ std::unique_ptr<query::query_service<2>> reference_from_log(
 // compare byte-identically against the salvaged-log reference. Returns
 // the recovered service for scenario-specific assertions.
 std::unique_ptr<query::query_service<2>> crash_recover_compare(
-    backend b, const char* point, fault::fault_spec spec,
-    const std::string& dir, std::size_t* acked_out = nullptr) {
-  const service_config cfg = base_cfg(b, dir);
+    const char* point, fault::fault_spec spec, const std::string& dir,
+    std::size_t* acked_out = nullptr) {
+  const service_config cfg = base_cfg(dir);
   const traffic_plan t = make_traffic(8);
   std::size_t acked = 0;
   {
@@ -273,7 +271,7 @@ std::unique_ptr<query::query_service<2>> crash_recover_compare(
   return rec;
 }
 
-class CrashMatrix : public ::testing::TestWithParam<backend> {
+class CrashMatrix : public ::testing::Test {
  protected:
   void SetUp() override { fault::reset(); }
   void TearDown() override { fault::reset(); }
@@ -281,14 +279,13 @@ class CrashMatrix : public ::testing::TestWithParam<backend> {
 
 }  // namespace
 
-TEST_P(CrashMatrix, KillAtLogAppend) {
+TEST_F(CrashMatrix, KillAtLogAppend) {
   const std::string dir = fresh_dir();
   fault::fault_spec spec;
   spec.action = fault::fault_action::kill;
   spec.nth = 4;  // bootstrap genesis is append 1; dies on write batch 3
   std::size_t acked = 0;
-  auto rec = crash_recover_compare(GetParam(), fault::kOplogAppend, spec, dir,
-                                   &acked);
+  auto rec = crash_recover_compare(fault::kOplogAppend, spec, dir, &acked);
   // The fault fired before the group touched the file: with
   // sync_policy::every_commit, recovery holds exactly the acked batches.
   expect_resident(*rec, mirror_after(make_traffic(8), 48, acked));
@@ -298,14 +295,13 @@ TEST_P(CrashMatrix, KillAtLogAppend) {
   remove_dir(dir);
 }
 
-TEST_P(CrashMatrix, TornWriteAtLogFile) {
+TEST_F(CrashMatrix, TornWriteAtLogFile) {
   const std::string dir = fresh_dir();
   fault::fault_spec spec;
   spec.action = fault::fault_action::torn_write;
   spec.torn_keep_bytes = 5;  // cut inside the frame length field
   spec.nth = 3;              // genesis frame + batch 1 land; batch 2 tears
-  auto rec =
-      crash_recover_compare(GetParam(), fault::kOplogFileWrite, spec, dir);
+  auto rec = crash_recover_compare(fault::kOplogFileWrite, spec, dir);
   // The torn trailing frame was salvaged away and counted. (The exact
   // recovered epoch depends on whether a rebalance group also landed in
   // the log before the tear; byte-identity vs the salvaged-log
@@ -316,7 +312,7 @@ TEST_P(CrashMatrix, TornWriteAtLogFile) {
   remove_dir(dir);
 }
 
-TEST_P(CrashMatrix, KillAtLaneExecute) {
+TEST_F(CrashMatrix, KillAtLaneExecute) {
   const std::string dir = fresh_dir();
   fault::fault_spec spec;
   spec.action = fault::fault_action::kill;
@@ -325,14 +321,14 @@ TEST_P(CrashMatrix, KillAtLaneExecute) {
   // recovered state legitimately CONTAINS the failed batch — exactly
   // what the log says committed. The salvaged-log reference agrees by
   // construction; byte-identity is the whole assertion here.
-  auto rec = crash_recover_compare(GetParam(), fault::kLaneExecute, spec, dir);
+  auto rec = crash_recover_compare(fault::kLaneExecute, spec, dir);
   rec->close();
   remove_dir(dir);
 }
 
-TEST_P(CrashMatrix, KillAtCheckpointSerialize) {
+TEST_F(CrashMatrix, KillAtCheckpointSerialize) {
   const std::string dir = fresh_dir();
-  service_config cfg = base_cfg(GetParam(), dir);
+  service_config cfg = base_cfg(dir);
   cfg.checkpoint_every = 2;
   const traffic_plan t = make_traffic(8);
   std::vector<point<2>> pre_crash;
@@ -365,14 +361,6 @@ TEST_P(CrashMatrix, KillAtCheckpointSerialize) {
   remove_dir(dir);
 }
 
-INSTANTIATE_TEST_SUITE_P(AllBackends, CrashMatrix,
-                         ::testing::Values(backend::kdtree, backend::zdtree,
-                                           backend::bdltree),
-                         [](const auto& info) {
-                           return std::string(
-                               query::backend_name(info.param));
-                         });
-
 namespace {
 
 class RecoveryEdge : public ::testing::Test {
@@ -390,7 +378,7 @@ class RecoveryEdge : public ::testing::Test {
 // matches a replay reference of the same prefix.
 TEST_F(RecoveryEdge, TornTailCutsSalvageCompletePrefix) {
   const std::string dir = fresh_dir();
-  const service_config cfg = base_cfg(backend::kdtree, dir);
+  const service_config cfg = base_cfg(dir);
   const traffic_plan t = make_traffic(4);
   {
     query::query_service<2> svc(cfg);
@@ -447,7 +435,7 @@ TEST_F(RecoveryEdge, TornTailCutsSalvageCompletePrefix) {
 
 TEST_F(RecoveryEdge, RecoverEmptyDirectoryServesFresh) {
   const std::string dir = fresh_dir();
-  const service_config cfg = base_cfg(backend::bdltree, dir);
+  const service_config cfg = base_cfg(dir);
   auto rec = query::query_service<2>::recover(dir, cfg);
   EXPECT_EQ(rec->size(), 0u);
   EXPECT_EQ(rec->stats().recovered_epochs, 0u);
@@ -465,7 +453,7 @@ TEST_F(RecoveryEdge, RecoverEmptyDirectoryServesFresh) {
 
 TEST_F(RecoveryEdge, RecoveredServiceContinuesDurably) {
   const std::string dir = fresh_dir();
-  service_config cfg = base_cfg(backend::zdtree, dir);
+  service_config cfg = base_cfg(dir);
   cfg.checkpoint_every = 3;
   const traffic_plan t = make_traffic(8);
   {
@@ -498,7 +486,7 @@ TEST_F(RecoveryEdge, RecoveredServiceContinuesDurably) {
 TEST_F(RecoveryEdge, RecoverRejectsAnotherShardCount) {
   for (const bool checkpointed : {false, true}) {
     const std::string dir = fresh_dir();
-    service_config cfg = base_cfg(backend::kdtree, dir);
+    service_config cfg = base_cfg(dir);
     ASSERT_EQ(cfg.shards, 2u);
     {
       query::query_service<2> svc(cfg);
@@ -534,7 +522,7 @@ TEST_F(RecoveryEdge, CheckpointGroupRejectsAnotherTopology) {
 // acks a write the log did not commit.
 TEST_F(RecoveryEdge, LogAppendFailureFailsWritesKeepsReads) {
   const std::string dir = fresh_dir();
-  const service_config cfg = base_cfg(backend::kdtree, dir);
+  const service_config cfg = base_cfg(dir);
   query::query_service<2> svc(cfg);
   svc.bootstrap(initial_points(32));
   const traffic_plan t = make_traffic(3);
@@ -600,7 +588,7 @@ TEST_F(RecoveryEdge, RecoveredPointsExpireWithOrWithoutCheckpoint) {
     SCOPED_TRACE(with_checkpoint ? "checkpoint after bootstrap" : "log only");
     const std::string dir = fresh_dir();
     auto clock = std::make_shared<std::atomic<std::uint64_t>>(1);
-    service_config cfg = base_cfg(backend::bdltree, dir);
+    service_config cfg = base_cfg(dir);
     cfg.policy = shard_policy::hash;
     cfg.point_ttl_ns = 1000;
     cfg.ttl_now = [clock] { return clock->load(); };
@@ -641,7 +629,7 @@ TEST_F(RecoveryEdge, FailedRebalanceAppendMovesNothing) {
     return t;
   };
   const auto config = [](const std::string& dir) {
-    service_config cfg = base_cfg(backend::kdtree, dir);
+    service_config cfg = base_cfg(dir);
     cfg.shards = 4;
     cfg.rebalance_threshold = 1.2;
     return cfg;
@@ -719,7 +707,7 @@ class ReplicaHealing : public ::testing::Test {
 // instead of dying with a terminal replay gap.
 TEST_F(ReplicaHealing, RingEvictionResyncsFromCheckpoint) {
   const std::string dir = fresh_dir();
-  const service_config cfg = base_cfg(backend::bdltree, dir);
+  const service_config cfg = base_cfg(dir);
   query::query_service<2> primary(cfg);
   primary.bootstrap(initial_points(40));
   const traffic_plan t = make_traffic(6);
@@ -758,7 +746,7 @@ TEST_F(ReplicaHealing, RingEvictionResyncsFromCheckpoint) {
 // a checkpoint source it heals by rebootstrapping and re-replaying.
 TEST_F(ReplicaHealing, ReplayDivergenceHealsFromCheckpoint) {
   const std::string dir = fresh_dir();
-  const service_config cfg = base_cfg(backend::kdtree, dir);
+  const service_config cfg = base_cfg(dir);
   query::query_service<2> primary(cfg);
   primary.bootstrap(initial_points(40));
   const traffic_plan t = make_traffic(4);
@@ -797,7 +785,7 @@ TEST_F(ReplicaHealing, ReplayDivergenceHealsFromCheckpoint) {
 // quarantined and the router degrades every read to the primary.
 TEST_F(ReplicaHealing, GapWithoutSourceQuarantinesAndRouterDegrades) {
   const std::string dir = fresh_dir();
-  const service_config cfg = base_cfg(backend::kdtree, dir);
+  const service_config cfg = base_cfg(dir);
   query::query_service<2> primary(cfg);
   primary.bootstrap(initial_points(40));
   const traffic_plan t = make_traffic(4);
@@ -835,7 +823,7 @@ TEST_F(ReplicaHealing, GapWithoutSourceQuarantinesAndRouterDegrades) {
 // quarantines it instead of rebuilding 3 shards from 2 shards' state.
 TEST_F(ReplicaHealing, ResyncFromAnotherTopologyQuarantines) {
   const std::string dir = fresh_dir();
-  const service_config cfg = base_cfg(backend::kdtree, dir);
+  const service_config cfg = base_cfg(dir);
   query::query_service<2> primary(cfg);
   primary.bootstrap(initial_points(40));
   primary.execute(make_traffic(1).batches[0]);
@@ -866,7 +854,6 @@ class Deadlines : public ::testing::Test {};
 
 TEST_F(Deadlines, ExpiredBatchShedsWithTimedOutCompletion) {
   service_config cfg;
-  cfg.backend = backend::bdltree;
   cfg.shards = 2;
   cfg.policy = shard_policy::hash;
   query::query_service<2> svc(cfg);
@@ -897,7 +884,6 @@ TEST_F(Deadlines, ExpiredBatchShedsWithTimedOutCompletion) {
 
 TEST_F(Deadlines, ConfigDefaultDeadlineAppliesToSubmit) {
   service_config cfg;
-  cfg.backend = backend::kdtree;
   cfg.shards = 1;
   cfg.policy = shard_policy::hash;
   cfg.deadline_ns = 1;  // every plain submit() inherits a 1 ns deadline
@@ -915,7 +901,6 @@ TEST_F(Deadlines, ConfigDefaultDeadlineAppliesToSubmit) {
 // and the shed batches give their backpressure budget back.
 TEST_F(Deadlines, ShedTicketsCompleteThroughEveryRedemptionPath) {
   service_config cfg;
-  cfg.backend = backend::bdltree;
   cfg.shards = 2;
   cfg.policy = shard_policy::hash;
   // Bounded, with room for every ticket below: a budget leak shows up in

@@ -4,8 +4,8 @@
 // range-ball results at every epoch boundary — not merely
 // distance-equivalent (ties must break the same way, because replay
 // re-issues the primary's exact backend-call sequence and therefore
-// rebuilds the same tree). Covered across all three backends, plus the
-// write paths that do not come from clients:
+// rebuilds the same tree). Covered for client writes, plus the write
+// paths that do not come from clients:
 // TTL-expiry sweeps and stripe rebalances. On top sit the router
 // semantics: writes to the primary, reads scattered under the staleness
 // bound, read-your-writes via commit_epoch floors, and primary fallback
@@ -29,7 +29,6 @@
 #include "query/workload.h"
 
 using namespace pargeo;
-using query::backend;
 using query::log_group;
 using query::log_op;
 using query::log_origin;
@@ -118,20 +117,17 @@ void expect_same_shards(query::query_service<2>& primary,
   }
 }
 
-class ReplicaConvergence : public ::testing::TestWithParam<backend> {};
-
 // Drive a churn stream through the primary one batch (= one epoch) at a
 // time; after every commit, pump a tail-less replica to the log head and
 // demand byte-identical probe answers. This is the oracle at EVERY epoch
 // boundary, not just the end state.
-TEST_P(ReplicaConvergence, ByteIdenticalAtEveryEpochBoundary) {
+TEST(ReplicaConvergence, ByteIdenticalAtEveryEpochBoundary) {
   auto spec = query::make_churn_spec(400, 960, 0.25, 0.30);
   spec.seed = 29;
   const auto initial = query::make_initial<2>(spec);
   const auto reqs = query::make_requests<2>(spec, initial);
 
   query::service_config cfg;
-  cfg.backend = GetParam();
   cfg.shards = 4;
   cfg.policy = shard_policy::hash;
 
@@ -167,18 +163,12 @@ TEST_P(ReplicaConvergence, ByteIdenticalAtEveryEpochBoundary) {
   EXPECT_EQ(primary.stats().log_epoch, log->head());
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllBackends, ReplicaConvergence,
-    ::testing::Values(backend::kdtree, backend::zdtree, backend::bdltree),
-    [](const auto& info) { return query::backend_name(info.param); });
-
 // TTL expiry is a write the client never submitted: the primary's sweep
 // must land in the log as origin=expire erase groups and replay into the
 // replica (whose own TTL machinery is disabled) byte-identically.
 TEST(ReplicaReplay, TtlExpirySweepsReplicate) {
   auto clock = std::make_shared<std::atomic<std::uint64_t>>(1);
   query::service_config cfg;
-  cfg.backend = backend::kdtree;
   cfg.shards = 2;
   cfg.policy = shard_policy::hash;
   cfg.point_ttl_ns = 1000;
@@ -228,7 +218,6 @@ TEST(ReplicaReplay, TtlExpirySweepsReplicate) {
 // answer from the wrong shards).
 TEST(ReplicaReplay, StripeRebalanceReplicates) {
   query::service_config cfg;
-  cfg.backend = backend::kdtree;
   cfg.shards = 4;
   cfg.policy = shard_policy::spatial;
   cfg.rebalance_threshold = 1.2;
@@ -352,7 +341,6 @@ TEST(ReplicaSet, NullLogRejected) {
 
 TEST(ReplicaRouter, ReadYourWritesViaCommitEpochFloor) {
   query::service_config cfg;
-  cfg.backend = backend::kdtree;
   cfg.shards = 2;
   cfg.policy = shard_policy::hash;
 
@@ -410,7 +398,6 @@ TEST(ReplicaRouter, ReadYourWritesViaCommitEpochFloor) {
 
 TEST(ReplicaRouter, StalenessBoundGatesEligibility) {
   query::service_config cfg;
-  cfg.backend = backend::kdtree;
   cfg.shards = 2;
   cfg.policy = shard_policy::hash;
 
@@ -447,7 +434,6 @@ TEST(ReplicaRouter, StalenessBoundGatesEligibility) {
 // clean (no gap, no replay errors).
 TEST(ReplicaSet, LiveTailsConvergeUnderTraffic) {
   query::service_config cfg;
-  cfg.backend = backend::bdltree;
   cfg.shards = 4;
   cfg.policy = shard_policy::hash;
 

@@ -1,8 +1,8 @@
 // Hot result cache: LRU/epoch unit tests on result_cache<D> (k-NN, box,
 // and ball keys) plus the end-to-end correctness oracle — a zipf stream
-// with interleaved writes (and kd-tree rebuilds) answered by a
-// cache-enabled service must be byte-identical to the cache-disabled run,
-// on every backend, while actually hitting the cache.
+// with interleaved writes (and the BDL-tree cascades they trigger)
+// answered by a cache-enabled service must be byte-identical to the
+// cache-disabled run, while actually hitting the cache.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -13,7 +13,6 @@
 #include "query/workload.h"
 
 using namespace pargeo;
-using query::backend;
 using cache_t = query::result_cache<2>;
 using key = cache_t::key_t;
 
@@ -160,33 +159,23 @@ namespace {
 // response in stream order.
 std::vector<query::response<2>> run_service(
     query::service_config cfg, const query::workload_spec& spec,
-    query::service_stats* out_stats,
-    std::vector<std::size_t>* kd_rebuilds = nullptr) {
+    query::service_stats* out_stats) {
   query::query_service<2> service(cfg);
   std::vector<query::response<2>> responses;
   query::run_workload<2>(service, spec, &responses);
   service.close();
   if (out_stats) *out_stats = service.stats();
-  if (kd_rebuilds && cfg.backend == backend::kdtree) {
-    for (std::size_t s = 0; s < service.num_shards(); ++s) {
-      kd_rebuilds->push_back(
-          dynamic_cast<const query::kdtree_index<2>&>(service.shard(s))
-              .rebuild_count());
-    }
-  }
   return responses;
 }
-
-class CacheOracle : public ::testing::TestWithParam<backend> {};
 
 }  // namespace
 
 // The acceptance property of the cache: cached k-NN answers are
-// byte-identical to fresh-tree answers across interleaved writes and
-// rebuilds. Zipf keys make the stream cache-friendly; the kdtree shards
-// rebuild mid-stream at the default threshold, under the same epochs the
-// cache keys on; a small capacity forces LRU evictions mid-stream.
-TEST_P(CacheOracle, CachedAnswersEqualFreshAnswers) {
+// byte-identical to fresh-tree answers across interleaved writes and the
+// tree restructuring they cause, under the same epochs the cache keys
+// on. Zipf keys make the stream cache-friendly; a small capacity forces
+// LRU evictions mid-stream.
+TEST(CacheOracle, CachedAnswersEqualFreshAnswers) {
   query::workload_spec spec;
   spec.initial_points = 200;
   spec.num_ops = 3000;
@@ -202,7 +191,6 @@ TEST_P(CacheOracle, CachedAnswersEqualFreshAnswers) {
   spec.ball_frac = 0.1;
 
   query::service_config cfg;
-  cfg.backend = GetParam();
   cfg.shards = 3;
   cfg.policy = query::shard_policy::hash;
 
@@ -213,8 +201,7 @@ TEST_P(CacheOracle, CachedAnswersEqualFreshAnswers) {
 
   query::service_stats cached_stats;
   query::service_stats uncached_stats;
-  std::vector<std::size_t> kd_rebuilds;
-  const auto got = run_service(cached_cfg, spec, &cached_stats, &kd_rebuilds);
+  const auto got = run_service(cached_cfg, spec, &cached_stats);
   const auto want = run_service(uncached_cfg, spec, &uncached_stats);
 
   ASSERT_EQ(got.size(), want.size());
@@ -230,25 +217,12 @@ TEST_P(CacheOracle, CachedAnswersEqualFreshAnswers) {
   EXPECT_GT(cached_stats.cache.evictions, 0u);
   EXPECT_EQ(uncached_stats.cache.hits, 0u);
   EXPECT_EQ(uncached_stats.cache.misses, 0u);
-  // ...and, on kdtree, only covers rebuilds if every shard rebuilt past
-  // the two builds it starts with (construction + bootstrap).
-  for (std::size_t s = 0; s < kd_rebuilds.size(); ++s) {
-    EXPECT_GT(kd_rebuilds[s], 2u) << "shard " << s;
-  }
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    AllBackends, CacheOracle,
-    ::testing::Values(backend::kdtree, backend::zdtree, backend::bdltree),
-    [](const ::testing::TestParamInfo<backend>& info) {
-      return query::backend_name(info.param);
-    });
 
 TEST(CacheService, RepeatedHotKeyHitsWithoutWrites) {
   // Pure-read traffic on a frozen index: every repeat of a (point, k) key
   // after the first is a hit, on the snapshot path.
   query::service_config cfg;
-  cfg.backend = backend::bdltree;
   cfg.shards = 2;
   cfg.cache_capacity = 64;
   query::query_service<2> service(cfg);
@@ -275,7 +249,6 @@ TEST(CacheService, RangeAndBallQueriesHitTheCache) {
   // The generalized cache memoizes box and ball rows too, under the same
   // epoch keys as k-NN.
   query::service_config cfg;
-  cfg.backend = backend::bdltree;
   cfg.shards = 2;
   cfg.cache_capacity = 64;
   query::query_service<2> service(cfg);
@@ -303,7 +276,6 @@ TEST(CacheService, WritesInvalidateThroughEpochs) {
   // A write between two identical k-NN queries must produce a fresh
   // (and different) answer: the epoch key fences the stale row off.
   query::service_config cfg;
-  cfg.backend = backend::bdltree;
   cfg.shards = 1;
   cfg.cache_capacity = 64;
   query::query_service<2> service(cfg);

@@ -2,11 +2,11 @@
 // all land in one spatial stripe collapses per-shard routing onto one
 // lane — exactly the scenario online stripe rebalancing
 // (rebalance_threshold) exists for. The oracle runs that stream through a
-// 4-shard service, with and without rebalancing, on every backend, and
-// demands the responses and the stored multiset match the unsharded
-// sequential reference engine. Mechanism tests then prove the counters
-// move: rebalancing actually re-stripes, migrates points, and flattens the
-// shard sizes. TSan-clean.
+// 4-shard service, with and without rebalancing, and demands the
+// responses and the stored multiset match the brute-force reference
+// (test_query_util.h) executing the stream sequentially. Mechanism tests
+// then prove the counters move: rebalancing actually re-stripes, migrates
+// points, and flattens the shard sizes. TSan-clean.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,7 +20,6 @@
 #include "test_query_util.h"
 
 using namespace pargeo;
-using query::backend;
 using query::op;
 using query::shard_policy;
 
@@ -74,10 +73,9 @@ struct skew_run {
   query::service_stats stats;
 };
 
-skew_run run_skewed(backend b, double rebalance_threshold,
+skew_run run_skewed(double rebalance_threshold,
                     const query::workload_spec& spec) {
   query::service_config cfg;
-  cfg.backend = b;
   cfg.shards = 4;
   cfg.policy = shard_policy::spatial;
   cfg.rebalance_threshold = rebalance_threshold;
@@ -91,29 +89,27 @@ skew_run run_skewed(backend b, double rebalance_threshold,
   return run;
 }
 
-// The reference: the unsharded engine executing the stream sequentially.
-skew_run run_reference(backend b, const query::workload_spec& spec) {
-  query::query_engine<2> engine(query::make_index<2>(b));
+// The reference: the brute-force multiset executing the stream
+// sequentially.
+skew_run run_reference(const query::workload_spec& spec) {
+  testutil::reference_index<2> ref;
   skew_run run;
-  query::run_workload<2>(engine, spec, &run.responses);
-  run.contents = engine.index().gather();
+  query::run_workload<2>(ref, spec, &run.responses);
+  run.contents = ref.gather();
   std::sort(run.contents.begin(), run.contents.end());
   return run;
 }
 
-class SkewOracle : public ::testing::TestWithParam<backend> {};
-
 }  // namespace
 
-TEST_P(SkewOracle, MatchesUnshardedReference) {
-  const backend b = GetParam();
+TEST(SkewOracle, MatchesUnshardedReference) {
   const auto spec = make_skew_spec();
   const auto reqs = query::make_requests<2>(spec);
 
-  const auto reference = run_reference(b, spec);
+  const auto reference = run_reference(spec);
 
   for (const double rebal : {0.0, 1.2}) {
-    const auto got = run_skewed(b, rebal, spec);
+    const auto got = run_skewed(rebal, spec);
     SCOPED_TRACE("rebalance=" + std::to_string(rebal));
     expect_same_responses(reqs, got.responses, reference.responses);
     // The stored multiset survives migration byte for byte.
@@ -129,20 +125,12 @@ TEST_P(SkewOracle, MatchesUnshardedReference) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllBackends, SkewOracle,
-    ::testing::Values(backend::kdtree, backend::zdtree, backend::bdltree),
-    [](const ::testing::TestParamInfo<backend>& info) {
-      return query::backend_name(info.param);
-    });
-
 TEST(SkewDrain, RebalanceFlattensShardSizesAndKeepsContents) {
   // Deterministic skew: bootstrap balanced, then pour inserts into one
   // stripe through execute(). The rebalancer must re-derive the bounds,
   // migrate mass off the hot shard, record it in service_stats, and keep
   // the stored multiset (and subsequent answers) exact.
   query::service_config cfg;
-  cfg.backend = backend::bdltree;
   cfg.shards = 4;
   cfg.policy = shard_policy::spatial;
   cfg.rebalance_threshold = 1.2;
@@ -192,7 +180,6 @@ TEST(SkewDrain, RebalanceFlattensShardSizesAndKeepsContents) {
   EXPECT_EQ(got, want);
 
   query::service_config ref_cfg;
-  ref_cfg.backend = backend::bdltree;
   ref_cfg.shards = 1;
   query::query_service<2> reference(ref_cfg);
   reference.bootstrap(want);
@@ -214,7 +201,6 @@ TEST(SkewDrain, RebalanceKeepsCachedAnswersExact) {
   // skewed run with rebalancing must byte-match the cache-disabled one.
   auto spec = make_skew_spec();
   query::service_config cfg;
-  cfg.backend = backend::bdltree;
   cfg.shards = 4;
   cfg.policy = shard_policy::spatial;
   cfg.rebalance_threshold = 1.2;
@@ -264,7 +250,6 @@ TEST(SkewDrain, RebalanceKeepsCachedAnswersExact) {
              "rebalance never triggered by the hot block");
 
   query::service_config ref_cfg;
-  ref_cfg.backend = backend::bdltree;
   ref_cfg.shards = 1;
   ref_cfg.cache_capacity = 0;
   query::query_service<2> reference(ref_cfg);
@@ -282,7 +267,6 @@ TEST(SkewDrain, RebalanceChasesDriftAtFlatResidentTotal) {
   // not total drift (which is zero) — a total-drift backoff rebalances
   // once and then never chases the drift again.
   query::service_config cfg;
-  cfg.backend = backend::bdltree;
   cfg.shards = 4;
   cfg.policy = shard_policy::spatial;
   cfg.rebalance_threshold = 1.2;
@@ -326,8 +310,8 @@ TEST(SkewDrain, DriftingHotRegionStaysExact) {
   auto spec = make_skew_spec();
   spec.dist = query::distribution::drifting;
   const auto reqs = query::make_requests<2>(spec);
-  const auto reference = run_reference(backend::zdtree, spec);
-  const auto got = run_skewed(backend::zdtree, 1.2, spec);
+  const auto reference = run_reference(spec);
+  const auto got = run_skewed(1.2, spec);
   expect_same_responses(reqs, got.responses, reference.responses);
   EXPECT_EQ(got.contents, reference.contents);
   EXPECT_GE(got.stats.rebalances, 1u);

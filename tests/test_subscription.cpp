@@ -5,9 +5,9 @@
 // post-drain results, stripe-pruned and delta-suppressed boundaries
 // count as suppressed without firing, dropped handles never fire), TTL
 // expiry under a fake clock (idle sweeps, expiry-driven re-fires,
-// expired_points accounting), and a randomized interleaving oracle on
-// every backend: each fire's rows must match a fresh query against an
-// unsharded reference mirroring the exact write/expiry sequence, with
+// expired_points accounting), and a randomized interleaving oracle: each
+// fire's rows must match a fresh query against the brute-force reference
+// (test_query_util.h) mirroring the exact write/expiry sequence, with
 // fires + suppressions accounting for exactly one decision per watch
 // per committed write boundary. TSan-clean.
 #include <gtest/gtest.h>
@@ -27,7 +27,6 @@
 #include "test_query_util.h"
 
 using namespace pargeo;
-using query::backend;
 using query::op;
 using query::shard_policy;
 
@@ -191,7 +190,6 @@ TEST(WatchRegistry, CancelFromInsideOwnCallback) {
 
 TEST(QueryServiceWatch, FireCarriesFreshResultsAndSuppressedElsewise) {
   query::service_config cfg;
-  cfg.backend = backend::kdtree;
   cfg.shards = 2;
   cfg.policy = shard_policy::hash;
   query::query_service<2> service(cfg);
@@ -235,7 +233,6 @@ TEST(QueryServiceWatch, EvaluationProbesResultCache) {
   // read: two identical standing queries evaluated at the same boundary
   // must share one backend probe per shard, surfaced as watch_cache_hits.
   query::service_config cfg;
-  cfg.backend = backend::kdtree;
   cfg.shards = 2;
   cfg.policy = shard_policy::hash;  // cache_capacity default: cache on
   query::query_service<2> service(cfg);
@@ -262,7 +259,6 @@ TEST(QueryServiceWatch, DisjointWriteStreamIsPrunedAndNeverFires) {
   // lives entirely in the left stripes while every write lands far right,
   // so schedule-time stripe pruning suppresses without ever evaluating.
   query::service_config cfg;
-  cfg.backend = backend::bdltree;
   cfg.shards = 4;
   cfg.policy = shard_policy::spatial;
   query::query_service<2> service(cfg);
@@ -287,7 +283,6 @@ TEST(QueryServiceWatch, DisjointWriteStreamIsPrunedAndNeverFires) {
 
 TEST(QueryServiceWatch, DroppedHandleNeverFires) {
   query::service_config cfg;
-  cfg.backend = backend::zdtree;
   cfg.shards = 2;
   cfg.policy = shard_policy::hash;
   query::query_service<2> service(cfg);
@@ -312,7 +307,6 @@ TEST(QueryServiceWatch, DroppedHandleNeverFires) {
 
 TEST(QueryServiceWatch, ExactlyOncePerAffectingBoundary) {
   query::service_config cfg;
-  cfg.backend = backend::kdtree;
   cfg.shards = 2;
   cfg.policy = shard_policy::hash;
   query::query_service<2> service(cfg);
@@ -342,7 +336,6 @@ TEST(QueryServiceWatch, ExactlyOncePerAffectingBoundary) {
 TEST(QueryServiceTtl, IdleSweepRetiresExpiredPoints) {
   auto clock = std::make_shared<std::atomic<std::uint64_t>>(1);
   query::service_config cfg;
-  cfg.backend = backend::kdtree;
   cfg.shards = 2;
   cfg.policy = shard_policy::hash;
   cfg.point_ttl_ns = 1000;
@@ -363,7 +356,6 @@ TEST(QueryServiceTtl, IdleSweepRetiresExpiredPoints) {
 TEST(QueryServiceTtl, InsertsExpireAfterTheirOwnWindow) {
   auto clock = std::make_shared<std::atomic<std::uint64_t>>(1);
   query::service_config cfg;
-  cfg.backend = backend::bdltree;
   cfg.shards = 2;
   cfg.policy = shard_policy::hash;
   cfg.point_ttl_ns = 1000;
@@ -388,7 +380,6 @@ TEST(QueryServiceTtl, InsertsExpireAfterTheirOwnWindow) {
 TEST(QueryServiceTtl, ExpiryBoundaryRefiresWatches) {
   auto clock = std::make_shared<std::atomic<std::uint64_t>>(1);
   query::service_config cfg;
-  cfg.backend = backend::kdtree;
   cfg.shards = 2;
   cfg.policy = shard_policy::hash;
   cfg.point_ttl_ns = 1000;
@@ -412,8 +403,8 @@ TEST(QueryServiceTtl, ExpiryBoundaryRefiresWatches) {
 // ---- randomized interleaving oracle ---------------------------------------
 
 // Randomized interleaving of writes, expiries, and watch registrations on
-// a sharded service vs an unsharded reference engine mirroring the exact
-// same sequence. After every committed boundary the affected watches'
+// a sharded service vs the brute-force reference mirroring the exact same
+// sequence. After every committed boundary the affected watches'
 // fires must match a fresh query against the reference (k-NN compared as
 // distance sequences — equidistant ties across shard boundaries — ranges
 // as exact sorted multisets), and fires + suppressions must account for
@@ -421,17 +412,16 @@ TEST(QueryServiceTtl, ExpiryBoundaryRefiresWatches) {
 // frozen through the write stream (so boundary accounting is exact), then
 // one final advance expires the whole population and must re-fire every
 // watch with the emptied region.
-void run_watch_oracle(backend b) {
+TEST(WatchOracle, MatchesUnshardedReference) {
   auto clock = std::make_shared<std::atomic<std::uint64_t>>(1);
   query::service_config cfg;
-  cfg.backend = b;
   cfg.shards = 4;
   cfg.policy = shard_policy::spatial;
   cfg.point_ttl_ns = 1u << 20;  // far future until the final advance
   cfg.ttl_now = [clock] { return clock->load(); };
   query::query_service<2> service(cfg);
 
-  query::query_engine<2> reference(query::make_index<2>(backend::kdtree));
+  testutil::reference_index<2> reference;
 
   auto spec = query::make_churn_spec(300, 600, 0.5, 0.5);
   spec.seed = 7;  // write-only churn; the reads are the watches themselves
@@ -557,15 +547,6 @@ void run_watch_oracle(backend b) {
   }
 }
 
-class WatchOracle : public ::testing::TestWithParam<backend> {};
-
-TEST_P(WatchOracle, MatchesUnshardedReference) { run_watch_oracle(GetParam()); }
-
-INSTANTIATE_TEST_SUITE_P(
-    AllBackends, WatchOracle,
-    ::testing::Values(backend::kdtree, backend::zdtree, backend::bdltree),
-    [](const auto& info) { return query::backend_name(info.param); });
-
 // Handles must stay safe after the service is gone (the registry is held
 // shared), and close() must flush in-flight watch evaluations.
 TEST(QueryServiceWatch, HandleOutlivesService) {
@@ -573,7 +554,6 @@ TEST(QueryServiceWatch, HandleOutlivesService) {
   capture cap;
   {
     query::service_config cfg;
-    cfg.backend = backend::kdtree;
     cfg.shards = 2;
     cfg.policy = shard_policy::hash;
     query::query_service<2> service(cfg);

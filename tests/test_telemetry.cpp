@@ -185,7 +185,6 @@ std::size_t submit_stream(query::query_service<kDim>& service,
 
 TEST(TelemetryService, SpanMonotonicityOracle) {
   query::service_config cfg;
-  cfg.backend = query::backend::kdtree;
   cfg.shards = 2;
   cfg.telemetry = query::telemetry_level::trace;
   cfg.trace_sample = 1;  // every ticket sampled
@@ -235,7 +234,6 @@ TEST(TelemetryService, SpanMonotonicityOracle) {
 TEST(TelemetryService, ConcurrentRecordersLoseNothing) {
   constexpr int kProducers = 4;
   query::service_config cfg;
-  cfg.backend = query::backend::kdtree;
   cfg.shards = 4;
   cfg.telemetry = query::telemetry_level::stats;
   cfg.max_retained = std::size_t{1} << 20;
@@ -298,7 +296,6 @@ TEST(TelemetryService, ConcurrentRecordersLoseNothing) {
 TEST(TelemetryService, EveryStageRecordsUnderMixedTraffic) {
   auto clock = std::make_shared<std::atomic<std::uint64_t>>(1);
   query::service_config cfg;
-  cfg.backend = query::backend::bdltree;
   cfg.shards = 2;
   cfg.point_ttl_ns = 1000;
   cfg.ttl_now = [clock] { return clock->load(); };
@@ -339,7 +336,6 @@ TEST(TelemetryService, EveryStageRecordsUnderMixedTraffic) {
 // Telemetry off must keep all telemetry surfaces empty (and cheap).
 TEST(TelemetryService, OffRecordsNothing) {
   query::service_config cfg;
-  cfg.backend = query::backend::kdtree;
   cfg.shards = 2;
   cfg.telemetry = query::telemetry_level::off;
   cfg.max_retained = std::size_t{1} << 20;

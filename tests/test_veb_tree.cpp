@@ -176,6 +176,29 @@ TEST(VebTree, EraseBatchLargerThanTree) {
   EXPECT_TRUE(t.empty());
 }
 
+TEST(VebTree, EraseTakesOneCopyPerEntry) {
+  // Many copies of one point straddle the splits; each entry must take
+  // exactly one of them, and erase_matched hands back the entries left.
+  const point<2> p{{5, 5}};
+  std::vector<point<2>> pts(100, p);
+  const auto others = datagen::uniform<2>(100, 12);
+  pts.insert(pts.end(), others.begin(), others.end());
+  for (auto pol : {split_policy::object_median, split_policy::spatial_median}) {
+    veb_tree<2> t(pts, pol);
+    EXPECT_EQ(t.erase({p}), 1u);
+    EXPECT_EQ(t.size(), 199u);
+    std::vector<point<2>> batch(120, p);
+    batch.push_back(point<2>{{-1, -1}});
+    EXPECT_TRUE(t.contains_any(batch));
+    EXPECT_EQ(t.erase_matched(batch), 99u);
+    EXPECT_EQ(batch.size(), 22u);  // 21 surplus copies of p + the stranger
+    EXPECT_FALSE(t.contains_any(batch));
+    const auto kept = t.gather();
+    EXPECT_EQ(std::count(kept.begin(), kept.end(), p), 0);
+    EXPECT_EQ(kept.size(), others.size());
+  }
+}
+
 TEST(VebTree, TinyTrees) {
   for (std::size_t n : {1u, 2u, 3u, 16u, 17u, 31u, 33u}) {
     auto pts = datagen::uniform<2>(n, 10 + n);
