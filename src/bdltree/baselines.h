@@ -17,6 +17,7 @@
 
 #include "bdltree/bdl_tree.h"
 #include "bdltree/veb_tree.h"
+#include "mortonsort/mortonsort.h"
 
 namespace pargeo::bdltree {
 
@@ -44,8 +45,8 @@ class b1_tree {
     std::vector<std::vector<point<D>>> out(queries.size());
     if (!tree_) return out;
     const std::size_t kk = std::min(k, size());
-    par::parallel_for(
-        0, queries.size(),
+    mortonsort::parallel_for_each(
+        queries,
         [&](std::size_t qi) {
           kdtree::knn_buffer buf(kk);
           tree_->knn(queries[qi], buf);
@@ -104,8 +105,8 @@ class b2_tree {
     std::vector<std::vector<point<D>>> out(queries.size());
     if (!root_) return out;
     const std::size_t kk = std::min(k, size_);
-    par::parallel_for(
-        0, queries.size(),
+    mortonsort::parallel_for_each(
+        queries,
         [&](std::size_t qi) {
           kdtree::knn_buffer buf(kk);
           knn_rec(root_.get(), queries[qi], buf);

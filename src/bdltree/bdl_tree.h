@@ -12,8 +12,11 @@
 // queries share one k-NN buffer per query point across all trees and the
 // buffer (Appendix C.4).
 //
-// *Query order.* A k-NN query walks the trees largest first, so the bound
-// is already tight when it reaches the small trees, and scans the staging
+// *Query order.* A batch k-NN runs its queries in Morton order
+// (mortonsort::parallel_for_each), so that the queries one worker runs in a
+// row walk mostly the same nodes and find them in cache; its rows stay in
+// input order. Each query walks the trees largest first, so the bound is
+// already tight when it reaches the small trees, and scans the staging
 // buffer last.
 //
 // *Buffer order.* The staging buffer is always in lexicographic order
@@ -50,6 +53,7 @@
 #include <vector>
 
 #include "bdltree/veb_tree.h"
+#include "mortonsort/mortonsort.h"
 
 namespace pargeo::bdltree {
 
@@ -142,9 +146,8 @@ std::vector<std::vector<point<D>>> forest_knn(
     std::size_t total, const std::vector<point<D>>& queries, std::size_t k) {
   std::vector<std::vector<point<D>>> out(queries.size());
   const std::size_t kk = std::min(k, total);
-  if (kk == 0) return out;  // knn_buffer does not support k = 0
-  par::parallel_for(
-      0, queries.size(),
+  mortonsort::parallel_for_each(
+      queries,
       [&](std::size_t qi) {
         const point<D>& q = queries[qi];
         kdtree::knn_buffer buf(kk);

@@ -5,6 +5,7 @@
 
 #include "delaunay/delaunay.h"
 #include "kdtree/kdtree.h"
+#include "mortonsort/mortonsort.h"
 #include "parallel/parallel.h"
 #include "wspd/wspd.h"
 
@@ -17,8 +18,8 @@ std::vector<std::vector<std::size_t>> knn_graph_impl(
     const std::vector<point<D>>& pts, std::size_t k) {
   kdtree::tree<D> t(pts);
   std::vector<std::vector<std::size_t>> out(pts.size());
-  par::parallel_for(
-      0, pts.size(),
+  mortonsort::parallel_for_each(
+      pts,
       [&](std::size_t i) {
         // Ask for k+1 since the query point itself is stored in the tree.
         auto nn = t.knn(pts[i], std::min(k + 1, pts.size()));

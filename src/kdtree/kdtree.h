@@ -11,7 +11,10 @@
 // point order and every node's contents are the same at every worker
 // count. (The nodes' places in the arena are not: concurrent subtrees take
 // slots from one shared counter.) Queries: exact k-NN (single and
-// data-parallel batch), orthogonal range search, and ball range search.
+// data-parallel batch), orthogonal range search, and ball range search. A
+// batch k-NN runs its queries in Morton order, so that the queries one
+// worker runs in a row walk mostly the same nodes; its rows stay in input
+// order.
 // Nodes expose bounding boxes so other modules (WSPD, BCCP, EMST) can run
 // dual-tree traversals over the same structure.
 #pragma once
@@ -29,6 +32,7 @@
 #include "core/point.h"
 #include "kdtree/build.h"
 #include "kdtree/knn_buffer.h"
+#include "mortonsort/mortonsort.h"
 #include "parallel/parallel.h"
 
 namespace pargeo::kdtree {
@@ -116,7 +120,6 @@ class tree {
   /// distance. Returns original input indices. If the query point itself
   /// is stored, it appears in the result (distance 0).
   std::vector<knn_buffer::entry> knn(const point<D>& q, std::size_t k) const {
-    if (size() == 0 || k == 0) return {};
     knn_buffer buf(std::min(k, size()));
     knn_node(root_, q, buf);
     auto out = buf.finish();
@@ -125,12 +128,14 @@ class tree {
   }
 
   /// Data-parallel batch k-NN: row i of the result is knn(queries[i], k).
+  /// The queries run in Morton order (mortonsort::parallel_for_each), so
+  /// that the queries a worker runs in a row walk mostly the same nodes;
+  /// the rows stay in input order.
   std::vector<std::vector<knn_buffer::entry>> knn_batch(
       const std::vector<point<D>>& queries, std::size_t k) const {
     std::vector<std::vector<knn_buffer::entry>> out(queries.size());
-    par::parallel_for(
-        0, queries.size(),
-        [&](std::size_t i) { out[i] = knn(queries[i], k); }, 64);
+    mortonsort::parallel_for_each(
+        queries, [&](std::size_t i) { out[i] = knn(queries[i], k); }, 64);
     return out;
   }
 

@@ -64,13 +64,9 @@ std::vector<uint64_t> morton_codes(const std::vector<point<D>>& pts) {
 
 template <int D>
 std::vector<std::size_t> morton_order(const std::vector<point<D>>& pts) {
-  auto codes = morton_codes<D>(pts);
-  std::vector<std::size_t> idx(pts.size());
-  par::parallel_for(0, idx.size(), [&](std::size_t i) { idx[i] = i; });
-  par::sort(idx, [&](std::size_t a, std::size_t b) {
-    return codes[a] < codes[b] || (codes[a] == codes[b] && a < b);
-  });
-  return idx;
+  const auto codes = morton_codes<D>(pts);
+  return par::key_order(codes.size(),
+                        [&codes](std::size_t i) { return codes[i]; });
 }
 
 template <int D>

@@ -5,11 +5,11 @@
 // of (seed, index), so results are reproducible at any worker count.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <vector>
 
 #include "parallel/primitives.h"
+#include "parallel/sort.h"
 
 namespace pargeo::par {
 
@@ -37,40 +37,10 @@ inline uint64_t rand_range(uint64_t seed, uint64_t i, uint64_t bound) {
 }
 
 /// Deterministic random permutation of [0, n): the indices in the order of
-/// their (hashed key, index) pairs. A stable counting scatter buckets the
-/// pairs by their keys' top bits and each bucket is sorted on its own, which
-/// orders the pairs as one sort would (the top bits order the keys) for a
-/// fraction of its work.
+/// their (hashed key, index) pairs.
 inline std::vector<std::size_t> random_permutation(std::size_t n,
                                                    uint64_t seed) {
-  struct key_idx {
-    uint64_t key;
-    std::size_t idx;
-    bool operator<(const key_idx& o) const {
-      return key < o.key || (key == o.key && idx < o.idx);
-    }
-  };
-  // 256-511 pairs a bucket, within 2 buckets (so the shift below stays under
-  // 64) and 2^11 (so that a block's scatter writes to few enough runs at a
-  // time).
-  int bits = 1;
-  while (bits < 11 && (n >> (bits + 9)) > 0) ++bits;
-  std::vector<key_idx> ki(n);
-  const std::vector<std::size_t> start = counting_scatter(
-      n, std::size_t{1} << bits,
-      [seed](std::size_t i) { return key_idx{rand_at(seed, i), i}; },
-      [bits](const key_idx& x) { return x.key >> (64 - bits); }, ki.data());
-  std::vector<std::size_t> out(n);
-  parallel_for(
-      0, start.size() - 1,
-      [&](std::size_t b) {
-        std::sort(ki.begin() + start[b], ki.begin() + start[b + 1]);
-        for (std::size_t i = start[b]; i < start[b + 1]; ++i) {
-          out[i] = ki[i].idx;
-        }
-      },
-      8);
-  return out;
+  return key_order(n, [seed](std::size_t i) { return rand_at(seed, i); });
 }
 
 /// Deterministic parallel shuffle of a sequence.

@@ -1,11 +1,14 @@
 // Parallel comparison sort: recursive merge sort with out-of-place merges,
-// falling back to std::sort below the grain. Stable.
+// falling back to std::sort below the grain. Stable. Also the order of
+// indices by 64-bit keys (`key_order`), by buckets instead of merges.
 #pragma once
 
 #include <algorithm>
+#include <cstdint>
 #include <iterator>
 #include <vector>
 
+#include "parallel/primitives.h"
 #include "parallel/scheduler.h"
 
 namespace pargeo::par {
@@ -88,6 +91,52 @@ void sort(std::vector<T>& v, Cmp cmp) {
 template <class T>
 void sort(std::vector<T>& v) {
   pargeo::par::sort(v.begin(), v.end());
+}
+
+/// The indices [0, n) in the order of their (key(i), i) pairs, key(i) a
+/// uint64_t: sorted by key, ties by index. A stable counting scatter
+/// buckets the pairs by their keys' top bits and each bucket is sorted on
+/// its own, which orders the pairs as one sort would (the top bits order
+/// the keys) for a fraction of its work. Keys that share their top bits
+/// (equal or clustered keys) fill one bucket; a bucket past the sort grain
+/// gets the parallel sort, so no input falls back to one sequential sort.
+/// key(i) runs twice per index, so it should be cheap: a hash, or a load
+/// from keys computed beforehand.
+template <class Key>
+std::vector<std::size_t> key_order(std::size_t n, Key key) {
+  struct key_idx {
+    std::uint64_t key;
+    std::size_t idx;
+    bool operator<(const key_idx& o) const {
+      return key < o.key || (key == o.key && idx < o.idx);
+    }
+  };
+  // 256-511 pairs a bucket, within 2 buckets (so the shift below stays under
+  // 64) and 2^11 (so that a block's scatter writes to few enough runs at a
+  // time).
+  int bits = 1;
+  while (bits < 11 && (n >> (bits + 9)) > 0) ++bits;
+  std::vector<key_idx> ki(n);
+  const std::vector<std::size_t> start = counting_scatter(
+      n, std::size_t{1} << bits,
+      [&key](std::size_t i) { return key_idx{key(i), i}; },
+      [bits](const key_idx& x) { return x.key >> (64 - bits); }, ki.data());
+  std::vector<std::size_t> out(n);
+  parallel_for(
+      0, start.size() - 1,
+      [&](std::size_t b) {
+        const auto lo = ki.begin() + start[b], hi = ki.begin() + start[b + 1];
+        if (start[b + 1] - start[b] > detail::kSortGrain) {
+          pargeo::par::sort(lo, hi);
+        } else {
+          std::sort(lo, hi);
+        }
+        for (std::size_t i = start[b]; i < start[b + 1]; ++i) {
+          out[i] = ki[i].idx;
+        }
+      },
+      8);
+  return out;
 }
 
 }  // namespace pargeo::par

@@ -140,10 +140,9 @@ template <int D>
 std::vector<std::vector<point<D>>> zd_tree<D>::knn(
     const std::vector<point<D>>& queries, std::size_t k) const {
   std::vector<std::vector<point<D>>> out(queries.size());
-  if (items_.empty() || k == 0) return out;
   const std::size_t kk = std::min(k, items_.size());
-  par::parallel_for(
-      0, queries.size(),
+  mortonsort::parallel_for_each(
+      queries,
       [&](std::size_t qi) {
         kdtree::knn_buffer buf(kk);
         knn_rec(1, 0, num_leaf_segments_, queries[qi], buf);

@@ -5,8 +5,9 @@
 // merges / filters (O(n + B) with tiny constants — the property that makes
 // the real Zd-tree's updates much faster than the BDL-tree's rebuild
 // cascades); k-NN runs over an implicit midpoint-split hierarchy with
-// precomputed per-segment bounding boxes. Supports 2D and 3D like the
-// original.
+// precomputed per-segment bounding boxes. A batch k-NN runs its queries in
+// Morton order, as the original processes its work, and keeps its rows in
+// input order. Supports 2D and 3D like the original.
 #pragma once
 
 #include <cstdint>

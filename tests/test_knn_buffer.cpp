@@ -1,7 +1,11 @@
-// Tests for the amortized-O(1) k-NN candidate buffer.
+// Tests for the k-NN candidate buffer: the k best (dist, id) pairs, kept
+// sorted, with an exact bound once k are held, inline up to kInline pairs
+// and on the heap past it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <random>
 
 #include "kdtree/knn_buffer.h"
@@ -28,27 +32,42 @@ TEST(KnnBuffer, BoundIsInfUntilKSeen) {
   buf.insert(3.0, 3);
   EXPECT_TRUE(std::isinf(buf.bound()));
   buf.insert(4.0, 4);
-  EXPECT_LE(buf.bound(), 4.0);
+  EXPECT_EQ(buf.bound(), 4.0);
 }
 
-TEST(KnnBuffer, BoundNeverBelowTrueKth) {
-  std::mt19937_64 rng(7);
-  std::uniform_real_distribution<double> dist(0, 1);
-  knn_buffer buf(10);
-  std::vector<double> all;
-  for (int i = 0; i < 5000; ++i) {
-    const double d = dist(rng);
-    all.push_back(d);
-    buf.insert(d, static_cast<std::size_t>(i));
-    std::vector<double> sorted(all);
-    std::sort(sorted.begin(), sorted.end());
-    if (all.size() >= 10) {
-      ASSERT_GE(buf.bound(), sorted[9]);
+TEST(KnnBuffer, BoundIsTheKthSmallestOnceKHeld) {
+  for (const std::size_t k : {1u, 10u, 16u, 17u, 100u}) {
+    SCOPED_TRACE(k);
+    std::mt19937_64 rng(7);
+    std::uniform_real_distribution<double> dist(0, 1);
+    knn_buffer buf(k);
+    std::vector<double> sorted;  // every distance inserted so far
+    for (int i = 0; i < 3000; ++i) {
+      const double d = dist(rng);
+      sorted.insert(std::upper_bound(sorted.begin(), sorted.end(), d), d);
+      buf.insert(d, static_cast<std::size_t>(i));
+      if (sorted.size() >= k) {
+        ASSERT_EQ(buf.bound(), sorted[k - 1]) << "after insert " << i;
+      } else {
+        ASSERT_TRUE(std::isinf(buf.bound()));
+      }
     }
+    auto out = buf.finish();
+    ASSERT_EQ(out.size(), k);
+    for (std::size_t j = 0; j < k; ++j) EXPECT_EQ(out[j].dist_sq, sorted[j]);
   }
-  auto out = buf.finish();
-  std::sort(all.begin(), all.end());
-  for (int k = 0; k < 10; ++k) EXPECT_EQ(out[k].dist_sq, all[k]);
+}
+
+TEST(KnnBuffer, ZeroKHoldsNothing) {
+  knn_buffer buf(0);
+  EXPECT_TRUE(buf.full());
+  EXPECT_LT(buf.bound(), 0.0);
+  buf.insert(0.0, 1);
+  buf.insert(5.0, 2);
+  buf.insert(-std::numeric_limits<double>::infinity(), 3);
+  EXPECT_TRUE(buf.finish().empty());
+  buf.reset();
+  EXPECT_LT(buf.bound(), 0.0);
 }
 
 TEST(KnnBuffer, FewerThanKCandidates) {
@@ -84,15 +103,18 @@ TEST(KnnBuffer, ResetClearsState) {
   EXPECT_EQ(out[0].id, 7u);
 }
 
-TEST(KnnBuffer, ManyInsertsExerciseCompaction) {
-  knn_buffer buf(16);
-  // Strictly decreasing distances force every insert through the buffer.
-  for (int i = 0; i < 100000; ++i) {
-    buf.insert(1e6 - i, static_cast<std::size_t>(i));
-  }
-  auto out = buf.finish();
-  ASSERT_EQ(out.size(), 16u);
-  for (int k = 0; k < 16; ++k) {
-    EXPECT_EQ(out[k].dist_sq, 1e6 - 99999 + k);
+TEST(KnnBuffer, ManyInsertsPastInlineCapacity) {
+  for (const std::size_t k : {17u, 100u}) {
+    SCOPED_TRACE(k);
+    knn_buffer buf(k);
+    // Strictly decreasing distances make every insert displace the k-th.
+    for (int i = 0; i < 100000; ++i) {
+      buf.insert(1e6 - i, static_cast<std::size_t>(i));
+    }
+    auto out = buf.finish();
+    ASSERT_EQ(out.size(), k);
+    for (std::size_t j = 0; j < k; ++j) {
+      EXPECT_EQ(out[j].dist_sq, 1e6 - 99999 + static_cast<double>(j));
+    }
   }
 }

@@ -3,8 +3,10 @@
 
 #include <algorithm>
 
+#include "core/aabb.h"
 #include "datagen/datagen.h"
 #include "mortonsort/mortonsort.h"
+#include "test_util.h"
 
 using namespace pargeo;
 
@@ -96,4 +98,41 @@ TEST(Morton, DegenerateSingleValue) {
   for (const auto c : codes) EXPECT_EQ(c, codes[0]);
   auto sorted = mortonsort::morton_sort<2>(pts);
   EXPECT_EQ(sorted.size(), pts.size());
+}
+
+// morton_order is one stable sort of the indices by code, at sizes around
+// the sort grain, on identical points (one bucket holds every pair) and on
+// a tight cluster with two far outliers (one bucket holds almost every
+// pair), at 1 and 4 workers.
+TEST(Morton, OrderEqualsStableSortByCode) {
+  std::vector<std::vector<point<2>>> cases;
+  for (const std::size_t n : {0u, 1u, 2u, 8191u, 8192u, 250000u}) {
+    cases.push_back(datagen::uniform<2>(n, n + 3));
+  }
+  cases.emplace_back(250000, point<2>{{4, 4}});
+  // 60,000 distinct codes in one bucket: the cluster spans ~245 units.
+  auto cluster = datagen::uniform<2>(60000, 11);
+  cluster.push_back(point<2>{{1e6, 1e6}});
+  cluster.push_back(point<2>{{-1e6, 1e6}});
+  cases.push_back(cluster);
+  for (const int w : {1, 4}) {
+    testutil::scoped_workers workers(w);
+    for (const auto& pts : cases) {
+      SCOPED_TRACE(::testing::Message()
+                   << "n=" << pts.size() << " workers=" << w);
+      aabb<2> box;
+      for (const auto& p : pts) box.extend(p);
+      std::vector<uint64_t> codes;
+      for (const auto& p : pts) {
+        codes.push_back(mortonsort::morton_code<2>(p, box.lo, box.hi));
+      }
+      std::vector<std::size_t> want(pts.size());
+      for (std::size_t i = 0; i < want.size(); ++i) want[i] = i;
+      std::stable_sort(want.begin(), want.end(),
+                       [&](std::size_t a, std::size_t b) {
+                         return codes[a] < codes[b];
+                       });
+      EXPECT_TRUE(mortonsort::morton_order<2>(pts) == want);
+    }
+  }
 }
