@@ -4,7 +4,7 @@
 //                [read_frac=0.9]
 //                [dist uniform|clustered|zipf|skewed|drifting|churn]
 //                [batch_size=2048] [seed=1] [shards=1] [policy hash|spatial]
-//                [cache_capacity=4096] [rebalance_threshold=0]
+//                [rebalance_threshold=0]
 //                [--verbose] [--telemetry off|stats|trace]
 //                [--trace-out <path>] [--metrics-out <path>]
 //                [--ttl <ns>] [--watches <n>]
@@ -73,10 +73,9 @@
 // The service shards the logical index across `shards` BDL-trees by
 // `policy`; reads scatter/gather-merge, writes
 // route to owning shards, and write groups pipeline across one executor
-// lane per shard. `cache_capacity` sizes the epoch-keyed hot k-NN result
-// cache (0 disables it). `rebalance_threshold` (> 1, spatial policy only)
+// lane per shard. `rebalance_threshold` (> 1, spatial policy only)
 // enables online stripe rebalancing when max/mean shard imbalance crosses
-// it.
+// it. A positional past it is an error, like any other malformed argument.
 // `skewed`/`drifting` concentrate payload points in a (moving) corner
 // cube — the adversarial stream for spatial stripes. Reads split 70%
 // k-NN / 15% box range / 15% ball range; writes split evenly between
@@ -85,12 +84,12 @@
 // together), the drain pipeline's counters (total drain groups,
 // read/snapshot-path vs write groups, `lag` — read drains that retired
 // after the live write epoch had already advanced past their snapshot),
-// per-lane drain counts, rebalance counters, and the cache's
-// hit/miss/evict line, then an ingest/reclaim summary line (producer
-// spins on a full ingest ring, snapshot versions retired / freed / in
-// limbo, reclaim stalls, epoch lag). With telemetry on (the default) the
-// result row is followed by the request-lifecycle stage-latency table
-// (p50/p95/p99/p999/max per stage, from query/telemetry.h).
+// per-lane drain counts and rebalance counters, then an ingest/reclaim
+// summary line (producer spins on a full ingest ring, snapshot versions
+// retired / freed / in limbo, reclaim stalls, epoch lag). With telemetry
+// on (the default) the result row is followed by the request-lifecycle
+// stage-latency table (p50/p95/p99/p999/max per stage, from
+// query/telemetry.h).
 #include <cerrno>
 #include <chrono>
 #include <cstdint>
@@ -156,12 +155,11 @@ int run(const query::workload_spec& spec,
   query::service_config cfg = base_cfg;
   std::printf(
       "workload: dim=%d initial=%zu ops=%zu dist=%s batch=%zu seed=%llu "
-      "shards=%zu policy=%s cache=%zu rebalance=%.2f\n",
+      "shards=%zu policy=%s rebalance=%.2f\n",
       D, spec.initial_points, spec.num_ops,
       query::distribution_name(spec.dist), spec.batch_size,
       static_cast<unsigned long long>(spec.seed), cfg.shards,
-      query::shard_policy_name(cfg.policy), cfg.cache_capacity,
-      cfg.rebalance_threshold);
+      query::shard_policy_name(cfg.policy), cfg.rebalance_threshold);
   if (!opts.trace_out.empty() && cfg.telemetry != query::telemetry_level::trace) {
     cfg.telemetry = query::telemetry_level::trace;
     cfg.trace_sample = 8;  // denser than the service default for a CLI run
@@ -225,8 +223,7 @@ int run(const query::workload_spec& spec,
   }
 
   // Result checksum: total hits returned, comparable across shard
-  // counts, shard policies and cache settings (identical streams yield
-  // identical hits).
+  // counts and shard policies (identical streams yield identical hits).
   std::size_t hits = 0;
   for (const auto& r : responses) hits += r.points.size();
 
@@ -241,16 +238,14 @@ int run(const query::workload_spec& spec,
   std::printf(
       "ops=%zu reads=%zu writes=%zu phases=%zu  %10.0f ops/s  "
       "lat p50=%.3fms p90=%.3fms p99=%.3fms  hits=%zu size=%zu  "
-      "drains=%zu (r=%zu w=%zu lag=%zu lane=%zu)  "
-      "rebal=%zu moved=%zu  cache h=%zu m=%zu (%.0f%%) ev=%zu\n",
+      "drains=%zu (r=%zu w=%zu lag=%zu lane=%zu)  rebal=%zu moved=%zu\n",
       stats.num_requests, stats.num_reads,
       stats.num_writes, stats.num_phases(), stats.ops_per_sec(),
       query::percentile(phase_ms, 50), query::percentile(phase_ms, 90),
       query::percentile(phase_ms, 99), hits, service.size(),
       svc.num_drains, svc.num_read_groups, svc.num_write_groups,
       svc.snapshot_lag_drains, lane_drains, svc.rebalances,
-      svc.rebalance_moved, svc.cache.hits, svc.cache.misses,
-      svc.cache.hit_rate() * 100, svc.cache.evictions);
+      svc.rebalance_moved);
   std::printf(
       "  ingest: spins=%llu  reclaim: retired=%llu freed=%llu limbo=%llu "
       "stalls=%llu lag=%llu\n",
@@ -455,13 +450,19 @@ int main(int argc, char** argv) {
         "[dist uniform|clustered|zipf|skewed|drifting|churn] "
         "[batch_size=2048] "
         "[seed=1] [shards=1] [policy hash|spatial] "
-        "[cache_capacity=4096] [rebalance_threshold=0] [--verbose] "
+        "[rebalance_threshold=0] [--verbose] "
         "[--telemetry off|stats|trace] [--trace-out path] "
         "[--metrics-out path] [--ttl ns] [--watches n] [--replicas n] "
         "[--max-lag epochs] [--log-dir dir] "
         "[--sync none|interval|every_commit] [--checkpoint-every n] "
         "[--deadline-us us]\n",
         argv[0]);
+    return 2;
+  }
+  if (argc > 11) {
+    std::fprintf(stderr,
+                 "unexpected argument '%s' after rebalance_threshold\n",
+                 argv[11]);
     return 2;
   }
   std::size_t dim = 0, initial_n = 0, num_ops = 0, batch_size = 2048;
@@ -512,10 +513,8 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if ((argc > 10 &&
-       !parse_arg(argv[10], "cache_capacity", cfg.cache_capacity)) ||
-      (argc > 11 && !parse_arg(argv[11], "rebalance_threshold",
-                               cfg.rebalance_threshold))) {
+  if (argc > 10 && !parse_arg(argv[10], "rebalance_threshold",
+                              cfg.rebalance_threshold)) {
     return 2;
   }
 

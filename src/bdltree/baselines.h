@@ -49,11 +49,11 @@ class b1_tree {
         queries,
         [&](std::size_t qi) {
           kdtree::knn_buffer buf(kk);
-          tree_->knn(queries[qi], buf);
+          tree_->knn(queries[qi], /*slot=*/0, buf);
           auto entries = buf.finish();
           out[qi].reserve(entries.size());
           for (const auto& e : entries) {
-            out[qi].push_back(veb_tree<D>::decode_id(e.id));
+            out[qi].push_back(tree_->point_at(e.id));
           }
         },
         16);

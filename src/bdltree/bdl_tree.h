@@ -140,12 +140,19 @@ void scan_near_x(const std::vector<point<D>>& sorted, const point<D>& q,
 // bdl_tree and by isolated bdl_forest_view snapshots alike. TreeList is a
 // vector of shared_ptr-like handles to (possibly const) veb_tree<D>,
 // indexed by slot, so a larger index holds a larger tree.
+
+// k-NN ids are (slot << 32) | index (veb_tree::knn); the staging buffer
+// takes the slot after the last tree, with its points' buffer indices. So
+// the rows, ties included, are a function of the forest's structure: a
+// replica that replays the same calls, or the same inserts run at another
+// worker count, returns the same points.
 template <int D, typename TreeList>
 std::vector<std::vector<point<D>>> forest_knn(
     const std::vector<point<D>>& buffer, const TreeList& trees,
     std::size_t total, const std::vector<point<D>>& queries, std::size_t k) {
   std::vector<std::vector<point<D>>> out(queries.size());
   const std::size_t kk = std::min(k, total);
+  const std::size_t buffer_slot = trees.size();
   mortonsort::parallel_for_each(
       queries,
       [&](std::size_t qi) {
@@ -154,18 +161,21 @@ std::vector<std::vector<point<D>>> forest_knn(
         // Largest tree first: it holds most of the neighbours, so the
         // bound is tight before the smaller trees and the buffer are
         // searched.
-        for (auto t = trees.rbegin(); t != trees.rend(); ++t) {
-          if (*t) (*t)->knn(q, buf);
+        for (std::size_t s = trees.size(); s-- > 0;) {
+          if (trees[s]) trees[s]->knn(q, s, buf);
         }
         scan_near_x<D>(
             buffer, q, [&] { return buf.bound(); },
             [&](const point<D>& p) {
-              buf.insert(p.dist_sq(q), reinterpret_cast<std::size_t>(&p));
+              const auto i = static_cast<std::size_t>(&p - buffer.data());
+              buf.insert(p.dist_sq(q), (buffer_slot << 32) | i);
             });
         auto entries = buf.finish();
         out[qi].reserve(entries.size());
         for (const auto& e : entries) {
-          out[qi].push_back(veb_tree<D>::decode_id(e.id));
+          const std::size_t slot = e.id >> 32, i = e.id & 0xffffffffu;
+          out[qi].push_back(slot == buffer_slot ? buffer[i]
+                                                : trees[slot]->point_at(i));
         }
       },
       16);

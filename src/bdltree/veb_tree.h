@@ -149,18 +149,19 @@ class veb_tree {
     return false;
   }
 
-  /// Accumulates the k nearest live points to `q` into `buf`. Entry ids
-  /// are the point addresses reinterpreted as size_t (stable for the
-  /// tree's lifetime), so one buffer can be shared across trees and
-  /// decoded with decode_id.
-  void knn(const point<D>& q, kdtree::knn_buffer& buf) const {
+  /// Accumulates the k nearest live points to `q` into `buf`. The point
+  /// at storage index i enters as id (slot << 32) | i, so one buffer can
+  /// be shared across the trees of a forest, each under its own slot, and
+  /// a caller decodes an id with point_at(id & 0xffffffff) on the tree of
+  /// slot id >> 32. Ids, and so the points kept on distance ties, follow
+  /// the forest's structure and not where its trees were allocated.
+  void knn(const point<D>& q, std::size_t slot, kdtree::knn_buffer& buf) const {
     if (live_ == 0) return;
-    knn_rec(0, q, buf);
+    knn_rec(0, q, slot << 32, buf);
   }
 
-  static const point<D>& decode_id(std::size_t id) {
-    return *reinterpret_cast<const point<D>*>(id);
-  }
+  /// The point at storage index i (see knn).
+  const point<D>& point_at(std::size_t i) const { return points_[i]; }
 
   /// Appends all live points within `radius` of `center` to `out`.
   void range_ball(const point<D>& center, double radius,
@@ -222,7 +223,7 @@ class veb_tree {
 
   // --- queries ----------------------------------------------------------
 
-  void knn_rec(std::uint32_t idx, const point<D>& q,
+  void knn_rec(std::uint32_t idx, const point<D>& q, std::size_t id_base,
                kdtree::knn_buffer& buf) const {
     const node& nd = nodes_[idx];
     if (nd.live == 0) return;
@@ -230,19 +231,17 @@ class veb_tree {
       for (std::uint32_t i = nd.lo; i < nd.hi; ++i) {
         if (!alive_[i]) continue;
         const double d = points_[i].dist_sq(q);
-        if (d < buf.bound()) {
-          buf.insert(d, reinterpret_cast<std::size_t>(&points_[i]));
-        }
+        if (d < buf.bound()) buf.insert(d, id_base | i);
       }
       return;
     }
     std::uint32_t nearIdx = nd.left, farIdx = nd.right;
     if (q[nd.split_dim] >= nd.split_val) std::swap(nearIdx, farIdx);
     if (nodes_[nearIdx].box.dist_sq(q) < buf.bound()) {
-      knn_rec(nearIdx, q, buf);
+      knn_rec(nearIdx, q, id_base, buf);
     }
     if (nodes_[farIdx].box.dist_sq(q) < buf.bound()) {
-      knn_rec(farIdx, q, buf);
+      knn_rec(farIdx, q, id_base, buf);
     }
   }
 

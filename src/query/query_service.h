@@ -3,8 +3,8 @@
 //
 // A `query_service<D>` owns N `spatial_index<D>` shards — one BDL-tree
 // each — behind one logical index, built from a `service_config` (shard
-// count, shard policy, ingest-batch window, backpressure bound, cache
-// capacity, retention cap).
+// count, shard policy, ingest-batch window, backpressure bound, retention
+// cap).
 // Every ticket takes one pipeline: lock-free MPSC ring -> drain thread ->
 // one executor lane per shard -> snapshot readers.
 //
@@ -65,8 +65,7 @@
 //   quiesces the lanes, re-derives the quantile stripe bounds from a
 //   sample of the live points, and builds one `rebalance` group carrying
 //   the new bounds and the migration (erases, then inserts, so
-//   epochs bump on affected shards and cached k-NN rows invalidate
-//   through the normal epoch keys). Appended and then applied like any
+//   epochs bump on affected shards). Appended and then applied like any
 //   group, it swaps the bounds only if it commits. Earlier groups execute
 //   fully under the old bounds and later groups route under the new ones,
 //   so write routing and read pruning never disagree.
@@ -93,15 +92,12 @@
 //   the pipeline is saturated (backpressure) or the ring is full
 //   (`ingest_spins` counts the spins burned first).
 //
-//   *Hot result cache*. Each shard carries an epoch-invalidated LRU
-//   cache of read-result rows (query/result_cache.h) keyed by the exact
-//   query shape — k-NN (point, k), box range, or ball range — plus the
-//   shard write epoch; `cache_capacity` entries are split across shards
-//   (0 disables). Both read paths — live reads inside mixed groups and
-//   snapshot reads — probe it, so zipf-hot keys and re-evaluated watches
-//   answer without touching the tree; hits are byte-identical to
-//   re-execution because the key pins the exact contents. Hit/miss/evict
-//   counters aggregate into `service_stats::cache`.
+//   *Direct reads*. Every read — a read run inside a mixed group on the
+//   live shard, a snapshot read, a watch re-evaluation — executes on the
+//   shard's BDL-tree or its snapshot (detail::execute_read_phase_on).
+//   There is no result cache: an epoch-keyed LRU of rows got no hits on
+//   uniform keys, and its 11-20% hits on Zipf-hot keys did not make runs
+//   measurably faster (EXPERIMENTS.md, "No result cache").
 //
 //   *Continuous queries* (query/subscription.h). `watch_knn(q, k, cb)` /
 //   `watch_range(box, cb)` register standing queries; after every
@@ -118,9 +114,9 @@
 //   inserted point is retired by an internal batch_erase group once its
 //   sliding window elapses — swept at write-drain boundaries and on an
 //   idle-drainer timer, so the resident set stays bounded even without
-//   traffic. Expiries are ordinary write groups: epochs bump, cached
-//   rows invalidate, and affected watches re-fire through the same
-//   machinery (`expire` stage histogram, `expired_points` counter).
+//   traffic. Expiries are ordinary write groups: epochs bump and affected
+//   watches re-fire through the same machinery (`expire` stage
+//   histogram, `expired_points` counter).
 //
 //   *Replication seam* (query/oplog.h, query/replica.h). With an op log
 //   attached (`attach_log`, before bootstrap/traffic), every group the
@@ -179,7 +175,6 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -189,7 +184,6 @@
 #include "query/ingest_ring.h"
 #include "query/oplog.h"
 #include "query/query_engine.h"
-#include "query/result_cache.h"
 #include "query/spatial_index.h"
 #include "query/subscription.h"
 #include "query/telemetry.h"
@@ -230,9 +224,6 @@ struct service_config {
   /// try_submit() rejects; a batch larger than the bound is admitted alone
   /// once the pipeline is empty.
   std::size_t max_pending_requests = 0;
-  /// Total hot k-NN cache entries, split evenly across shards (see
-  /// query/result_cache.h). 0 disables the cache.
-  std::size_t cache_capacity = 4096;
   /// Completed-but-unredeemed results kept before the oldest are evicted
   /// (an evicted handle's get() throws). Must be >= 1.
   std::size_t max_retained = 1024;
@@ -241,7 +232,7 @@ struct service_config {
   /// drain boundary, the quantile stripe bounds are re-derived from a
   /// sample of live points and misplaced points migrate to their new
   /// owners as an internal write group (epochs bump on every affected
-  /// shard, so cached k-NN rows invalidate through the normal channels).
+  /// shard).
   /// Below 256 resident points nothing re-stripes, and the bounds come from
   /// a sample of at most 4096 points. <= 1 disables (stripes are fixed
   /// once set). Meaningful values start around 1.2-2.0.
@@ -364,10 +355,6 @@ struct service_stats {
   std::size_t watch_fires = 0;
   std::size_t watch_suppressed = 0;
   std::size_t expired_points = 0;
-  /// Watch re-evaluation rows answered from the result cache instead of a
-  /// fresh tree traversal (the watch path probes the same epoch-keyed
-  /// cache the ticket read path does).
-  std::size_t watch_cache_hits = 0;
   /// Replication (query/oplog.h). Primary side: `log_epoch` is the head
   /// of the attached op log (0 when none). Replica side: `applied_epoch`
   /// is the last log epoch replayed, `replayed_groups`/`replayed_records`
@@ -411,14 +398,21 @@ struct service_stats {
   std::uint64_t epoch_lag = 0;
   std::uint64_t limbo_snapshots = 0;
   std::vector<shard_drain_stats> per_shard;  // one entry per shard lane
-  cache_stats cache;  // hot k-NN cache, aggregated across shards
+  /// Always zero: the service has no result cache. The three counters
+  /// remain because the repository benchmark (perfbench/) reads them,
+  /// like `service_config::backend`.
+  struct {
+    std::size_t hits = 0;
+    std::size_t misses = 0;
+    std::size_t evictions = 0;
+  } cache;
   /// Per-stage / per-shard latency histograms (query/telemetry.h).
   /// Empty (level `off`, zero counts) when telemetry is disabled.
   telemetry_report telemetry;
 };
 
 /// Prometheus text exposition of a service_stats snapshot: counter and
-/// gauge families for the ingest/drain/cache/rebalance counters,
+/// gauge families for the ingest/drain/rebalance counters,
 /// plus one cumulative `pargeo_stage_latency_seconds` histogram per
 /// lifecycle stage (merged across shards, `le` in seconds). Scrape-ready
 /// — serve it from an HTTP handler or drop it in a node_exporter
@@ -468,19 +462,6 @@ inline std::string metrics_text(const service_stats& s) {
         s.results_retained);
   gauge("pargeo_pending_requests", "Admitted, not yet fulfilled requests",
         s.pending_requests);
-  counter("pargeo_cache_hits_total", "Hot k-NN cache hits", s.cache.hits);
-  counter("pargeo_cache_misses_total", "Hot k-NN cache misses",
-          s.cache.misses);
-  counter("pargeo_cache_evictions_total", "Hot k-NN cache LRU evictions",
-          s.cache.evictions);
-  gauge("pargeo_cache_entries", "Hot k-NN cache resident entries",
-        s.cache.entries);
-  family("pargeo_cache_seconds_total", "counter",
-         "Cache-path wall time: hit = map service, miss = tree execution");
-  emit("pargeo_cache_seconds_total{path=\"hit\"} %.9f\n",
-       static_cast<double>(s.cache.hit_ns) * 1e-9);
-  emit("pargeo_cache_seconds_total{path=\"miss\"} %.9f\n",
-       static_cast<double>(s.cache.miss_ns) * 1e-9);
   counter("pargeo_rebalances_total", "Stripe bound re-derivations",
           s.rebalances);
   counter("pargeo_rebalance_moved_total", "Points migrated by rebalancing",
@@ -494,9 +475,6 @@ inline std::string metrics_text(const service_stats& s) {
           s.watch_suppressed);
   counter("pargeo_expired_points_total", "Points retired by TTL expiry",
           s.expired_points);
-  counter("pargeo_watch_cache_hits_total",
-          "Watch re-evaluation rows served from the result cache",
-          s.watch_cache_hits);
   gauge("pargeo_log_epoch", "Op-log head epoch (primary with log attached)",
         s.log_epoch);
   gauge("pargeo_applied_epoch", "Last op-log epoch replayed (replica)",
@@ -845,17 +823,10 @@ class query_service {
       throw std::invalid_argument("service_config.max_retained must be >= 1");
     }
     shards_.reserve(cfg_.shards);
-    caches_.reserve(cfg_.shards);
     lanes_.reserve(cfg_.shards);
-    const std::size_t per_shard_cache =
-        cfg_.cache_capacity == 0
-            ? 0
-            : (cfg_.cache_capacity + cfg_.shards - 1) / cfg_.shards;
     for (std::size_t s = 0; s < cfg_.shards; ++s) {
       shards_.push_back(make_index<D>(cfg_.backend));
       shards_.back()->set_reclaimer(&reclaim_);
-      caches_.push_back(std::make_unique<result_cache<D>>(
-          per_shard_cache, /*timed=*/tel_.enabled()));
       lanes_.push_back(std::make_unique<shard_lane>());
     }
     resident_est_.assign(cfg_.shards, 0);
@@ -1041,7 +1012,7 @@ class query_service {
     threads_joined_ = true;
   }
 
-  /// Ingest/drain/retention/cache counters. Safe to call concurrently with
+  /// Ingest/drain/retention counters. Safe to call concurrently with
   /// submitters and the drain pipeline. Never takes the hub lock: the hot
   /// counters are relaxed atomics, so a stats poll storm cannot contend
   /// with ingest or fulfilment.
@@ -1097,7 +1068,6 @@ class query_service {
       ls.queue_depth = lane->q.size();
       s.per_shard.push_back(ls);
     }
-    for (const auto& c : caches_) s.cache.accumulate(c->stats());
     {
       const watch_stats ws = watches_->stats();
       s.active_watches = ws.active;
@@ -1109,7 +1079,6 @@ class query_service {
       s.scratch_reuses = scratch_reuses_;
       s.scratch_allocs = scratch_allocs_;
     }
-    s.watch_cache_hits = watch_cache_hits_.load(std::memory_order_relaxed);
     s.applied_epoch = applied_epoch_.load(std::memory_order_acquire);
     if (log_) {
       s.log_epoch = log_->head();
@@ -1850,12 +1819,10 @@ class query_service {
   }
 
   // Runs this lane's steps of a shard_group in order — records through
-  // apply_record, read runs through the cache-intercepted read path
-  // against the live index at its current epoch (stable here: only this
-  // lane writes this shard) — records the lane's counters, and, if this
-  // lane finishes the group, completes it. Writes never wait on readers:
-  // snapshots are isolated, and superseded trees go through the epoch
-  // reclaimer.
+  // apply_record, read runs on the live index (only this lane writes this
+  // shard) — records the lane's counters, and, if this lane finishes the
+  // group, completes it. Writes never wait on readers: snapshots are
+  // isolated, and superseded trees go through the epoch reclaimer.
   void run_lane_write(std::size_t s, shard_task task) {
     auto g = std::move(task.exec);
     // One ns delta feeds both the execute_write histogram and the lane's
@@ -1868,8 +1835,8 @@ class query_service {
       if (!g->replayed) fault::fire(fault::kLaneExecute);
       for (const lane_step& st : task.steps) {
         if (st.record == kReadRun) {
-          run_shard_reads(s, task.sub, st.begin, st.end, index, index.epoch(),
-                          rows);
+          detail::execute_read_phase_on<D>(index, task.sub, st.begin, st.end,
+                                           rows);
         } else {
           record_pts += g->log.records[st.record].pts.size();
           apply_record(g->log.records[st.record], g->replayed);
@@ -2248,8 +2215,8 @@ class query_service {
   // is appended, then applied like any other: if its append fails, no
   // point moves and the old bounds stay. Migration is one erase record per
   // losing shard, then inserts, so epochs bump on every shard that gains
-  // or loses points — stale k-NN cache rows become unreachable and
-  // already-stamped snapshot readers keep answering at their epochs.
+  // or loses points, and already-stamped snapshot readers keep answering
+  // at their epochs.
   void rebalance_stripes() {
     quiesce_lanes();
     std::vector<std::size_t> sizes(cfg_.shards);
@@ -2323,100 +2290,6 @@ class query_service {
     last_rebalance_futile_ = moved == 0;
     ctr_.rebalances.fetch_add(1, std::memory_order_relaxed);
     ctr_.rebalance_moved.fetch_add(moved, std::memory_order_relaxed);
-  }
-
-  // ---- cache-intercepted reads --------------------------------------------
-
-  // Exact cache key for one read request at `epoch` (callers gate on
-  // cacheable_read first).
-  static detail::result_key<D> make_read_key(const request<D>& r,
-                                             std::uint64_t epoch) {
-    switch (r.kind) {
-      case op::range_box:
-        return detail::result_key<D>::box(r.box, epoch);
-      case op::range_ball:
-        return detail::result_key<D>::ball(r.p, r.radius, epoch);
-      default:
-        return detail::result_key<D>::knn(r.p, r.k, epoch);
-    }
-  }
-
-  // Every read shape caches except k == 0 k-NN: its row is trivially
-  // empty and the phase runner skips executing it anyway.
-  static bool cacheable_read(const request<D>& r) {
-    return r.kind != op::knn || r.k > 0;
-  }
-
-  // One read run `batch[begin, end)` for shard s against `target` (the
-  // live index or an epoch snapshot) whose contents are at `epoch`: rows
-  // (k-NN, box, or ball) are served from the shard's result cache when
-  // the exact (shape, epoch) key hits; only the misses touch the tree,
-  // and their rows are stored back. Identical missed keys within the run
-  // execute once — the duplicates (zipf-hot keys repeat inside a batch)
-  // copy the first row and count as hits. Rows land in
-  // responses[begin..end). Returns how many rows the cache served
-  // (lookup hits + same-run duplicates) so callers can attribute hits —
-  // the watch path counts its own.
-  template <class Target>
-  std::size_t run_shard_reads(std::size_t s,
-                              const std::vector<request<D>>& batch,
-                              std::size_t begin, std::size_t end,
-                              const Target& target, std::uint64_t epoch,
-                              std::vector<response<D>>& responses) {
-    auto& cache = *caches_[s];
-    if (!cache.enabled()) {
-      detail::execute_read_phase_on<D>(target, batch, begin, end, responses);
-      return 0;
-    }
-    std::size_t lookup_hits = 0;
-    std::vector<request<D>> misses;
-    std::vector<std::size_t> miss_idx;
-    // Same-run dedup, hashed on the shared canonical result key (the
-    // epoch is constant within the run) — no ordered-map node churn on
-    // the hot read path.
-    std::unordered_map<detail::result_key<D>, std::size_t,
-                       detail::result_key_hash<D>>
-        first_miss;
-    std::vector<std::pair<std::size_t, std::size_t>> dups;  // (resp i, miss j)
-    for (std::size_t i = begin; i < end; ++i) {
-      const auto& r = batch[i];
-      if (cacheable_read(r)) {
-        const detail::result_key<D> key = make_read_key(r, epoch);
-        auto dit = first_miss.find(key);
-        if (dit != first_miss.end()) {  // same-run duplicate of a miss
-          dups.emplace_back(i, dit->second);
-          continue;
-        }
-        if (cache.lookup(key, responses[i].points)) {
-          ++lookup_hits;
-          continue;
-        }
-        first_miss.emplace(key, misses.size());
-      }
-      misses.push_back(r);
-      miss_idx.push_back(i);
-    }
-    if (!dups.empty()) cache.add_hits(dups.size());
-    const std::size_t hits = lookup_hits + dups.size();
-    if (misses.empty() && dups.empty()) return hits;
-    std::vector<response<D>> rows(misses.size());
-    // Miss-side of the cache latency split: the tree execution the
-    // missed probes went on to pay (the hit side is timed inside
-    // lookup()).
-    const std::uint64_t miss_t0 = cache.timed() ? monotonic_ns() : 0;
-    detail::execute_read_phase_on<D>(target, misses, 0, misses.size(), rows);
-    if (cache.timed()) cache.add_miss_ns(monotonic_ns() - miss_t0);
-    for (std::size_t j = 0; j < misses.size(); ++j) {
-      responses[miss_idx[j]].points = std::move(rows[j].points);
-      if (cacheable_read(misses[j])) {
-        cache.store(make_read_key(misses[j], epoch),
-                    responses[miss_idx[j]].points);
-      }
-    }
-    for (const auto& [i, j] : dups) {
-      responses[i].points = responses[miss_idx[j]].points;
-    }
-    return hits;
   }
 
   // ---- snapshot-read path -------------------------------------------------
@@ -2518,11 +2391,10 @@ class query_service {
   }
 
   // Executes a stamped read group against its epoch snapshots: every
-  // shard's sub-batch runs through the result cache in parallel (the
-  // execute_read stage, per shard), then rows gather-merge into
-  // `responses` in combined order (the merge stage, for ticket groups).
-  // Cache-served rows of watch groups count as watch_cache_hits. Callers
-  // hold an epoch-reclaimer guard.
+  // shard's sub-batch runs on its snapshot in parallel (the execute_read
+  // stage, per shard), then rows gather-merge into `responses` in
+  // combined order (the merge stage, for ticket groups). Callers hold an
+  // epoch-reclaimer guard.
   void read_snapshots(const read_group& g,
                       std::vector<response<D>>& responses) {
     responses.resize(g.combined.size());
@@ -2533,12 +2405,9 @@ class query_service {
           if (g.sub[s].empty()) return;
           shard_res[s].responses.resize(g.sub[s].size());
           const std::uint64_t s0 = tel_.enabled() ? tel_.now_ns() : 0;
-          const std::size_t hits =
-              run_shard_reads(s, g.sub[s], 0, g.sub[s].size(), *g.snaps[s],
-                              g.snaps[s]->epoch(), shard_res[s].responses);
-          if (hits > 0 && g.watch_seq != 0) {
-            watch_cache_hits_.fetch_add(hits, std::memory_order_relaxed);
-          }
+          detail::execute_read_phase_on<D>(*g.snaps[s], g.sub[s], 0,
+                                           g.sub[s].size(),
+                                           shard_res[s].responses);
           if (tel_.enabled()) {
             const std::uint64_t s_ns = tel_.now_ns() - s0;
             tel_.record_shard(s, stage::execute_read, s_ns);
@@ -2660,8 +2529,8 @@ class query_service {
       g->combined.push_back(std::move(q));
     }
     // Full scatter over ALL serving shards (not just the touched ones):
-    // a watch's fresh result must be the complete answer, and untouched
-    // shards answer from their caches at an unchanged epoch anyway.
+    // a watch's fresh result must be the complete answer, so untouched
+    // shards answer from their snapshots too.
     if (scatter_read_group(g, /*route_start=*/0)) return;
     // No shard serves any watch (only an inverted box can do that).
     recycle_read_group(*g);
@@ -3067,8 +2936,8 @@ class query_service {
   // Non-finite payload coordinates would break routing silently: every
   // stripe comparison on NaN is false, so owner_of/shard_serves would
   // dump the request into an arbitrary shard, and bit-distinct NaNs
-  // defeat the canonicalization that keeps routing and cache keys
-  // consistent. Reject at the front door instead.
+  // defeat the canonicalization that routes equal points alike. Reject at
+  // the front door instead.
   static void validate_batch(const std::vector<request<D>>& batch) {
     for (std::size_t i = 0; i < batch.size(); ++i) {
       const auto& r = batch[i];
@@ -3132,11 +3001,37 @@ class query_service {
     return 0;
   }
 
+  // Canonical bit pattern of one point coordinate: -0.0 maps to 0.0 so
+  // equal points (point::operator==) always share bits.
+  static std::uint64_t canonical_coord_bits(double c) {
+    const double coord = c == 0.0 ? 0.0 : c;
+    std::uint64_t bits;
+    static_assert(sizeof(bits) == sizeof(double));
+    std::memcpy(&bits, &coord, sizeof(bits));
+    return bits;
+  }
+
+  // FNV's 64-bit offset basis is 14695981039346656037; this one lacks
+  // the last digit, and hash_point must keep it.
+  static constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
+
+  static std::uint64_t fnv1a_mix(std::uint64_t h, std::uint64_t v) {
+    return (h ^ v) * 1099511628211ull;
+  }
+
+  // FNV-1a over a point's canonical coordinate bits.
+  static std::uint64_t point_fnv1a(const point<D>& p) {
+    std::uint64_t h = kFnvOffset;
+    for (int d = 0; d < D; ++d) h = fnv1a_mix(h, canonical_coord_bits(p[d]));
+    return h;
+  }
+
+  // Hash routing: equal points (the routing key) always hash alike. Op
+  // logs and checkpoints record which shard holds each point, so a
+  // recovered service or a replica routes later writes to the right
+  // shard only while this stays bit for bit the same.
   static std::size_t hash_point(const point<D>& p) {
-    // FNV-1a over canonical coordinate bits (result_cache.h holds the one
-    // definition): equal points (the routing key) always hash alike, and
-    // routing stays bit-for-bit consistent with the cache keys.
-    return static_cast<std::size_t>(detail::point_fnv1a(p));
+    return static_cast<std::size_t>(point_fnv1a(p));
   }
 
   // Scalar service counters, each its own relaxed atomic: no tally takes
@@ -3177,9 +3072,6 @@ class query_service {
   /// destruction, so the reclaimer must be destroyed after them.
   epoch_reclaimer reclaim_;
   std::vector<std::unique_ptr<spatial_index<D>>> shards_;
-  /// Hot result caches (k-NN / box / ball rows), one per shard
-  /// (query/result_cache.h).
-  std::vector<std::unique_ptr<result_cache<D>>> caches_;
   /// Per-shard executor lanes, one worker thread each.
   std::vector<std::unique_ptr<shard_lane>> lanes_;
 
@@ -3208,8 +3100,8 @@ class query_service {
   std::vector<std::pair<std::uint64_t, request<D>>> affected_scratch_;
 
   // TTL expiry. ttl_q_ holds (deadline, point) in nondecreasing deadline
-  // order — one drain-thread clock stamps appends group by group, and
-  // re-queued duplicates are already due — so the sweep only ever pops
+  // order — one clock stamps the appends group by group, and a rebuild
+  // clears the queue before refilling it — so the sweep only ever pops
   // the front. ttl_mu_ guards it (bootstrap runs off-thread).
   std::function<std::uint64_t()> ttl_now_;
   std::mutex ttl_mu_;
@@ -3253,8 +3145,7 @@ class query_service {
   // appended to only by the drain thread (plus bootstrap, pre-traffic) —
   // log order is commit order. Replica side: replay_q_ (hub_->mu) feeds
   // the drain thread log groups in epoch order, applied_epoch_ is the
-  // replay position routers gate reads on. watch_cache_hits_ counts
-  // watch-path rows the result cache served (reader threads bump it).
+  // replay position routers gate reads on.
   std::shared_ptr<op_log<D>> log_;
   std::deque<log_group<D>> replay_q_;
   // Appender scratch: latched once a durable append fails (later groups
@@ -3267,7 +3158,6 @@ class query_service {
   // groups the drain thread finished processing (dispatch-complete).
   std::atomic<std::uint64_t> replay_enqueued_{0};
   std::atomic<std::uint64_t> replay_done_{0};
-  std::atomic<std::uint64_t> watch_cache_hits_{0};
 
   std::mutex close_mu_;
   bool threads_joined_ = false;

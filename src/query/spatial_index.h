@@ -102,10 +102,10 @@ class spatial_index {
   /// with writes (it is an atomic counter, not a structure guard).
   ///
   /// The epoch doubles as a content-version token: within one epoch the
-  /// stored multiset — and therefore every query answer — is fixed, so
-  /// (query, epoch) keys memoized results (the query_service's result
-  /// cache relies on this, see query/result_cache.h). An erase batch that
-  /// matched nothing leaves the epoch alone.
+  /// stored multiset — and therefore every query answer — is fixed. The
+  /// query_service stamps snapshot reads with it and counts a read as
+  /// lagged when the live epoch has moved past its snapshot's. An erase
+  /// batch that matched nothing leaves the epoch alone.
   std::uint64_t epoch() const {
     return epoch_.load(std::memory_order_acquire);
   }

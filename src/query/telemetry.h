@@ -47,8 +47,7 @@
 //   same report.
 //
 // Everything here is backend- and dimension-agnostic: no query headers
-// are included, so result_cache.h and query_service.h can both build on
-// it without cycles.
+// are included, so query_service.h can build on it without cycles.
 #pragma once
 
 #include <algorithm>

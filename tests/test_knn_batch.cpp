@@ -4,15 +4,17 @@
 // par::detail::kSortGrain, so their Morton ordering spans several buckets.
 // Every row equals brute force by distance; on one structure, every row is
 // the same at every worker count and when the queries arrive shuffled.
-// (Across two builds of a BDL-tree or a B2 tree, a distance tie may pick
-// another point: their ids are point addresses.) k = 0 gives empty rows
-// through every entry point.
+// (Across two builds of a B2 tree, a distance tie may pick another point:
+// its ids are point addresses.) Two builds of one BDL-tree, at 1 and at 4
+// workers, and their snapshot views give the same points on ties too. k = 0
+// gives empty rows through every entry point.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <functional>
 #include <iterator>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "bdltree/baselines.h"
@@ -227,6 +229,36 @@ TEST(KnnBatch, EveryEntryPointMatchesBruteForceInAnyOrderAtAnyWorkerCount) {
           moved += sh[j] != got[perm[j]];
         }
         EXPECT_EQ(moved, 0u) << "rows that changed when shuffled";
+      }
+    }
+  }
+}
+
+// BDL-tree k-NN ids name a tree slot and a storage index, not an address,
+// so the rows of a rebuilt forest and of a snapshot view (which copies the
+// staging buffer) keep the same points on distance ties.
+TEST(KnnBatch, BdlTreeTiesKeepTheSamePointsAcrossBuildsAndViews) {
+  for (const input& in : inputs()) {
+    if (std::string(in.name) != "collinear" &&
+        std::string(in.name) != "lattice with duplicates") {
+      continue;
+    }
+    for (const std::size_t k : kKs) {
+      SCOPED_TRACE(::testing::Message() << in.name << " k=" << k);
+      std::vector<rows> at;  // knn and view().knn of a build per worker count
+      for (const int w : {1, 4}) {
+        testutil::scoped_workers workers(w);
+        const auto t = bdl(in.pts);
+        at.push_back(t.knn(in.queries, k));
+        at.push_back(t.view().knn(in.queries, k));
+      }
+      for (std::size_t j = 1; j < at.size(); ++j) {
+        std::size_t differ = 0;
+        for (std::size_t i = 0; i < kQueries; ++i) {
+          differ += at[j][i] != at[0][i];
+        }
+        EXPECT_EQ(differ, 0u) << "rows that differ from the 1-worker build's "
+                              << "knn, in result " << j;
       }
     }
   }

@@ -21,6 +21,8 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <future>
 #include <limits>
 #include <memory>
@@ -590,6 +592,39 @@ TEST(QueryService, NegativeZeroRoutesLikeZero) {
   }
 }
 
+TEST(QueryService, HashRoutingIsFnv1aOverCanonicalCoordinateBits) {
+  // Op logs and checkpoints store each shard's points, so hash routing
+  // must stay what it is: FNV-1a over the coordinates' bit patterns, with
+  // -0.0 read as 0.0, modulo the shard count. The offset basis is the
+  // service's 1469598103934665603, not FNV's 14695981039346656037.
+  const auto route = [](const point<2>& p, std::size_t shards) {
+    std::uint64_t h = 1469598103934665603ull;
+    for (int d = 0; d < 2; ++d) {
+      const double c = p[d] == 0.0 ? 0.0 : p[d];
+      std::uint64_t bits;
+      std::memcpy(&bits, &c, sizeof(bits));
+      h = (h ^ bits) * 1099511628211ull;
+    }
+    return static_cast<std::size_t>(h % shards);
+  };
+  constexpr std::size_t kShards = 5;
+  auto pts = datagen::uniform<2>(1000, 31);
+  point<2> neg{{1.0, 2.0}};
+  neg[0] = -0.0;
+  pts.push_back(neg);
+  auto service = make_service<2>(kShards, shard_policy::hash);
+  service.bootstrap(pts);
+  service.close();
+  std::vector<std::vector<point<2>>> want(kShards);
+  for (const auto& p : pts) want[route(p, kShards)].push_back(p);
+  for (std::size_t s = 0; s < kShards; ++s) {
+    auto got = service.shard(s).gather();
+    std::sort(got.begin(), got.end());
+    std::sort(want[s].begin(), want[s].end());
+    EXPECT_EQ(got, want[s]) << "shard " << s;
+  }
+}
+
 TEST(QueryService, FourProducersDrainAcrossShardLanes) {
   // The tentpole scenario: 4 truly parallel producers feed 4 shard lanes
   // through the per-shard drain pipeline. Stripe-isolated payloads verify
@@ -767,9 +802,8 @@ TEST(QueryService, OversizedBatchAdmitsAloneUnderBackpressure) {
 
 TEST(QueryService, NonFiniteCoordinatesRejectedAtSubmit) {
   // NaN/inf payloads would break routing silently (every stripe
-  // comparison on NaN is false, so the point lands in an arbitrary shard
-  // and bit-distinct NaNs key the cache inconsistently): the front door
-  // rejects them before a ticket exists.
+  // comparison on NaN is false, so the point lands in an arbitrary shard):
+  // the front door rejects them before a ticket exists.
   auto service = make_service<2>(2, shard_policy::spatial);
   service.bootstrap(datagen::uniform<2>(100, 3));
   const double nan = std::nan("");
@@ -950,9 +984,7 @@ TEST(QueryService, BdltreeWriteStreamReclaimsEveryRetiredVersion) {
 // the write commits long before the read retires (~3 ms vs ~70 ms on a
 // 4-core x86 VM).
 TEST(QueryService, BdltreeReadOvertakenByAWriteCountsAsLagged) {
-  auto cfg = make_config<2>(1, shard_policy::hash);
-  cfg.cache_capacity = 0;  // every query runs on the snapshot
-  query::query_service<2> service(cfg);
+  query::query_service<2> service(make_config<2>(1, shard_policy::hash));
   const auto pts = datagen::uniform<2>(20000, 23);
   service.bootstrap(pts);
 

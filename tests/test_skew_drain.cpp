@@ -195,49 +195,27 @@ TEST(SkewDrain, RebalanceFlattensShardSizesAndKeepsContents) {
   expect_same_responses(reads, got_r.responses, want_r.responses);
 }
 
-TEST(SkewDrain, RebalanceKeepsCachedAnswersExact) {
-  // Migration must invalidate cached k-NN rows on every shard it touches
-  // (epochs bump through batch_erase/batch_insert): a cache-enabled
-  // skewed run with rebalancing must byte-match the cache-disabled one.
-  auto spec = make_skew_spec();
+TEST(SkewDrain, RebalanceKeepsAnswersExact) {
+  // A skewed run that migrates points answers like the reference.
+  const auto spec = make_skew_spec();
+  const auto got = run_skewed(1.2, spec);
+  expect_same_responses(query::make_requests<2>(spec), got.responses,
+                        run_reference(spec).responses);
+  EXPECT_GE(got.stats.rebalances, 1u);
+
+  // Targeted probe: answer a k-NN query, trigger a rebalance that changes
+  // the true answer, and demand the re-query sees the migrated points.
   query::service_config cfg;
   cfg.shards = 4;
   cfg.policy = shard_policy::spatial;
   cfg.rebalance_threshold = 1.2;
-
-  auto cached_cfg = cfg;
-  cached_cfg.cache_capacity = 256;
-  query::query_service<2> cached(cached_cfg);
-  std::vector<query::response<2>> got;
-  query::run_workload<2>(cached, spec, &got);
-  cached.close();
-
-  auto uncached_cfg = cfg;
-  uncached_cfg.cache_capacity = 0;
-  query::query_service<2> uncached(uncached_cfg);
-  std::vector<query::response<2>> want;
-  query::run_workload<2>(uncached, spec, &want);
-  uncached.close();
-
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i].points, want[i].points) << "response " << i;
-  }
-  EXPECT_GE(cached.stats().rebalances, 1u);
-  EXPECT_GT(cached.stats().cache.misses, 0u);  // the cache was in the path
-
-  // Targeted staleness probe (skewed payloads rarely repeat keys, so the
-  // stream above exercises few hits): cache a k-NN row, trigger a
-  // rebalance that changes the true answer, and demand the re-query is
-  // fresh — a stale row surviving migration would surface right here.
-  query::query_service<2> svc(cached_cfg);
+  query::query_service<2> svc(cfg);
   const auto initial = datagen::uniform<2>(400, 9);
   svc.bootstrap(initial);
   const double side = std::sqrt(400.0);
   const auto q =
       query::request<2>::make_knn(point<2>{{side * 0.03, side * 0.03}}, 3);
-  svc.execute({q, q});  // miss + same-run duplicate: the row is cached
-  EXPECT_GT(svc.stats().cache.hits, 0u);
+  svc.execute({q});
 
   std::vector<query::request<2>> block;
   for (int i = 0; i < 600; ++i) {
@@ -251,7 +229,6 @@ TEST(SkewDrain, RebalanceKeepsCachedAnswersExact) {
 
   query::service_config ref_cfg;
   ref_cfg.shards = 1;
-  ref_cfg.cache_capacity = 0;
   query::query_service<2> reference(ref_cfg);
   reference.bootstrap(initial);
   reference.execute(block);

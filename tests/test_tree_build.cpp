@@ -173,11 +173,9 @@ void expect_veb_contract(const veb& t, const std::vector<P>& order,
 
 std::vector<double> veb_knn(const veb& t, const P& q) {
   kdtree::knn_buffer buf(5);
-  t.knn(q, buf);
+  t.knn(q, 0, buf);
   std::vector<double> d;
-  for (const auto& e : buf.finish()) {
-    d.push_back(veb::decode_id(e.id).dist_sq(q));
-  }
+  for (const auto& e : buf.finish()) d.push_back(t.point_at(e.id).dist_sq(q));
   return d;
 }
 

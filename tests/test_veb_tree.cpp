@@ -18,14 +18,17 @@ using testutil::expect_sound_links;
 
 namespace {
 
+// Runs under a non-zero forest slot, so the id's two halves are checked.
 template <int D>
 std::vector<point<D>> knn_points(const veb_tree<D>& t, const point<D>& q,
                                  std::size_t k) {
+  constexpr std::size_t kSlot = 5;
   kdtree::knn_buffer buf(k);
-  t.knn(q, buf);
+  t.knn(q, kSlot, buf);
   std::vector<point<D>> out;
   for (const auto& e : buf.finish()) {
-    out.push_back(veb_tree<D>::decode_id(e.id));
+    EXPECT_EQ(e.id >> 32, kSlot);
+    out.push_back(t.point_at(e.id & 0xffffffffu));
   }
   return out;
 }
@@ -163,7 +166,7 @@ TEST(VebTree, EraseEverything) {
   EXPECT_TRUE(t.empty());
   EXPECT_TRUE(t.gather().empty());
   kdtree::knn_buffer buf(3);
-  t.knn(pts[0], buf);  // must not crash on an empty tree
+  t.knn(pts[0], 0, buf);  // must not crash on an empty tree
   EXPECT_TRUE(buf.finish().empty());
 }
 
