@@ -14,10 +14,12 @@
 // range's extent, after the points below it; a cut that would leave a side
 // empty falls back to the object median. Up to kParallelSplitCutoff points
 // a split runs in place on one worker (`std::nth_element`,
-// `std::partition`). Above it, a parallel selection finds v (a sample
-// brackets it, then only the points inside the bracket are selected from)
-// and a blocked, stable three-way partition [< v | = v | > v] reorders the
-// range through a scratch buffer (`par::counting_scatter`).
+// `std::partition`). Above it, a parallel selection finds v
+// (`order_statistic`: a sample brackets it, then only the points inside the
+// bracket are selected from) and a blocked, stable three-way partition
+// [< v | = v | > v] reorders the range through a scratch buffer
+// (`par::counting_scatter`). The query service's stripe cuts are order
+// statistics too, taken by the same routine.
 //
 // *Determinism.* Which path splits a range depends on the range's size
 // alone, and each path's output depends only on the points (the selection
@@ -74,24 +76,6 @@ struct cut {
 
 namespace detail {
 
-// Runs f(lo, hi) over blocks of [0, n) on the workers and folds the
-// results in block order.
-template <class R, class F, class Fold>
-R blocked(std::size_t n, R id, F f, Fold fold) {
-  const std::size_t block = std::size_t{1} << 14;
-  const std::size_t nb = par::detail::num_blocks(n, block);
-  std::vector<R> part(nb, id);
-  par::parallel_for(
-      0, nb,
-      [&](std::size_t b) {
-        part[b] = f(b * block, std::min(n, (b + 1) * block));
-      },
-      1);
-  R acc = id;
-  for (auto& r : part) acc = fold(std::move(acc), std::move(r));
-  return acc;
-}
-
 // min and max of coordinate `dim` over a[0, n), n > 0.
 template <class T>
 std::pair<double, double> extent(const T* a, std::size_t n, int dim) {
@@ -105,34 +89,46 @@ std::pair<double, double> extent(const T* a, std::size_t n, int dim) {
     return e;
   };
   if (n <= kParallelSplitCutoff) return scan(0, n);
-  return blocked(n, scan(0, 0), scan, [](auto x, auto y) {
+  return par::fold_blocks(n, scan(0, 0), scan, [](auto x, auto y) {
     return std::pair{std::min(x.first, y.first),
                      std::max(x.second, y.second)};
   });
 }
 
-// The (n/2)-th smallest coordinate `dim` of a[0, n), n > 0, on the
-// workers. Two order statistics of a sample at hashed positions (fixed by
-// n) bracket it; one pass counts the points below the bracket and gathers
-// those inside, and a selection among the gathered finds it. A bracket
-// that misses (rare: 4 standard deviations of the sample median's rank on
-// either side) falls back to selecting among all n.
+}  // namespace detail
+
+/// The k-th smallest (0-based) coordinate `dim` of a[0, n), k < n: an exact
+/// order statistic. Up to kParallelSplitCutoff points it is selected on the
+/// calling thread (`std::nth_element` over a copy of the coordinates).
+/// Above it, two order statistics of a sample at hashed positions (fixed by
+/// n) bracket it; one pass on the workers counts the points below the
+/// bracket and gathers those inside, and a selection among the gathered
+/// finds it. A bracket side past either end of the sample is open, and a
+/// bracket that misses (rare: 4 standard deviations of the sample
+/// quantile's rank on either side) falls back to selecting among all n.
 template <class T>
-double parallel_median(const T* a, std::size_t n, int dim) {
+double order_statistic(const T* a, std::size_t n, std::size_t k, int dim) {
+  if (n <= kParallelSplitCutoff) {
+    std::vector<double> c(n);
+    for (std::size_t i = 0; i < n; ++i) c[i] = a[i][dim];
+    std::nth_element(c.begin(), c.begin() + k, c.end());
+    return c[k];
+  }
   constexpr std::size_t kSample = 4096, kSlack = 128;
-  const std::size_t k = n / 2;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
   std::vector<double> sample(kSample);
   for (std::size_t j = 0; j < kSample; ++j) {
     sample[j] = a[par::rand_at(n, j) % n][dim];
   }
   std::sort(sample.begin(), sample.end());
-  const double lo = sample[kSample / 2 - kSlack];
-  const double hi = sample[kSample / 2 + kSlack];
+  const std::size_t at = k * kSample / n;  // k's rank, scaled to the sample
+  const double lo = at >= kSlack ? sample[at - kSlack] : -kInf;
+  const double hi = at + kSlack < kSample ? sample[at + kSlack] : kInf;
   struct tally {
     std::size_t below = 0;
     std::vector<double> inside;
   };
-  tally t = blocked(
+  tally t = par::fold_blocks(
       n, tally{},
       [&](std::size_t s, std::size_t e) {
         // Branch-free: every coordinate is written, and the cursor moves
@@ -167,6 +163,8 @@ double parallel_median(const T* a, std::size_t n, int dim) {
   std::nth_element(pick.begin(), pick.begin() + rank, pick.end());
   return pick[rank];
 }
+
+namespace detail {
 
 // Reorders a[0, n) into [< v | = v | > v] along `dim`, each part in its
 // old order, through scratch[0, n); returns the number of points < v.
@@ -203,7 +201,7 @@ cut split(T* a, std::size_t n, int dim, split_policy policy, T* scratch) {
   }
   const std::size_t mid = n / 2;
   if (parallel) {
-    const double v = detail::parallel_median(a, n, dim);
+    const double v = order_statistic(a, n, mid, dim);
     detail::partition3(a, n, dim, v, scratch);
     return {mid, v};
   }

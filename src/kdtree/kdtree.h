@@ -169,10 +169,11 @@ class tree {
       return b;
     };
     if (n <= kParallelSplitCutoff) return scan(0, n);
-    return detail::blocked(n, aabb<D>{}, scan, [](aabb<D> x, const aabb<D>& y) {
-      x.extend(y);
-      return x;
-    });
+    return par::fold_blocks(n, aabb<D>{}, scan,
+                            [](aabb<D> x, const aabb<D>& y) {
+                              x.extend(y);
+                              return x;
+                            });
   }
 
   node* alloc_node() {

@@ -10,24 +10,6 @@ namespace pargeo::mortonsort {
 namespace {
 
 template <int D>
-constexpr int bits_per_dim() {
-  return 64 / D;
-}
-
-/// Interleaves the low `bits` bits of each quantized coordinate.
-template <int D>
-uint64_t interleave(const std::array<uint64_t, D>& q) {
-  constexpr int bits = bits_per_dim<D>();
-  uint64_t code = 0;
-  for (int b = bits - 1; b >= 0; --b) {
-    for (int d = 0; d < D; ++d) {
-      code = (code << 1) | ((q[d] >> b) & 1u);
-    }
-  }
-  return code;
-}
-
-template <int D>
 aabb<D> bounding_box(const std::vector<point<D>>& pts) {
   aabb<D> box;
   for (const auto& p : pts) box.extend(p);
@@ -39,7 +21,7 @@ aabb<D> bounding_box(const std::vector<point<D>>& pts) {
 template <int D>
 uint64_t morton_code(const point<D>& p, const point<D>& lo,
                      const point<D>& hi) {
-  constexpr int bits = bits_per_dim<D>();
+  constexpr int bits = 64 / D;
   constexpr uint64_t maxCell = (uint64_t{1} << bits) - 1;
   std::array<uint64_t, D> q{};
   for (int d = 0; d < D; ++d) {

@@ -7,6 +7,7 @@
 // batch k-NN (`parallel_for_each`).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -14,6 +15,52 @@
 #include "parallel/scheduler.h"
 
 namespace pargeo::mortonsort {
+
+namespace detail {
+
+// Moves bit b of the low 32 bits of x to bit 2b.
+constexpr uint64_t spread2(uint64_t x) {
+  x &= 0x00000000ffffffffull;
+  x = (x | x << 16) & 0x0000ffff0000ffffull;
+  x = (x | x << 8) & 0x00ff00ff00ff00ffull;
+  x = (x | x << 4) & 0x0f0f0f0f0f0f0f0full;
+  x = (x | x << 2) & 0x3333333333333333ull;
+  x = (x | x << 1) & 0x5555555555555555ull;
+  return x;
+}
+
+// Moves bit b of the low 21 bits of x to bit 3b.
+constexpr uint64_t spread3(uint64_t x) {
+  x &= 0x00000000001fffffull;
+  x = (x | x << 32) & 0x001f00000000ffffull;
+  x = (x | x << 16) & 0x001f0000ff0000ffull;
+  x = (x | x << 8) & 0x100f00f00f00f00full;
+  x = (x | x << 4) & 0x10c30c30c30c30c3ull;
+  x = (x | x << 2) & 0x1249249249249249ull;
+  return x;
+}
+
+}  // namespace detail
+
+/// Interleaves the low 64/D bits of each quantized coordinate into a code:
+/// bit b of q[d] becomes bit D*b + (D - 1 - d), so the highest bits of
+/// q[0], ..., q[D - 1] lead. D = 2 and 3 spread each coordinate with a
+/// mask-and-shift ladder; other D place the bits one at a time.
+template <int D>
+constexpr uint64_t interleave(const std::array<uint64_t, D>& q) {
+  if constexpr (D == 2) {
+    return detail::spread2(q[0]) << 1 | detail::spread2(q[1]);
+  } else if constexpr (D == 3) {
+    return detail::spread3(q[0]) << 2 | detail::spread3(q[1]) << 1 |
+           detail::spread3(q[2]);
+  } else {
+    uint64_t code = 0;
+    for (int b = 64 / D - 1; b >= 0; --b) {
+      for (int d = 0; d < D; ++d) code = (code << 1) | ((q[d] >> b) & 1u);
+    }
+    return code;
+  }
+}
 
 /// Morton code of p within bounding box [lo, hi] (per-dimension).
 template <int D>

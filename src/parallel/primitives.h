@@ -1,5 +1,5 @@
-// Data-parallel sequence primitives: reduce, scan, pack, filter, counting
-// scatter, flatten.
+// Data-parallel sequence primitives: block folds, reduce, scan, pack, filter,
+// counting scatter, flatten.
 //
 // These mirror the ParlayLib operations the ParGeo paper's pseudocode uses
 // (e.g. ParallelPack on line 17 of the hull algorithm). All primitives are
@@ -11,6 +11,7 @@
 #include <functional>
 #include <new>
 #include <numeric>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -24,6 +25,25 @@ inline std::size_t num_blocks(std::size_t n, std::size_t block) {
 }
 inline constexpr std::size_t kBlock = 4096;
 }  // namespace detail
+
+/// Runs f(lo, hi) over consecutive blocks of [0, n) on the workers and
+/// folds the results in block order: fold(...fold(id, f(block 0))...,
+/// f(last block)). With one block, f runs on the calling thread.
+template <class R, class F, class Fold>
+R fold_blocks(std::size_t n, R id, F f, Fold fold) {
+  const std::size_t block = std::size_t{1} << 14;
+  const std::size_t nb = detail::num_blocks(n, block);
+  std::vector<R> part(nb, id);
+  parallel_for(
+      0, nb,
+      [&](std::size_t b) {
+        part[b] = f(b * block, std::min(n, (b + 1) * block));
+      },
+      1);
+  R acc = id;
+  for (auto& r : part) acc = fold(std::move(acc), std::move(r));
+  return acc;
+}
 
 /// reduce(seq, id, op): op must be associative with identity `id`.
 template <class Seq, class T, class Op>
@@ -201,20 +221,19 @@ std::size_t count_if(const Seq& s, Pred pred) {
   return std::accumulate(partial.begin(), partial.end(), std::size_t{0});
 }
 
-/// Stable counting sort by a small key: writes item(0), ..., item(n - 1)
-/// to out[0, n) so that the items of bucket 0 come first, then those of
-/// bucket 1, and so on, each bucket in input order. `key(x)` is x's bucket,
-/// in [0, buckets); out may be uninitialised storage (items are written by
-/// placement new). One counting pass and one scatter pass, each parallel
-/// over blocks; being stable, the output does not depend on the blocking.
-/// Returns the bucket starts with n appended (buckets + 1 entries).
-template <class T, class Item, class Key>
+namespace detail {
+
+// counting_scatter's count and scatter passes. Between them,
+// storage(start) returns where each bucket's items go: start[k] is where
+// bucket k begins in the concatenated output, start[k + 1] where it ends.
+template <class Item, class Key, class Storage>
 std::vector<std::size_t> counting_scatter(std::size_t n, std::size_t buckets,
-                                          Item item, Key key, T* out) {
+                                          Item item, Key key,
+                                          Storage storage) {
   // A block writes one run per bucket: with many buckets, larger blocks
   // keep the runs long enough that two blocks rarely share a cache line.
-  const std::size_t block = std::max(detail::kBlock, 16 * buckets);
-  const std::size_t nb = detail::num_blocks(n, block);
+  const std::size_t block = std::max(kBlock, 16 * buckets);
+  const std::size_t nb = num_blocks(n, block);
   std::vector<std::size_t> offs(nb * buckets, 0);  // row b: block b's runs
   parallel_for(
       0, nb,
@@ -232,11 +251,13 @@ std::vector<std::size_t> counting_scatter(std::size_t n, std::size_t buckets,
     start[k] = total;
     for (std::size_t b = 0; b < nb; ++b) {
       const std::size_t c = offs[b * buckets + k];
-      offs[b * buckets + k] = total;
+      offs[b * buckets + k] = total - start[k];  // offset inside bucket k
       total += c;
     }
   }
   start[buckets] = total;
+  const auto out = storage(start);
+  using T = std::remove_pointer_t<typename decltype(out)::value_type>;
   parallel_for(
       0, nb,
       [&](std::size_t b) {
@@ -245,11 +266,54 @@ std::vector<std::size_t> counting_scatter(std::size_t n, std::size_t buckets,
         const std::size_t hi = std::min(n, (b + 1) * block);
         for (std::size_t i = b * block; i < hi; ++i) {
           auto x = item(i);
-          ::new (static_cast<void*>(out + at[key(x)]++)) T(std::move(x));
+          const std::size_t k = key(x);
+          ::new (static_cast<void*>(out[k] + at[k]++)) T(std::move(x));
         }
       },
       1);
   return start;
+}
+
+}  // namespace detail
+
+/// Stable counting sort by a small key: writes item(0), ..., item(n - 1)
+/// to out[0, n) so that the items of bucket 0 come first, then those of
+/// bucket 1, and so on, each bucket in input order. `key(x)` is x's bucket,
+/// in [0, buckets); out may be uninitialised storage (items are written by
+/// placement new). One counting pass and one scatter pass, each parallel
+/// over blocks; being stable, the output does not depend on the blocking.
+/// Returns the bucket starts with n appended (buckets + 1 entries).
+template <class T, class Item, class Key>
+std::vector<std::size_t> counting_scatter(std::size_t n, std::size_t buckets,
+                                          Item item, Key key, T* out) {
+  return detail::counting_scatter(
+      n, buckets, item, key, [out](const std::vector<std::size_t>& start) {
+        std::vector<T*> at(start.size() - 1);
+        for (std::size_t k = 0; k < at.size(); ++k) at[k] = out + start[k];
+        return at;
+      });
+}
+
+/// The same scatter into one vector per bucket: out[k] is resized to hold
+/// exactly bucket k's items, in input order (out.size() == buckets). The
+/// vectors are resized on the workers, so fresh pages fault on all of them.
+template <class T, class Item, class Key>
+void counting_scatter(std::size_t n, Item item, Key key,
+                      std::vector<std::vector<T>>& out) {
+  static_assert(std::is_trivially_destructible_v<T>,
+                "items are placement-new'd over the resized vectors' slots");
+  detail::counting_scatter(
+      n, out.size(), item, key, [&out](const std::vector<std::size_t>& start) {
+        std::vector<T*> at(out.size());
+        parallel_for(
+            0, out.size(),
+            [&](std::size_t k) {
+              out[k].resize(start[k + 1] - start[k]);
+              at[k] = out[k].data();
+            },
+            1);
+        return at;
+      });
 }
 
 /// flatten(vector<vector<T>>): concatenation, preserving order.

@@ -116,7 +116,7 @@ inline void ensure_dir(const std::string& dir) {
 /// tmp + fsync + rename. `torn_cap` (from a fault) truncates the write
 /// and throws after the partial tmp lands — the rename never happens.
 inline void write_file_atomic(const std::string& path,
-                              const std::vector<unsigned char>& buf,
+                              const unsigned char* data, std::size_t size,
                               std::uint64_t torn_cap, bool torn) {
   const std::string tmp = path + ".tmp";
   std::FILE* f = std::fopen(tmp.c_str(), "wb");
@@ -125,13 +125,12 @@ inline void write_file_atomic(const std::string& path,
                              "' for writing");
   }
   const std::size_t cap =
-      torn ? std::min<std::size_t>(buf.size(),
-                                   static_cast<std::size_t>(torn_cap))
-           : buf.size();
-  const std::size_t wrote = std::fwrite(buf.data(), 1, cap, f);
+      torn ? std::min<std::size_t>(size, static_cast<std::size_t>(torn_cap))
+           : size;
+  const std::size_t wrote = std::fwrite(data, 1, cap, f);
   std::fflush(f);
   ::fsync(::fileno(f));
-  const bool ok = std::fclose(f) == 0 && wrote == buf.size() && !torn;
+  const bool ok = std::fclose(f) == 0 && wrote == size && !torn;
   if (!ok) {
     throw std::runtime_error("checkpoint: torn/short write to '" + tmp + "'");
   }
@@ -162,10 +161,10 @@ inline void write_manifest(const std::string& dir,
                            const std::vector<std::string>& names) {
   std::vector<unsigned char> buf;
   for (const auto& n : names) {
-    put_bytes(buf, n.data(), n.size());
-    put_u8(buf, '\n');
+    buf.insert(buf.end(), n.begin(), n.end());
+    buf.push_back('\n');
   }
-  write_file_atomic(dir + "/CURRENT", buf, 0, false);
+  write_file_atomic(dir + "/CURRENT", buf.data(), buf.size(), 0, false);
 }
 
 }  // namespace detail
@@ -180,23 +179,23 @@ void write_checkpoint(const std::string& dir, const checkpoint_data<D>& ck) {
   using namespace detail;
   ensure_dir(dir);
 
-  std::vector<unsigned char> buf;
-  put_bytes(buf, kCkMagic, 4);
-  put_u32(buf, kCkVersion);
-  put_u32(buf, static_cast<std::uint32_t>(D));
-  put_u64(buf, ck.epoch);
-  put_u8(buf, ck.bounds_set ? 1 : 0);
-  put_u32(buf, static_cast<std::uint32_t>(ck.split_dim));
-  put_u64(buf, ck.cuts.size());
-  for (double c : ck.cuts) put_f64(buf, c);
-  put_u64(buf, ck.shard_points.size());
+  std::size_t size = 4 + 4 + 4 + 8 + 1 + 4 + 8 + 8 * ck.cuts.size() + 8 + 8;
   for (const auto& shard : ck.shard_points) {
-    put_u64(buf, shard.size());
-    for (const auto& p : shard) {
-      for (int d = 0; d < D; ++d) put_f64(buf, p[d]);
-    }
+    size += 8 + shard.size() * point_bytes<D>();
   }
-  put_u64(buf, fnv1a(buf.data(), buf.size()));
+  const byte_buffer buf(size);
+  byte_writer w{buf.data.get()};
+  w.bytes(kCkMagic, 4);
+  w.u32(kCkVersion);
+  w.u32(static_cast<std::uint32_t>(D));
+  w.u64(ck.epoch);
+  w.u8(ck.bounds_set ? 1 : 0);
+  w.u32(static_cast<std::uint32_t>(ck.split_dim));
+  w.u64(ck.cuts.size());
+  for (double c : ck.cuts) w.f64(c);
+  w.u64(ck.shard_points.size());
+  for (const auto& shard : ck.shard_points) w.points(shard);
+  w.u64(fnv1a(buf.data.get(), size - 8));
 
   // The fault fires before any byte lands; a torn-write cap truncates
   // the tmp file, which never gets renamed. Either way the previous
@@ -209,7 +208,7 @@ void write_checkpoint(const std::string& dir, const checkpoint_data<D>& ck) {
   }
 
   const std::string name = "ck-" + std::to_string(ck.epoch) + ".pgck";
-  write_file_atomic(dir + "/" + name, buf, torn_cap, torn);
+  write_file_atomic(dir + "/" + name, buf.data.get(), size, torn_cap, torn);
 
   auto names = read_manifest(dir);
   names.insert(names.begin(), name);
@@ -262,12 +261,7 @@ bool read_latest_checkpoint(const std::string& dir, checkpoint_data<D>& out) {
       ck.cuts.resize(rd.checked_count(sizeof(double)));
       for (auto& c : ck.cuts) c = rd.f64();
       ck.shard_points.resize(rd.checked_count(8));
-      for (auto& shard : ck.shard_points) {
-        shard.resize(rd.checked_count(sizeof(double) * D));
-        for (auto& p : shard) {
-          for (int d = 0; d < D; ++d) p[d] = rd.f64();
-        }
-      }
+      for (auto& shard : ck.shard_points) rd.points(shard);
       if (rd.off != payload) continue;
       out = std::move(ck);
       return true;

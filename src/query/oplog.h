@@ -65,11 +65,13 @@
 #include <mutex>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include <unistd.h>
 
 #include "core/point.h"
+#include "parallel/scheduler.h"
 #include "query/fault.h"
 
 namespace pargeo::query {
@@ -179,8 +181,11 @@ struct log_group {
 // ---- byte codec shared by both durable formats --------------------------
 // The op log (below) and checkpoints (query/checkpoint.h) encode alike:
 // little-endian fixed-width fields (every supported target is LE; memcpy
-// keeps it alias-safe), FNV-1a checksums, and one bounds-checked reader
-// whose errors name the format and the file.
+// keeps it alias-safe), FNV-1a checksums, one writer into a buffer sized
+// beforehand, and one bounds-checked reader whose errors name the format
+// and the file. A run of points is one count and then the points' bytes,
+// copied whole: each point is D packed doubles, so the bytes are those of
+// its coordinates written one by one.
 namespace detail {
 
 inline std::uint64_t fnv1a(const unsigned char* p, std::size_t n) {
@@ -192,23 +197,57 @@ inline std::uint64_t fnv1a(const unsigned char* p, std::size_t n) {
   return h;
 }
 
-inline void put_bytes(std::vector<unsigned char>& b, const void* p,
-                      std::size_t n) {
-  const auto* c = static_cast<const unsigned char*>(p);
-  b.insert(b.end(), c, c + n);
+/// The bytes of one point in a run of points.
+template <int D>
+constexpr std::size_t point_bytes() {
+  static_assert(sizeof(point<D>) == D * sizeof(double) &&
+                    std::is_trivially_copyable_v<point<D>>,
+                "point<D> must be D packed doubles: runs of points are "
+                "copied to and from the codec's bytes whole");
+  return sizeof(point<D>);
 }
-inline void put_u8(std::vector<unsigned char>& b, std::uint8_t v) {
-  b.push_back(v);
-}
-inline void put_u32(std::vector<unsigned char>& b, std::uint32_t v) {
-  put_bytes(b, &v, 4);
-}
-inline void put_u64(std::vector<unsigned char>& b, std::uint64_t v) {
-  put_bytes(b, &v, 8);
-}
-inline void put_f64(std::vector<unsigned char>& b, double v) {
-  put_bytes(b, &v, 8);
-}
+
+/// `size` bytes for a byte_writer to fill. The storage starts
+/// uninitialised: the writer sets every byte, and zeroing a fresh buffer
+/// first would fault all its pages in on one thread.
+struct byte_buffer {
+  explicit byte_buffer(std::size_t n) : size(n), data(new unsigned char[n]) {}
+  std::size_t size;
+  std::unique_ptr<unsigned char[]> data;
+};
+
+/// Writes fields at `at` on, into a buffer its caller sized for them.
+struct byte_writer {
+  unsigned char* at;
+
+  void bytes(const void* p, std::size_t n) {
+    std::memcpy(at, p, n);
+    at += n;
+  }
+  void u8(std::uint8_t v) { bytes(&v, 1); }
+  void u32(std::uint32_t v) { bytes(&v, 4); }
+  void u64(std::uint64_t v) { bytes(&v, 8); }
+  void f64(double v) { bytes(&v, 8); }
+  /// A run of points: its u64 count, then the points in one copy. A run
+  /// past 1 MiB is copied in 1 MiB chunks on the workers, so the pages of a
+  /// fresh buffer fault in on all of them.
+  template <int D>
+  void points(const std::vector<point<D>>& pts) {
+    constexpr std::size_t kChunk = std::size_t{1} << 20;
+    u64(pts.size());
+    const auto* src = reinterpret_cast<const unsigned char*>(pts.data());
+    const std::size_t n = pts.size() * point_bytes<D>();
+    unsigned char* dst = at;
+    par::parallel_for(
+        0, (n + kChunk - 1) / kChunk,
+        [&](std::size_t c) {
+          std::memcpy(dst + c * kChunk, src + c * kChunk,
+                      std::min(kChunk, n - c * kChunk));
+        },
+        1);
+    at += n;
+  }
+};
 
 /// Reads fields off [data, data + len) from `off`; every failure throws
 /// std::runtime_error("<format>: '<path>' ...").
@@ -261,6 +300,16 @@ struct byte_reader {
     }
     return static_cast<std::size_t>(n);
   }
+  /// Reads a run of points (byte_writer::points): its count, checked
+  /// against the bytes remaining, and then the points in one copy.
+  template <int D>
+  void points(std::vector<point<D>>& out) {
+    out.resize(checked_count(point_bytes<D>()));
+    const std::size_t n = out.size() * point_bytes<D>();
+    if (n == 0) return;
+    std::memcpy(out.data(), data + off, n);
+    off += n;
+  }
   /// Reads a stripe split dimension, refusing one outside [0, D): routing
   /// and range pruning index every point with it.
   template <int D>
@@ -271,17 +320,20 @@ struct byte_reader {
   }
 };
 
-/// Reads the whole file at `path` into `out`; false if it cannot be opened.
+/// Reads the whole file at `path` into `out`, sized first and read in one
+/// call; false if it cannot be opened or sized.
 inline bool read_file(const std::string& path,
                       std::vector<unsigned char>& out) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (!f) return false;
-  out.clear();
-  unsigned char chunk[1 << 16];
-  std::size_t got;
-  while ((got = std::fread(chunk, 1, sizeof(chunk), f)) > 0) {
-    out.insert(out.end(), chunk, chunk + got);
+  long size = -1;
+  if (std::fseek(f, 0, SEEK_END) == 0) size = std::ftell(f);
+  if (size < 0 || std::fseek(f, 0, SEEK_SET) != 0) {
+    std::fclose(f);
+    return false;
   }
+  out.resize(static_cast<std::size_t>(size));
+  if (size > 0) out.resize(std::fread(out.data(), 1, out.size(), f));
   std::fclose(f);
   return true;
 }
@@ -465,18 +517,17 @@ class op_log {
   /// One-shot dump of the retained groups to `path` in the v2 segmented
   /// format. Throws std::runtime_error on I/O failure.
   void write_log(const std::string& path) const {
-    std::vector<unsigned char> buf;
-    {
+    const detail::byte_buffer buf = [this] {
       std::lock_guard<std::mutex> lk(mu_);
-      serialize_all_locked(buf);
-    }
+      return serialize_all_locked();
+    }();
     std::FILE* f = std::fopen(path.c_str(), "wb");
     if (!f) {
       throw std::runtime_error("op_log: cannot open '" + path +
                                "' for writing");
     }
-    const std::size_t wrote = std::fwrite(buf.data(), 1, buf.size(), f);
-    const bool ok = wrote == buf.size() && std::fclose(f) == 0;
+    const std::size_t wrote = std::fwrite(buf.data.get(), 1, buf.size, f);
+    const bool ok = wrote == buf.size && std::fclose(f) == 0;
     if (!ok) {
       throw std::runtime_error("op_log: short write to '" + path + "'");
     }
@@ -591,23 +642,26 @@ class op_log {
   }
 
   // -- group body <-> bytes --------------------------------------------------
-  static void put_group_body(std::vector<unsigned char>& buf,
-                             const log_group<D>& g) {
-    using namespace detail;
-    put_u64(buf, g.epoch);
-    put_u8(buf, static_cast<std::uint8_t>(g.origin));
-    put_u8(buf, g.has_bounds ? 1 : 0);
-    put_u32(buf, static_cast<std::uint32_t>(g.split_dim));
-    put_u64(buf, g.cuts.size());
-    for (double c : g.cuts) put_f64(buf, c);
-    put_u64(buf, g.records.size());
+  static std::size_t body_size(const log_group<D>& g) {
+    std::size_t n = 8 + 1 + 1 + 4 + 8 + 8 * g.cuts.size() + 8;
     for (const auto& r : g.records) {
-      put_u32(buf, r.shard);
-      put_u8(buf, static_cast<std::uint8_t>(r.kind));
-      put_u64(buf, r.pts.size());
-      for (const auto& p : r.pts) {
-        for (int d = 0; d < D; ++d) put_f64(buf, p[d]);
-      }
+      n += 4 + 1 + 8 + r.pts.size() * detail::point_bytes<D>();
+    }
+    return n;
+  }
+
+  static void put_group_body(detail::byte_writer& w, const log_group<D>& g) {
+    w.u64(g.epoch);
+    w.u8(static_cast<std::uint8_t>(g.origin));
+    w.u8(g.has_bounds ? 1 : 0);
+    w.u32(static_cast<std::uint32_t>(g.split_dim));
+    w.u64(g.cuts.size());
+    for (double c : g.cuts) w.f64(c);
+    w.u64(g.records.size());
+    for (const auto& r : g.records) {
+      w.u32(r.shard);
+      w.u8(static_cast<std::uint8_t>(r.kind));
+      w.points(r.pts);
     }
   }
 
@@ -630,37 +684,36 @@ class op_log {
         rd.fail("bad op tag");
       }
       r.kind = static_cast<log_op>(kind);
-      r.pts.resize(rd.checked_count(sizeof(double) * D));
-      for (auto& p : r.pts) {
-        for (int d = 0; d < D; ++d) p[d] = rd.f64();
-      }
+      rd.points(r.pts);
     }
   }
 
-  /// frame = u32 len | payload | u64 fnv1a(payload)
-  static void put_frame(std::vector<unsigned char>& buf,
-                        const log_group<D>& g) {
-    using namespace detail;
-    std::vector<unsigned char> payload;
-    put_group_body(payload, g);
-    put_u32(buf, static_cast<std::uint32_t>(payload.size()));
-    put_bytes(buf, payload.data(), payload.size());
-    put_u64(buf, fnv1a(payload.data(), payload.size()));
+  /// frame = u32 len | payload | u64 fnv1a(payload), written in place:
+  /// frame_size(g) bytes.
+  static std::size_t frame_size(const log_group<D>& g) {
+    return 4 + body_size(g) + 8;
+  }
+  static void put_frame(detail::byte_writer& w, const log_group<D>& g) {
+    const std::size_t len = body_size(g);
+    w.u32(static_cast<std::uint32_t>(len));
+    const unsigned char* body = w.at;
+    put_group_body(w, g);
+    w.u64(detail::fnv1a(body, len));
   }
 
-  void put_header_locked(std::vector<unsigned char>& buf) const {
-    using namespace detail;
-    put_bytes(buf, kMagic, 4);
-    put_u32(buf, kVersion);
-    put_u32(buf, static_cast<std::uint32_t>(D));
-    put_u64(buf, start_after_);
-    put_u64(buf, fnv1a(buf.data(), buf.size()));
-  }
-
-  void serialize_all_locked(std::vector<unsigned char>& buf) const {
-    buf.reserve(kHeaderSize + groups_.size() * 64);
-    put_header_locked(buf);
-    for (const auto& g : groups_) put_frame(buf, g);
+  /// The header and every retained group's frame, in one buffer.
+  detail::byte_buffer serialize_all_locked() const {
+    std::size_t size = kHeaderSize;
+    for (const auto& g : groups_) size += frame_size(g);
+    detail::byte_buffer buf(size);
+    detail::byte_writer w{buf.data.get()};
+    w.bytes(kMagic, 4);
+    w.u32(kVersion);
+    w.u32(static_cast<std::uint32_t>(D));
+    w.u64(start_after_);
+    w.u64(detail::fnv1a(buf.data.get(), kHeaderSize - 8));
+    for (const auto& g : groups_) put_frame(w, g);
+    return buf;
   }
 
   // -- durable file plumbing (all under mu_) ---------------------------------
@@ -698,8 +751,7 @@ class op_log {
   void rewrite_file_locked() {
     close_file_locked();
     start_after_ = groups_.empty() ? head_ : groups_.front().epoch - 1;
-    std::vector<unsigned char> buf;
-    serialize_all_locked(buf);
+    const detail::byte_buffer buf = serialize_all_locked();
 
     const std::string tmp = path_ + ".tmp";
     std::FILE* f = std::fopen(tmp.c_str(), "wb");
@@ -707,10 +759,10 @@ class op_log {
       throw std::runtime_error("op_log: cannot open '" + tmp +
                                "' for writing");
     }
-    const std::size_t wrote = std::fwrite(buf.data(), 1, buf.size(), f);
+    const std::size_t wrote = std::fwrite(buf.data.get(), 1, buf.size, f);
     std::fflush(f);
     ::fsync(::fileno(f));
-    const bool ok = wrote == buf.size() && std::fclose(f) == 0;
+    const bool ok = wrote == buf.size && std::fclose(f) == 0;
     if (!ok || std::rename(tmp.c_str(), path_.c_str()) != 0) {
       throw std::runtime_error("op_log: failed to rewrite '" + path_ + "'");
     }
@@ -727,22 +779,23 @@ class op_log {
   /// write) leaves a partial frame on disk, latches the failed state,
   /// and throws — the caller must not publish the group.
   void append_frame_locked(const log_group<D>& g) {
-    std::vector<unsigned char> frame;
-    put_frame(frame, g);
-    std::size_t cap = frame.size();
+    const detail::byte_buffer frame(frame_size(g));
+    detail::byte_writer w{frame.data.get()};
+    put_frame(w, g);
+    std::size_t cap = frame.size;
     bool torn = false;
     if (auto keep = fault::fire(fault::kOplogFileWrite)) {
       cap = std::min<std::size_t>(cap, static_cast<std::size_t>(*keep));
       torn = true;
     }
-    const std::size_t wrote = std::fwrite(frame.data(), 1, cap, file_);
+    const std::size_t wrote = std::fwrite(frame.data.get(), 1, cap, file_);
     std::fflush(file_);
     durable_.bytes += wrote;
-    if (torn || wrote != frame.size()) {
+    if (torn || wrote != frame.size) {
       durable_.failed = true;
       throw std::runtime_error("op_log: torn write to '" + path_ + "' (" +
                                std::to_string(wrote) + "/" +
-                               std::to_string(frame.size()) + " bytes)");
+                               std::to_string(frame.size) + " bytes)");
     }
     ++durable_.frames;
     maybe_sync_locked();

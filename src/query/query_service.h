@@ -11,7 +11,8 @@
 //   *Sharding*. Every stored point is owned by exactly one shard —
 //   `shard_policy::hash` routes by a hash of the coordinates,
 //   `shard_policy::spatial` by quantile stripes along the widest dimension
-//   of the first point set seen (bootstrap, or the first write group).
+//   of the first point set seen (bootstrap, or the first write group);
+//   each cut is an exact order statistic of that set, found by selection.
 //   Writes are routed to their owning shard and applied there as batched
 //   updates. Reads scatter data-parallel across shards and gather-merge:
 //   k-NN rows are re-merged by distance and truncated to k, range rows are
@@ -178,6 +179,8 @@
 #include <utility>
 #include <vector>
 
+#include "kdtree/build.h"
+#include "parallel/primitives.h"
 #include "query/checkpoint.h"
 #include "query/epoch_reclaim.h"
 #include "query/fault.h"
@@ -870,29 +873,39 @@ class query_service {
   /// would corrupt stripe derivation and route arbitrarily, like at
   /// submit()), and whatever the log append or a shard build throws — a
   /// failed append leaves the service untouched.
+  ///
+  /// Every step is a parallel pass over the points: one scan checks them
+  /// and takes their bounding box, the stripe cuts are selected
+  /// (derive_stripes), one stable counting scatter fills the shards' build
+  /// records, each shard holding its points in input order, and the log
+  /// encodes each record's points as one copy (the bytes are those of the
+  /// per-coordinate encoding). The append commits before any shard builds.
   void bootstrap(const std::vector<point<D>>& pts) {
-    for (std::size_t i = 0; i < pts.size(); ++i) {
-      for (int d = 0; d < D; ++d) {
-        if (!std::isfinite(pts[i][d])) {
-          throw std::invalid_argument(
-              "query_service::bootstrap: point " + std::to_string(i) +
-              " has a non-finite coordinate");
-        }
-      }
+    const point_scan scan = scan_points(pts);
+    if (scan.first_bad < pts.size()) {
+      throw std::invalid_argument(
+          "query_service::bootstrap: point " +
+          std::to_string(scan.first_bad) + " has a non-finite coordinate");
     }
     // The genesis group: per-shard build records (empty shards included —
     // build replaces contents) plus the stripes, so a fresh replica
     // converges from epoch 1.
     log_group<D> g;
     g.origin = log_origin::bootstrap;
-    if (cfg_.policy == shard_policy::spatial) derive_stripes(pts, g);
-    for (std::size_t s = 0; s < cfg_.shards; ++s) {
-      g.records.push_back({static_cast<std::uint32_t>(s), log_op::build, {}});
+    if (cfg_.policy == shard_policy::spatial) {
+      derive_stripes(pts, scan.box, g);
     }
-    for (const auto& p : pts) {
-      const std::size_t s =
-          g.has_bounds ? stripe_of(p, g.split_dim, g.cuts) : owner_of(p);
-      g.records[s].pts.push_back(p);
+    std::vector<std::vector<point<D>>> parts(cfg_.shards);
+    par::counting_scatter(
+        pts.size(), [&pts](std::size_t i) { return pts[i]; },
+        [&](const point<D>& p) {
+          return g.has_bounds ? stripe_of(p, g.split_dim, g.cuts)
+                              : owner_of(p);
+        },
+        parts);
+    for (std::size_t s = 0; s < cfg_.shards; ++s) {
+      g.records.push_back({static_cast<std::uint32_t>(s), log_op::build,
+                           std::move(parts[s])});
     }
     append_to_log(g);
     bounds_set_ = false;  // the group installs its own stripes, if any
@@ -1657,7 +1670,7 @@ class query_service {
       for (const auto& r : g->combined) {
         if (!is_read(r.kind)) pts.push_back(r.p);
       }
-      derive_stripes(pts, g->log);
+      derive_stripes(pts, scan_points(pts).box, g->log);
       install_stripes(g->log);
     }
     stamp_phases(g->combined, g->result);
@@ -2251,7 +2264,7 @@ class query_service {
     }
     log_group<D> g;
     g.origin = log_origin::rebalance;
-    derive_stripes(sample, g);
+    derive_stripes(sample, scan_points(sample).box, g);
     // Classify against the new stripes; every shard's erase record comes
     // before any insert, so no point is counted (or gathered) twice.
     std::vector<std::vector<point<D>>> arrivals(cfg_.shards);
@@ -2880,36 +2893,79 @@ class query_service {
 
   // ---- routing ------------------------------------------------------------
 
-  // Quantile stripes along the widest dimension of `pts`, carried by `g`
-  // (has_bounds stays false for an empty set or a single shard): cut s-1
-  // is the left edge of shard s, so shard s owns [cuts[s-1], cuts[s]).
+  // A point set's bounding box and the index of its first point with a
+  // non-finite coordinate (pts.size() when there is none), from one pass:
+  // on the workers above kdtree::kParallelSplitCutoff points, on the
+  // calling thread below it (so a small first write group or rebalance
+  // sample opens no OpenMP team on the drain thread).
+  struct point_scan {
+    aabb<D> box;
+    std::size_t first_bad;
+  };
+  static point_scan scan_points(const std::vector<point<D>>& pts) {
+    const auto scan = [&pts](std::size_t lo, std::size_t hi) {
+      point_scan r{aabb<D>{}, pts.size()};
+      for (std::size_t i = lo; i < hi; ++i) {
+        bool finite = true;
+        for (int d = 0; d < D; ++d) finite &= std::isfinite(pts[i][d]);
+        if (!finite && r.first_bad == pts.size()) r.first_bad = i;
+        r.box.extend(pts[i]);
+      }
+      return r;
+    };
+    if (pts.size() <= kdtree::kParallelSplitCutoff) return scan(0, pts.size());
+    return par::fold_blocks(pts.size(), scan(0, 0), scan,
+                            [](point_scan x, const point_scan& y) {
+                              x.box.extend(y.box);
+                              x.first_bad = std::min(x.first_bad, y.first_bad);
+                              return x;
+                            });
+  }
+
+  // The smallest coordinate `dim` of pts above v (+inf when none), from
+  // one pass split like scan_points'.
+  static double min_above(const std::vector<point<D>>& pts, int dim,
+                          double v) {
+    const auto scan = [&](std::size_t lo, std::size_t hi) {
+      double m = std::numeric_limits<double>::infinity();
+      for (std::size_t i = lo; i < hi; ++i) {
+        const double c = pts[i][dim];
+        if (c > v) m = std::min(m, c);
+      }
+      return m;
+    };
+    if (pts.size() <= kdtree::kParallelSplitCutoff) return scan(0, pts.size());
+    return par::fold_blocks(pts.size(), scan(0, 0), scan,
+                            [](double x, double y) { return std::min(x, y); });
+  }
+
+  // Quantile stripes along the widest dimension of `box`, the bounding box
+  // of the finite points `pts`, carried by `g` (has_bounds stays false for
+  // an empty set or a single shard): cut s-1 is the left edge of shard s,
+  // so shard s owns [cuts[s-1], cuts[s]). Cut s is the coordinate of rank
+  // (s+1)n/shards, selected (kdtree::order_statistic), not sorted for.
   // Duplicate coordinates would let naive quantile cuts collide into
   // zero-width stripes — shards that can never own a point while every
   // write funnels into one lane — so cuts are forced strictly increasing:
-  // a colliding cut advances to the next distinct coordinate value, and
-  // when the distinct values run out the remaining cuts are +inf (those
-  // shards stay empty and range pruning skips them, rather than one shard
-  // silently swallowing the whole stream).
-  void derive_stripes(const std::vector<point<D>>& pts,
+  // a cut that does not exceed the previous one (or the minimum) advances
+  // to the smallest coordinate above it, and when the distinct values run
+  // out the remaining cuts are +inf (those shards stay empty and range
+  // pruning skips them, rather than one shard silently swallowing the
+  // whole stream).
+  void derive_stripes(const std::vector<point<D>>& pts, const aabb<D>& box,
                       log_group<D>& g) const {
     if (pts.empty() || cfg_.shards == 1) return;
-    aabb<D> box;
-    for (const auto& p : pts) box.extend(p);
-    g.split_dim = box.widest_dim();
-    std::vector<double> coords(pts.size());
-    for (std::size_t i = 0; i < pts.size(); ++i) {
-      coords[i] = pts[i][g.split_dim];
-    }
-    std::sort(coords.begin(), coords.end());
+    const std::size_t n = pts.size();
+    const int dim = box.widest_dim();
+    g.split_dim = dim;
     g.cuts.assign(cfg_.shards - 1, std::numeric_limits<double>::infinity());
-    double prev = coords.front();  // cuts must also exceed the min value
+    double prev = box.lo[dim];  // cuts must also exceed the min value
     for (std::size_t s = 0; s + 1 < cfg_.shards; ++s) {
-      double cut = coords[(s + 1) * coords.size() / cfg_.shards];
+      double cut = kdtree::order_statistic(pts.data(), n,
+                                           (s + 1) * n / cfg_.shards, dim);
       if (!(cut > prev)) {
-        const auto it =
-            std::upper_bound(coords.begin(), coords.end(), prev);
-        if (it == coords.end()) break;  // no distinct value left: +inf tail
-        cut = *it;
+        cut = min_above(pts, dim, prev);
+        if (std::isinf(cut)) break;  // no distinct value left: +inf tail
       }
       g.cuts[s] = cut;
       prev = cut;
@@ -2926,11 +2982,15 @@ class query_service {
     bounds_set_ = true;
   }
 
-  // The stripe owning p under the cuts along `dim`.
+  // The stripe owning p under the cuts along `dim`: the number of cuts at
+  // or below p[dim] (the cuts increase), counted without a branch. A
+  // binary search mispredicts on about every point of a spread stream; on
+  // 1M points split in two, the bootstrap's scatter took 2-3x as long.
   static std::size_t stripe_of(const point<D>& p, int dim,
                                const std::vector<double>& cuts) {
-    return static_cast<std::size_t>(
-        std::upper_bound(cuts.begin(), cuts.end(), p[dim]) - cuts.begin());
+    std::size_t s = 0;
+    for (const double c : cuts) s += p[dim] >= c;
+    return s;
   }
 
   // Non-finite payload coordinates would break routing silently: every

@@ -2,10 +2,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <cstdint>
+#include <vector>
 
 #include "core/aabb.h"
 #include "datagen/datagen.h"
 #include "mortonsort/mortonsort.h"
+#include "parallel/random.h"
 #include "test_util.h"
 
 using namespace pargeo;
@@ -135,4 +139,77 @@ TEST(Morton, OrderEqualsStableSortByCode) {
       EXPECT_TRUE(mortonsort::morton_order<2>(pts) == want);
     }
   }
+}
+
+// The bit loop that built every code before the mask-and-shift ladders,
+// kept as the oracle: bit b of q[d] lands at bit D*b + (D - 1 - d).
+template <int D>
+uint64_t interleave_bit_loop(const std::array<uint64_t, D>& q) {
+  uint64_t code = 0;
+  for (int b = 64 / D - 1; b >= 0; --b) {
+    for (int d = 0; d < D; ++d) code = (code << 1) | ((q[d] >> b) & 1u);
+  }
+  return code;
+}
+
+// Random cells, and the extreme ones: 0, the largest cell, alternating
+// bits, single bits, and bits above the cell width (which both ignore).
+template <int D>
+void expect_interleave_matches_bit_loop() {
+  constexpr uint64_t kMax = (uint64_t{1} << (64 / D)) - 1;
+  const uint64_t extremes[] = {0,
+                               kMax,
+                               0x5555555555555555ull & kMax,
+                               0xaaaaaaaaaaaaaaaaull & kMax,
+                               1,
+                               uint64_t{1} << (64 / D - 1),
+                               kMax - 1,
+                               ~uint64_t{0}};
+  std::vector<std::array<uint64_t, D>> cells;
+  for (const uint64_t a : extremes) {
+    for (const uint64_t b : extremes) {
+      std::array<uint64_t, D> q{};
+      for (int d = 0; d < D; ++d) q[d] = d % 2 == 0 ? a : b;
+      cells.push_back(q);
+    }
+  }
+  for (uint64_t i = 0; i < 100000; ++i) {
+    std::array<uint64_t, D> q{};
+    for (int d = 0; d < D; ++d) q[d] = par::rand_at(D, i * D + d) & kMax;
+    cells.push_back(q);
+  }
+  for (const auto& q : cells) {
+    ASSERT_EQ(mortonsort::interleave<D>(q), interleave_bit_loop<D>(q))
+        << "cell " << q[0] << ", " << q[1];
+  }
+}
+
+TEST(Morton, InterleaveMatchesTheBitLoop) {
+  expect_interleave_matches_bit_loop<2>();
+  expect_interleave_matches_bit_loop<3>();
+  expect_interleave_matches_bit_loop<5>();
+}
+
+// morton_code is the quantization followed by interleave: on random points
+// it equals the bit loop over the same cells.
+TEST(Morton, CodesMatchTheBitLoopOnRandomPoints) {
+  const auto check = [](auto pts) {
+    constexpr int D = decltype(pts)::value_type::dim;
+    constexpr uint64_t kMax = (uint64_t{1} << (64 / D)) - 1;
+    aabb<D> box;
+    for (const auto& p : pts) box.extend(p);
+    for (const auto& p : pts) {
+      std::array<uint64_t, D> q{};
+      for (int d = 0; d < D; ++d) {
+        const double f = std::clamp(
+            (p[d] - box.lo[d]) / (box.hi[d] - box.lo[d]), 0.0, 1.0);
+        q[d] = std::min(kMax,
+                        static_cast<uint64_t>(f * static_cast<double>(kMax)));
+      }
+      ASSERT_EQ(mortonsort::morton_code<D>(p, box.lo, box.hi),
+                interleave_bit_loop<D>(q));
+    }
+  };
+  check(datagen::uniform<2>(20000, 12));
+  check(datagen::uniform<3>(20000, 13));
 }

@@ -5,17 +5,28 @@
 // frame-corrupt file yields its longest valid frame prefix (counting
 // truncated_groups), while header damage (bad magic/version/dim or
 // header checksum) still rejects the whole file. Corrupt element counts
-// must throw, not resize gigabytes — no UB under ASan.
+// must throw, not resize gigabytes — no UB under ASan. Frames and
+// checkpoints, the service's genesis frame included, must match a
+// per-coordinate reference encoder byte for byte.
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
+#include "datagen/datagen.h"
+#include "query/checkpoint.h"
 #include "query/oplog.h"
+#include "query/query_service.h"
 
 using namespace pargeo;
+using query::checkpoint_data;
 using query::log_group;
 using query::log_op;
 using query::log_origin;
@@ -436,6 +447,311 @@ TEST(OpLog, ReloadedLogContinuesEpochs) {
   EXPECT_EQ(loaded->append(sample_group(log_origin::client, 9)), 5u);
   EXPECT_EQ(loaded->head(), 5u);
   std::remove(path.c_str());
+}
+
+// ---- golden bytes: the codec against a per-coordinate reference encoder ---
+
+// The encoder the op log and checkpoints used before runs of points were
+// copied whole, kept as the oracle: every field appended on its own, every
+// point one coordinate at a time.
+struct reference_bytes {
+  std::vector<unsigned char> b;
+  void raw(const void* p, std::size_t n) {
+    const auto* c = static_cast<const unsigned char*>(p);
+    b.insert(b.end(), c, c + n);
+  }
+  void u8(std::uint8_t v) { raw(&v, 1); }
+  void u32(std::uint32_t v) { raw(&v, 4); }
+  void u64(std::uint64_t v) { raw(&v, 8); }
+  void f64(double v) { raw(&v, 8); }
+  template <int D>
+  void points(const std::vector<point<D>>& pts) {
+    u64(pts.size());
+    for (const auto& p : pts) {
+      for (int d = 0; d < D; ++d) f64(p[d]);
+    }
+  }
+};
+
+std::uint64_t reference_fnv1a(const std::vector<unsigned char>& b) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const unsigned char c : b) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+template <int D>
+std::vector<unsigned char> reference_log_header(std::uint64_t start_after) {
+  reference_bytes h;
+  h.raw("PGOL", 4);
+  h.u32(2);
+  h.u32(D);
+  h.u64(start_after);
+  h.u64(reference_fnv1a(h.b));
+  return h.b;
+}
+
+template <int D>
+std::vector<unsigned char> reference_frame(const log_group<D>& g) {
+  reference_bytes body;
+  body.u64(g.epoch);
+  body.u8(static_cast<std::uint8_t>(g.origin));
+  body.u8(g.has_bounds ? 1 : 0);
+  body.u32(static_cast<std::uint32_t>(g.split_dim));
+  body.u64(g.cuts.size());
+  for (const double c : g.cuts) body.f64(c);
+  body.u64(g.records.size());
+  for (const auto& r : g.records) {
+    body.u32(r.shard);
+    body.u8(static_cast<std::uint8_t>(r.kind));
+    body.points(r.pts);
+  }
+  reference_bytes f;
+  f.u32(static_cast<std::uint32_t>(body.b.size()));
+  f.raw(body.b.data(), body.b.size());
+  f.u64(reference_fnv1a(body.b));
+  return f.b;
+}
+
+template <int D>
+std::vector<unsigned char> reference_checkpoint(
+    const checkpoint_data<D>& ck) {
+  reference_bytes c;
+  c.raw("PGCK", 4);
+  c.u32(1);
+  c.u32(D);
+  c.u64(ck.epoch);
+  c.u8(ck.bounds_set ? 1 : 0);
+  c.u32(static_cast<std::uint32_t>(ck.split_dim));
+  c.u64(ck.cuts.size());
+  for (const double x : ck.cuts) c.f64(x);
+  c.u64(ck.shard_points.size());
+  for (const auto& shard : ck.shard_points) c.points(shard);
+  c.u64(reference_fnv1a(c.b));
+  return c.b;
+}
+
+// n points whose coordinates include awkward bit patterns: negative zero,
+// a subnormal, huge and negative values.
+template <int D>
+std::vector<point<D>> golden_points(std::size_t n, double base) {
+  const double odd[] = {-0.0, 4.9e-320, 1e300, -7.25, 0.1};
+  std::vector<point<D>> pts(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (int d = 0; d < D; ++d) {
+      pts[i][d] = i % 7 == 3 ? odd[(i + d) % 5]
+                             : base + 0.37 * static_cast<double>(i) + d;
+    }
+  }
+  return pts;
+}
+
+template <int D>
+log_record<D> golden_record(std::uint32_t shard, log_op kind,
+                            std::vector<point<D>> pts) {
+  log_record<D> r;
+  r.shard = shard;
+  r.kind = kind;
+  r.pts = std::move(pts);
+  return r;
+}
+
+// One group of every origin, with empty records, and one run past the
+// 1 MiB at which the writer copies on the workers.
+template <int D>
+std::vector<log_group<D>> golden_groups() {
+  std::vector<log_group<D>> gs(4);
+  gs[0].origin = log_origin::bootstrap;
+  gs[0].has_bounds = true;
+  gs[0].split_dim = D - 1;
+  gs[0].cuts = {-0.5, 3.0, std::numeric_limits<double>::infinity()};
+  gs[0].records.push_back(
+      golden_record(0, log_op::build, golden_points<D>(5, 1)));
+  gs[0].records.push_back(golden_record<D>(1, log_op::build, {}));
+  gs[0].records.push_back(
+      golden_record(2, log_op::build, golden_points<D>(70000, 2)));
+  gs[0].records.push_back(golden_record<D>(3, log_op::build, {}));
+  gs[1].origin = log_origin::client;
+  gs[1].records.push_back(
+      golden_record(1, log_op::insert, golden_points<D>(9, 3)));
+  gs[1].records.push_back(
+      golden_record(1, log_op::erase, golden_points<D>(2, 3)));
+  gs[1].records.push_back(golden_record<D>(3, log_op::insert, {}));
+  gs[2].origin = log_origin::expire;
+  gs[2].records.push_back(
+      golden_record(0, log_op::erase, golden_points<D>(4, 4)));
+  gs[3].origin = log_origin::rebalance;
+  gs[3].has_bounds = true;
+  gs[3].split_dim = 0;
+  gs[3].cuts = {0.0, 2.5, 9.0};
+  gs[3].records.push_back(
+      golden_record(2, log_op::erase, golden_points<D>(6, 5)));
+  gs[3].records.push_back(
+      golden_record(0, log_op::insert, golden_points<D>(6, 5)));
+  return gs;
+}
+
+// Bitwise, so that -0.0 must come back as -0.0.
+template <int D>
+bool same_bits(const std::vector<point<D>>& a,
+               const std::vector<point<D>>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(point<D>)) == 0);
+}
+
+template <int D>
+void expect_same_group(const log_group<D>& a, const log_group<D>& b) {
+  EXPECT_EQ(a.epoch, b.epoch);
+  EXPECT_EQ(a.origin, b.origin);
+  EXPECT_EQ(a.has_bounds, b.has_bounds);
+  EXPECT_EQ(a.split_dim, b.split_dim);
+  EXPECT_EQ(a.cuts, b.cuts);
+  ASSERT_EQ(a.records.size(), b.records.size());
+  for (std::size_t i = 0; i < a.records.size(); ++i) {
+    EXPECT_EQ(a.records[i].shard, b.records[i].shard);
+    EXPECT_EQ(a.records[i].kind, b.records[i].kind);
+    EXPECT_TRUE(same_bits(a.records[i].pts, b.records[i].pts));
+  }
+}
+
+// Durable appends, a one-shot dump and a compaction rewrite all write the
+// reference bytes, and reading them back returns the groups.
+template <int D>
+void expect_log_matches_reference_encoder() {
+  const auto groups = golden_groups<D>();
+  op_log<D> log;
+  const std::string durable = temp_path("oplog_golden_durable.bin");
+  log.open_durable(durable, query::sync_policy::none);
+  std::vector<unsigned char> want = reference_log_header<D>(0);
+  for (std::size_t i = 0; i < groups.size(); ++i) {
+    log.append(groups[i]);
+    auto g = groups[i];
+    g.epoch = i + 1;
+    const auto frame = reference_frame(g);
+    want.insert(want.end(), frame.begin(), frame.end());
+  }
+  log.close_durable();
+  EXPECT_TRUE(slurp(durable) == want);
+
+  const std::string dump = temp_path("oplog_golden_dump.bin");
+  log.write_log(dump);
+  EXPECT_TRUE(slurp(dump) == want);
+
+  const auto loaded = op_log<D>::read_log(dump);
+  const auto got = loaded->read_from(0);
+  ASSERT_EQ(got.size(), groups.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    auto g = groups[i];
+    g.epoch = i + 1;
+    expect_same_group(got[i], g);
+  }
+
+  // Compaction rewrites the file from the first retained group on.
+  log.open_durable(durable, query::sync_policy::none);
+  log.compact(2);
+  std::vector<unsigned char> tail = reference_log_header<D>(2);
+  for (std::size_t i = 2; i < groups.size(); ++i) {
+    auto g = groups[i];
+    g.epoch = i + 1;
+    const auto frame = reference_frame(g);
+    tail.insert(tail.end(), frame.begin(), frame.end());
+  }
+  log.close_durable();
+  EXPECT_TRUE(slurp(durable) == tail);
+  std::remove(durable.c_str());
+  std::remove(dump.c_str());
+}
+
+template <int D>
+void expect_checkpoint_matches_reference_encoder() {
+  checkpoint_data<D> ck;
+  ck.epoch = 17;
+  ck.bounds_set = true;
+  ck.split_dim = D - 1;
+  ck.cuts = {0.5, std::numeric_limits<double>::infinity()};
+  ck.shard_points = {golden_points<D>(70000, 6), {}, golden_points<D>(3, 7)};
+  const std::string dir = temp_path("ck_golden_") + std::to_string(D);
+  query::write_checkpoint<D>(dir, ck);
+  const std::string file = dir + "/ck-17.pgck";
+  EXPECT_TRUE(slurp(file) == reference_checkpoint(ck));
+  checkpoint_data<D> back;
+  ASSERT_TRUE(query::read_latest_checkpoint<D>(dir, back));
+  EXPECT_EQ(back.epoch, ck.epoch);
+  EXPECT_EQ(back.bounds_set, ck.bounds_set);
+  EXPECT_EQ(back.split_dim, ck.split_dim);
+  EXPECT_EQ(back.cuts, ck.cuts);
+  ASSERT_EQ(back.shard_points.size(), ck.shard_points.size());
+  for (std::size_t s = 0; s < ck.shard_points.size(); ++s) {
+    EXPECT_TRUE(same_bits(back.shard_points[s], ck.shard_points[s]));
+  }
+  std::remove(file.c_str());
+  std::remove((dir + "/CURRENT").c_str());
+  ::rmdir(dir.c_str());
+}
+
+TEST(OpLogCodec, FramesMatchThePerCoordinateEncoder2D) {
+  expect_log_matches_reference_encoder<2>();
+}
+
+TEST(OpLogCodec, FramesMatchThePerCoordinateEncoder3D) {
+  expect_log_matches_reference_encoder<3>();
+}
+
+TEST(OpLogCodec, CheckpointsMatchThePerCoordinateEncoder) {
+  expect_checkpoint_matches_reference_encoder<2>();
+  expect_checkpoint_matches_reference_encoder<3>();
+}
+
+// The service's own genesis frame: 1-shard hash, 3-shard spatial with an
+// empty shard, and 2 spatial shards large enough that every step runs on
+// the workers.
+template <int D>
+void expect_service_genesis_matches_reference_encoder(
+    std::size_t shards, query::shard_policy policy,
+    const std::vector<point<D>>& pts) {
+  const std::string dir = temp_path("svc_golden_") + std::to_string(D) +
+                          "_" + std::to_string(shards);
+  query::service_config cfg;
+  cfg.shards = shards;
+  cfg.policy = policy;
+  cfg.log_dir = dir;
+  cfg.sync = query::sync_policy::none;
+  std::vector<log_group<D>> groups;
+  {
+    query::query_service<D> service(cfg);
+    service.bootstrap(pts);
+    service.execute({query::request<D>::make_insert(pts.front()),
+                     query::request<D>::make_erase(pts.back())});
+    groups = service.log()->read_from(0);
+  }
+  ASSERT_EQ(groups.size(), 2u);
+  EXPECT_EQ(groups[0].origin, log_origin::bootstrap);
+  EXPECT_EQ(groups[0].num_points(), pts.size());
+  std::vector<unsigned char> want = reference_log_header<D>(0);
+  for (const auto& g : groups) {
+    const auto frame = reference_frame(g);
+    want.insert(want.end(), frame.begin(), frame.end());
+  }
+  const std::string file = dir + "/oplog.pgol";
+  EXPECT_TRUE(slurp(file) == want);
+  std::remove(file.c_str());
+  ::rmdir(dir.c_str());
+}
+
+TEST(OpLogCodec, ServiceGenesisFramesMatchThePerCoordinateEncoder) {
+  std::vector<point<2>> lopsided = golden_points<2>(40, 8);
+  for (auto& p : lopsided) p[0] = 1.0;  // one x value: stripes past 1 empty
+  expect_service_genesis_matches_reference_encoder<2>(
+      1, query::shard_policy::hash, golden_points<2>(50, 9));
+  expect_service_genesis_matches_reference_encoder<2>(
+      3, query::shard_policy::spatial, lopsided);
+  expect_service_genesis_matches_reference_encoder<2>(
+      2, query::shard_policy::spatial, datagen::uniform<2>(200000, 10));
+  expect_service_genesis_matches_reference_encoder<3>(
+      4, query::shard_policy::hash, datagen::uniform<3>(30000, 11));
 }
 
 }  // namespace

@@ -10,7 +10,9 @@
 // 4 lanes, lane counters, scratch recycling), ingest backpressure
 // (blocking submit / try_submit / close-while-blocked), config
 // validation, non-finite payload rejection,
-// degenerate/duplicate-coordinate stripe derivation, bdltree version
+// degenerate/duplicate-coordinate stripe derivation, stripe cuts (from
+// bootstrap, the first write group and a rebalance) and genesis routing
+// against a sort-based reference, bdltree version
 // reclamation at quiescence, and reads overtaken by a write drain counting
 // as lagged. (The adversarial-skew
 // oracle and rebalance mechanism tests live in tests/test_skew_drain.cpp.)
@@ -23,6 +25,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <future>
 #include <limits>
 #include <memory>
@@ -30,6 +33,7 @@
 #include <thread>
 #include <vector>
 
+#include "parallel/random.h"
 #include "query/query_service.h"
 #include "query/workload.h"
 #include "test_query_util.h"
@@ -1031,4 +1035,273 @@ TEST(QueryService, SpatialPruningStaysExactAcrossStripes) {
   auto want = reference.execute(batch);
   auto got = sharded.execute(batch);
   expect_same_responses<2>(batch, got.responses, want.responses);
+}
+
+// ---- stripe cuts and genesis routing against sort-based references -------
+
+namespace {
+
+// The stripe derivation the service used before its cuts were selected,
+// kept as the oracle: sort every coordinate along the widest dimension of
+// the bounding box, take cut s at rank (s+1)n/shards, and advance a cut
+// that does not exceed the previous one (or the minimum) to the next
+// distinct value, leaving +inf once none is left.
+struct sorted_stripes {
+  int dim = 0;
+  std::vector<double> cuts;
+};
+
+sorted_stripes sort_based_stripes(const std::vector<point<2>>& pts,
+                                  std::size_t shards) {
+  aabb<2> box;
+  for (const auto& p : pts) box.extend(p);
+  sorted_stripes want;
+  want.dim = box.widest_dim();
+  std::vector<double> coords;
+  for (const auto& p : pts) coords.push_back(p[want.dim]);
+  std::sort(coords.begin(), coords.end());
+  want.cuts.assign(shards - 1, std::numeric_limits<double>::infinity());
+  double prev = coords.front();
+  for (std::size_t s = 0; s + 1 < shards; ++s) {
+    double cut = coords[(s + 1) * coords.size() / shards];
+    if (!(cut > prev)) {
+      const auto it = std::upper_bound(coords.begin(), coords.end(), prev);
+      if (it == coords.end()) break;
+      cut = *it;
+    }
+    want.cuts[s] = cut;
+    prev = cut;
+  }
+  return want;
+}
+
+// Hash routing as QueryService.HashRoutingIsFnv1aOverCanonicalCoordinateBits
+// pins it.
+std::size_t fnv_route(const point<2>& p, std::size_t shards) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (int d = 0; d < 2; ++d) {
+    const double c = p[d] == 0.0 ? 0.0 : p[d];
+    std::uint64_t bits;
+    std::memcpy(&bits, &c, sizeof(bits));
+    h = (h ^ bits) * 1099511628211ull;
+  }
+  return static_cast<std::size_t>(h % shards);
+}
+
+// Point sets whose stripes stress the cut rule: spread, sorted, one value,
+// two values (+inf tails past two shards) and a few values with most
+// points on one of them.
+enum class stripe_input {
+  uniform,
+  presorted,
+  identical,
+  two_valued,
+  duplicated
+};
+
+const char* stripe_input_name(stripe_input k) {
+  switch (k) {
+    case stripe_input::uniform: return "uniform";
+    case stripe_input::presorted: return "presorted";
+    case stripe_input::identical: return "identical";
+    case stripe_input::two_valued: return "two_valued";
+    case stripe_input::duplicated: return "duplicated";
+  }
+  return "?";
+}
+
+constexpr stripe_input kStripeInputs[] = {
+    stripe_input::uniform, stripe_input::presorted, stripe_input::identical,
+    stripe_input::two_valued, stripe_input::duplicated};
+
+// n points of kind `k` inside [0, scale]^2.
+std::vector<point<2>> stripe_points(stripe_input k, std::size_t n,
+                                    std::uint64_t seed, double scale = 1.0) {
+  std::vector<point<2>> pts(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double u = par::rand_double(seed, i);
+    const double v = par::rand_double(seed + 1, i);
+    switch (k) {
+      case stripe_input::uniform:
+      case stripe_input::presorted:
+        pts[i] = point<2>{{u, v}};
+        break;
+      case stripe_input::identical:
+        pts[i] = point<2>{{0.25, 0.75}};
+        break;
+      case stripe_input::two_valued:
+        pts[i] = point<2>{{u < 0.5 ? 0.0 : 1.0, 0.5 * v}};
+        break;
+      case stripe_input::duplicated:
+        // 70% on x = 0.4, the rest on four other values.
+        pts[i] = point<2>{{u < 0.7 ? 0.4 : std::floor(v * 4) / 4, 0.1 * v}};
+        break;
+    }
+    pts[i] = pts[i] * scale;
+  }
+  if (k == stripe_input::presorted) std::sort(pts.begin(), pts.end());
+  return pts;
+}
+
+// Each shard's build record must hold exactly the points routed to it, in
+// input order.
+void expect_records_in_input_order(const query::log_group<2>& g,
+                                   const std::vector<point<2>>& pts,
+                                   std::size_t shards,
+                                   const std::function<std::size_t(
+                                       const point<2>&)>& route) {
+  ASSERT_EQ(g.records.size(), shards);
+  std::vector<std::vector<point<2>>> want(shards);
+  for (const auto& p : pts) want[route(p)].push_back(p);
+  for (std::size_t s = 0; s < shards; ++s) {
+    EXPECT_EQ(g.records[s].shard, s);
+    EXPECT_EQ(g.records[s].kind, query::log_op::build);
+    EXPECT_TRUE(g.records[s].pts == want[s]) << "shard " << s;
+  }
+}
+
+void expect_stripes(const query::log_group<2>& g,
+                    const std::vector<point<2>>& pts, std::size_t shards) {
+  if (shards == 1) {
+    EXPECT_FALSE(g.has_bounds);
+    return;
+  }
+  const sorted_stripes want = sort_based_stripes(pts, shards);
+  ASSERT_TRUE(g.has_bounds);
+  EXPECT_EQ(g.split_dim, want.dim);
+  EXPECT_EQ(g.cuts, want.cuts);
+}
+
+}  // namespace
+
+// Bootstrap: the genesis group's cuts equal the sort-based reference on
+// 1-8 shards, below and above the size where selection goes parallel, and
+// every shard's build record holds its points in input order, under both
+// policies.
+TEST(QueryServiceStripes, BootstrapCutsAndRecordsMatchSortBasedReference) {
+  for (const std::size_t n : {std::size_t{1500}, std::size_t{150000}}) {
+    for (const auto kind : kStripeInputs) {
+      const auto pts = stripe_points(kind, n, 40 + n);
+      for (std::size_t shards = 1; shards <= 8; ++shards) {
+        if (n > 2000 && shards != 2 && shards != 3 && shards != 8) continue;
+        for (const auto policy : {shard_policy::spatial, shard_policy::hash}) {
+          SCOPED_TRACE(::testing::Message()
+                       << stripe_input_name(kind) << " n=" << n
+                       << " shards=" << shards << " "
+                       << query::shard_policy_name(policy));
+          auto service = make_service<2>(shards, policy);
+          auto log = std::make_shared<query::op_log<2>>();
+          service.attach_log(log);
+          service.bootstrap(pts);
+          service.close();
+          const auto groups = log->read_from(0);
+          ASSERT_EQ(groups.size(), 1u);
+          const auto& g = groups[0];
+          EXPECT_EQ(g.origin, query::log_origin::bootstrap);
+          if (policy == shard_policy::hash) {
+            EXPECT_FALSE(g.has_bounds);
+            expect_records_in_input_order(
+                g, pts, shards,
+                [&](const point<2>& p) { return fnv_route(p, shards); });
+            continue;
+          }
+          expect_stripes(g, pts, shards);
+          const sorted_stripes want = sort_based_stripes(pts, shards);
+          expect_records_in_input_order(
+              g, pts, shards, [&](const point<2>& p) -> std::size_t {
+                return std::upper_bound(want.cuts.begin(), want.cuts.end(),
+                                        p[want.dim]) -
+                       want.cuts.begin();
+              });
+        }
+      }
+    }
+  }
+}
+
+// The first write group carves the stripes from its write payloads when
+// nothing was bootstrapped.
+TEST(QueryServiceStripes, FirstWriteGroupCutsMatchSortBasedReference) {
+  for (const auto kind : kStripeInputs) {
+    const auto pts = stripe_points(kind, 1200, 50);
+    for (std::size_t shards = 2; shards <= 8; ++shards) {
+      SCOPED_TRACE(::testing::Message() << stripe_input_name(kind)
+                                        << " shards=" << shards);
+      auto service = make_service<2>(shards, shard_policy::spatial);
+      auto log = std::make_shared<query::op_log<2>>();
+      service.attach_log(log);
+      std::vector<query::request<2>> batch;
+      for (const auto& p : pts) {
+        batch.push_back(query::request<2>::make_insert(p));
+      }
+      service.execute(std::move(batch));
+      service.close();
+      const auto groups = log->read_from(0);
+      ASSERT_FALSE(groups.empty());
+      EXPECT_EQ(groups[0].origin, query::log_origin::client);
+      expect_stripes(groups[0], pts, shards);
+    }
+  }
+}
+
+// A rebalance re-derives the cuts from a sample of the resident points;
+// with fewer residents than the sample size the sample is all of them.
+TEST(QueryServiceStripes, RebalanceCutsMatchSortBasedReference) {
+  const auto base = stripe_points(stripe_input::uniform, 600, 60);
+  for (const auto kind : kStripeInputs) {
+    // Crowded into the corner of the bootstrap's square: all in shard 0.
+    const auto crowd = stripe_points(kind, 2000, 70, 0.01);
+    for (std::size_t shards = 2; shards <= 8; ++shards) {
+      SCOPED_TRACE(::testing::Message() << stripe_input_name(kind)
+                                        << " shards=" << shards);
+      auto cfg = make_config<2>(shards, shard_policy::spatial);
+      cfg.rebalance_threshold = 1.5;
+      query::query_service<2> service(cfg);
+      auto log = std::make_shared<query::op_log<2>>();
+      service.attach_log(log);
+      service.bootstrap(base);
+      std::vector<query::request<2>> batch;
+      for (const auto& p : crowd) {
+        batch.push_back(query::request<2>::make_insert(p));
+      }
+      service.execute(std::move(batch));
+      service.close();  // the drain thread has run its rebalance check
+      const auto groups = log->read_from(0);
+      const auto it = std::find_if(
+          groups.begin(), groups.end(), [](const query::log_group<2>& g) {
+            return g.origin == query::log_origin::rebalance;
+          });
+      ASSERT_NE(it, groups.end()) << "no rebalance was logged";
+      auto resident = base;
+      resident.insert(resident.end(), crowd.begin(), crowd.end());
+      expect_stripes(*it, resident, shards);
+    }
+  }
+}
+
+// The scan that takes the bounding box also checks every coordinate: a
+// bootstrap with non-finite points names the first of them, on one thread
+// and on the workers alike, and commits nothing.
+TEST(QueryServiceStripes, BootstrapNamesTheFirstNonFinitePoint) {
+  for (const std::size_t n : {std::size_t{1000}, std::size_t{150000}}) {
+    auto pts = stripe_points(stripe_input::uniform, n, 80);
+    const std::size_t first = n / 2 + 1;
+    pts[n - 1][0] = std::numeric_limits<double>::infinity();
+    pts[first][1] = std::nan("");
+    pts[first + 3][0] = -std::numeric_limits<double>::infinity();
+    auto service = make_service<2>(2, shard_policy::spatial);
+    auto log = std::make_shared<query::op_log<2>>();
+    service.attach_log(log);
+    try {
+      service.bootstrap(pts);
+      ADD_FAILURE() << "bootstrap accepted non-finite points (n=" << n << ")";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "point " + std::to_string(first) + " has"),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(log->head(), 0u);
+    EXPECT_EQ(service.size(), 0u);
+  }
 }
