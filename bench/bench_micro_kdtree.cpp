@@ -10,7 +10,7 @@ static void BM_KdBuildObject2d(benchmark::State& state) {
   auto pts = datagen::uniform<2>(state.range(0), 1);
   for (auto _ : state) {
     kdtree::tree<2> t(pts, kdtree::split_policy::object_median);
-    benchmark::DoNotOptimize(t.root());
+    benchmark::DoNotOptimize(t.node_at(kdtree::kRoot));
   }
   state.SetItemsProcessed(state.iterations() * pts.size());
 }
@@ -20,7 +20,7 @@ static void BM_KdBuildSpatial2d(benchmark::State& state) {
   auto pts = datagen::uniform<2>(state.range(0), 1);
   for (auto _ : state) {
     kdtree::tree<2> t(pts, kdtree::split_policy::spatial_median);
-    benchmark::DoNotOptimize(t.root());
+    benchmark::DoNotOptimize(t.node_at(kdtree::kRoot));
   }
   state.SetItemsProcessed(state.iterations() * pts.size());
 }

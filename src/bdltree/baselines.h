@@ -10,6 +10,8 @@
 //        (splitting only overfull leaves locally, never recalculating
 //        upper splits); deletes tombstone. Fastest updates, but the tree
 //        skews when built incrementally, degrading k-NN (paper Fig. 14).
+//        A k-NN id is (leaf number << 32) | index, so distance ties
+//        resolve the same way on every build of the same batches.
 #pragma once
 
 #include <memory>
@@ -113,8 +115,7 @@ class b2_tree {
           auto entries = buf.finish();
           out[qi].reserve(entries.size());
           for (const auto& e : entries) {
-            out[qi].push_back(
-                *reinterpret_cast<const point<D>*>(e.id));
+            out[qi].push_back(leaves_[e.id >> 32]->pts[e.id & 0xffffffffu]);
           }
         },
         16);
@@ -138,6 +139,7 @@ class b2_tree {
     std::vector<point<D>> pts;
     std::vector<uint8_t> alive;
     std::size_t live = 0;
+    std::size_t leaf = 0;  // its entry in leaves_ (leaves only)
   };
 
   std::unique_ptr<node> build(const std::vector<point<D>>& pts, int dim) {
@@ -147,6 +149,8 @@ class b2_tree {
       nd->pts = pts;
       nd->alive.assign(pts.size(), 1);
       nd->live = pts.size();
+      nd->leaf = leaves_.size();
+      leaves_.push_back(nd.get());
       return nd;
     }
     std::vector<point<D>> sorted(pts);
@@ -159,7 +163,6 @@ class b2_tree {
     nd->split_val = (*midIt)[dim];
     std::vector<point<D>> l(sorted.begin(), midIt);
     std::vector<point<D>> r(midIt, sorted.end());
-    nd->split_dim = dim;
     nd->left = build(l, (dim + 1) % D);
     nd->right = build(r, (dim + 1) % D);
     nd->live = nd->left->live + nd->right->live;
@@ -246,9 +249,7 @@ class b2_tree {
       for (std::size_t i = 0; i < nd->pts.size(); ++i) {
         if (!nd->alive[i]) continue;
         const double d = nd->pts[i].dist_sq(q);
-        if (d < buf.bound()) {
-          buf.insert(d, reinterpret_cast<std::size_t>(&nd->pts[i]));
-        }
+        if (d < buf.bound()) buf.insert(d, (nd->leaf << 32) | i);
       }
       return;
     }
@@ -273,6 +274,8 @@ class b2_tree {
 
   split_policy policy_;
   std::unique_ptr<node> root_;
+  // Every leaf ever created, by number; a leaf that split keeps its entry.
+  std::vector<const node*> leaves_;
   std::size_t size_ = 0;
 };
 

@@ -9,27 +9,20 @@
 // counts so empty subtrees are skipped (the array analogue of Algorithm 2's
 // NULL-collapse).
 //
-// *Construction.* The tree is built by kdtree/build.h, the builder the
-// static kd-tree shares: a binary recursion that forks only while a range
-// holds more than kdtree::kForkCutoff points. A node at depth d splits
-// along dimension d mod D by the object median (cut at n/2) or the spatial
-// median; a range above kdtree::kParallelSplitCutoff points is split by a
-// parallel selection and a stable blocked partition, a smaller one in place
-// by std::nth_element. The path depends on the range's size alone, so the
-// point order and the node array are the same at every worker count. A
-// node's array index follows from its depth and its position in its level
-// (`veb_index`), and its box is the union of its children's, filled in as
-// the recursion returns.
+// *Construction.* kdtree/build.h builds the tree, as it does the static
+// kd-tree: a node at depth d splits along dimension d mod D by the object
+// or the spatial median, and the point order and the node array are the
+// same at every worker count. A node's array index follows from its depth
+// and its position in its level (`veb_index`), and its box is the union of
+// its children's, filled in as the recursion returns. The build writes
+// each node once, into uninitialised storage.
 //
-// *Child links.* Each node stores the array indices of its two children,
-// written by the build, and every traversal follows them. Deriving a
-// child's index from the layout instead replays the vEB recursion from the
-// root at every node visit, which is not cheap next to the geometry: on
-// one 1M-point uniform 2D tree, 250k queries with k = 8 on one thread took
-// 1.0-1.3 s that way and 0.57-0.66 s over stored links (the pointer-based
-// static kd-tree: 0.70-0.92 s; 4-vCPU shared VM, gcc 12 -O3). Ranges, live
-// counts and links are 32-bit, so a node is 64 bytes at D = 2 and a tree
-// holds at most 2^32 - 1 points.
+// *Nodes and queries.* The nodes and the walks are kdtree/node.h's, shared
+// with the static kd-tree; the walks skip tombstones. Each node stores its
+// children's indices: deriving them from the layout replays the vEB
+// recursion at every visit (250k k = 8 queries on a 1M-point uniform 2D
+// tree, one thread: 1.0-1.3 s against 0.57-0.66 s over stored links; 4-vCPU
+// shared VM, gcc 12 -O3). A tree holds at most 2^32 - 1 points.
 #pragma once
 
 #include <algorithm>
@@ -44,6 +37,7 @@
 #include "core/point.h"
 #include "kdtree/build.h"
 #include "kdtree/knn_buffer.h"
+#include "kdtree/node.h"
 #include "parallel/parallel.h"
 
 namespace pargeo::bdltree {
@@ -55,14 +49,7 @@ class veb_tree {
  public:
   static constexpr std::size_t kLeafSize = 16;
 
-  struct node {
-    aabb<D> box;
-    double split_val = 0;
-    std::uint32_t lo = 0, hi = 0;       // point range
-    std::uint32_t live = 0;             // non-tombstoned points below
-    std::uint32_t left = 0, right = 0;  // child indices (internal nodes)
-    std::int32_t split_dim = -1;        // -1 for leaves
-  };
+  using node = kdtree::node<D>;
 
   veb_tree(std::vector<point<D>> pts, split_policy policy)
       : points_(std::move(pts)) {
@@ -72,22 +59,24 @@ class veb_tree {
     }
     alive_.assign(n, 1);
     live_ = n;
-    if (n == 0) return;
+    // n = 0 still gets one (empty leaf) root, so queries need no checks.
     const std::size_t nLeaves =
         std::max<std::size_t>(1, (n + kLeafSize - 1) / kLeafSize);
     levels_ = 1 + static_cast<int>(
                       std::ceil(std::log2(static_cast<double>(nLeaves))));
-    nodes_.assign((std::size_t{1} << levels_) - 1, node{});
+    nodes_ = kdtree::raw_buffer<node>((std::size_t{1} << levels_) - 1);
     kdtree::build(
         points_.data(), n, policy, place{0, 0, 0},
-        [this](place at, std::size_t lo, std::size_t hi) {
-          node& nd = nodes_[at.idx];
-          nd.lo = static_cast<std::uint32_t>(lo);
-          nd.hi = static_cast<std::uint32_t>(hi);
-          nd.live = nd.hi - nd.lo;
-          if (at.depth + 1 < levels_) return at.depth % D;
-          for (std::size_t i = lo; i < hi; ++i) nd.box.extend(points_[i]);
-          return -1;  // a leaf holds its whole range
+        [this](place at, std::size_t, std::size_t lo, std::size_t hi) {
+          const bool leaf = at.depth + 1 == levels_;
+          aabb<D> box;
+          if (leaf) {
+            for (std::size_t i = lo; i < hi; ++i) box.extend(points_[i]);
+          }
+          const auto l = static_cast<std::uint32_t>(lo);
+          const auto h = static_cast<std::uint32_t>(hi);
+          nodes_[at.idx] = node{box, 0, l, h, h - l, 0, 0, -1};
+          return leaf ? -1 : at.depth % D;
         },
         [this](place at, int dim, double value) {
           node& nd = nodes_[at.idx];
@@ -142,7 +131,6 @@ class veb_tree {
   /// True if some entry of `batch` has a live copy here. Read-only, so a
   /// caller can test a tree it shares before copying it.
   bool contains_any(const std::vector<point<D>>& batch) const {
-    if (live_ == 0) return false;
     for (const auto& q : batch) {
       if (contains(0, q)) return true;
     }
@@ -156,8 +144,9 @@ class veb_tree {
   /// slot id >> 32. Ids, and so the points kept on distance ties, follow
   /// the forest's structure and not where its trees were allocated.
   void knn(const point<D>& q, std::size_t slot, kdtree::knn_buffer& buf) const {
-    if (live_ == 0) return;
-    knn_rec(0, q, slot << 32, buf);
+    const std::size_t base = slot << 32;
+    walk().knn(kdtree::kRoot, q, [base](std::uint32_t i) { return base | i; },
+               buf);
   }
 
   /// The point at storage index i (see knn).
@@ -166,14 +155,14 @@ class veb_tree {
   /// Appends all live points within `radius` of `center` to `out`.
   void range_ball(const point<D>& center, double radius,
                   std::vector<point<D>>& out) const {
-    if (live_ == 0) return;
-    range_rec(0, center, radius * radius, out);
+    walk().ball(kdtree::kRoot, center, radius * radius,
+                [&](std::uint32_t i) { out.push_back(points_[i]); });
   }
 
   /// Appends all live points inside `query_box` to `out`.
   void range_box(const aabb<D>& query_box, std::vector<point<D>>& out) const {
-    if (live_ == 0) return;
-    range_box_rec(0, query_box, out);
+    walk().box(kdtree::kRoot, query_box,
+               [&](std::uint32_t i) { out.push_back(points_[i]); });
   }
 
  private:
@@ -223,56 +212,10 @@ class veb_tree {
 
   // --- queries ----------------------------------------------------------
 
-  void knn_rec(std::uint32_t idx, const point<D>& q, std::size_t id_base,
-               kdtree::knn_buffer& buf) const {
-    const node& nd = nodes_[idx];
-    if (nd.live == 0) return;
-    if (nd.split_dim < 0) {
-      for (std::uint32_t i = nd.lo; i < nd.hi; ++i) {
-        if (!alive_[i]) continue;
-        const double d = points_[i].dist_sq(q);
-        if (d < buf.bound()) buf.insert(d, id_base | i);
-      }
-      return;
-    }
-    std::uint32_t nearIdx = nd.left, farIdx = nd.right;
-    if (q[nd.split_dim] >= nd.split_val) std::swap(nearIdx, farIdx);
-    if (nodes_[nearIdx].box.dist_sq(q) < buf.bound()) {
-      knn_rec(nearIdx, q, id_base, buf);
-    }
-    if (nodes_[farIdx].box.dist_sq(q) < buf.bound()) {
-      knn_rec(farIdx, q, id_base, buf);
-    }
-  }
-
-  void range_rec(std::uint32_t idx, const point<D>& c, double r_sq,
-                 std::vector<point<D>>& out) const {
-    const node& nd = nodes_[idx];
-    if (nd.live == 0 || nd.box.dist_sq(c) > r_sq) return;
-    if (nd.split_dim < 0) {
-      for (std::uint32_t i = nd.lo; i < nd.hi; ++i) {
-        if (alive_[i] && points_[i].dist_sq(c) <= r_sq) {
-          out.push_back(points_[i]);
-        }
-      }
-      return;
-    }
-    range_rec(nd.left, c, r_sq, out);
-    range_rec(nd.right, c, r_sq, out);
-  }
-
-  void range_box_rec(std::uint32_t idx, const aabb<D>& qb,
-                     std::vector<point<D>>& out) const {
-    const node& nd = nodes_[idx];
-    if (nd.live == 0 || !nd.box.intersects(qb)) return;
-    if (nd.split_dim < 0) {
-      for (std::uint32_t i = nd.lo; i < nd.hi; ++i) {
-        if (alive_[i] && qb.contains(points_[i])) out.push_back(points_[i]);
-      }
-      return;
-    }
-    range_box_rec(nd.left, qb, out);
-    range_box_rec(nd.right, qb, out);
+  auto walk() const {
+    const std::uint8_t* a = alive_.data();
+    return kdtree::walker(nodes_.data(), points_.data(),
+                          [a](std::uint32_t i) { return a[i] != 0; });
   }
 
   bool contains(std::uint32_t idx, const point<D>& q) const {
@@ -347,12 +290,9 @@ class veb_tree {
 
   std::vector<point<D>> points_;
   std::vector<uint8_t> alive_;
-  std::vector<node> nodes_;
+  kdtree::raw_buffer<node> nodes_;
   int levels_ = 0;
   std::size_t live_ = 0;
 };
-
-static_assert(sizeof(veb_tree<2>::node) <= 64,
-              "a D = 2 vEB node must fit one 64-byte cache line");
 
 }  // namespace pargeo::bdltree

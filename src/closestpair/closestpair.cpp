@@ -8,19 +8,19 @@ namespace pargeo::closestpair {
 
 namespace {
 
-template <int D>
-using node_t = typename kdtree::tree<D>::node;
-
-// Dual-tree branch and bound between nodes of (possibly distinct) trees.
-// `self` skips identical slots when both nodes come from the same tree.
+// Dual-tree branch and bound between nodes, given by slot, of (possibly
+// distinct) trees. `self` skips identical points when both nodes come from
+// the same tree.
 template <int D>
 void bccp_rec(const kdtree::tree<D>& ta, const kdtree::tree<D>& tb,
-              const node_t<D>* a, const node_t<D>* b, bool self,
+              std::uint32_t a, std::uint32_t b, bool self,
               pair_result& best) {
-  if (a->box.dist_sq(b->box) >= best.dist_sq) return;
-  if (a->is_leaf() && b->is_leaf()) {
-    for (std::size_t i = a->lo; i < a->hi; ++i) {
-      for (std::size_t j = b->lo; j < b->hi; ++j) {
+  const auto& na = ta.node_at(a);
+  const auto& nb = tb.node_at(b);
+  if (na.box.dist_sq(nb.box) >= best.dist_sq) return;
+  if (na.is_leaf() && nb.is_leaf()) {
+    for (std::size_t i = na.lo; i < na.hi; ++i) {
+      for (std::size_t j = nb.lo; j < nb.hi; ++j) {
         if (self && i == j) continue;
         const double d = ta.point_at(i).dist_sq(tb.point_at(j));
         if (d < best.dist_sq) best = {i, j, d};
@@ -31,20 +31,17 @@ void bccp_rec(const kdtree::tree<D>& ta, const kdtree::tree<D>& tb,
   // Split the node with the larger diameter; visit the closer child first
   // so pruning kicks in early.
   const bool splitA =
-      !a->is_leaf() &&
-      (b->is_leaf() || a->box.diameter_sq() >= b->box.diameter_sq());
-  if (splitA) {
-    const node_t<D>* c1 = a->left;
-    const node_t<D>* c2 = a->right;
-    if (c2->box.dist_sq(b->box) < c1->box.dist_sq(b->box)) std::swap(c1, c2);
-    bccp_rec(ta, tb, c1, b, self, best);
-    bccp_rec(ta, tb, c2, b, self, best);
-  } else {
-    const node_t<D>* c1 = b->left;
-    const node_t<D>* c2 = b->right;
-    if (a->box.dist_sq(c2->box) < a->box.dist_sq(c1->box)) std::swap(c1, c2);
-    bccp_rec(ta, tb, a, c1, self, best);
-    bccp_rec(ta, tb, a, c2, self, best);
+      !na.is_leaf() &&
+      (nb.is_leaf() || na.box.diameter_sq() >= nb.box.diameter_sq());
+  const kdtree::tree<D>& ts = splitA ? ta : tb;
+  const auto& split = splitA ? na : nb;
+  const aabb<D>& other = splitA ? nb.box : na.box;
+  std::uint32_t c1 = split.left, c2 = split.right;
+  if (ts.node_at(c2).box.dist_sq(other) < ts.node_at(c1).box.dist_sq(other)) {
+    std::swap(c1, c2);
+  }
+  for (const std::uint32_t c : {c1, c2}) {
+    bccp_rec(ta, tb, splitA ? c : a, splitA ? b : c, self, best);
   }
 }
 
@@ -84,16 +81,16 @@ pair_result bichromatic_closest_pair(const std::vector<point<D>>& red,
   kdtree::tree<D> ta(red), tb(blue);
   // Parallelize by seeding a branch-and-bound per red leaf against the
   // blue root, each with a locally improving bound, then reduce.
-  std::vector<const node_t<D>*> leaves;
-  std::vector<const node_t<D>*> stack{ta.root()};
+  std::vector<std::uint32_t> leaves, stack{kdtree::kRoot};
   while (!stack.empty()) {
-    const node_t<D>* nd = stack.back();
+    const std::uint32_t at = stack.back();
     stack.pop_back();
-    if (nd->is_leaf()) {
-      leaves.push_back(nd);
+    const auto& nd = ta.node_at(at);
+    if (nd.is_leaf()) {
+      leaves.push_back(at);
     } else {
-      stack.push_back(nd->left);
-      stack.push_back(nd->right);
+      stack.push_back(nd.left);
+      stack.push_back(nd.right);
     }
   }
   std::vector<pair_result> local(leaves.size());
@@ -101,7 +98,7 @@ pair_result bichromatic_closest_pair(const std::vector<point<D>>& red,
       0, leaves.size(),
       [&](std::size_t i) {
         pair_result best;
-        bccp_rec(ta, tb, leaves[i], tb.root(), false, best);
+        bccp_rec(ta, tb, leaves[i], kdtree::kRoot, false, best);
         local[i] = best;
       },
       1);
@@ -113,20 +110,19 @@ pair_result bichromatic_closest_pair(const std::vector<point<D>>& red,
 }
 
 template <int D>
-pair_result bccp_nodes(const kdtree::tree<D>& t, const node_t<D>* a,
-                       const node_t<D>* b) {
+pair_result bccp_nodes(const kdtree::tree<D>& t, std::uint32_t a,
+                       std::uint32_t b) {
   pair_result best;
   bccp_rec(t, t, a, b, /*self=*/true, best);
   return {t.id_of(best.i), t.id_of(best.j), best.dist_sq};
 }
 
-#define PARGEO_CP_INSTANTIATE(D)                                            \
-  template pair_result closest_pair<D>(const std::vector<point<D>>&);       \
-  template pair_result bichromatic_closest_pair<D>(                         \
-      const std::vector<point<D>>&, const std::vector<point<D>>&);          \
-  template pair_result bccp_nodes<D>(const kdtree::tree<D>&,                \
-                                     const typename kdtree::tree<D>::node*, \
-                                     const typename kdtree::tree<D>::node*);
+#define PARGEO_CP_INSTANTIATE(D)                                      \
+  template pair_result closest_pair<D>(const std::vector<point<D>>&); \
+  template pair_result bichromatic_closest_pair<D>(                   \
+      const std::vector<point<D>>&, const std::vector<point<D>>&);    \
+  template pair_result bccp_nodes<D>(const kdtree::tree<D>&,          \
+                                     std::uint32_t, std::uint32_t);
 
 PARGEO_CP_INSTANTIATE(2)
 PARGEO_CP_INSTANTIATE(3)

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -32,12 +33,11 @@ template <int D>
 pair_result bichromatic_closest_pair(const std::vector<point<D>>& red,
                                      const std::vector<point<D>>& blue);
 
-/// BCCP between the point ranges of two nodes of one tree. Returns
-/// original input-point indices. Sequential (callers parallelize across
-/// node pairs).
+/// BCCP between the point ranges of two nodes of one tree, given by slot.
+/// Returns original input-point indices. Sequential (callers parallelize
+/// across node pairs).
 template <int D>
-pair_result bccp_nodes(const kdtree::tree<D>& t,
-                       const typename kdtree::tree<D>::node* a,
-                       const typename kdtree::tree<D>::node* b);
+pair_result bccp_nodes(const kdtree::tree<D>& t, std::uint32_t a,
+                       std::uint32_t b);
 
 }  // namespace pargeo::closestpair

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 #include "closestpair/closestpair.h"
@@ -14,39 +15,34 @@ namespace pargeo::emst {
 
 namespace {
 
-template <int D>
-using node_t = typename kdtree::tree<D>::node;
-
 constexpr std::size_t kMixed = std::numeric_limits<std::size_t>::max();
 constexpr double kInf = std::numeric_limits<double>::infinity();
 // Subtrees over more points than this are relabelled in parallel.
 constexpr std::size_t kForkPoints = 8192;
 
-// Per-node component labels: a node whose points all lie in one component
-// carries that component's union-find root, any other node kMixed.
+// Component labels by node slot: a node whose points all lie in one
+// component carries that component's union-find root, any other kMixed.
 template <int D>
 struct components {
   const kdtree::tree<D>& t;
   std::vector<std::size_t> label;
 
-  bool single(const node_t<D>* nd) const {
-    return label[t.node_index(nd)] != kMixed;
-  }
-  bool connected(const node_t<D>* a, const node_t<D>* b) const {
-    const std::size_t la = label[t.node_index(a)];
-    return la != kMixed && la == label[t.node_index(b)];
+  bool single(std::uint32_t nd) const { return label[nd] != kMixed; }
+  bool connected(std::uint32_t a, std::uint32_t b) const {
+    return label[a] != kMixed && label[a] == label[b];
   }
 
   // Leaves hold one point each (the tree is built with leaf_size 1).
-  std::size_t relabel(const node_t<D>* nd, const union_find& uf) {
+  std::size_t relabel(std::uint32_t at, const union_find& uf) {
+    const auto& nd = t.node_at(at);
     std::size_t l = kMixed;
-    if (nd->is_leaf()) {
-      l = uf.root(t.id_of(nd->lo));
+    if (nd.is_leaf()) {
+      l = uf.root(t.id_of(nd.lo));
     } else {
       std::size_t a = 0, b = 0;
-      auto left = [&] { a = relabel(nd->left, uf); };
-      auto right = [&] { b = relabel(nd->right, uf); };
-      if (nd->size() > kForkPoints) {
+      auto left = [&] { a = relabel(nd.left, uf); };
+      auto right = [&] { b = relabel(nd.right, uf); };
+      if (nd.size() > kForkPoints) {
         par::par_do(left, right);
       } else {
         left();
@@ -54,7 +50,7 @@ struct components {
       }
       if (a == b) l = a;
     }
-    label[t.node_index(nd)] = l;
+    label[at] = l;
     return l;
   }
 };
@@ -68,15 +64,18 @@ struct next_bound {
   std::size_t beta;
   std::atomic<double> min_sq{kInf};
 
-  bool start(const node_t<D>* nd) const {
-    return nd->size() > beta && !c.single(nd);
+  bool start(std::uint32_t nd) const {
+    return c.t.node_at(nd).size() > beta && !c.single(nd);
   }
-  bool moveon(const node_t<D>* a, const node_t<D>* b) const {
-    return a->size() + b->size() > beta && !c.connected(a, b) &&
-           a->box.dist_sq(b->box) < min_sq.load(std::memory_order_relaxed);
+  bool moveon(std::uint32_t a, std::uint32_t b) const {
+    const auto& na = c.t.node_at(a);
+    const auto& nb = c.t.node_at(b);
+    return na.size() + nb.size() > beta && !c.connected(a, b) &&
+           na.box.dist_sq(nb.box) < min_sq.load(std::memory_order_relaxed);
   }
-  void run(const node_t<D>* a, const node_t<D>* b, std::vector<edge>&) {
-    par::write_min(&min_sq, a->box.dist_sq(b->box));
+  void run(std::uint32_t a, std::uint32_t b, std::vector<edge>&) {
+    par::write_min(&min_sq,
+                   c.t.node_at(a).box.dist_sq(c.t.node_at(b).box));
   }
 };
 
@@ -89,14 +88,15 @@ struct window_edges {
   const components<D>& c;
   double lo, lo_sq, hi, hi_sq;
 
-  bool start(const node_t<D>* nd) const { return !c.single(nd); }
-  bool moveon(const node_t<D>* a, const node_t<D>* b) const {
-    if (c.connected(a, b) || a->box.dist_sq(b->box) >= hi_sq) return false;
-    const double far_sq = a->box.max_dist_sq(b->box);
+  bool start(std::uint32_t nd) const { return !c.single(nd); }
+  bool moveon(std::uint32_t a, std::uint32_t b) const {
+    const aabb<D>& ba = c.t.node_at(a).box;
+    const aabb<D>& bb = c.t.node_at(b).box;
+    if (c.connected(a, b) || ba.dist_sq(bb) >= hi_sq) return false;
+    const double far_sq = ba.max_dist_sq(bb);
     return !(far_sq < lo_sq && std::sqrt(far_sq) < lo);
   }
-  void run(const node_t<D>* a, const node_t<D>* b,
-           std::vector<edge>& out) const {
+  void run(std::uint32_t a, std::uint32_t b, std::vector<edge>& out) const {
     const auto r = closestpair::bccp_nodes<D>(c.t, a, b);
     const double w = std::sqrt(r.dist_sq);
     if (w >= lo && w < hi) {
@@ -116,8 +116,8 @@ std::vector<edge> emst(const std::vector<point<D>>& pts) {
   kdtree::tree<D> t(pts, kdtree::split_policy::object_median, 1);
   constexpr double kSeparation = 2.0;
   union_find uf(n);
-  components<D> comp{t, std::vector<std::size_t>(t.num_nodes())};
-  comp.relabel(t.root(), uf);
+  components<D> comp{t, std::vector<std::size_t>(t.num_slots())};
+  comp.relabel(kdtree::kRoot, uf);
 
   std::vector<edge> mst;
   mst.reserve(n - 1);
@@ -148,7 +148,7 @@ std::vector<edge> emst(const std::vector<point<D>>& pts) {
       if (uf.unite(e.u, e.v)) mst.push_back(e);
     }
     if (mst.size() == n - 1 || beta >= n) break;
-    comp.relabel(t.root(), uf);
+    comp.relabel(kdtree::kRoot, uf);
     lo = hi;
     lo_sq = hi_sq;
   }

@@ -1,12 +1,19 @@
-// The one construction of the library's two static kd-trees: the pointer
-// kd-tree (`kdtree::tree`) and the BDL-tree's vEB-layout tree
-// (`bdltree::veb_tree`).
+// The one construction of the library's two static kd-trees: the kd-tree
+// (`kdtree::tree`) and the BDL-tree's vEB-layout tree (`bdltree::veb_tree`).
 //
 // *Recursion.* `build` visits a tree's nodes by a binary recursion over
 // ranges of its point array. Each node splits its range along one
 // dimension with `split`, then builds its two halves: in parallel
 // (`par_do`) while the range holds more than kForkCutoff points, in the
 // calling task below that, where a fork costs more than the subtree.
+//
+// *Slots.* The recursion numbers the nodes by the tree's shape: the root
+// takes slot 0; at a node it forks, the left child takes the next slot and
+// the right child goes past a block of 2m - 1 slots for the left child's m
+// points; below the cutoff, one task numbers its subtree in pre-order. If
+// every internal node has two non-empty children, a subtree of m points
+// has at most 2m - 1 nodes, so the slots lie below 2n - 1. `kdtree::tree`
+// stores its nodes at these slots; the vEB tree keeps its own order.
 //
 // *Split.* The object median cuts a range of n points at n/2 around v, its
 // n/2-th smallest coordinate: every point before the cut is <= v and every
@@ -24,7 +31,7 @@
 // *Determinism.* Which path splits a range depends on the range's size
 // alone, and each path's output depends only on the points (the selection
 // returns an exact order statistic; the blocked partition is stable), so a
-// tree comes out the same, point order and nodes, at every worker count.
+// tree comes out the same (point order, nodes, slots) at every worker count.
 #pragma once
 
 #include <algorithm>
@@ -32,7 +39,6 @@
 #include <limits>
 #include <memory>
 #include <new>
-#include <optional>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -50,20 +56,29 @@ inline constexpr std::size_t kParallelSplitCutoff = std::size_t{1} << 17;
 
 /// Storage for n trivially copyable T, left uninitialised: its owner
 /// constructs the slots it uses (zeroing them first would be one more
-/// serial pass over the buffer).
+/// serial pass over the buffer). A copy copies all n slots.
 template <class T>
 class raw_buffer {
   static_assert(std::is_trivially_copyable_v<T>);
 
  public:
-  explicit raw_buffer(std::size_t n)
-      : p_(static_cast<T*>(::operator new(n * sizeof(T)))) {}
+  explicit raw_buffer(std::size_t n = 0)
+      : n_(n), p_(static_cast<T*>(::operator new(n * sizeof(T)))) {}
+  raw_buffer(const raw_buffer& o) : raw_buffer(o.n_) {
+    std::copy_n(o.data(), n_, data());
+  }
+  raw_buffer(raw_buffer&&) noexcept = default;
+  raw_buffer& operator=(raw_buffer&&) noexcept = default;
+
+  std::size_t size() const { return n_; }
   T* data() const { return p_.get(); }
+  T& operator[](std::size_t i) const { return p_.get()[i]; }
 
  private:
   struct free_storage {
     void operator()(T* p) const { ::operator delete(p); }
   };
+  std::size_t n_;
   std::unique_ptr<T, free_storage> p_;
 };
 
@@ -213,30 +228,33 @@ cut split(T* a, std::size_t n, int dim, split_policy policy, T* scratch) {
 
 namespace detail {
 
+// Builds the subtree over a[lo, hi) whose root takes `slot`; returns the
+// slot after the subtree's.
 template <class T, class P, class Open, class Link, class Close>
-void build_range(T* a, T* scratch, std::size_t lo, std::size_t hi,
-                 split_policy policy, P at, Open& open, Link& link,
-                 Close& close) {
-  const int dim = open(at, lo, hi);
-  if (dim < 0) return;
+std::size_t build_range(T* a, T* scratch, std::size_t lo, std::size_t hi,
+                        split_policy policy, P at, std::size_t slot,
+                        Open& open, Link& link, Close& close) {
+  const int dim = open(at, slot, lo, hi);
+  if (dim < 0) return slot + 1;
   const std::size_t n = hi - lo;
   const cut c = split(a + lo, n, dim, policy,
                       scratch == nullptr ? nullptr : scratch + lo);
   const std::size_t mid = lo + c.at;
   const std::pair<P, P> kids = link(at, dim, c.value);
-  const auto left = [&] {
-    build_range(a, scratch, lo, mid, policy, kids.first, open, link, close);
+  const auto half = [&](std::size_t from, std::size_t to, P place,
+                        std::size_t first) {
+    return build_range(a, scratch, from, to, policy, place, first, open,
+                       link, close);
   };
-  const auto right = [&] {
-    build_range(a, scratch, mid, hi, policy, kids.second, open, link, close);
-  };
+  std::size_t end = slot + 2 * n - 1;  // past the node's block
   if (n > kForkCutoff) {
-    par::par_do(left, right);
+    par::par_do([&] { half(lo, mid, kids.first, slot + 1); },
+                [&] { half(mid, hi, kids.second, slot + 2 * c.at); });
   } else {
-    left();
-    right();
+    end = half(mid, hi, kids.second, half(lo, mid, kids.first, slot + 1));
   }
   close(at);
+  return end;
 }
 
 }  // namespace detail
@@ -244,8 +262,10 @@ void build_range(T* a, T* scratch, std::size_t lo, std::size_t hi,
 /// Builds a tree over a[0, n), permuting it so that every node covers a
 /// contiguous range. The tree records its nodes through three hooks, given
 /// the place `at` of a node (the root's is `root`):
-///   int open(P at, lo, hi)   records the node over a[lo, hi); returns the
-///                            dimension to split it along, or -1 (a leaf);
+///   int open(P at, std::size_t slot, lo, hi)
+///                            records the node over a[lo, hi) at `slot`
+///                            (*Slots*); returns the dimension to split it
+///                            along, or -1 (a leaf);
 ///   std::pair<P, P> link(P at, int dim, double value)
 ///                            records its split; returns its children's
 ///                            places;
@@ -254,10 +274,9 @@ void build_range(T* a, T* scratch, std::size_t lo, std::size_t hi,
 template <class T, class P, class Open, class Link, class Close>
 void build(T* a, std::size_t n, split_policy policy, P root, Open open,
            Link link, Close close) {
-  std::optional<raw_buffer<T>> scratch;
-  if (n > kParallelSplitCutoff) scratch.emplace(n);
-  detail::build_range(a, scratch ? scratch->data() : nullptr, 0, n, policy,
-                      root, open, link, close);
+  raw_buffer<T> scratch(n > kParallelSplitCutoff ? n : 0);
+  detail::build_range(a, scratch.size() > 0 ? scratch.data() : nullptr, 0, n,
+                      policy, root, 0, open, link, close);
 }
 
 }  // namespace pargeo::kdtree

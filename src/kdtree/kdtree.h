@@ -1,30 +1,20 @@
 // Static parallel kd-tree (paper Module 1).
 //
-// Construction runs the builder in kdtree/build.h, which the BDL-tree's
-// vEB trees share: a binary recursion that forks only while a range holds
-// more than kForkCutoff points, splitting each node's range along its
-// bounding box's widest dimension by the object median (cut at n/2 around
-// the median coordinate) or the spatial median (the box's midpoint). A
-// range above kParallelSplitCutoff points is split by a parallel selection
-// and a stable blocked partition, a smaller one in place by
-// std::nth_element; the path depends on the range's size alone, so the
-// point order and every node's contents are the same at every worker
-// count. (The nodes' places in the arena are not: concurrent subtrees take
-// slots from one shared counter.) Queries: exact k-NN (single and
-// data-parallel batch), orthogonal range search, and ball range search. A
-// batch k-NN runs its queries in Morton order, so that the queries one
-// worker runs in a row walk mostly the same nodes; its rows stay in input
-// order.
-// Nodes expose bounding boxes so other modules (WSPD, BCCP, EMST) can run
-// dual-tree traversals over the same structure.
+// Built by kdtree/build.h, the builder the BDL-tree's vEB trees share:
+// each node splits its range along its box's widest dimension by the
+// object median or the spatial median, and the tree (point order, nodes
+// and their slots, build.h's *Slots*) is the same at every worker count.
+// The nodes are kdtree/node.h's, in one array: a leaf-size-1 tree fills
+// slots [0, 2n - 1), larger leaves leave unused slots between forked
+// blocks, which nothing reads. Slots are 32-bit, so a tree holds at most
+// 2^31 points. Queries: exact k-NN (single and data-parallel batch),
+// orthogonal range search, and ball range search.
 #pragma once
 
 #include <algorithm>
-#include <atomic>
-#include <cassert>
 #include <cstdint>
 #include <new>
-#include <type_traits>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -32,6 +22,7 @@
 #include "core/point.h"
 #include "kdtree/build.h"
 #include "kdtree/knn_buffer.h"
+#include "kdtree/node.h"
 #include "mortonsort/mortonsort.h"
 #include "parallel/parallel.h"
 
@@ -40,76 +31,66 @@ namespace pargeo::kdtree {
 template <int D>
 class tree {
  public:
-  struct node {
-    aabb<D> box;
-    std::size_t lo = 0, hi = 0;  // range of points_ covered by this node
-    int split_dim = -1;
-    double split_val = 0;
-    node* left = nullptr;
-    node* right = nullptr;
-
-    bool is_leaf() const { return left == nullptr; }
-    std::size_t size() const { return hi - lo; }
-  };
+  using node = kdtree::node<D>;
 
   static constexpr std::size_t kDefaultLeafSize = 16;
+  /// Most points a tree holds: its up to 2n - 1 slots are 32-bit.
+  static constexpr std::size_t kMaxPoints = std::size_t{1} << 31;
 
   /// Builds the tree over a copy of `pts` (points are permuted internally;
-  /// original indices are available via `id_of`).
+  /// original indices are available via `id_of`). Throws std::length_error
+  /// above kMaxPoints points.
   explicit tree(const std::vector<point<D>>& pts,
                 split_policy policy = split_policy::object_median,
                 std::size_t leaf_size = kDefaultLeafSize)
-      : points_(pts.size()),
-        ids_(pts.size()),
-        // Each internal node has two non-empty children, so node count
-        // < 2n. n = 0 still gets one (empty leaf) root so queries need no
-        // null checks. The bound is reserved, not constructed: a leaf-16
-        // build uses ~n/8 nodes, and alloc_node constructs only those.
-        arena_cap_(std::max<std::size_t>(1, 2 * pts.size())),
-        arena_(arena_cap_) {
+      : nodes_(2 * std::max<std::size_t>(1, checked_size(pts.size())) - 1),
+        points_(pts.size()),
+        ids_(pts.size()) {
     const std::size_t n = pts.size();
     // The builder permutes (point, input index) pairs, which are then
-    // unzipped so that queries scan the points alone.
+    // unzipped so that queries scan the points alone. n = 0 still gets
+    // one (empty leaf) root so queries need no null checks.
     raw_buffer<item> items(n);
     item* const a = items.data();
     par::parallel_for(0, n, [&](std::size_t i) {
       ::new (static_cast<void*>(a + i)) item{pts[i], i};
     });
     leaf_size = std::max<std::size_t>(1, leaf_size);
+    std::uint32_t root_slot = kRoot;
     kdtree::build(
-        a, n, policy, &root_,
-        [&](node** at, std::size_t lo, std::size_t hi) {
-          node* nd = alloc_node();
-          *at = nd;
-          nd->lo = lo;
-          nd->hi = hi;
-          nd->box = box_of(a + lo, hi - lo);
-          return hi - lo <= leaf_size ? -1 : nd->box.widest_dim();
+        a, n, policy, &root_slot,
+        [&](std::uint32_t* at, std::size_t slot, std::size_t lo,
+            std::size_t hi) {
+          *at = static_cast<std::uint32_t>(slot);
+          const aabb<D> box = box_of(a + lo, hi - lo);
+          const auto l = static_cast<std::uint32_t>(lo);
+          const auto h = static_cast<std::uint32_t>(hi);
+          nodes_[slot] = node{box, 0, l, h, h - l, 0, 0, -1};
+          return hi - lo <= leaf_size ? -1 : box.widest_dim();
         },
-        [](node** at, int dim, double value) {
-          node* nd = *at;
-          nd->split_dim = dim;
-          nd->split_val = value;
-          return std::pair{&nd->left, &nd->right};
+        [&](std::uint32_t* at, int dim, double value) {
+          node& nd = nodes_[*at];
+          nd.split_dim = dim;
+          nd.split_val = value;
+          return std::pair{&nd.left, &nd.right};
         },
-        [](node**) {});
+        [](std::uint32_t*) {});
     par::parallel_for(0, n, [&](std::size_t i) {
-      points_[i] = a[i].p;
-      ids_[i] = a[i].id;
+      ::new (static_cast<void*>(points_.data() + i)) point<D>(a[i].p);
+      ::new (static_cast<void*>(ids_.data() + i)) std::size_t(a[i].id);
     });
   }
 
-  const node* root() const { return root_; }
+  // Unused slots of the node array are never written, so nothing copies it.
+  tree(const tree&) = delete;
+  tree& operator=(const tree&) = delete;
+
   std::size_t size() const { return points_.size(); }
 
-  /// Number of nodes. node_index maps each node to a distinct value below
-  /// it, so callers can keep per-node data in a dense array.
-  std::size_t num_nodes() const {
-    return next_node_.load(std::memory_order_relaxed);
-  }
-  std::size_t node_index(const node* nd) const {
-    return static_cast<std::size_t>(nd - arena_.data());
-  }
+  /// The node at `slot`; the root is at kRoot. Every node's slot, and so
+  /// every link, is below num_slots().
+  const node& node_at(std::uint32_t slot) const { return nodes_[slot]; }
+  std::size_t num_slots() const { return nodes_.size(); }
 
   /// Point stored at internal slot i (post-permutation).
   const point<D>& point_at(std::size_t i) const { return points_[i]; }
@@ -121,7 +102,7 @@ class tree {
   /// is stored, it appears in the result (distance 0).
   std::vector<knn_buffer::entry> knn(const point<D>& q, std::size_t k) const {
     knn_buffer buf(std::min(k, size()));
-    knn_node(root_, q, buf);
+    walk().knn(kRoot, q, [](std::uint32_t i) { return std::size_t{i}; }, buf);
     auto out = buf.finish();
     for (auto& e : out) e.id = ids_[e.id];
     return out;
@@ -142,7 +123,8 @@ class tree {
   /// Original indices of all points inside `query_box`.
   std::vector<std::size_t> range_box(const aabb<D>& query_box) const {
     std::vector<std::size_t> out;
-    range_box_node(root_, query_box, out);
+    walk().box(kRoot, query_box,
+               [&](std::uint32_t i) { out.push_back(ids_[i]); });
     return out;
   }
 
@@ -150,7 +132,8 @@ class tree {
   std::vector<std::size_t> range_ball(const point<D>& center,
                                       double radius) const {
     std::vector<std::size_t> out;
-    range_ball_node(root_, center, radius * radius, out);
+    walk().ball(kRoot, center, radius * radius,
+                [&](std::uint32_t i) { out.push_back(ids_[i]); });
     return out;
   }
 
@@ -161,6 +144,13 @@ class tree {
     std::size_t id;
     double operator[](int d) const { return p[d]; }
   };
+
+  static std::size_t checked_size(std::size_t n) {
+    if (n > kMaxPoints) {
+      throw std::length_error("kdtree::tree: more than 2^31 points");
+    }
+    return n;
+  }
 
   static aabb<D> box_of(const item* a, std::size_t n) {
     const auto scan = [a](std::size_t lo, std::size_t hi) {
@@ -176,70 +166,14 @@ class tree {
                             });
   }
 
-  node* alloc_node() {
-    const std::size_t idx =
-        next_node_.fetch_add(1, std::memory_order_relaxed);
-    assert(idx < arena_cap_);
-    return ::new (static_cast<void*>(arena_.data() + idx)) node();
+  auto walk() const {
+    return walker(nodes_.data(), points_.data(),
+                  [](std::uint32_t) { return true; });
   }
 
-  void knn_node(const node* nd, const point<D>& q, knn_buffer& buf) const {
-    if (nd->is_leaf()) {
-      for (std::size_t i = nd->lo; i < nd->hi; ++i) {
-        buf.insert(points_[i].dist_sq(q), i);
-      }
-      return;
-    }
-    const node* near = nd->left;
-    const node* far = nd->right;
-    if (q[nd->split_dim] >= nd->split_val) std::swap(near, far);
-    if (near->box.dist_sq(q) < buf.bound()) knn_node(near, q, buf);
-    if (far->box.dist_sq(q) < buf.bound()) knn_node(far, q, buf);
-  }
-
-  void range_box_node(const node* nd, const aabb<D>& qb,
-                      std::vector<std::size_t>& out) const {
-    if (!nd->box.intersects(qb)) return;
-    if (nd->box.inside(qb)) {
-      for (std::size_t i = nd->lo; i < nd->hi; ++i) out.push_back(ids_[i]);
-      return;
-    }
-    if (nd->is_leaf()) {
-      for (std::size_t i = nd->lo; i < nd->hi; ++i) {
-        if (qb.contains(points_[i])) out.push_back(ids_[i]);
-      }
-      return;
-    }
-    range_box_node(nd->left, qb, out);
-    range_box_node(nd->right, qb, out);
-  }
-
-  void range_ball_node(const node* nd, const point<D>& c, double r_sq,
-                       std::vector<std::size_t>& out) const {
-    if (nd->box.dist_sq(c) > r_sq) return;
-    if (nd->box.max_dist_sq(c) <= r_sq) {
-      for (std::size_t i = nd->lo; i < nd->hi; ++i) out.push_back(ids_[i]);
-      return;
-    }
-    if (nd->is_leaf()) {
-      for (std::size_t i = nd->lo; i < nd->hi; ++i) {
-        if (points_[i].dist_sq(c) <= r_sq) out.push_back(ids_[i]);
-      }
-      return;
-    }
-    range_ball_node(nd->left, c, r_sq, out);
-    range_ball_node(nd->right, c, r_sq, out);
-  }
-
-  // Nodes are never destroyed one by one: freeing the storage is enough.
-  static_assert(std::is_trivially_destructible_v<node>);
-
-  std::vector<point<D>> points_;
-  std::vector<std::size_t> ids_;
-  std::size_t arena_cap_;
-  raw_buffer<node> arena_;
-  std::atomic<std::size_t> next_node_{0};
-  node* root_ = nullptr;
+  raw_buffer<node> nodes_;
+  raw_buffer<point<D>> points_;
+  raw_buffer<std::size_t> ids_;
 };
 
 }  // namespace pargeo::kdtree

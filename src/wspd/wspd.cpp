@@ -6,19 +6,15 @@ namespace pargeo::wspd {
 
 namespace {
 
-using detail::node_t;
-
 // Hooks that prune nothing.
-template <int D>
 struct visit_all {
-  bool start(const node_t<D>*) const { return true; }
-  bool moveon(const node_t<D>*, const node_t<D>*) const { return true; }
+  bool start(std::uint32_t) const { return true; }
+  bool moveon(std::uint32_t, std::uint32_t) const { return true; }
 };
 
-template <int D>
-struct keep_pairs : visit_all<D> {
-  void run(const node_t<D>* a, const node_t<D>* b,
-           std::vector<node_pair<D>>& out) const {
+struct keep_pairs : visit_all {
+  void run(std::uint32_t a, std::uint32_t b,
+           std::vector<node_pair>& out) const {
     out.push_back({a, b});
   }
 };
@@ -27,16 +23,17 @@ struct keep_pairs : visit_all<D> {
 // self-pair contributes its full (tiny) clique so intra-leaf distances are
 // spanned exactly.
 template <int D>
-struct spanner_edges : visit_all<D> {
+struct spanner_edges : visit_all {
   const kdtree::tree<D>* t;
-  void run(const node_t<D>* a, const node_t<D>* b,
+  void run(std::uint32_t a, std::uint32_t b,
            std::vector<std::pair<std::size_t, std::size_t>>& out) const {
+    const auto& na = t->node_at(a);
     if (a != b) {
-      out.emplace_back(t->id_of(a->lo), t->id_of(b->lo));
+      out.emplace_back(t->id_of(na.lo), t->id_of(t->node_at(b).lo));
       return;
     }
-    for (std::size_t x = a->lo; x < a->hi; ++x) {
-      for (std::size_t y = x + 1; y < a->hi; ++y) {
+    for (std::size_t x = na.lo; x < na.hi; ++x) {
+      for (std::size_t y = x + 1; y < na.hi; ++y) {
         out.emplace_back(t->id_of(x), t->id_of(y));
       }
     }
@@ -46,9 +43,9 @@ struct spanner_edges : visit_all<D> {
 }  // namespace
 
 template <int D>
-std::vector<node_pair<D>> decompose(const kdtree::tree<D>& t, double s) {
-  keep_pairs<D> hooks;
-  std::vector<node_pair<D>> pairs;
+std::vector<node_pair> decompose(const kdtree::tree<D>& t, double s) {
+  keep_pairs hooks;
+  std::vector<node_pair> pairs;
   traverse<D>(t, s, hooks, pairs);
   return pairs;
 }
@@ -66,7 +63,7 @@ std::vector<std::pair<std::size_t, std::size_t>> spanner(
 }
 
 #define PARGEO_WSPD_INSTANTIATE(D)                          \
-  template std::vector<node_pair<D>> decompose<D>(          \
+  template std::vector<node_pair> decompose<D>(             \
       const kdtree::tree<D>&, double);                      \
   template std::vector<std::pair<std::size_t, std::size_t>> \
   spanner<D>(const kdtree::tree<D>&, double);

@@ -8,10 +8,13 @@
 // The recursion that finds the pairs exists once, as `traverse`. Its
 // callers steer it through hooks, as ParGeo's own wspd.h does: `decompose`
 // keeps every pair, and the EMST's rounds prune the recursion by
-// connectivity and distance and act on the pairs it still reaches.
+// connectivity and distance and act on the pairs it still reaches. Pairs
+// and hooks name nodes by slot (`tree::node_at`).
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "kdtree/kdtree.h"
@@ -19,25 +22,21 @@
 
 namespace pargeo::wspd {
 
-template <int D>
+/// Two nodes of a tree, by slot.
 struct node_pair {
-  const typename kdtree::tree<D>::node* a;
-  const typename kdtree::tree<D>::node* b;
+  std::uint32_t a, b;
 };
 
 template <int D>
-bool well_separated(const typename kdtree::tree<D>::node* a,
-                    const typename kdtree::tree<D>::node* b, double s) {
-  const double ra_sq = a->box.diameter_sq() / 4.0;
-  const double rb_sq = b->box.diameter_sq() / 4.0;
-  const double r_sq = std::max(ra_sq, rb_sq);
-  return a->box.dist_sq(b->box) >= s * s * r_sq;
+bool well_separated(const kdtree::tree<D>& t, std::uint32_t a,
+                    std::uint32_t b, double s) {
+  const aabb<D>& ba = t.node_at(a).box;
+  const aabb<D>& bb = t.node_at(b).box;
+  const double r_sq = std::max(ba.diameter_sq(), bb.diameter_sq()) / 4.0;
+  return ba.dist_sq(bb) >= s * s * r_sq;
 }
 
 namespace detail {
-
-template <int D>
-using node_t = typename kdtree::tree<D>::node;
 
 // Recursions over more points than this fork; smaller ones run
 // sequentially.
@@ -53,22 +52,22 @@ void fork_in_order(std::vector<T>& out, F first, G second) {
 }
 
 template <int D, class Hooks, class T>
-void find_pairs(const node_t<D>* a, const node_t<D>* b, double s, Hooks& h,
-                std::vector<T>& out) {
+void find_pairs(const kdtree::tree<D>& t, std::uint32_t a, std::uint32_t b,
+                double s, Hooks& h, std::vector<T>& out) {
   if (!h.moveon(a, b)) return;
-  if (well_separated<D>(a, b, s)) {
+  if (well_separated<D>(t, a, b, s)) {
     h.run(a, b, out);
     return;
   }
   // Split the node with the larger diameter (leaves cannot be split).
-  const node_t<D>* split = a;
-  const node_t<D>* other = b;
-  if (a->is_leaf() ||
-      (!b->is_leaf() && b->box.diameter_sq() > a->box.diameter_sq())) {
-    split = b;
-    other = a;
-  }
-  if (split->is_leaf()) {
+  const auto& na = t.node_at(a);
+  const auto& nb = t.node_at(b);
+  const bool split_b =
+      na.is_leaf() ||
+      (!nb.is_leaf() && nb.box.diameter_sq() > na.box.diameter_sq());
+  const auto& split = split_b ? nb : na;
+  const std::uint32_t other = split_b ? a : b;
+  if (split.is_leaf()) {
     // Two non-separated leaves (duplicate or near-duplicate points): emit
     // the leaf pair as a unit so the decomposition still covers every
     // point pair exactly once.
@@ -76,12 +75,12 @@ void find_pairs(const node_t<D>* a, const node_t<D>* b, double s, Hooks& h,
     return;
   }
   auto left = [&](std::vector<T>& o) {
-    find_pairs<D>(split->left, other, s, h, o);
+    find_pairs<D>(t, split.left, other, s, h, o);
   };
   auto right = [&](std::vector<T>& o) {
-    find_pairs<D>(split->right, other, s, h, o);
+    find_pairs<D>(t, split.right, other, s, h, o);
   };
-  if (split->size() + other->size() > kForkPoints) {
+  if (na.size() + nb.size() > kForkPoints) {
     fork_in_order(out, left, right);
   } else {
     left(out);
@@ -90,20 +89,24 @@ void find_pairs(const node_t<D>* a, const node_t<D>* b, double s, Hooks& h,
 }
 
 template <int D, class Hooks, class T>
-void node_pairs(const node_t<D>* nd, double s, Hooks& h, std::vector<T>& out) {
-  if (!h.start(nd)) return;
-  if (nd->is_leaf()) {
+void node_pairs(const kdtree::tree<D>& t, std::uint32_t at, double s,
+                Hooks& h, std::vector<T>& out) {
+  if (!h.start(at)) return;
+  const auto& nd = t.node_at(at);
+  if (nd.is_leaf()) {
     // Unsplittable multi-point leaf: a self-pair covering its internal
     // point pairs (see decompose).
-    if (nd->size() > 1) h.run(nd, nd, out);
+    if (nd.size() > 1) h.run(at, at, out);
     return;
   }
-  auto left = [&](std::vector<T>& o) { node_pairs<D>(nd->left, s, h, o); };
-  auto right = [&](std::vector<T>& o) { node_pairs<D>(nd->right, s, h, o); };
-  auto cross = [&](std::vector<T>& o) {
-    find_pairs<D>(nd->left, nd->right, s, h, o);
+  auto left = [&](std::vector<T>& o) { node_pairs<D>(t, nd.left, s, h, o); };
+  auto right = [&](std::vector<T>& o) {
+    node_pairs<D>(t, nd.right, s, h, o);
   };
-  if (nd->size() > kForkPoints) {
+  auto cross = [&](std::vector<T>& o) {
+    find_pairs<D>(t, nd.left, nd.right, s, h, o);
+  };
+  if (nd.size() > kForkPoints) {
     fork_in_order(out, left, [&](std::vector<T>& o) {
       fork_in_order(o, right, cross);
     });
@@ -117,7 +120,7 @@ void node_pairs(const node_t<D>* nd, double s, Hooks& h, std::vector<T>& out) {
 }  // namespace detail
 
 /// The s-WSPD recursion over `t`, steered by three hooks on `h`, which
-/// may be called concurrently from several workers:
+/// may be called concurrently from several workers and name nodes by slot:
 ///   - `bool start(nd)`: false skips every pair inside node nd;
 ///   - `bool moveon(a, b)`: false skips the pair (a, b) and every pair
 ///     between their descendants, so return false only when none of those
@@ -130,7 +133,7 @@ void node_pairs(const node_t<D>* nd, double s, Hooks& h, std::vector<T>& out) {
 template <int D, class Hooks, class T>
 void traverse(const kdtree::tree<D>& t, double s, Hooks& h,
               std::vector<T>& out) {
-  detail::node_pairs<D>(t.root(), s, h, out);
+  detail::node_pairs<D>(t, kdtree::kRoot, s, h, out);
 }
 
 /// Computes the s-WSPD of the tree's point set. Parallel recursion; the
@@ -142,8 +145,7 @@ void traverse(const kdtree::tree<D>& t, double s, Hooks& h,
 /// emitted as a regular pair even though they violate the separation
 /// criterion. Build the tree with leaf_size = 1 for a textbook WSPD.
 template <int D>
-std::vector<node_pair<D>> decompose(const kdtree::tree<D>& t,
-                                    double s = 2.0);
+std::vector<node_pair> decompose(const kdtree::tree<D>& t, double s = 2.0);
 
 /// A t-spanner edge set from the WSPD: one representative edge per pair
 /// (indices are the tree's original input-point ids). Guarantees spanning

@@ -94,12 +94,14 @@ TEST(Bccp, NodesPrimitiveOnWspdPair) {
   kdtree::tree<2> t(pts);
   // Two sibling subtrees of the root: their BCCP must match brute force
   // over the two ranges.
-  const auto* root = t.root();
-  ASSERT_FALSE(root->is_leaf());
-  auto r = closestpair::bccp_nodes<2>(t, root->left, root->right);
+  const auto& root = t.node_at(kdtree::kRoot);
+  ASSERT_FALSE(root.is_leaf());
+  auto r = closestpair::bccp_nodes<2>(t, root.left, root.right);
+  const auto& left = t.node_at(root.left);
+  const auto& right = t.node_at(root.right);
   double best = std::numeric_limits<double>::infinity();
-  for (std::size_t i = root->left->lo; i < root->left->hi; ++i) {
-    for (std::size_t j = root->right->lo; j < root->right->hi; ++j) {
+  for (std::size_t i = left.lo; i < left.hi; ++i) {
+    for (std::size_t j = right.lo; j < right.hi; ++j) {
       best = std::min(best, t.point_at(i).dist_sq(t.point_at(j)));
     }
   }

@@ -12,7 +12,15 @@
 
 using namespace pargeo;
 using kdtree::split_policy;
-using testutil::check_structure;
+
+namespace {
+
+template <int D>
+void check_structure(const kdtree::tree<D>& t) {
+  testutil::check_nodes(t, t.num_slots(), t.size());
+}
+
+}  // namespace
 
 TEST(Kdtree, EmptyInputBuildsAndQueriesReturnNothing) {
   std::vector<point<2>> empty;
@@ -167,7 +175,10 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(Kdtree, LeafSizeOneWorks) {
   auto pts = datagen::uniform<2>(500, 21);
   kdtree::tree<2> t(pts, split_policy::object_median, 1);
-  check_structure(t);
+  // One point per leaf: n leaves, and the 2n - 1 nodes fill every slot.
+  EXPECT_EQ(testutil::check_nodes(t, t.num_slots(), t.size()).size(),
+            pts.size());
+  EXPECT_EQ(t.num_slots(), 2 * pts.size() - 1);
   auto nn = t.knn(pts[17], 3);
   auto brute = testutil::brute_knn_dists(pts, pts[17], 3);
   for (int k = 0; k < 3; ++k) EXPECT_EQ(nn[k].dist_sq, brute[k]);

@@ -4,10 +4,9 @@
 // par::detail::kSortGrain, so their Morton ordering spans several buckets.
 // Every row equals brute force by distance; on one structure, every row is
 // the same at every worker count and when the queries arrive shuffled.
-// (Across two builds of a B2 tree, a distance tie may pick another point:
-// its ids are point addresses.) Two builds of one BDL-tree, at 1 and at 4
-// workers, and their snapshot views give the same points on ties too. k = 0
-// gives empty rows through every entry point.
+// Two builds of one BDL-tree, at 1 and at 4 workers, and their snapshot
+// views give the same points on ties too, and so do two builds of one B2
+// tree. k = 0 gives empty rows through every entry point.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -234,8 +233,9 @@ TEST(KnnBatch, EveryEntryPointMatchesBruteForceInAnyOrderAtAnyWorkerCount) {
   }
 }
 
-// BDL-tree k-NN ids name a tree slot and a storage index, not an address,
-// so the rows of a rebuilt forest and of a snapshot view (which copies the
+// BDL-tree k-NN ids name a tree slot and a storage index, and B2 ids a
+// leaf number and an index in the leaf, not an address, so the rows of a
+// rebuilt forest or B2 tree and of a snapshot view (which copies the
 // staging buffer) keep the same points on distance ties.
 TEST(KnnBatch, BdlTreeTiesKeepTheSamePointsAcrossBuildsAndViews) {
   for (const input& in : inputs()) {
@@ -245,21 +245,28 @@ TEST(KnnBatch, BdlTreeTiesKeepTheSamePointsAcrossBuildsAndViews) {
     }
     for (const std::size_t k : kKs) {
       SCOPED_TRACE(::testing::Message() << in.name << " k=" << k);
-      std::vector<rows> at;  // knn and view().knn of a build per worker count
+      const auto differ = [](const rows& x, const rows& y) {
+        std::size_t d = 0;
+        for (std::size_t i = 0; i < kQueries; ++i) d += x[i] != y[i];
+        return d;
+      };
+      std::vector<rows> bdl_at;  // knn and view().knn of a build per count
+      std::vector<rows> b2_at;   // knn of a B2 build per worker count
       for (const int w : {1, 4}) {
         testutil::scoped_workers workers(w);
         const auto t = bdl(in.pts);
-        at.push_back(t.knn(in.queries, k));
-        at.push_back(t.view().knn(in.queries, k));
+        bdl_at.push_back(t.knn(in.queries, k));
+        bdl_at.push_back(t.view().knn(in.queries, k));
+        b2_at.push_back(
+            insert_all(bdltree::b2_tree<2>(), in.pts).knn(in.queries, k));
       }
-      for (std::size_t j = 1; j < at.size(); ++j) {
-        std::size_t differ = 0;
-        for (std::size_t i = 0; i < kQueries; ++i) {
-          differ += at[j][i] != at[0][i];
-        }
-        EXPECT_EQ(differ, 0u) << "rows that differ from the 1-worker build's "
-                              << "knn, in result " << j;
+      for (std::size_t j = 1; j < bdl_at.size(); ++j) {
+        EXPECT_EQ(differ(bdl_at[j], bdl_at[0]), 0u)
+            << "rows that differ from the 1-worker build's knn, in result "
+            << j;
       }
+      EXPECT_EQ(differ(b2_at[1], b2_at[0]), 0u)
+          << "B2 rows that differ between two builds";
     }
   }
 }

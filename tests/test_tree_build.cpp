@@ -1,6 +1,7 @@
 // The builder both static kd-trees share (kdtree/build.h), at 1, 2 and 4
 // workers on degenerate input past the parallel-split cutoff: the same
-// tree at every worker count, the split contract at every node, the
+// tree at every worker count, every node at the same slot, and the same
+// WSPD node pairs in the same order; the split contract at every node, the
 // parallel split against the sequential selection it replaces, and k-NN
 // against brute force.
 #include <gtest/gtest.h>
@@ -9,6 +10,7 @@
 #include <cstdint>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "bdltree/veb_tree.h"
@@ -17,6 +19,7 @@
 #include "kdtree/kdtree.h"
 #include "test_util.h"
 #include "tree_checks.h"
+#include "wspd/wspd.h"
 
 using namespace pargeo;
 using kdtree::split_policy;
@@ -92,84 +95,58 @@ std::vector<std::vector<double>> brute_rows(const std::vector<P>& pts) {
   return rows;
 }
 
-// --- kdtree::tree ---------------------------------------------------------
+// --- both trees -----------------------------------------------------------
 
-using kd_node = kdtree::tree<2>::node;
-using kd_row = std::tuple<std::size_t, std::size_t, int, double, P, P>;
+// A node and its slot.
+using node_row = std::tuple<std::uint32_t, std::uint32_t, std::uint32_t,
+                            std::uint32_t, std::uint32_t, std::uint32_t, int,
+                            double, P, P>;
 
-// The nodes in pre-order. Their places in the arena depend on the
-// schedule (concurrent subtrees share one slot counter), their contents
-// must not.
-std::vector<kd_row> kd_nodes(const kdtree::tree<2>& t) {
-  std::vector<kd_row> out;
-  std::vector<const kd_node*> stack{t.root()};
+// A tree's nodes in pre-order from the root, each with its slot, so that
+// two trees compare equal only if every node sits at the same slot with the
+// same contents and links.
+template <class Tree>
+std::vector<node_row> node_rows(const Tree& t) {
+  std::vector<node_row> out;
+  std::vector<std::uint32_t> stack{kdtree::kRoot};
   while (!stack.empty()) {
-    const kd_node* nd = stack.back();
+    const std::uint32_t at = stack.back();
     stack.pop_back();
-    out.emplace_back(nd->lo, nd->hi, nd->split_dim, nd->split_val,
-                     nd->box.lo, nd->box.hi);
-    if (!nd->is_leaf()) {
-      stack.push_back(nd->right);
-      stack.push_back(nd->left);
+    const auto& nd = t.node_at(at);
+    out.emplace_back(at, nd.lo, nd.hi, nd.live, nd.left, nd.right,
+                     nd.split_dim, nd.split_val, nd.box.lo, nd.box.hi);
+    if (!nd.is_leaf()) {
+      stack.push_back(nd.right);
+      stack.push_back(nd.left);
     }
   }
   return out;
 }
 
-void expect_kd_contract(const kdtree::tree<2>& t, split_policy pol) {
+// Every internal node splits its range by the policy's contract.
+template <class Tree>
+void expect_split_contract(const Tree& t, split_policy pol) {
   const auto at = [&](std::size_t i) { return t.point_at(i); };
-  std::vector<const kd_node*> stack{t.root()};
+  std::vector<std::uint32_t> stack{kdtree::kRoot};
   while (!stack.empty()) {
-    const kd_node* nd = stack.back();
+    const auto& nd = t.node_at(stack.back());
     stack.pop_back();
-    if (nd->is_leaf()) continue;
-    const std::size_t mid = nd->left->hi;
-    expect_split(at, nd->lo, mid, nd->hi, nd->split_dim, nd->split_val);
-    if (pol == split_policy::object_median) {
-      ASSERT_EQ(mid - nd->lo, nd->size() / 2);
-      if (nd->size() > kdtree::kParallelSplitCutoff) {
-        EXPECT_EQ(nd->split_val,
-                  nth_oracle(at, nd->lo, nd->hi, nd->split_dim));
-      }
-    }
-    stack.push_back(nd->left);
-    stack.push_back(nd->right);
-  }
-}
-
-// --- bdltree::veb_tree ----------------------------------------------------
-
-using veb = bdltree::veb_tree<2>;
-using veb_row = std::tuple<std::uint32_t, std::uint32_t, std::uint32_t,
-                           std::uint32_t, std::uint32_t, int, double, P, P>;
-
-std::vector<veb_row> veb_nodes(const veb& t) {
-  std::vector<veb_row> out;
-  for (std::size_t i = 0; i < t.num_nodes(); ++i) {
-    const veb::node& nd = t.node_at(i);
-    out.emplace_back(nd.lo, nd.hi, nd.live, nd.left, nd.right, nd.split_dim,
-                     nd.split_val, nd.box.lo, nd.box.hi);
-  }
-  return out;
-}
-
-void expect_veb_contract(const veb& t, const std::vector<P>& order,
-                         split_policy pol) {
-  const auto at = [&](std::size_t i) { return order[i]; };
-  for (std::size_t i = 0; i < t.num_nodes(); ++i) {
-    const veb::node& nd = t.node_at(i);
-    if (nd.split_dim < 0) continue;
-    const std::size_t n = nd.hi - nd.lo;
-    const std::uint32_t mid = t.node_at(nd.left).hi;
+    if (nd.is_leaf()) continue;
+    const std::size_t mid = t.node_at(nd.left).hi;
     expect_split(at, nd.lo, mid, nd.hi, nd.split_dim, nd.split_val);
     if (pol == split_policy::object_median) {
-      ASSERT_EQ(mid - nd.lo, n / 2);
-      if (n > kdtree::kParallelSplitCutoff) {
-        EXPECT_EQ(nd.split_val, nth_oracle(at, nd.lo, nd.hi, nd.split_dim));
+      ASSERT_EQ(mid - nd.lo, nd.size() / 2);
+      if (nd.size() > kdtree::kParallelSplitCutoff) {
+        EXPECT_EQ(nd.split_val,
+                  nth_oracle(at, nd.lo, nd.hi, nd.split_dim));
       }
     }
+    stack.push_back(nd.left);
+    stack.push_back(nd.right);
   }
 }
+
+using veb = bdltree::veb_tree<2>;
 
 std::vector<double> veb_knn(const veb& t, const P& q) {
   kdtree::knn_buffer buf(5);
@@ -177,6 +154,13 @@ std::vector<double> veb_knn(const veb& t, const P& q) {
   std::vector<double> d;
   for (const auto& e : buf.finish()) d.push_back(t.point_at(e.id).dist_sq(q));
   return d;
+}
+
+std::vector<std::pair<std::uint32_t, std::uint32_t>> wspd_pairs(
+    const kdtree::tree<2>& t) {
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> out;
+  for (const auto& pr : wspd::decompose<2>(t)) out.emplace_back(pr.a, pr.b);
+  return out;
 }
 
 }  // namespace
@@ -193,7 +177,9 @@ TEST(TreeBuild, SameTreeAtEveryWorkerCountOnDegenerateInput) {
                      << "kdtree " << in.name << " policy=" << int(pol)
                      << " leaf=" << leaf);
         std::vector<std::vector<std::size_t>> ids;
-        std::vector<std::vector<kd_row>> nodes;
+        std::vector<std::vector<node_row>> nodes;
+        std::vector<std::vector<std::pair<std::uint32_t, std::uint32_t>>>
+            pairs;
         for (const int w : kWorkers) {
           testutil::scoped_workers workers(w);
           const kdtree::tree<2> t(pts, pol, leaf);
@@ -201,10 +187,11 @@ TEST(TreeBuild, SameTreeAtEveryWorkerCountOnDegenerateInput) {
           for (std::size_t i = 0; i < t.size(); ++i) {
             ids.back().push_back(t.id_of(i));
           }
-          nodes.push_back(kd_nodes(t));
+          nodes.push_back(node_rows(t));
+          pairs.push_back(wspd_pairs(t));
           if (w != 4) continue;
-          testutil::check_structure(t);
-          expect_kd_contract(t, pol);
+          testutil::check_nodes(t, t.num_slots(), pts.size());
+          expect_split_contract(t, pol);
           for (std::size_t q = 0; q < kQueries; ++q) {
             std::vector<double> got;
             for (const auto& e : t.knn(query(pts, q), 5)) {
@@ -216,20 +203,21 @@ TEST(TreeBuild, SameTreeAtEveryWorkerCountOnDegenerateInput) {
         for (const std::size_t w : {1u, 2u}) {
           EXPECT_TRUE(ids[w] == ids[0]) << "workers=" << kWorkers[w];
           EXPECT_TRUE(nodes[w] == nodes[0]) << "workers=" << kWorkers[w];
+          EXPECT_TRUE(pairs[w] == pairs[0]) << "workers=" << kWorkers[w];
         }
       }
       SCOPED_TRACE(::testing::Message()
                    << "veb_tree " << in.name << " policy=" << int(pol));
       std::vector<std::vector<P>> orders;
-      std::vector<std::vector<veb_row>> nodes;
+      std::vector<std::vector<node_row>> nodes;
       for (const int w : kWorkers) {
         testutil::scoped_workers workers(w);
         const veb t(pts, pol);
         orders.push_back(t.gather());
-        nodes.push_back(veb_nodes(t));
+        nodes.push_back(node_rows(t));
         if (w != 4) continue;
-        testutil::expect_sound_links(t, pts.size());
-        expect_veb_contract(t, orders.back(), pol);
+        testutil::check_nodes(t, t.num_nodes(), pts.size());
+        expect_split_contract(t, pol);
         for (std::size_t q = 0; q < kQueries; ++q) {
           EXPECT_EQ(veb_knn(t, query(pts, q)), brute[q]) << "query " << q;
         }

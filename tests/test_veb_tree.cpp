@@ -14,7 +14,6 @@
 using namespace pargeo;
 using bdltree::split_policy;
 using bdltree::veb_tree;
-using testutil::expect_sound_links;
 
 namespace {
 
@@ -90,7 +89,13 @@ TEST(VebTree, ChildLinksAreSoundAndInVebOrder) {
       SCOPED_TRACE(::testing::Message() << "n=" << pts.size() << " policy="
                                         << static_cast<int>(pol));
       veb_tree<2> t(pts, pol);
-      const int levels = expect_sound_links(t, pts.size());
+      const auto depths =
+          testutil::check_nodes(t, t.num_nodes(), pts.size());
+      ASSERT_FALSE(depths.empty());
+      // All leaves at one depth, and no other slot: the array holds a
+      // complete tree of 2^l - 1 nodes.
+      const int levels = depths[0];
+      for (const int d : depths) EXPECT_EQ(d, levels);
       EXPECT_EQ(t.num_nodes(), (std::size_t{1} << levels) - 1);
       expect_veb_order(t, 0, 0, levels);
     }

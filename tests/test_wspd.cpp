@@ -16,19 +16,21 @@ namespace {
 // decomposition; self-pairs (a == b) cover internal pairs once.
 template <int D>
 std::map<std::pair<std::size_t, std::size_t>, int> coverage(
-    const kdtree::tree<D>& t, const std::vector<wspd::node_pair<D>>& pairs) {
+    const kdtree::tree<D>& t, const std::vector<wspd::node_pair>& pairs) {
   std::map<std::pair<std::size_t, std::size_t>, int> cover;
   for (const auto& pr : pairs) {
+    const auto& a = t.node_at(pr.a);
+    const auto& b = t.node_at(pr.b);
     if (pr.a == pr.b) {
-      for (std::size_t i = pr.a->lo; i < pr.a->hi; ++i) {
-        for (std::size_t j = i + 1; j < pr.a->hi; ++j) {
+      for (std::size_t i = a.lo; i < a.hi; ++i) {
+        for (std::size_t j = i + 1; j < a.hi; ++j) {
           const std::size_t u = t.id_of(i), v = t.id_of(j);
           cover[{std::min(u, v), std::max(u, v)}]++;
         }
       }
     } else {
-      for (std::size_t i = pr.a->lo; i < pr.a->hi; ++i) {
-        for (std::size_t j = pr.b->lo; j < pr.b->hi; ++j) {
+      for (std::size_t i = a.lo; i < a.hi; ++i) {
+        for (std::size_t j = b.lo; j < b.hi; ++j) {
           const std::size_t u = t.id_of(i), v = t.id_of(j);
           cover[{std::min(u, v), std::max(u, v)}]++;
         }
@@ -69,7 +71,7 @@ TEST(Wspd, EmittedPairsAreSeparatedWithSingletonLeaves) {
   auto pairs = wspd::decompose<2>(t, s);
   for (const auto& pr : pairs) {
     ASSERT_NE(pr.a, pr.b);
-    EXPECT_TRUE(wspd::well_separated<2>(pr.a, pr.b, s));
+    EXPECT_TRUE(wspd::well_separated<2>(t, pr.a, pr.b, s));
   }
 }
 
