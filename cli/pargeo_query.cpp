@@ -79,9 +79,13 @@
 // `skewed`/`drifting` concentrate payload points in a (moving) corner
 // cube — the adversarial stream for spatial stripes. Reads split 70%
 // k-NN / 15% box range / 15% ball range; writes split evenly between
-// inserts and erases. Prints throughput, batch-latency percentiles (a
-// request's latency is its phase's wall-clock; phases complete
-// together), the drain pipeline's counters (total drain groups,
+// inserts and erases. Each batch of the stream is one ticket. Prints the
+// ticket count, throughput (requests over the stream's wall-clock),
+// ticket-latency percentiles (each ticket's measured submit-to-complete
+// `latency_seconds`; under --replicas a batch is one run per read or
+// write stretch, run one after another, and its latency is their sum),
+// the `hits=` checksum (rows returned, the same for every shard count and
+// policy on one stream), the drain pipeline's counters (total drain groups,
 // read/snapshot-path vs write groups, `lag` — read drains that retired
 // after the live write epoch had already advanced past their snapshot),
 // per-lane drain counts and rebalance counters, then an ingest/reclaim
@@ -212,37 +216,38 @@ int run(const query::workload_spec& spec,
   }
 
   std::vector<query::response<D>> responses;
-  query::engine_stats stats;
+  std::vector<double> latencies;
+  double seconds = 0;
   if (router) {
     query::routed_executor<D, query::query_service<D>,
                            query::replica_router<D>>
         exec{service, *router};
-    stats = query::run_workload<D>(exec, spec, &responses);
+    seconds = query::run_workload<D>(exec, spec, &responses, &latencies);
   } else {
-    stats = query::run_workload<D>(service, spec, &responses);
+    seconds = query::run_workload<D>(service, spec, &responses, &latencies);
   }
 
   // Result checksum: total hits returned, comparable across shard
   // counts and shard policies (identical streams yield identical hits).
-  std::size_t hits = 0;
-  for (const auto& r : responses) hits += r.points.size();
-
-  std::vector<double> phase_ms;
-  phase_ms.reserve(stats.phases.size());
-  for (const auto& ph : stats.phases) phase_ms.push_back(ph.seconds * 1e3);
+  std::size_t hits = 0, reads = 0;
+  for (const auto& r : responses) {
+    hits += r.points.size();
+    reads += query::is_read(r.kind) ? 1 : 0;
+  }
 
   service.close();
   const auto svc = service.stats();
   std::size_t lane_drains = 0;
   for (const auto& lane : svc.per_shard) lane_drains += lane.num_drains;
   std::printf(
-      "ops=%zu reads=%zu writes=%zu phases=%zu  %10.0f ops/s  "
+      "ops=%zu reads=%zu writes=%zu tickets=%zu  %10.0f ops/s  "
       "lat p50=%.3fms p90=%.3fms p99=%.3fms  hits=%zu size=%zu  "
       "drains=%zu (r=%zu w=%zu lag=%zu lane=%zu)  rebal=%zu moved=%zu\n",
-      stats.num_requests, stats.num_reads,
-      stats.num_writes, stats.num_phases(), stats.ops_per_sec(),
-      query::percentile(phase_ms, 50), query::percentile(phase_ms, 90),
-      query::percentile(phase_ms, 99), hits, service.size(),
+      responses.size(), reads, responses.size() - reads, latencies.size(),
+      seconds > 0 ? static_cast<double>(responses.size()) / seconds : 0.0,
+      query::percentile(latencies, 50) * 1e3,
+      query::percentile(latencies, 90) * 1e3,
+      query::percentile(latencies, 99) * 1e3, hits, service.size(),
       svc.num_drains, svc.num_read_groups, svc.num_write_groups,
       svc.snapshot_lag_drains, lane_drains, svc.rebalances,
       svc.rebalance_moved);

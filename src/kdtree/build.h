@@ -56,14 +56,17 @@ inline constexpr std::size_t kParallelSplitCutoff = std::size_t{1} << 17;
 
 /// Storage for n trivially copyable T, left uninitialised: its owner
 /// constructs the slots it uses (zeroing them first would be one more
-/// serial pass over the buffer). A copy copies all n slots.
+/// serial pass over the buffer). A copy copies all n slots. The storage
+/// starts on a cache line, so a 64-byte tree node sits in exactly one.
 template <class T>
 class raw_buffer {
   static_assert(std::is_trivially_copyable_v<T>);
+  static constexpr std::align_val_t kAlign{64};
 
  public:
   explicit raw_buffer(std::size_t n = 0)
-      : n_(n), p_(static_cast<T*>(::operator new(n * sizeof(T)))) {}
+      : n_(n),
+        p_(static_cast<T*>(::operator new(n * sizeof(T), kAlign))) {}
   raw_buffer(const raw_buffer& o) : raw_buffer(o.n_) {
     std::copy_n(o.data(), n_, data());
   }
@@ -76,7 +79,7 @@ class raw_buffer {
 
  private:
   struct free_storage {
-    void operator()(T* p) const { ::operator delete(p); }
+    void operator()(T* p) const { ::operator delete(p, kAlign); }
   };
   std::size_t n_;
   std::unique_ptr<T, free_storage> p_;

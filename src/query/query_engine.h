@@ -1,10 +1,11 @@
-// Request types and the phase discipline of the query subsystem (layer 2
-// of 3, between spatial_index.h and workload.h).
+// Request and result types and the phase cut of the query subsystem.
 //
 // A client hands the query_service a heterogeneous, ordered batch of tagged
-// requests (insert / erase / k-NN / box range / ball range). The service
-// executes each shard's share of it with POP-style batching (Narayanan et
-// al., 2021), using the pieces defined here:
+// requests (insert / erase / k-NN / box range / ball range) and gets back
+// one `ticket_result`: a `response` per request, in submission order, and
+// the ticket's measured latency. The service executes each shard's share
+// of a batch with POP-style batching (Narayanan et al., 2021), using the
+// pieces defined here:
 //
 //   1. *Partition*: `phase_end` cuts a batch into phase groups — maximal
 //      runs of same-class requests (insert | erase | read). Phase
@@ -16,10 +17,6 @@
 //      ball ranges) and runs each part as one data-parallel index call.
 //   3. *Merge*: rows are scattered back into per-request `response` slots,
 //      so callers see answers in submission order.
-//
-// `execute_phases` records per-phase wall-clock timings; a request's
-// reported latency is its phase's duration (requests in a phase complete
-// together).
 #pragma once
 
 #include <cstdint>
@@ -29,7 +26,6 @@
 
 #include "core/aabb.h"
 #include "core/point.h"
-#include "core/timer.h"
 
 namespace pargeo::query {
 
@@ -100,47 +96,36 @@ struct request {
 template <int D>
 struct response {
   op kind = op::knn;
-  std::size_t phase = 0;  // phase group this request executed in
   std::vector<point<D>> points;
 };
 
-struct phase_stats {
-  op kind;                   // representative op class of the phase
-  std::size_t num_requests;  // requests executed in the phase
-  double seconds;            // wall-clock of the phase
-};
-
-struct engine_stats {
-  std::size_t num_requests = 0;
-  std::size_t num_reads = 0;
-  std::size_t num_writes = 0;
-  double seconds = 0;
-  std::vector<phase_stats> phases;
-
-  std::size_t num_phases() const { return phases.size(); }
-  double ops_per_sec() const {
-    return seconds > 0 ? static_cast<double>(num_requests) / seconds : 0;
-  }
-  void accumulate(const engine_stats& o) {
-    num_requests += o.num_requests;
-    num_reads += o.num_reads;
-    num_writes += o.num_writes;
-    seconds += o.seconds;
-    phases.insert(phases.end(), o.phases.begin(), o.phases.end());
-  }
-};
-
+/// A completed batch as its submitter sees it: the rows, the latency the
+/// service measured for this ticket, and the epochs it ran at.
 template <int D>
-struct batch_result {
+struct ticket_result {
   std::vector<response<D>> responses;  // responses[i] answers batch[i]
-  engine_stats stats;
+  /// submit() -> responses ready, on the service's telemetry clock: the
+  /// same nanosecond delta the `completion` stage histogram records.
+  double latency_seconds = 0;
+  /// For snapshot-path read groups: the largest shard epoch the reads
+  /// observed (0 for write/mixed groups — those read the live index).
+  std::uint64_t snapshot_epoch = 0;
+  /// With an op log attached: the log epoch this batch's writes committed
+  /// as (0 for read-only batches and logless services). Carry it as the
+  /// `min_epoch` floor on subsequent replica_router reads for
+  /// read-your-writes.
+  std::uint64_t commit_epoch = 0;
+  /// The batch was shed by the drain because its deadline passed while
+  /// it was still queued: `responses` is empty and nothing executed.
+  /// Deadline expiry is a completion, not an error — get() returns
+  /// normally and callers branch on this flag.
+  bool timed_out = false;
 };
 
-/// The phase cut, the one rule every batch executor shares: the end of the
-/// maximal same-class run of `batch` that starts at `begin`. Reads mix
-/// freely; a write run extends while its kind repeats, and any read ends
-/// it. query_service cuts each shard's sub-batch with it into the
-/// batched backend calls it logs and applies.
+/// The phase cut: the end of the maximal same-class run of `batch` that
+/// starts at `begin`. Reads mix freely; a write run extends while its kind
+/// repeats, and any read ends it. query_service cuts each shard's
+/// sub-batch with it into the batched backend calls it logs and applies.
 template <int D>
 std::size_t phase_end(const std::vector<request<D>>& batch,
                       std::size_t begin) {
@@ -152,43 +137,6 @@ std::size_t phase_end(const std::vector<request<D>>& batch,
     ++end;
   }
   return end;
-}
-
-/// Shared phase discipline for batch executors: cuts `batch` with
-/// phase_end, invokes `on_phase(begin, end, read_phase)` for each run, and
-/// stamps responses' kind/phase ids plus all timing stats. A request's
-/// reported latency is its phase's duration (phases complete together).
-template <int D, class PhaseFn>
-void execute_phases(const std::vector<request<D>>& batch,
-                    std::vector<response<D>>& responses, engine_stats& stats,
-                    PhaseFn&& on_phase) {
-  responses.resize(batch.size());
-  stats.num_requests = batch.size();
-
-  timer total;
-  std::size_t begin = 0;
-  while (begin < batch.size()) {
-    const std::size_t end = phase_end<D>(batch, begin);
-    const bool read_phase = is_read(batch[begin].kind);
-
-    timer phase_clock;
-    on_phase(begin, end, read_phase);
-    const double secs = phase_clock.elapsed();
-    if (read_phase) {
-      stats.num_reads += end - begin;
-    } else {
-      stats.num_writes += end - begin;
-    }
-
-    const std::size_t phase_id = stats.phases.size();
-    for (std::size_t i = begin; i < end; ++i) {
-      responses[i].kind = batch[i].kind;
-      responses[i].phase = phase_id;
-    }
-    stats.phases.push_back({batch[begin].kind, end - begin, secs});
-    begin = end;
-  }
-  stats.seconds = total.elapsed();
 }
 
 namespace detail {

@@ -3,8 +3,7 @@
 //
 // A `query_service<D>` owns N `spatial_index<D>` shards — one BDL-tree
 // each — behind one logical index, built from a `service_config` (shard
-// count, shard policy, ingest-batch window, backpressure bound, retention
-// cap).
+// count, shard policy, ingest-batch window, backpressure bound).
 // Every ticket takes one pipeline: lock-free MPSC ring -> drain thread ->
 // one executor lane per shard -> snapshot readers.
 //
@@ -144,11 +143,11 @@
 //   blocking. close() wakes blocked producers, which then throw like any
 //   post-close submit.
 //
-//   *Bounded retention*. Completed-but-unredeemed results are retained in
-//   a bounded buffer: redemption (get / callback / handle destruction)
-//   evicts immediately, and past `max_retained` results the oldest are
-//   dropped (their `get()` then throws). Handles stay valid after
-//   `close()` and even after the service is destroyed.
+//   *Retention*. A completed ticket's result stays with its handle until
+//   the handle redeems it (get / callback) or is dropped, as a
+//   `std::future`'s does; `results_retained` counts the results waiting.
+//   Handles stay valid after `close()` and even after the service is
+//   destroyed.
 //
 // `close()` (also run by the destructor) stops intake, flushes every
 // in-flight ticket through the pipeline deterministically (drain thread,
@@ -227,9 +226,6 @@ struct service_config {
   /// try_submit() rejects; a batch larger than the bound is admitted alone
   /// once the pipeline is empty.
   std::size_t max_pending_requests = 0;
-  /// Completed-but-unredeemed results kept before the oldest are evicted
-  /// (an evicted handle's get() throws). Must be >= 1.
-  std::size_t max_retained = 1024;
   /// Online stripe rebalancing (spatial policy only): when the largest
   /// shard's resident size exceeds `rebalance_threshold` x the mean at a
   /// drain boundary, the quantile stripe bounds are re-derived from a
@@ -290,31 +286,6 @@ struct service_config {
   std::uint64_t deadline_ns = 0;
 };
 
-/// Completed batch as seen by one submitter. `stats` describes the whole
-/// drain group the ticket executed in (tickets grouped into one drain share
-/// phases, and `response::phase` indexes `stats.phases`). Phases pipeline
-/// across shards, so per-phase seconds are the group's wall-clock
-/// apportioned by request count rather than directly measured.
-template <int D>
-struct ticket_result {
-  std::vector<response<D>> responses;  // responses[i] answers batch[i]
-  engine_stats stats;
-  double latency_seconds = 0;  // submit() -> responses ready
-  /// For snapshot-path read groups: the largest shard epoch the reads
-  /// observed (0 for write/mixed groups — those read the live index).
-  std::uint64_t snapshot_epoch = 0;
-  /// With an op log attached: the log epoch this batch's writes committed
-  /// as (0 for read-only batches and logless services). Carry it as the
-  /// `min_epoch` floor on subsequent replica_router reads for
-  /// read-your-writes.
-  std::uint64_t commit_epoch = 0;
-  /// The batch was shed by the drain because its deadline passed while
-  /// it was still queued: `responses` is empty and nothing executed.
-  /// Deadline expiry is a completion, not an error — get() returns
-  /// normally and callers branch on this flag.
-  bool timed_out = false;
-};
-
 /// Per-lane drain counters: the work this shard's executor lane ran.
 struct shard_drain_stats {
   std::size_t num_drains = 0;    // sub-batches executed on this shard
@@ -335,7 +306,6 @@ struct service_stats {
   /// overlapped a write drain.
   std::size_t snapshot_lag_drains = 0;
   std::size_t results_retained = 0;  // completed, not yet redeemed
-  std::size_t results_evicted = 0;   // dropped by the retention cap
   double execute_seconds = 0;  // total wall-clock spent executing drains
   /// Backpressure: admitted-but-unfulfilled requests right now, and how
   /// often producers hit the bound.
@@ -458,9 +428,6 @@ inline std::string metrics_text(const service_stats& s) {
           "submit() calls blocked on backpressure", s.submit_waits);
   counter("pargeo_try_submit_rejects_total",
           "try_submit() backpressure rejections", s.try_submit_rejects);
-  counter("pargeo_results_evicted_total",
-          "Completed results dropped by the retention cap",
-          s.results_evicted);
   gauge("pargeo_results_retained", "Completed, not yet redeemed results",
         s.results_retained);
   gauge("pargeo_pending_requests", "Admitted, not yet fulfilled requests",
@@ -562,11 +529,10 @@ namespace detail {
 /// submit nor fulfil walks shared lookup structure. The record's `state` is
 /// an atomic: `completion::ready()` is one acquire load, never a lock. The
 /// hub (a shared_ptr) outlives the service, so handles stay redeemable
-/// after shutdown. `mu` guards the retention/eviction bookkeeping, result
-/// payloads, callbacks, and `done_cv`; the owning service also parks
-/// backpressured producers and queues replayed log groups under it. Every
-/// record state transition happens in the `*_locked` members below and in
-/// evict_over_cap(), all with mu held.
+/// after shutdown. `mu` guards result payloads, callbacks, and `done_cv`;
+/// the owning service also parks backpressured producers and queues
+/// replayed log groups under it. Every record state transition happens in
+/// the `*_locked` members below, with mu held.
 template <int D>
 struct completion_hub {
   using callback_t =
@@ -576,7 +542,7 @@ struct completion_hub {
   using fire_list = std::vector<std::pair<callback_t, ticket_result<D>>>;
 
   struct record {
-    enum class state_t : std::uint8_t { pending, done, evicted, consumed };
+    enum class state_t : std::uint8_t { pending, done, consumed };
     /// Lock-free readiness signal: transitions away from `pending` are
     /// stored with release order (under mu) after the payload is written;
     /// ready() reads it with acquire and no lock.
@@ -594,47 +560,12 @@ struct completion_hub {
 
   std::mutex mu;
   std::condition_variable done_cv;  // signaled on every fulfilment
-  std::deque<record_ptr> done_order;  // eviction candidates, oldest first
-  /// Records in state done / dropped by the cap. Atomics (written under
-  /// mu) so stats() reads them without contending the hub.
+  /// Records in state done. Atomic (written under mu) so stats() reads
+  /// it without contending the hub.
   std::atomic<std::size_t> retained{0};
-  std::atomic<std::size_t> evicted_total{0};
-  std::size_t max_retained = 1;
   /// Service stopped accepting submissions. Atomic so the lock-free
   /// submit path reads it without the hub lock.
   std::atomic<bool> closed{false};
-
-  // Called with mu held after results are stored: drops the oldest
-  // completed-but-unredeemed results until the cap holds again, then
-  // compacts the candidate deque (redemption leaves consumed records
-  // behind; a promptly-redeeming steady state would otherwise grow it
-  // forever).
-  void evict_over_cap() {
-    while (retained.load(std::memory_order_relaxed) > max_retained &&
-           !done_order.empty()) {
-      record_ptr r = std::move(done_order.front());
-      done_order.pop_front();
-      if (r->state.load(std::memory_order_relaxed) != state_t::done) {
-        continue;  // already redeemed; stale eviction candidate
-      }
-      r->result = ticket_result<D>{};
-      r->error = nullptr;
-      r->state.store(state_t::evicted, std::memory_order_release);
-      retained.fetch_sub(1, std::memory_order_relaxed);
-      evicted_total.fetch_add(1, std::memory_order_relaxed);
-    }
-    // Live done records number <= max_retained, so past 2x (+ slack) the
-    // deque is mostly stale records; one O(size) filter re-bounds it.
-    if (done_order.size() > std::max<std::size_t>(64, 2 * max_retained)) {
-      std::deque<record_ptr> live;
-      for (auto& r : done_order) {
-        if (r->state.load(std::memory_order_relaxed) == state_t::done) {
-          live.push_back(std::move(r));
-        }
-      }
-      done_order.swap(live);
-    }
-  }
 
   // Fulfilment of a pending record (no-op otherwise): an armed callback
   // gets the result through `fire`, a dropped handle's result is
@@ -648,29 +579,20 @@ struct completion_hub {
       r->result = std::move(tr);
       r->error = std::move(error);
       r->state.store(state_t::done, std::memory_order_release);
-      done_order.push_back(r);
       retained.fetch_add(1, std::memory_order_relaxed);
       return;
     }
     r->state.store(state_t::consumed, std::memory_order_release);
   }
 
-  // Redemption of a done or evicted record: moves the result into `out`
-  // and returns the ticket's error (a retention-cap error for an evicted
-  // record).
+  // Redemption of a done record: moves the result into `out` and returns
+  // the ticket's error.
   std::exception_ptr redeem_locked(record& r, ticket_result<D>& out) {
-    std::exception_ptr err;
-    if (r.state.load(std::memory_order_relaxed) == state_t::evicted) {
-      err = std::make_exception_ptr(std::runtime_error(
-          "completion: result evicted by the retention cap "
-          "(service_config.max_retained)"));
-    } else {
-      err = std::move(r.error);
-      r.error = nullptr;
-      out = std::move(r.result);
-      r.result = ticket_result<D>{};
-      retained.fetch_sub(1, std::memory_order_relaxed);
-    }
+    std::exception_ptr err = std::move(r.error);
+    r.error = nullptr;
+    out = std::move(r.result);
+    r.result = ticket_result<D>{};
+    retained.fetch_sub(1, std::memory_order_relaxed);
     r.state.store(state_t::consumed, std::memory_order_release);
     return err;
   }
@@ -737,8 +659,9 @@ class completion {
 
   /// Blocks until the ticket's drain completes and returns its result;
   /// rethrows the drain group's exception if execution failed. Throws
-  /// std::logic_error on an empty handle or a second redemption, and
-  /// std::runtime_error if the result was evicted by the retention cap.
+  /// std::logic_error on an empty handle or a second redemption. The
+  /// result waits for this call however late it comes, as long as the
+  /// handle lives.
   ticket_result<D> get() {
     if (!rec_) {
       throw std::logic_error("completion::get() on an empty handle "
@@ -761,7 +684,7 @@ class completion {
   }
 
   /// Registers `fn` to consume the result: fired exactly once with
-  /// (result, nullptr) on success or ({}, error) on failure/eviction —
+  /// (result, nullptr) on success or ({}, error) on failure —
   /// immediately on this thread if the result is already in, otherwise
   /// from the service thread that fulfils the ticket (where anything the
   /// callback throws is swallowed). Counts as the handle's one redemption.
@@ -791,7 +714,7 @@ class completion {
   completion(std::shared_ptr<hub_t> hub, typename hub_t::record_ptr rec)
       : hub_(std::move(hub)), rec_(std::move(rec)) {}
 
-  // Dropping an unredeemed handle evicts its (current or future) result;
+  // Dropping an unredeemed handle releases its (current or future) result;
   // a registered callback still fires, so fulfilment proceeds normally.
   void release() {
     if (!rec_) return;
@@ -822,9 +745,6 @@ class query_service {
     if (cfg_.ingest_window == 0) {
       throw std::invalid_argument("service_config.ingest_window must be >= 1");
     }
-    if (cfg_.max_retained == 0) {
-      throw std::invalid_argument("service_config.max_retained must be >= 1");
-    }
     shards_.reserve(cfg_.shards);
     lanes_.reserve(cfg_.shards);
     for (std::size_t s = 0; s < cfg_.shards; ++s) {
@@ -837,7 +757,6 @@ class query_service {
     watches_ = std::make_shared<watch_registry<D>>();
     ttl_now_ = cfg_.ttl_now ? cfg_.ttl_now : [] { return monotonic_ns(); };
     hub_ = std::make_shared<detail::completion_hub<D>>();
-    hub_->max_retained = cfg_.max_retained;
     if (!cfg_.log_dir.empty()) {
       // Durable primary: create the directory and open the segmented log
       // for incremental appends before any thread can commit a group.
@@ -958,9 +877,8 @@ class query_service {
   }
 
   /// Single-caller convenience: submit + get.
-  batch_result<D> execute(std::vector<request<D>> batch) {
-    auto r = submit(std::move(batch)).get();
-    return batch_result<D>{std::move(r.responses), std::move(r.stats)};
+  ticket_result<D> execute(std::vector<request<D>> batch) {
+    return submit(std::move(batch)).get();
   }
 
   /// Registers a standing k-NN query: `cb` re-fires with the fresh k
@@ -1062,7 +980,6 @@ class query_service {
     s.log_append_errors =
         ctr_.log_append_errors.load(std::memory_order_relaxed);
     s.results_retained = hub_->retained.load(std::memory_order_relaxed);
-    s.results_evicted = hub_->evicted_total.load(std::memory_order_relaxed);
     s.pending_requests =
         in_flight_requests_.load(std::memory_order_relaxed);
     s.ingest_spins = ring_.spins();
@@ -1341,9 +1258,8 @@ class query_service {
     std::vector<pending_entry> tickets;
     std::vector<request<D>> combined;               // group batches, FIFO
     std::vector<std::vector<std::size_t>> sub_idx;  // per shard -> combined
-    std::vector<batch_result<D>> shard_res;         // per shard
-    batch_result<D> result;  // responses/phases pre-stamped by the router
-    std::atomic<std::size_t> remaining{0};          // lanes still executing
+    std::vector<std::vector<response<D>>> shard_rows;  // per shard
+    std::atomic<std::size_t> remaining{0};  // lanes still executing
     std::size_t total = 0;
     std::uint64_t exec_start_ns = 0;  // routing done -> last lane finished
     /// Log epoch this group committed as (0: no log attached / no writes
@@ -1643,9 +1559,7 @@ class query_service {
   // Routes a native write group (client tickets, or a TTL sweep) once,
   // cuts each shard's sub-batch into its lane steps, commits the group's
   // records to the log, and fans the steps out to the lanes, then returns
-  // immediately — the drain thread never executes. Phase structure
-  // (response kinds/ids, read/write counts) is pre-stamped here so lanes
-  // only produce rows.
+  // immediately — the drain thread never executes.
   void dispatch_shard_group(std::vector<pending_entry> tickets,
                             std::size_t total, log_origin origin) {
     const std::uint64_t route_start = tel_.enabled() ? tel_.now_ns() : 0;
@@ -1673,7 +1587,6 @@ class query_service {
       derive_stripes(pts, scan_points(pts).box, g->log);
       install_stripes(g->log);
     }
-    stamp_phases(g->combined, g->result);
 
     g->sub_idx.resize(cfg_.shards);
     std::vector<std::vector<request<D>>> sub(cfg_.shards);
@@ -1763,7 +1676,7 @@ class query_service {
                std::vector<std::vector<request<D>>>* sub) {
     std::size_t active = 0;
     for (const auto& st : steps) active += st.empty() ? 0 : 1;
-    g->shard_res.resize(cfg_.shards);
+    g->shard_rows.resize(cfg_.shards);
     g->remaining.store(active, std::memory_order_relaxed);
     for (std::size_t s = 0; s < cfg_.shards; ++s) {
       if (steps[s].empty()) {
@@ -1874,7 +1787,7 @@ class query_service {
       lane.stats.num_requests += g->replayed ? record_pts : task.sub.size();
       lane.stats.execute_seconds += static_cast<double>(dur_ns) * 1e-9;
     }
-    g->shard_res[s].responses = std::move(rows);
+    g->shard_rows[s] = std::move(rows);
     if (!g->replayed) give_req_vec(std::move(task.sub));
     if (g->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
       finalize_shard_group(g);
@@ -2086,8 +1999,8 @@ class query_service {
   // Completes a shard_group once every lane is done with it (or the drain
   // thread failed it before the fan-out): a replayed group closes its
   // replay stage, counting one replay error if any lane failed; a native
-  // group merges per-shard rows into its pre-stamped result and fulfils
-  // every ticket.
+  // group merges per-shard rows into its responses and fulfils every
+  // ticket.
   void finalize_shard_group(const std::shared_ptr<shard_group>& g) {
     if (g->replayed) {
       if (g->error) ctr_.replay_errors.fetch_add(1, std::memory_order_relaxed);
@@ -2097,10 +2010,10 @@ class query_service {
     const double secs =
         static_cast<double>(tel_.now_ns() - g->exec_start_ns) * 1e-9;
     std::exception_ptr error = g->error;  // all lanes are done; no races
+    std::vector<response<D>> responses;
     if (!error) {
       const std::uint64_t m0 = tel_.enabled() ? tel_.now_ns() : 0;
-      merge_shard_reads(g->combined, g->sub_idx, g->shard_res,
-                        g->result.responses);
+      merge_shard_reads(g->combined, g->sub_idx, g->shard_rows, responses);
       if (tel_.enabled()) {
         const std::uint64_t m_ns = tel_.now_ns() - m0;
         tel_.record(stage::merge, m_ns);
@@ -2109,31 +2022,12 @@ class query_service {
                         g->trace_ticket);
         }
       }
-      // Phases pipeline across lanes, so per-phase wall-clock is not
-      // individually measurable: apportion the group's clock by request
-      // count (sums back to the group total).
-      g->result.stats.seconds = secs;
-      for (auto& ph : g->result.stats.phases) {
-        ph.seconds = g->total > 0
-                         ? secs * static_cast<double>(ph.num_requests) /
-                               static_cast<double>(g->total)
-                         : 0;
-      }
     }
     give_req_vec(std::move(g->combined));
     for (auto& idx : g->sub_idx) give_idx_vec(std::move(idx));
-    fulfill_group(std::move(g->tickets), g->total, std::move(g->result),
+    fulfill_group(std::move(g->tickets), g->total, std::move(responses),
                   error, /*snapshot_epoch=*/0, /*read_group=*/false,
                   /*lagged=*/false, secs, g->commit_epoch, g->trace_ticket);
-  }
-
-  // Pre-stamps a group's phase structure (response kinds/phase ids,
-  // read/write counts, phase list) without executing anything; lanes fill
-  // in the rows and the finalizer fills in the timings.
-  static void stamp_phases(const std::vector<request<D>>& combined,
-                           batch_result<D>& result) {
-    execute_phases<D>(combined, result.responses, result.stats,
-                      [](std::size_t, std::size_t, bool) {});
   }
 
   // ---- online stripe rebalancing ------------------------------------------
@@ -2324,8 +2218,8 @@ class query_service {
     if (scatter_read_group(g, route_start)) return;
     // Every ticket in the group had an empty batch.
     recycle_read_group(*g);
-    fulfill_group(std::move(g->tickets), g->total, batch_result<D>{},
-                  nullptr, /*snapshot_epoch=*/0, /*read_group=*/true,
+    fulfill_group(std::move(g->tickets), g->total, {}, nullptr,
+                  /*snapshot_epoch=*/0, /*read_group=*/true,
                   /*lagged=*/false, /*exec_seconds=*/0, /*commit_epoch=*/0,
                   g->trace_ticket);
   }
@@ -2410,17 +2304,15 @@ class query_service {
   // epoch-reclaimer guard.
   void read_snapshots(const read_group& g,
                       std::vector<response<D>>& responses) {
-    responses.resize(g.combined.size());
-    std::vector<batch_result<D>> shard_res(cfg_.shards);
+    std::vector<std::vector<response<D>>> shard_rows(cfg_.shards);
     par::parallel_for(
         0, cfg_.shards,
         [&](std::size_t s) {
           if (g.sub[s].empty()) return;
-          shard_res[s].responses.resize(g.sub[s].size());
+          shard_rows[s].resize(g.sub[s].size());
           const std::uint64_t s0 = tel_.enabled() ? tel_.now_ns() : 0;
           detail::execute_read_phase_on<D>(*g.snaps[s], g.sub[s], 0,
-                                           g.sub[s].size(),
-                                           shard_res[s].responses);
+                                           g.sub[s].size(), shard_rows[s]);
           if (tel_.enabled()) {
             const std::uint64_t s_ns = tel_.now_ns() - s0;
             tel_.record_shard(s, stage::execute_read, s_ns);
@@ -2432,7 +2324,7 @@ class query_service {
         },
         1);
     const std::uint64_t m0 = tel_.enabled() ? tel_.now_ns() : 0;
-    merge_shard_reads(g.combined, g.sub_idx, shard_res, responses);
+    merge_shard_reads(g.combined, g.sub_idx, shard_rows, responses);
     if (tel_.enabled() && g.watch_seq == 0) {
       const std::uint64_t m_ns = tel_.now_ns() - m0;
       tel_.record(stage::merge, m_ns);
@@ -2449,16 +2341,12 @@ class query_service {
   void run_read_task(std::shared_ptr<read_group> g) {
     epoch_reclaimer::guard eg = reclaim_.enter();
     const std::uint64_t t_start = tel_.now_ns();
-    batch_result<D> result;
+    std::vector<response<D>> responses;
     std::exception_ptr error = g->error;  // all stamps retired; no race
     std::uint64_t snap_epoch = 0;
     if (!error) {
       try {
-        read_snapshots(*g, result.responses);
-        for (std::size_t i = 0; i < g->combined.size(); ++i) {
-          result.responses[i].kind = g->combined[i].kind;
-          result.responses[i].phase = 0;
-        }
+        read_snapshots(*g, responses);
         for (const auto& snap : g->snaps) {
           if (snap) snap_epoch = std::max(snap_epoch, snap->epoch());
         }
@@ -2467,12 +2355,6 @@ class query_service {
       }
     }
     const double secs = static_cast<double>(tel_.now_ns() - t_start) * 1e-9;
-    result.stats.num_requests = g->total;
-    result.stats.num_reads = g->total;
-    result.stats.seconds = secs;
-    result.stats.phases = {
-        {g->combined.empty() ? op::knn : g->combined.front().kind, g->total,
-         secs}};
     // Any divergence here means a write drain advanced the live index
     // while this read was executing — the overlap snapshot reads exist
     // to allow.
@@ -2484,8 +2366,8 @@ class query_service {
     }
     eg.release();  // quiescent: stop holding the reclaim epoch back
     recycle_read_group(*g);
-    fulfill_group(std::move(g->tickets), g->total, std::move(result), error,
-                  snap_epoch, /*read_group=*/true, lagged, secs,
+    fulfill_group(std::move(g->tickets), g->total, std::move(responses),
+                  error, snap_epoch, /*read_group=*/true, lagged, secs,
                   /*commit_epoch=*/0, g->trace_ticket);
   }
 
@@ -2647,8 +2529,8 @@ class query_service {
 
   // Completes every ticket of a finished group under one hub lock:
   // `result_for(e)` builds each ticket's result, the hub stores it (or
-  // queues it for an armed callback), the retention cap is enforced, and
-  // the group's backpressure budget (`total` requests) is released.
+  // queues it for an armed callback), and the group's backpressure budget
+  // (`total` requests) is released.
   // Returns the armed callbacks for fire_callbacks().
   template <class ResultFor>
   fire_list complete_tickets(const std::vector<pending_entry>& group,
@@ -2660,7 +2542,6 @@ class query_service {
       ticket_result<D> tr = result_for(e);
       if (e.rec) hub_->fulfil_locked(e.rec, std::move(tr), error, fire);
     }
-    hub_->evict_over_cap();
     in_flight_requests_.fetch_sub(total, std::memory_order_relaxed);
     space_cv_.notify_all();
     hub_->done_cv.notify_all();
@@ -2683,7 +2564,8 @@ class query_service {
   // Slices a drain group's combined result back into per-ticket results,
   // completes them, and updates stats.
   void fulfill_group(std::vector<pending_entry> group, std::size_t total,
-                     batch_result<D> result, std::exception_ptr error,
+                     std::vector<response<D>> responses,
+                     std::exception_ptr error,
                      std::uint64_t snap_epoch, bool read_group, bool lagged,
                      double exec_seconds, std::uint64_t commit_epoch,
                      std::uint64_t trace_ticket) {
@@ -2697,10 +2579,9 @@ class query_service {
       ticket_result<D> tr;
       if (!error) {
         tr.responses.assign(
-            std::make_move_iterator(result.responses.begin() + off),
-            std::make_move_iterator(result.responses.begin() + off +
+            std::make_move_iterator(responses.begin() + off),
+            std::make_move_iterator(responses.begin() + off +
                                     e.batch.size()));
-        tr.stats = result.stats;
       }
       const std::uint64_t comp_ns = f0 - e.submit_ns;
       tr.latency_seconds = static_cast<double>(comp_ns) * 1e-9;
@@ -2860,17 +2741,23 @@ class query_service {
 
   // ---- sharded gather-merge -----------------------------------------------
 
-  // Gather-merge for scattered reads: range rows concatenate; k-NN rows
-  // collect candidates from every shard, then re-sort by distance and
-  // truncate to k. `sub_idx` indexes `batch`; rows land in `responses`.
-  void merge_shard_reads(const std::vector<request<D>>& batch,
-                         const std::vector<std::vector<std::size_t>>& sub_idx,
-                         std::vector<batch_result<D>>& shard_res,
-                         std::vector<response<D>>& responses) const {
+  // Gather-merge into one response per request of `batch`, each stamped
+  // with its request's kind: range rows concatenate; k-NN rows collect
+  // candidates from every shard, then re-sort by distance and truncate to
+  // k. `sub_idx` indexes `batch`; write acks stay empty.
+  void merge_shard_reads(
+      const std::vector<request<D>>& batch,
+      const std::vector<std::vector<std::size_t>>& sub_idx,
+      std::vector<std::vector<response<D>>>& shard_rows,
+      std::vector<response<D>>& responses) const {
+    responses.resize(batch.size());
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      responses[i].kind = batch[i].kind;
+    }
     for (std::size_t s = 0; s < cfg_.shards; ++s) {
       for (std::size_t j = 0; j < sub_idx[s].size(); ++j) {
         auto& dst = responses[sub_idx[s][j]].points;
-        auto& src = shard_res[s].responses[j].points;
+        auto& src = shard_rows[s][j].points;
         if (dst.empty()) {
           dst = std::move(src);
         } else {

@@ -1,7 +1,7 @@
-// Synthetic mixed-workload driver (query subsystem, layer 3 of 3).
+// Synthetic mixed-workload driver for the query subsystem.
 //
 // Turns a declarative spec into an initial point set plus a deterministic,
-// ordered request stream for benchmarking and fuzzing the query engine:
+// ordered request stream for benchmarking and fuzzing the query service:
 // operation mix by fractions, payload points drawn uniform / clustered
 // (datagen::visualvar) / with skewed-Zipf key reuse (hot points are
 // re-inserted, re-queried, and re-erased, producing duplicates and
@@ -11,8 +11,10 @@
 #pragma once
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -310,34 +312,33 @@ std::vector<request<D>> make_requests(const workload_spec& spec) {
 }
 
 /// Runs the whole spec against `executor` — a query_service<D>, or
-/// anything else with bootstrap/execute — in batches of
-/// spec.batch_size and returns the accumulated stats (bootstrap time
-/// excluded, as in the paper's figures). `responses`, when non-null,
-/// collects every response in stream order.
+/// anything else whose execute(batch) returns a ticket_result<D> — in
+/// batches of spec.batch_size, and returns the wall-clock seconds of the
+/// stream (bootstrap excluded, as in the paper's figures). `responses`,
+/// when non-null, collects every response in stream order; `latencies`,
+/// when non-null, every batch's `latency_seconds`.
 template <int D, class Executor>
-engine_stats run_workload(Executor& engine, const workload_spec& spec,
-                          std::vector<response<D>>* responses = nullptr) {
+double run_workload(Executor& engine, const workload_spec& spec,
+                    std::vector<response<D>>* responses = nullptr,
+                    std::vector<double>* latencies = nullptr) {
   auto initial = make_initial<D>(spec);
   engine.bootstrap(initial);
   const auto reqs = make_requests<D>(spec, std::move(initial));
-  engine_stats total;
   const std::size_t bs = std::max<std::size_t>(1, spec.batch_size);
+  const auto t0 = std::chrono::steady_clock::now();
   for (std::size_t off = 0; off < reqs.size(); off += bs) {
     const std::size_t end = std::min(reqs.size(), off + bs);
     std::vector<request<D>> batch(reqs.begin() + off, reqs.begin() + end);
     auto result = engine.execute(std::move(batch));
+    if (latencies) latencies->push_back(result.latency_seconds);
     if (responses) {
-      // Rebase per-batch phase ids so they index the accumulated
-      // total.phases, preserving the latency-lookup contract.
-      const std::size_t phase_base = total.phases.size();
-      for (auto& r : result.responses) {
-        r.phase += phase_base;
-        responses->push_back(std::move(r));
-      }
+      responses->insert(responses->end(),
+                        std::make_move_iterator(result.responses.begin()),
+                        std::make_move_iterator(result.responses.end()));
     }
-    total.accumulate(result.stats);
   }
-  return total;
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
 }
 
 /// Executor adapter for run_workload that drives a replicated tier
@@ -359,8 +360,11 @@ struct routed_executor {
   void bootstrap(const Pts& pts) {
     primary.bootstrap(pts);
   }
-  batch_result<D> execute(std::vector<request<D>> batch) {
-    batch_result<D> out;
+  /// One ticket_result for the whole batch: the runs' rows in batch
+  /// order, and the sum of their latencies (the runs execute one after
+  /// another).
+  ticket_result<D> execute(std::vector<request<D>> batch) {
+    ticket_result<D> out;
     std::size_t i = 0;
     while (i < batch.size()) {
       const bool read = is_read(batch[i].kind);
@@ -370,14 +374,10 @@ struct routed_executor {
           std::vector<request<D>>(batch.begin() + i, batch.begin() + j),
           floor);
       if (r.commit_epoch > floor) floor = r.commit_epoch;
-      // Same phase-id rebasing contract as run_workload: ids index the
-      // accumulated phase list.
-      const std::size_t base = out.stats.phases.size();
-      for (auto& resp : r.responses) {
-        resp.phase += base;
-        out.responses.push_back(std::move(resp));
-      }
-      out.stats.accumulate(r.stats);
+      out.latency_seconds += r.latency_seconds;
+      out.responses.insert(out.responses.end(),
+                           std::make_move_iterator(r.responses.begin()),
+                           std::make_move_iterator(r.responses.end()));
       i = j;
     }
     return out;

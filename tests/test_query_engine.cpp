@@ -17,7 +17,6 @@
 #include "test_query_util.h"
 
 using namespace pargeo;
-using query::op;
 using testutil::expect_same_multiset;
 using testutil::expect_same_responses;
 
@@ -171,23 +170,17 @@ TEST(QueryEngine, PhaseGroupingPreservesOrder) {
       query::request<2>::make_ball(b, 0.1),
   };
   auto result = service.execute(batch);
-  // Phases: [insert x2][read x1][erase x1][read x2].
-  ASSERT_EQ(result.stats.num_phases(), 4u);
-  EXPECT_EQ(result.stats.num_writes, 3u);
-  EXPECT_EQ(result.stats.num_reads, 3u);
-  EXPECT_EQ(result.stats.phases[0].kind, op::insert);
-  EXPECT_EQ(result.stats.phases[0].num_requests, 2u);
-  EXPECT_EQ(result.stats.phases[2].kind, op::erase);
+  // Phases: [insert x2][read x1][erase x1][read x2]. Each response carries
+  // its request's kind, in submission order.
+  ASSERT_EQ(result.responses.size(), batch.size());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    EXPECT_EQ(result.responses[i].kind, batch[i].kind) << "request " << i;
+  }
   // The knn before the erase sees `a`; the one after does not.
   ASSERT_EQ(result.responses[2].points.size(), 1u);
   EXPECT_EQ(result.responses[2].points[0], a);
   ASSERT_EQ(result.responses[4].points.size(), 1u);
   EXPECT_EQ(result.responses[4].points[0], b);
-  // Responses carry their phase id in execution order.
-  EXPECT_EQ(result.responses[0].phase, 0u);
-  EXPECT_EQ(result.responses[2].phase, 1u);
-  EXPECT_EQ(result.responses[3].phase, 2u);
-  EXPECT_EQ(result.responses[5].phase, 3u);
 }
 
 TEST(QueryEngine, KnnShardsByK) {
@@ -200,7 +193,7 @@ TEST(QueryEngine, KnnShardsByK) {
     batch.push_back(query::request<2>::make_knn(q, k));
   }
   auto result = service.execute(batch);
-  ASSERT_EQ(result.stats.num_phases(), 1u);
+  ASSERT_EQ(result.responses.size(), batch.size());
   const std::size_t want[] = {1, 7, 3, 7, 1, 0};
   for (std::size_t i = 0; i < batch.size(); ++i) {
     EXPECT_EQ(result.responses[i].points.size(), want[i]) << "request " << i;
@@ -217,18 +210,14 @@ TEST(Workload, RunWorkloadMatchesReference) {
   spec.k = 4;
   auto service = make_service<2>();
   std::vector<query::response<2>> got;
-  const auto stats = query::run_workload<2>(service, spec, &got);
-  EXPECT_EQ(stats.num_requests, spec.num_ops);
-  // Phase ids are rebased across batches: they index the accumulated
-  // stats.phases and never decrease along the stream.
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    ASSERT_LT(got[i].phase, stats.num_phases());
-    if (i > 0) ASSERT_GE(got[i].phase, got[i - 1].phase);
-  }
+  std::vector<double> latencies;
+  query::run_workload<2>(service, spec, &got, &latencies);
+  // One measured latency per ticket: the stream runs in 7 batches.
+  EXPECT_EQ(latencies.size(), 7u);
+  for (double l : latencies) EXPECT_GT(l, 0.0);
   testutil::reference_index<2> ref;
   std::vector<query::response<2>> want;
-  const auto ref_stats = query::run_workload<2>(ref, spec, &want);
-  EXPECT_EQ(ref_stats.num_phases(), stats.num_phases());
+  query::run_workload<2>(ref, spec, &want);
   expect_same_responses<2>(query::make_requests<2>(spec), got, want);
   expect_same_multiset<2>(service.gather(), ref.gather());
 }

@@ -4,10 +4,11 @@
 // streams; concurrent submitters (>= 4 threads) get their
 // responses back in their own submission order; plus the completion-handle
 // lifecycle (drain-without-waiters, callbacks firing exactly once, orderly
-// close/destructor flush, double-get and empty-handle errors, bounded
-// result retention), ingest-window grouping, snapshot-path read groups,
-// spatial bounds bootstrapping, per-shard drain pipelines (4 producers x
-// 4 lanes, lane counters, scratch recycling), ingest backpressure
+// close/destructor flush, double-get and empty-handle errors, results
+// kept until their handles redeem them), ingest-window grouping,
+// snapshot-path read groups, spatial bounds bootstrapping, per-shard
+// drain pipelines (4 producers x 4 lanes, lane counters, scratch
+// recycling), ingest backpressure
 // (blocking submit / try_submit / close-while-blocked), config
 // validation, non-finite payload rejection,
 // degenerate/duplicate-coordinate stripe derivation, stripe cuts (from
@@ -382,35 +383,32 @@ TEST(QueryService, DoubleGetAndEmptyHandlesThrow) {
   c3.get();
 }
 
-TEST(QueryService, RetentionCapEvictsOldestUnredeemed) {
-  // Satellite: completed-but-unredeemed results are bounded. With a cap of
-  // 2, five un-waited tickets leave exactly the two newest redeemable; the
-  // three oldest report eviction instead of deadlocking or leaking.
-  auto cfg = make_config<2>(1, shard_policy::hash);
-  cfg.max_retained = 2;
-  query::query_service<2> service(cfg);
+TEST(QueryService, LateRedeemerGetsEveryResult) {
+  // A completed result waits for its handle, however many others complete
+  // first: with the default config, 1,500 tickets all fulfilled before the
+  // first get() still all return their rows.
+  constexpr int kTickets = 1500;
+  query::query_service<2> service(query::service_config{});
   std::vector<query::completion<2>> cs;
-  for (int j = 0; j < 5; ++j) {
+  for (int j = 0; j < kTickets; ++j) {
     cs.push_back(service.submit(
         {query::request<2>::make_insert(point<2>{{1.0 * j, 0.0}})}));
   }
-  service.close();  // all five fulfilled; cap enforced along the way
-  const auto stats = service.stats();
-  EXPECT_EQ(stats.results_retained, 2u);
-  EXPECT_EQ(stats.results_evicted, 3u);
-  for (int j = 0; j < 3; ++j) {
-    EXPECT_THROW(cs[j].get(), std::runtime_error) << "ticket " << j;
+  service.close();
+  EXPECT_EQ(service.stats().results_retained,
+            static_cast<std::size_t>(kTickets));
+  for (int j = 0; j < kTickets; ++j) {
+    const auto r = cs[j].get();
+    ASSERT_EQ(r.responses.size(), 1u) << "ticket " << j;
+    EXPECT_EQ(r.responses[0].kind, op::insert) << "ticket " << j;
   }
-  for (int j = 3; j < 5; ++j) {
-    EXPECT_EQ(cs[j].get().responses.size(), 1u) << "ticket " << j;
-  }
-  EXPECT_EQ(service.size(), 5u);  // eviction drops results, not writes
+  EXPECT_EQ(service.size(), static_cast<std::size_t>(kTickets));
   EXPECT_EQ(service.stats().results_retained, 0u);
 }
 
 TEST(QueryService, DroppedHandleReleasesItsResult) {
-  // Redemption-by-destruction: dropping an unredeemed handle evicts its
-  // retained result immediately (nothing waits for the cap).
+  // Redemption-by-destruction: dropping an unredeemed handle releases its
+  // retained result immediately.
   auto service = make_service<2>(1, shard_policy::hash);
   {
     auto c = service.submit(
@@ -518,7 +516,7 @@ TEST(QueryService, IngestWindowGroupsPendingBatches) {
   }
 }
 
-TEST(QueryService, TicketResultCarriesGroupStatsAndLatency) {
+TEST(QueryService, TicketResultCarriesItsMeasuredLatency) {
   auto service = make_service<2>(2, shard_policy::hash);
   std::vector<query::request<2>> batch{
       query::request<2>::make_insert(point<2>{{1, 1}}),
@@ -527,19 +525,19 @@ TEST(QueryService, TicketResultCarriesGroupStatsAndLatency) {
   };
   auto r = service.submit(std::move(batch)).get();
   ASSERT_EQ(r.responses.size(), 3u);
-  EXPECT_GE(r.latency_seconds, 0.0);
-  // Phases: [insert x2][read x1]; response phase ids index stats.phases.
-  ASSERT_EQ(r.stats.num_phases(), 2u);
-  EXPECT_EQ(r.stats.num_writes, 2u);
-  EXPECT_EQ(r.stats.num_reads, 1u);
-  for (const auto& resp : r.responses) {
-    EXPECT_LT(resp.phase, r.stats.num_phases());
-  }
+  EXPECT_GT(r.latency_seconds, 0.0);
   service.close();
   const auto stats = service.stats();
   EXPECT_EQ(stats.num_tickets, 1u);
   EXPECT_EQ(stats.num_drains, 1u);
   EXPECT_EQ(stats.num_requests, 3u);
+  // The one ticket's latency is the one sample the completion stage
+  // recorded: both come from the same nanosecond delta.
+  const auto& completion =
+      stats.telemetry.stage_hist(query::stage::completion);
+  ASSERT_EQ(completion.summary().count, 1u);
+  EXPECT_EQ(static_cast<std::uint64_t>(std::llround(r.latency_seconds * 1e9)),
+            completion.max_ns());
 }
 
 TEST(QueryService, InvalidConfigThrows) {
@@ -548,9 +546,6 @@ TEST(QueryService, InvalidConfigThrows) {
   EXPECT_THROW(query::query_service<2>{cfg}, std::invalid_argument);
   cfg.shards = 1;
   cfg.ingest_window = 0;
-  EXPECT_THROW(query::query_service<2>{cfg}, std::invalid_argument);
-  cfg.ingest_window = 1;
-  cfg.max_retained = 0;
   EXPECT_THROW(query::query_service<2>{cfg}, std::invalid_argument);
 }
 
@@ -944,7 +939,6 @@ TEST(QueryService, LockfreeIngestSurvivesConcurrentProducers) {
 TEST(QueryService, BdltreeWriteStreamReclaimsEveryRetiredVersion) {
   constexpr int kProducers = 2;
   auto cfg = make_config<2>(2, shard_policy::hash);
-  cfg.max_retained = std::size_t{1} << 20;  // producers redeem at the end
   query::query_service<2> service(cfg);
   auto spec = query::make_read_write_spec(2000, 4000, 0.5);
   spec.batch_size = 256;

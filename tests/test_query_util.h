@@ -18,22 +18,16 @@ namespace pargeo::testutil {
 
 /// Brute-force reference: a flat point multiset that applies a batch one
 /// request at a time, in order. Insert appends; erase removes one stored
-/// copy per entry (a no-op if none is left); reads scan every point. Its
-/// phase stats come from the same phase cut the service uses.
+/// copy per entry (a no-op if none is left); reads scan every point.
 template <int D>
 class reference_index {
  public:
   void bootstrap(const std::vector<point<D>>& pts) { pts_ = pts; }
 
-  query::batch_result<D> execute(const std::vector<query::request<D>>& batch) {
-    query::batch_result<D> out;
-    query::execute_phases<D>(
-        batch, out.responses, out.stats,
-        [&](std::size_t begin, std::size_t end, bool) {
-          for (std::size_t i = begin; i < end; ++i) {
-            out.responses[i].points = apply(batch[i]);
-          }
-        });
+  query::ticket_result<D> execute(
+      const std::vector<query::request<D>>& batch) {
+    query::ticket_result<D> out;
+    for (const auto& r : batch) out.responses.push_back({r.kind, apply(r)});
     return out;
   }
 

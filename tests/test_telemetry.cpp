@@ -189,7 +189,6 @@ TEST(TelemetryService, SpanMonotonicityOracle) {
   cfg.telemetry = query::telemetry_level::trace;
   cfg.trace_sample = 1;  // every ticket sampled
   cfg.trace_capacity = 1 << 16;
-  cfg.max_retained = std::size_t{1} << 20;
   query::query_service<kDim> service(cfg);
   const auto spec = telemetry_spec(400, 1500, 21);
   service.bootstrap(query::make_initial<kDim>(spec));
@@ -236,7 +235,6 @@ TEST(TelemetryService, ConcurrentRecordersLoseNothing) {
   query::service_config cfg;
   cfg.shards = 4;
   cfg.telemetry = query::telemetry_level::stats;
-  cfg.max_retained = std::size_t{1} << 20;
   query::query_service<kDim> service(cfg);
   const auto base = telemetry_spec(400, 800, 31);
   service.bootstrap(query::make_initial<kDim>(base));
@@ -299,7 +297,6 @@ TEST(TelemetryService, EveryStageRecordsUnderMixedTraffic) {
   cfg.shards = 2;
   cfg.point_ttl_ns = 1000;
   cfg.ttl_now = [clock] { return clock->load(); };
-  cfg.max_retained = std::size_t{1} << 20;
   query::query_service<kDim> primary(cfg);
   auto log = std::make_shared<query::op_log<kDim>>();
   primary.attach_log(log);
@@ -338,7 +335,6 @@ TEST(TelemetryService, OffRecordsNothing) {
   query::service_config cfg;
   cfg.shards = 2;
   cfg.telemetry = query::telemetry_level::off;
-  cfg.max_retained = std::size_t{1} << 20;
   query::query_service<kDim> service(cfg);
   const auto spec = telemetry_spec(200, 400, 41);
   service.bootstrap(query::make_initial<kDim>(spec));

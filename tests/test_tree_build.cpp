@@ -2,8 +2,8 @@
 // workers on degenerate input past the parallel-split cutoff: the same
 // tree at every worker count, every node at the same slot, and the same
 // WSPD node pairs in the same order; the split contract at every node, the
-// parallel split against the sequential selection it replaces, and k-NN
-// against brute force.
+// parallel split against the sequential selection it replaces, k-NN
+// against brute force, and node arrays that start on a cache line.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -264,5 +264,20 @@ TEST(TreeBuild, ParallelSplitIsAStableThreeWayPartitionAtTheMedian) {
         EXPECT_TRUE(got == want) << "workers=" << w;
       }
     }
+  }
+}
+
+// Both trees' node arrays start on a cache line, so each 64-byte D = 2 node
+// sits in one line instead of straddling two.
+TEST(TreeBuild, NodeArraysStartOnACacheLine) {
+  static_assert(sizeof(kdtree::node<2>) == 64);
+  for (const std::size_t n : {std::size_t{100000}, std::size_t{1000000}}) {
+    const auto pts = datagen::uniform<2>(n, 95);
+    const kdtree::tree<2> kd(pts, split_policy::object_median, 16);
+    const veb vt(pts, split_policy::object_median);
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(&kd.node_at(0)) % 64, 0u)
+        << "kdtree n=" << n;
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(&vt.node_at(0)) % 64, 0u)
+        << "veb_tree n=" << n;
   }
 }
