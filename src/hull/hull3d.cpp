@@ -26,9 +26,9 @@ mesh emit_mesh(facet_arena& arena) {
 // Selects the conflict point of f furthest from its plane (ties by index).
 std::size_t furthest_conflict(const std::vector<pt>& pts, const facet* f) {
   std::size_t best = f->conflicts[0];
-  double bd = f->plane_dist(pts[best]);
+  double bd = f->plane.dist(pts[best]);
   for (const std::size_t q : f->conflicts) {
-    const double d = f->plane_dist(pts[q]);
+    const double d = f->plane.dist(pts[q]);
     if (d > bd || (d == bd && q < best)) {
       bd = d;
       best = q;
@@ -151,7 +151,7 @@ struct facet_geometry {
     return visible(pts, f, pts[p]);
   }
   double dist(const facet* f, std::size_t p) const {
-    return f->plane_dist(pts[p]);
+    return f->plane.dist(pts[p]);
   }
   // sequential_quickhull's rule: the smaller index.
   bool tie(const facet*, std::size_t a, std::size_t b) const { return a < b; }

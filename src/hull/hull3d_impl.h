@@ -7,11 +7,26 @@
 // counter-clockwise as seen from outside, so for a facet (a, b, c) and any
 // interior point q, orient3d(a, b, c, q) > 0, and a point p is *visible*
 // from the facet (outside its plane) iff orient3d(a, b, c, p) < 0.
+//
+// Visibility is decided on the facet's stored plane where a forward error
+// bound allows (Shewchuk's static filter, DCG 1997). With eps = 2^-53,
+// u = fl(b - a), w = fl(c - a), n = fl(u x w) and
+// M = (|u_y w_z| + |u_z w_y|, |u_z w_x| + |u_x w_z|, |u_x w_y| + |u_y w_x|),
+// each n_i is within 4 eps M_i of the exact normal's. For d = fl(p - a),
+// t = fl(n . d) adds at most 4 eps sum |n_i| |d_i| more, so t is within about
+// 9 eps sum M_i |d_i| of the exact N . (p - a). The facet keeps
+// err_i = 12 eps M_i, which leaves a margin for the rounding of the bound
+// e = sum err_i |d_i| itself: t > e proves p outside, t < -e inside, and
+// anything else goes to orient3d. The bound assumes no product underflowed
+// or overflowed: a plane whose cross product lost bits to underflow never
+// decides, and neither does an e that is zero or subnormal or a t that is
+// not finite.
 #pragma once
 
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -24,31 +39,76 @@ namespace pargeo::hull3d::detail {
 
 using pt = point<3>;
 
+/// A facet's plane, computed once from its vertices a, b, c, with the error
+/// weights of the visibility filter (see the header).
+struct facet_plane {
+  pt origin{};        // a, the first vertex
+  pt normal{};        // fl((b - a) x (c - a)), pointing outward
+  pt err{};           // per-axis error weights
+  double offset = 0;  // normal . a: the plane is normal . x == offset
+
+  facet_plane() = default;
+  facet_plane(const pt& a, const pt& b, const pt& c) : origin(a) {
+    const pt u = b - a, w = c - a;
+    normal = cross(u, w);
+    offset = normal.dot(a);
+    bool lost = false;
+    const auto mag = [&](double x, double y) {
+      const double m = std::abs(x * y);
+      lost = lost || (m < kMin && x != 0 && y != 0);
+      return m;
+    };
+    err[0] = kErr * (mag(u[1], w[2]) + mag(u[2], w[1]));
+    err[1] = kErr * (mag(u[2], w[0]) + mag(u[0], w[2]));
+    err[2] = kErr * (mag(u[0], w[1]) + mag(u[1], w[0]));
+    if (lost) err = pt{{kInf, kInf, kInf}};
+  }
+
+  /// Positive outside the plane; used for furthest-point selection.
+  double dist(const pt& p) const { return normal.dot(p) - offset; }
+
+  /// The filter's verdict on p: +1 if p is certainly outside the plane, -1
+  /// if certainly not, 0 if the bound cannot tell (p on or near the plane).
+  int side(const pt& p) const {
+    const double dx = p[0] - origin[0], dy = p[1] - origin[1],
+                 dz = p[2] - origin[2];
+    const double t = normal[0] * dx + normal[1] * dy + normal[2] * dz;
+    const double e = err[0] * std::abs(dx) + err[1] * std::abs(dy) +
+                     err[2] * std::abs(dz);
+    if (!(e >= kMin && std::abs(t) <= kMax)) return 0;
+    return t > e ? 1 : t < -e ? -1 : 0;
+  }
+
+ private:
+  static constexpr double kErr = 12 * 0x1p-53;  // 12 eps
+  static constexpr double kMin = std::numeric_limits<double>::min();
+  static constexpr double kMax = std::numeric_limits<double>::max();
+  static constexpr double kInf = std::numeric_limits<double>::infinity();
+};
+
 /// A hull facet. Its conflict list (reservation::cell::conflicts) holds the
 /// outside points homed on it.
 struct facet : reservation::cell {
   std::array<std::size_t, 3> v{};
   // nbr[i] is the facet across directed edge (v[i], v[(i+1)%3]).
   std::array<facet*, 3> nbr{};
-  pt normal{};        // unnormalized outward normal
-  double offset = 0;  // plane: normal . x == offset
-
-  /// Positive outside the facet plane; used for furthest-point selection.
-  double plane_dist(const pt& p) const { return normal.dot(p) - offset; }
+  facet_plane plane;
 };
 
 using facet_arena = reservation::cell_arena<facet>;
 
-/// Strict visibility predicate (filtered, escalates to long double).
-inline bool visible(const std::vector<pt>& pts, const facet* f,
-                    const pt& p) {
-  return orient3d(pts[f->v[0]], pts[f->v[1]], pts[f->v[2]], p) < 0;
+/// Strict visibility of p from the facet with vertices v and plane h:
+/// orient3d(a, b, c, p) < 0, decided by the plane filter where it can.
+inline bool visible(const std::vector<pt>& pts,
+                    const std::array<std::size_t, 3>& v,
+                    const facet_plane& h, const pt& p) {
+  if (const int s = h.side(p)) return s > 0;
+  return orient3d(pts[v[0]], pts[v[1]], pts[v[2]], p) < 0;
 }
 
-inline void set_plane(const std::vector<pt>& pts, facet* f) {
-  const pt& a = pts[f->v[0]];
-  f->normal = cross(pts[f->v[1]] - a, pts[f->v[2]] - a);
-  f->offset = f->normal.dot(a);
+inline bool visible(const std::vector<pt>& pts, const facet* f,
+                    const pt& p) {
+  return visible(pts, f->v, f->plane, p);
 }
 
 /// The first index in [0, n) with the largest key(i), or n if no key is
@@ -119,7 +179,7 @@ inline std::array<facet*, 4> make_tetrahedron(
     if (orient3d(pts[f->v[0]], pts[f->v[1]], pts[f->v[2]], pts[other]) < 0) {
       std::swap(f->v[1], f->v[2]);
     }
-    set_plane(pts, f);
+    f->plane = facet_plane(pts[f->v[0]], pts[f->v[1]], pts[f->v[2]]);
     fs[t] = f;
   }
   // Adjacency by matching reversed directed edges.
@@ -197,7 +257,7 @@ inline void replace_region(const std::vector<pt>& pts, facet_arena& arena,
     facet* g = f->nbr[e];
     facet* x = arena.alloc();
     x->v = {u, w, p};
-    set_plane(pts, x);
+    x->plane = facet_plane(pts[u], pts[w], pts[p]);
     x->nbr = {g, nullptr, nullptr};
     // Rewire g's edge (w, u) to the new facet.
     for (int e2 = 0; e2 < 3; ++e2) {

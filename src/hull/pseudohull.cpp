@@ -8,6 +8,7 @@
 // the survivors plus all pseudohull vertices feed the final parallel
 // reservation-based quickhull.
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <mutex>
 
@@ -27,37 +28,37 @@ struct cull_context {
   std::mutex out_mutex;
   std::vector<std::size_t> survivors;
 
-  void emit(const std::vector<std::size_t>& ids, std::size_t a,
-            std::size_t b, std::size_t c) {
+  void emit(const std::vector<std::size_t>& ids,
+            const std::array<std::size_t, 3>& v) {
     std::lock_guard<std::mutex> g(out_mutex);
     survivors.insert(survivors.end(), ids.begin(), ids.end());
-    survivors.push_back(a);
-    survivors.push_back(b);
-    survivors.push_back(c);
+    survivors.insert(survivors.end(), v.begin(), v.end());
   }
 };
 
-// A point q is above the oriented plane (a, b, c) iff orient3d < 0 (our
-// outward-facet convention from hull3d_impl.h).
-inline bool above(const std::vector<pt>& pts, std::size_t a, std::size_t b,
-                  std::size_t c, std::size_t q) {
-  return orient3d(pts[a], pts[b], pts[c], pts[q]) < 0;
+// A facet of the growing pseudohull: its vertices, outward as in
+// hull3d_impl.h, and its plane.
+struct growing {
+  std::array<std::size_t, 3> v;
+  facet_plane plane;
+};
+
+growing make_growing(const std::vector<pt>& pts, std::size_t a,
+                     std::size_t b, std::size_t c) {
+  return {{a, b, c}, facet_plane(pts[a], pts[b], pts[c])};
 }
 
-void grow(cull_context& ctx, std::size_t a, std::size_t b, std::size_t c,
-          std::vector<std::size_t> own) {
+void grow(cull_context& ctx, const growing& f, std::vector<std::size_t> own) {
   if (own.size() <= ctx.threshold) {
-    ctx.emit(own, a, b, c);
+    ctx.emit(own, f.v);
     return;
   }
   const auto& pts = ctx.pts;
   // Furthest point from the facet plane (unnormalized distance suffices).
-  const pt normal = cross(pts[b] - pts[a], pts[c] - pts[a]);
-  const double offset = normal.dot(pts[a]);
   std::size_t p = own[0];
-  double bd = normal.dot(pts[p]) - offset;
+  double bd = f.plane.dist(pts[p]);
   for (const std::size_t q : own) {
-    const double d = normal.dot(pts[q]) - offset;
+    const double d = f.plane.dist(pts[q]);
     if (d > bd || (d == bd && q < p)) {
       bd = d;
       p = q;
@@ -65,28 +66,29 @@ void grow(cull_context& ctx, std::size_t a, std::size_t b, std::size_t c,
   }
   // Split the points among the three child facets; points below all three
   // are inside tetra(a, b, c, p) and hence interior -> dropped.
-  std::vector<std::size_t> s0, s1, s2;
+  const auto [a, b, c] = f.v;
+  const growing kids[3] = {make_growing(pts, a, b, p),
+                           make_growing(pts, b, c, p),
+                           make_growing(pts, c, a, p)};
+  std::vector<std::size_t> s[3];
   for (const std::size_t q : own) {
     if (q == p) continue;
-    if (above(pts, a, b, p, q)) {
-      s0.push_back(q);
-    } else if (above(pts, b, c, p, q)) {
-      s1.push_back(q);
-    } else if (above(pts, c, a, p, q)) {
-      s2.push_back(q);
+    for (int k = 0; k < 3; ++k) {
+      if (visible(pts, kids[k].v, kids[k].plane, pts[q])) {
+        s[k].push_back(q);
+        break;
+      }
     }
   }
   own.clear();
   own.shrink_to_fit();
-  const bool spawn = s0.size() + s1.size() + s2.size() > 4096;
+  const bool spawn = s[0].size() + s[1].size() + s[2].size() > 4096;
   if (spawn) {
-    par::par_do3([&] { grow(ctx, a, b, p, std::move(s0)); },
-                 [&] { grow(ctx, b, c, p, std::move(s1)); },
-                 [&] { grow(ctx, c, a, p, std::move(s2)); });
+    par::par_do3([&] { grow(ctx, kids[0], std::move(s[0])); },
+                 [&] { grow(ctx, kids[1], std::move(s[1])); },
+                 [&] { grow(ctx, kids[2], std::move(s[2])); });
   } else {
-    grow(ctx, a, b, p, std::move(s0));
-    grow(ctx, b, c, p, std::move(s1));
-    grow(ctx, c, a, p, std::move(s2));
+    for (int k = 0; k < 3; ++k) grow(ctx, kids[k], std::move(s[k]));
   }
 }
 
@@ -115,8 +117,7 @@ std::vector<std::size_t> cull(const std::vector<pt>& pts,
   par::parallel_for(
       0, 4,
       [&](std::size_t t) {
-        grow(ctx, tetra[t]->v[0], tetra[t]->v[1], tetra[t]->v[2],
-             std::move(own[t]));
+        grow(ctx, {tetra[t]->v, tetra[t]->plane}, std::move(own[t]));
       },
       1);
   auto& sv = ctx.survivors;

@@ -1,10 +1,12 @@
 // Tests for 3D convex hull: method agreement, mesh validity (outward
-// facets, containment, Euler characteristic), instrumentation, and
-// degenerate inputs.
+// facets, containment, Euler characteristic), instrumentation, degenerate
+// inputs, and the facet-plane visibility filter against exact signs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstdint>
 #include <map>
 #include <set>
 #include <string>
@@ -12,6 +14,7 @@
 #include "core/predicates.h"
 #include "datagen/datagen.h"
 #include "hull/hull3d.h"
+#include "hull/hull3d_impl.h"
 #include "parallel/random.h"
 #include "test_util.h"
 
@@ -278,6 +281,124 @@ TEST(Hull3d, RoundsDependOnTheBatchSizeOnly) {
   EXPECT_EQ(in.facets_touched, 28784u);
   EXPECT_EQ(on.points_touched, 434162u);
   EXPECT_EQ(on.facets_touched, 31857u);
+}
+
+TEST(Hull3d, SequentialQuickhullCountsArePinned) {
+  // sequential_quickhull is the reference that perfbench and the sweeps
+  // check the parallel hulls against. A change to its furthest-point rule,
+  // its visibility decisions or its re-home order moves these counts.
+  testutil::scoped_workers w(1);
+  hull3d::stats in, on;
+  hull3d::sequential_quickhull(datagen::in_sphere<3>(50000, 5), &in);
+  hull3d::sequential_quickhull(datagen::on_sphere<3>(50000, 6), &on);
+  EXPECT_EQ(in.points_touched, 156075u);
+  EXPECT_EQ(in.facets_touched, 3980u);
+  EXPECT_EQ(on.points_touched, 216782u);
+  EXPECT_EQ(on.facets_touched, 4811u);
+}
+
+TEST(Hull3d, PlaneFilterDecidesOnlyExactSigns) {
+  // Quadruples (a, b, c, p) on a 2^-40 grid, a, b and c in [1, 2)^3, and
+  // the same quadruples shifted by -3. A third are exactly coplanar
+  // (p = b + c - a); in the rest p lies within 2 grid steps of the plane
+  // along the normal's largest axis. Counted in grid steps every coordinate
+  // is an integer below 2^42 in magnitude, so the exact sign of
+  // N . (p - a), N = (b - a) x (c - a), fits in __int128. Where the filter
+  // decides, its sign must be the exact one; it may never decide on a
+  // coplanar quadruple; and it must decide most of the others, or every
+  // test would fall back to orient3d.
+  using i128 = __int128;
+  using grid = std::array<i128, 3>;
+  const auto sub = [](const grid& x, const grid& y) {
+    return grid{x[0] - y[0], x[1] - y[1], x[2] - y[2]};
+  };
+  const auto abs128 = [](i128 x) { return x < 0 ? -x : x; };
+  constexpr std::size_t kQuads = 1000000;
+  std::size_t coplanar = 0, others = 0, decided = 0, decided_coplanar = 0,
+              wrong = 0;
+  for (std::size_t i = 0; i < kQuads; ++i) {
+    std::array<grid, 4> g;  // a, b, c, p
+    for (int v = 0; v < 4; ++v) {
+      for (int d = 0; d < 3; ++d) {
+        g[v][d] = static_cast<i128>(par::rand_at(41, 12 * i + 3 * v + d) >>
+                                    24);
+      }
+    }
+    const grid& a = g[0];
+    const grid u = sub(g[1], a), w = sub(g[2], a);
+    const grid n{u[1] * w[2] - u[2] * w[1], u[2] * w[0] - u[0] * w[2],
+                 u[0] * w[1] - u[1] * w[0]};
+    grid& p = g[3];
+    if (i % 3 == 0) {
+      for (int d = 0; d < 3; ++d) p[d] = g[1][d] + g[2][d] - a[d];
+    } else {
+      int k = 0;
+      for (int d = 1; d < 3; ++d) {
+        if (abs128(n[d]) > abs128(n[k])) k = d;
+      }
+      if (n[k] == 0) continue;
+      // Put p_k on the plane, rounded to the nearest step, then move it.
+      const int x = (k + 1) % 3, y = (k + 2) % 3;
+      const i128 num = -(n[x] * (p[x] - a[x]) + n[y] * (p[y] - a[y]));
+      i128 q = num / n[k];
+      if (2 * abs128(num - q * n[k]) >= abs128(n[k])) {
+        q += (num < 0) != (n[k] < 0) ? -1 : 1;
+      }
+      p[k] = a[k] + q + static_cast<i128>(par::rand_range(42, i, 5)) - 2;
+    }
+    const grid d = sub(p, a);
+    const i128 exact = n[0] * d[0] + n[1] * d[1] + n[2] * d[2];
+    const int want = (exact > 0) - (exact < 0);
+    for (const double base : {1.0, -2.0}) {  // [1, 2)^3, [-2, -1)^3
+      std::array<point<3>, 4> r;
+      for (int v = 0; v < 4; ++v) {
+        for (int k = 0; k < 3; ++k) {
+          r[v][k] = base + static_cast<double>(g[v][k]) * 0x1p-40;
+        }
+      }
+      const int got =
+          hull3d::detail::facet_plane(r[0], r[1], r[2]).side(r[3]);
+      (want == 0 ? coplanar : others)++;
+      if (got == 0) continue;
+      ++decided;
+      if (want == 0) ++decided_coplanar;
+      if (got != want) ++wrong;
+    }
+  }
+  EXPECT_EQ(wrong, 0u);
+  EXPECT_EQ(decided_coplanar, 0u);
+  EXPECT_GE(coplanar, 2 * ((kQuads + 2) / 3));  // every third, twice
+  EXPECT_GT(decided, others * 9 / 10)
+      << decided << " decisions on " << others << " calls off the plane";
+}
+
+TEST(Hull3d, PlaneFilterAbstainsWhenTheNormalUnderflowed) {
+  // u_y w_z = 2^-1200 underflows to 0, so the computed normal's x is 0
+  // where the exact one is 2^-1200, and the x weight is 0 too. With
+  // p - a = (2^520, 2^-80, 2^-80 - 2^-90), the exact N . (p - a) is
+  // 2^-680 - 2^-690 > 0, the computed one -2^-690, and the bound from the
+  // other two axes is about 2^-728: a filter that trusted it would call p
+  // inside.
+  const point<3> a{{0, 0, 0}};
+  const point<3> b{{1, 0x1p-600, 0}};
+  const point<3> c{{0, 0x1p-600, 0x1p-600}};
+  const point<3> p{{0x1p520, 0x1p-80, 0x1p-80 - 0x1p-90}};
+  EXPECT_EQ(hull3d::detail::facet_plane(a, b, c).side(p), 0);
+}
+
+TEST(Hull3d, PlaneFilterAbstainsWhenTheDotProductOverflows) {
+  // n = (2^1000, 2^1000, -2^1000) and p - a = 2^24 (1.2, -0.9, 0.9): the
+  // x term of t overflows to +inf, the other two are finite, so t is +inf
+  // while the exact N . (p - a) = -0.6 * 2^1024 < 0, and e is finite. The
+  // filter must abstain; orient3d's long double stage gets it right.
+  const std::vector<point<3>> pts{point<3>{{0, 0, 0}},
+                                  point<3>{{0, 0x1p500, 0x1p500}},
+                                  point<3>{{0x1p500, 0, 0x1p500}},
+                                  point<3>{{1.2 * 0x1p24, -0.9 * 0x1p24,
+                                            0.9 * 0x1p24}}};
+  const hull3d::detail::facet_plane h(pts[0], pts[1], pts[2]);
+  EXPECT_EQ(h.side(pts[3]), 0);
+  EXPECT_FALSE(hull3d::detail::visible(pts, {0, 1, 2}, h, pts[3]));
 }
 
 TEST(Hull3d, PseudohullThresholdInvariance) {
