@@ -20,11 +20,23 @@
 // buffer last.
 //
 // *Buffer order.* The staging buffer is always in lexicographic order
-// (so sorted by x). Insert merges new points in and erase removes matches
-// found by binary search (one copy per batch entry), so neither re-sorts
-// it. The buffer scans of k-NN, ball and box queries walk outward from
-// the query's x and stop once the x gap alone exceeds the k-NN bound, the
-// radius or the box.
+// (so sorted by x). Insert merges new points in and erase removes one copy
+// per batch entry, so neither re-sorts it. Erase finds each entry's run of
+// equal points by a binary search on the workers, then hands the copies
+// out in batch order in one sequential pass over the entries that landed
+// on an equal point; the entries left unmatched go on to the trees in
+// batch order. The buffer scans of k-NN, ball and box queries walk outward
+// from the query's x and stop once the x gap alone exceeds the k-NN bound,
+// the radius or the box.
+//
+// *Updates at full width.* Every pass of an insert or erase runs on the
+// workers once it is large enough: the buffer match; each tree's erase,
+// which splits its entries with the builder's stable parallel partition
+// above the fork cutoff; the gathers of live points, one blocked pack per
+// tree (par::pack_into), which assemble a rebuild pool in one pass; and
+// the builds, each new tree copying its slice of the pool. An update below
+// the loop grains opens no OpenMP team. The result (point order, trees by
+// slot, alive flags, k-NN ids) is the same at every worker count.
 //
 // *Snapshots (chunk-level COW).* The forest's unit of immutability is the
 // static vEB tree: insertion never mutates an existing tree (the cascade
@@ -79,38 +91,58 @@ void insert_sorted(std::vector<point<D>>& sorted, std::vector<point<D>> add) {
 }
 
 /// Removes one stored copy per batch entry from `sorted`, a vector in
-/// lexicographic order, and keeps it in order. Each entry is matched by
-/// binary search: O(|batch| log |sorted| + |sorted|). Returns the entries
-/// that found no copy left, in batch order.
+/// lexicographic order, and keeps it in order. Returns the entries that
+/// found no copy left, in batch order. Each entry's binary search runs on
+/// the workers (`sorted` is read-only then); one sequential pass over the
+/// entries that landed on an equal point hands the copies out in batch
+/// order; the unmatched entries are packed on the workers.
+/// O(|batch| log |sorted| + |sorted|) work.
 template <int D>
 std::vector<point<D>> erase_sorted(std::vector<point<D>>& sorted,
                                    const std::vector<point<D>>& batch) {
-  // taken[i] = copies consumed from the run of equal points starting at i
-  // (binary search always lands on a run's first element).
-  std::vector<std::uint32_t> taken(sorted.size(), 0);
-  std::vector<point<D>> rest;
-  std::size_t first = sorted.size();
-  for (const auto& q : batch) {
-    const std::size_t run = static_cast<std::size_t>(
-        std::lower_bound(sorted.begin(), sorted.end(), q) - sorted.begin());
-    const std::size_t at = run == sorted.size() ? run : run + taken[run];
-    if (at < sorted.size() && sorted[at] == q) {
-      ++taken[run];
-      first = std::min(first, run);
-    } else {
-      rest.push_back(q);
+  const std::size_t n = batch.size();
+  // matched[i] = 1 + where batch[i]'s run of equal points starts (binary
+  // search always lands on a run's first element), or 0 if there is none.
+  std::vector<std::size_t> matched(n);
+  par::parallel_for(0, n, [&](std::size_t i) {
+    const auto it = std::lower_bound(sorted.begin(), sorted.end(), batch[i]);
+    matched[i] = it != sorted.end() && *it == batch[i]
+                     ? static_cast<std::size_t>(it - sorted.begin()) + 1
+                     : 0;
+  });
+  // One pass over the entries that landed on a run, in batch order:
+  // taken[r] = copies consumed from the run starting at r, and an entry
+  // that finds its run used up becomes unmatched. Then the buffer drops the
+  // copies taken.
+  std::size_t hits = 0;
+  const std::vector<std::size_t> landed = par::pack_index(matched);
+  if (!landed.empty()) {
+    std::vector<std::uint32_t> taken(sorted.size(), 0);
+    std::size_t first = sorted.size();
+    for (const std::size_t i : landed) {
+      const std::size_t r = matched[i] - 1, at = r + taken[r];
+      if (at < sorted.size() && sorted[at] == batch[i]) {
+        ++taken[r];
+        ++hits;
+        first = std::min(first, r);
+      } else {
+        matched[i] = 0;
+      }
     }
-  }
-  if (first == sorted.size()) return rest;
-  std::size_t out = first;
-  for (std::size_t i = first; i < sorted.size();) {
-    if (taken[i] > 0) {
-      i += taken[i];
-    } else {
-      sorted[out++] = sorted[i++];
+    std::size_t out = first;
+    for (std::size_t i = first; i < sorted.size();) {
+      if (taken[i] > 0) {
+        i += taken[i];
+      } else {
+        sorted[out++] = sorted[i++];
+      }
     }
+    sorted.resize(out);
   }
-  sorted.resize(out);
+  std::vector<point<D>> rest(n - hits);
+  par::pack_into(
+      n, [&](std::size_t i) { return matched[i] == 0; },
+      [&](std::size_t i) { return batch[i]; }, rest.data());
   return rest;
 }
 
@@ -307,80 +339,21 @@ class bdl_tree {
 
   /// Batch insertion (paper Algorithm 3). Never mutates an existing tree:
   /// the cascade retires whole trees and builds fresh ones, so snapshots
-  /// holding the old trees stay exact.
+  /// holding the old trees stay exact. The rebuild pool is assembled in one
+  /// parallel pass, and each new tree copies its slice of it on the
+  /// workers.
   void insert(const std::vector<point<D>>& batch) {
-    if (batch.empty()) return;
-    // (|buffer| + |P|) mod X points stay in the buffer; the rest form the
-    // rebuild pool. The buffer keeps a prefix of itself when that is
-    // enough, else all of itself merged with the batch's tail, so it stays
-    // sorted without a re-sort.
-    const std::size_t keep = (buffer_.size() + batch.size()) % x_;
-    std::vector<point<D>> pool;
-    if (keep < buffer_.size()) {
-      pool.reserve(batch.size() + buffer_.size() - keep);
-      pool.assign(batch.begin(), batch.end());
-      pool.insert(pool.end(), buffer_.begin() + keep, buffer_.end());
-      buffer_.resize(keep);
-    } else {
-      const auto split = batch.end() - (keep - buffer_.size());
-      pool.assign(batch.begin(), split);
-      detail::insert_sorted<D>(buffer_,
-                               std::vector<point<D>>(split, batch.end()));
-    }
-    if (pool.empty()) return;
-
-    const uint64_t add = pool.size() / x_;
-    const uint64_t f = full_mask();
-    const uint64_t fnew = f + add;
-    const uint64_t destroy = f & ~fnew;
-    const uint64_t create = fnew & ~f;
-
-    // Gather points of destroyed trees into the pool, retiring the trees.
-    for (int i = 0; i < 64; ++i) {
-      if ((destroy >> i) & 1) {
-        auto pts = trees_[i]->gather();
-        pool.insert(pool.end(), pts.begin(), pts.end());
-        retire_tree(std::move(trees_[i]));
-      }
-    }
-    // Build the new trees over contiguous pool slices (in parallel for a
-    // large pool), largest first so slice sizes match capacities X*2^i as
-    // closely as possible.
-    std::vector<int> slots;
-    for (int i = 63; i >= 0; --i) {
-      if ((create >> i) & 1) slots.push_back(i);
-    }
-    std::vector<std::pair<std::size_t, std::size_t>> ranges;
-    std::size_t off = 0;
-    for (const int slot : slots) {
-      const std::size_t cap = x_ << slot;
-      const std::size_t take = std::min(cap, pool.size() - off);
-      ranges.emplace_back(off, off + take);
-      off += take;
-    }
-    // Any residue (possible when destroyed trees were not full) goes into
-    // the last created tree.
-    if (off < pool.size() && !ranges.empty()) {
-      ranges.back().second = pool.size();
-    }
-    if (static_cast<std::size_t>(trees_.size()) < 64) trees_.resize(64);
-    par::parallel_for(
-        0, slots.size(),
-        [&](std::size_t i) {
-          std::vector<point<D>> slice(pool.begin() + ranges[i].first,
-                                      pool.begin() + ranges[i].second);
-          trees_[slots[i]] =
-              std::make_shared<veb_tree<D>>(std::move(slice), policy_);
-        },
-        inline_below_fork_cutoff(pool.size(), slots.size()));
+    insert_range(batch.data(), batch.size());
   }
 
   /// Batch deletion (paper Algorithm 4): each entry removes one stored
   /// copy, if one is left. The staging buffer takes the entries it matches
-  /// first; then each tree, largest first, gets only the entries still
-  /// unmatched. A tree shared with a snapshot is copied (chunk-level COW)
-  /// only when a remaining entry has a live copy in it; an exclusively
-  /// owned tree erases in place.
+  /// first (matched on the workers, see detail::erase_sorted); then each
+  /// tree, largest first, gets only the entries still unmatched. A tree
+  /// shared with a snapshot is copied (chunk-level COW) only when a
+  /// remaining entry has a live copy in it; an exclusively owned tree
+  /// erases in place. Trees left below half their build capacity are
+  /// gathered, in one parallel pass, into one batch that is reinserted.
   void erase(const std::vector<point<D>>& batch) {
     if (batch.empty()) return;
     std::vector<point<D>> rest = detail::erase_sorted<D>(buffer_, batch);
@@ -405,18 +378,20 @@ class bdl_tree {
       slot = std::move(copy);
       retire_tree(std::move(old));
     }
-    // Gather trees that fell below half their build capacity; reinsert.
-    std::vector<point<D>> reinsert;
+    std::vector<std::size_t> below_half;
+    std::vector<pool_part> parts;
     for (std::size_t i = 0; i < trees_.size(); ++i) {
       if (!trees_[i] || trees_[i]->empty()) continue;
       const std::size_t cap = x_ << i;
       if (trees_[i]->size() < (cap + 1) / 2) {
-        auto pts = trees_[i]->gather();
-        reinsert.insert(reinsert.end(), pts.begin(), pts.end());
-        retire_tree(std::move(trees_[i]));
+        below_half.push_back(i);
+        parts.push_back(tree_part(i));
       }
     }
-    if (!reinsert.empty()) insert(reinsert);
+    if (parts.empty()) return;
+    const auto reinsert = assemble(parts);
+    for (const std::size_t i : below_half) retire_tree(std::move(trees_[i]));
+    insert_range(reinsert.data(), reinsert.size());
   }
 
   /// Data-parallel k-NN: row i holds the k nearest stored points to
@@ -449,28 +424,135 @@ class bdl_tree {
     return detail::forest_range_box<D>(buffer_, trees_, queries);
   }
 
-  /// All stored points (buffer + every tree).
+  /// All stored points: the buffer, then each tree's live points by slot,
+  /// in storage order.
   std::vector<point<D>> gather() const {
-    std::vector<point<D>> out(buffer_);
-    for (const auto& t : trees_) {
-      if (t) {
-        auto pts = t->gather();
-        out.insert(out.end(), pts.begin(), pts.end());
-      }
+    std::vector<pool_part> parts = {{nullptr, buffer_.data(), buffer_.size()}};
+    for (std::size_t i = 0; i < trees_.size(); ++i) {
+      if (trees_[i]) parts.push_back(tree_part(i));
     }
-    return out;
+    const auto all = assemble(parts);
+    return std::vector<point<D>>(all.data(), all.data() + all.size());
   }
 
   std::size_t buffer_capacity() const { return x_; }
 
  private:
-  // Grain for a loop over `slots` trees that builds `points` points in all:
-  // the whole loop (run inline, no team) below the builder's fork cutoff,
-  // where a small insert would otherwise open a team for microseconds of
-  // work; one tree per task above it.
-  static std::size_t inline_below_fork_cutoff(std::size_t points,
+  // Grain for a loop over `slots` trees (or pool parts) that moves `points`
+  // points in all: the whole loop (run inline, no team) up to the builder's
+  // fork cutoff, where a small insert would otherwise open a team for
+  // microseconds of work; one item per task above it.
+  static std::size_t inline_up_to_fork_cutoff(std::size_t points,
                                               std::size_t slots) {
-    return points < kdtree::kForkCutoff ? slots : 1;
+    return points <= kdtree::kForkCutoff ? slots : 1;
+  }
+
+  // A part of a rebuild pool: the n live points of `tree`, or, without a
+  // tree, the n points from `from`.
+  struct pool_part {
+    const veb_tree<D>* tree;
+    const point<D>* from;
+    std::size_t n;
+  };
+
+  pool_part tree_part(std::size_t slot) const {
+    return {trees_[slot].get(), nullptr, trees_[slot]->size()};
+  }
+
+  // Writes the parts, in order, into one uninitialised buffer, in one pass
+  // over the parts (on the workers above the builder's fork cutoff): a
+  // tree's live points by its blocked pack (veb_tree::gather_into), the
+  // other parts by a blocked copy.
+  kdtree::raw_buffer<point<D>> assemble(
+      const std::vector<pool_part>& parts) const {
+    std::vector<std::size_t> at(parts.size() + 1, 0);
+    for (std::size_t i = 0; i < parts.size(); ++i) {
+      at[i + 1] = at[i] + parts[i].n;
+    }
+    kdtree::raw_buffer<point<D>> pool(at.back());
+    par::parallel_for(
+        0, parts.size(),
+        [&](std::size_t i) {
+          const pool_part& part = parts[i];
+          point<D>* const out = pool.data() + at[i];
+          if (part.tree != nullptr) {
+            part.tree->gather_into(out);
+          } else {
+            par::pack_into(
+                part.n, [](std::size_t) { return true; },
+                [&part](std::size_t j) { return part.from[j]; }, out,
+                kdtree::kForkCutoff);
+          }
+        },
+        inline_up_to_fork_cutoff(at.back(), parts.size()));
+    return pool;
+  }
+
+  // Insert of batch[0, n). (|buffer| + n) mod X points stay in the buffer;
+  // the rest, then the live points of the trees the cascade destroys (by
+  // slot), form the rebuild pool. The buffer keeps a prefix of itself when
+  // that is enough, else all of itself merged with the batch's tail, so it
+  // stays sorted without a re-sort.
+  void insert_range(const point<D>* batch, std::size_t n) {
+    if (n == 0) return;
+    const std::size_t keep = (buffer_.size() + n) % x_;
+    std::vector<pool_part> parts;
+    if (keep < buffer_.size()) {
+      parts.push_back({nullptr, batch, n});
+      parts.push_back({nullptr, buffer_.data() + keep, buffer_.size() - keep});
+    } else {
+      const std::size_t split = n - (keep - buffer_.size());
+      detail::insert_sorted<D>(buffer_,
+                               std::vector<point<D>>(batch + split, batch + n));
+      if (split == 0) return;
+      parts.push_back({nullptr, batch, split});
+    }
+
+    std::size_t head = 0;
+    for (const auto& part : parts) head += part.n;
+    const uint64_t add = head / x_;
+    const uint64_t f = full_mask();
+    const uint64_t fnew = f + add;
+    const uint64_t destroy = f & ~fnew;
+    const uint64_t create = fnew & ~f;
+
+    for (std::size_t i = 0; i < 64; ++i) {
+      if ((destroy >> i) & 1) parts.push_back(tree_part(i));
+    }
+    const auto pool = assemble(parts);
+    if (keep < buffer_.size()) buffer_.resize(keep);
+    for (std::size_t i = 0; i < 64; ++i) {
+      if ((destroy >> i) & 1) retire_tree(std::move(trees_[i]));
+    }
+    // Build the new trees over contiguous pool slices (in parallel for a
+    // large pool), largest first so slice sizes match capacities X*2^i as
+    // closely as possible.
+    std::vector<int> slots;
+    for (int i = 63; i >= 0; --i) {
+      if ((create >> i) & 1) slots.push_back(i);
+    }
+    std::vector<std::pair<std::size_t, std::size_t>> ranges;
+    std::size_t off = 0;
+    for (const int slot : slots) {
+      const std::size_t cap = x_ << slot;
+      const std::size_t take = std::min(cap, pool.size() - off);
+      ranges.emplace_back(off, off + take);
+      off += take;
+    }
+    // Any residue (possible when destroyed trees were not full) goes into
+    // the last created tree.
+    if (off < pool.size() && !ranges.empty()) {
+      ranges.back().second = pool.size();
+    }
+    if (static_cast<std::size_t>(trees_.size()) < 64) trees_.resize(64);
+    par::parallel_for(
+        0, slots.size(),
+        [&](std::size_t i) {
+          trees_[slots[i]] = std::make_shared<veb_tree<D>>(
+              pool.data() + ranges[i].first,
+              ranges[i].second - ranges[i].first, policy_);
+        },
+        inline_up_to_fork_cutoff(pool.size(), slots.size()));
   }
 
   uint64_t full_mask() const {

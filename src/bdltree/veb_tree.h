@@ -7,7 +7,9 @@
 // in a permuted buffer; every node references a contiguous range of it.
 // Deletion tombstones one live copy per batch entry and maintains live
 // counts so empty subtrees are skipped (the array analogue of Algorithm 2's
-// NULL-collapse).
+// NULL-collapse). A node splits the entries it receives around its split
+// value, above the builder's fork cutoff with the builder's stable parallel
+// partition, and forks its two sides above 4,096 entries.
 //
 // *Construction.* kdtree/build.h builds the tree, as it does the static
 // kd-tree: a node at depth d splits along dimension d mod D by the object
@@ -51,12 +53,18 @@ class veb_tree {
 
   using node = kdtree::node<D>;
 
-  veb_tree(std::vector<point<D>> pts, split_policy policy)
-      : points_(std::move(pts)) {
-    const std::size_t n = points_.size();
-    if (n > std::numeric_limits<std::uint32_t>::max()) {
-      throw std::length_error("veb_tree: more than 2^32 - 1 points");
-    }
+  veb_tree(const std::vector<point<D>>& pts, split_policy policy)
+      : veb_tree(pts.data(), pts.size(), policy) {}
+
+  /// Builds over a copy of pts[0, n), made on the workers above the
+  /// builder's fork cutoff (so a forest hands each new tree its slice of a
+  /// rebuild pool without a serial copy).
+  veb_tree(const point<D>* pts, std::size_t n, split_policy policy)
+      : points_(checked_size(n)) {
+    par::pack_into(
+        n, [](std::size_t) { return true; },
+        [pts](std::size_t i) { return pts[i]; }, points_.data(),
+        kdtree::kForkCutoff);
     alive_.assign(n, 1);
     live_ = n;
     // n = 0 still gets one (empty leaf) root, so queries need no checks.
@@ -101,12 +109,19 @@ class veb_tree {
 
   /// All live points, in storage order.
   std::vector<point<D>> gather() const {
-    std::vector<point<D>> out;
-    out.reserve(live_);
-    for (std::size_t i = 0; i < points_.size(); ++i) {
-      if (alive_[i]) out.push_back(points_[i]);
-    }
+    std::vector<point<D>> out(live_);
+    gather_into(out.data());
     return out;
+  }
+
+  /// Writes the live points, in storage order, to the caller's slice
+  /// out[0, size()), which may be uninitialised: one blocked pack
+  /// (par::pack_into), on the workers above the builder's fork cutoff.
+  void gather_into(point<D>* out) const {
+    par::pack_into(
+        points_.size(), [this](std::size_t i) { return alive_[i] != 0; },
+        [this](std::size_t i) { return points_[i]; }, out,
+        kdtree::kForkCutoff);
   }
 
   /// Tombstones one live copy per entry of `batch`; an entry with no live
@@ -116,12 +131,19 @@ class veb_tree {
     return erase_matched(rest);
   }
 
-  /// As erase, but leaves in `batch` the entries that found no live copy
-  /// (in no particular order), so a caller can hand them on to another
-  /// tree.
+  /// As erase, but leaves in `batch` the entries that found no live copy,
+  /// so a caller can hand them on to another tree. Their order is
+  /// unspecified (it is the same at every worker count); which copies are
+  /// tombstoned does not depend on the order of the batch.
   std::size_t erase_matched(std::vector<point<D>>& batch) {
     if (live_ == 0 || batch.empty()) return 0;
-    const std::size_t rest = erase_rec(0, batch.data(), batch.size());
+    std::size_t rest;
+    if (batch.size() > kdtree::kForkCutoff) {
+      kdtree::raw_buffer<point<D>> scratch(batch.size());
+      rest = erase_rec(0, batch.data(), batch.size(), scratch.data());
+    } else {
+      rest = erase_rec(0, batch.data(), batch.size(), nullptr);
+    }
     const std::size_t removed = batch.size() - rest;
     batch.resize(rest);
     live_ -= removed;
@@ -167,6 +189,13 @@ class veb_tree {
 
  private:
   // --- construction (paper Algorithm 1) --------------------------------
+
+  static std::size_t checked_size(std::size_t n) {
+    if (n > std::numeric_limits<std::uint32_t>::max()) {
+      throw std::length_error("veb_tree: more than 2^32 - 1 points");
+    }
+    return n;
+  }
 
   // A node's place: its depth, its position in its level (0 = leftmost)
   // and its array index.
@@ -234,10 +263,13 @@ class veb_tree {
   }
 
   // Batch erase per paper Algorithm 2: partition the entries q[0, nq)
-  // around the split in place and recurse; leaves match linearly. Each
-  // entry tombstones at most one live copy. Returns how many entries found
-  // none, and leaves those at the front of q.
-  std::size_t erase_rec(std::uint32_t idx, point<D>* q, std::size_t nq) {
+  // around the split and recurse; leaves match linearly. Each entry
+  // tombstones at most one live copy. Returns how many entries found none,
+  // and leaves those at the front of q. scratch[0, nq): room for the
+  // partition above the builder's fork cutoff (null if the batch is not
+  // above it).
+  std::size_t erase_rec(std::uint32_t idx, point<D>* q, std::size_t nq,
+                        point<D>* scratch) {
     if (nq == 0) return 0;
     node& nd = nodes_[idx];
     if (nd.live == 0) return nq;
@@ -259,17 +291,25 @@ class veb_tree {
     const int dim = nd.split_dim;
     const double sv = nd.split_val;
     auto below = [&](const point<D>& p) { return p[dim] < sv; };
-    // Order the entries [less | equal | greater] than the split. Median
-    // partitions may place split-value duplicates on either side, so an
-    // equal entry tries the left side first and goes right only if it is
-    // still unmatched there.
+    // Order the entries [less | equal | greater] than the split: in place
+    // up to the builder's fork cutoff, by its stable parallel partition
+    // above. Median partitions may place split-value duplicates on either
+    // side, so an equal entry tries the left side first and goes right only
+    // if it is still unmatched there.
     point<D>* const end = q + nq;
-    point<D>* const eq = std::partition(q, end, below);
-    point<D>* const gt = std::partition(
-        eq, end, [&](const point<D>& p) { return p[dim] == sv; });
+    point<D>* gt;
+    if (nq > kdtree::kForkCutoff) {
+      gt = q + kdtree::detail::partition3(q, nq, dim, sv, scratch).second;
+    } else {
+      gt = std::partition(std::partition(q, end, below), end,
+                          [&](const point<D>& p) { return p[dim] == sv; });
+    }
     std::size_t restL = 0, restR = 0;
-    auto doL = [&] { restL = erase_rec(nd.left, q, gt - q); };
-    auto doR = [&] { restR = erase_rec(nd.right, gt, end - gt); };
+    auto doL = [&] { restL = erase_rec(nd.left, q, gt - q, scratch); };
+    auto doR = [&] {
+      restR = erase_rec(nd.right, gt, end - gt,
+                        scratch == nullptr ? nullptr : scratch + (gt - q));
+    };
     if (nq > 4096) {
       par::par_do(doL, doR);
     } else {
@@ -281,14 +321,14 @@ class veb_tree {
     // move down behind them.
     point<D>* const retry = std::partition(q, q + restL, below);
     std::size_t rest = static_cast<std::size_t>(retry - q);
-    rest += erase_rec(nd.right, retry, q + restL - retry);
+    rest += erase_rec(nd.right, retry, q + restL - retry, scratch);
     std::move(gt, gt + restR, q + rest);
     rest += restR;
     nd.live -= static_cast<std::uint32_t>(nq - rest);
     return rest;
   }
 
-  std::vector<point<D>> points_;
+  kdtree::raw_buffer<point<D>> points_;
   std::vector<uint8_t> alive_;
   kdtree::raw_buffer<node> nodes_;
   int levels_ = 0;

@@ -185,15 +185,17 @@ double order_statistic(const T* a, std::size_t n, std::size_t k, int dim) {
 namespace detail {
 
 // Reorders a[0, n) into [< v | = v | > v] along `dim`, each part in its
-// old order, through scratch[0, n); returns the number of points < v.
+// old order, through scratch[0, n); returns where the = v and the > v parts
+// start.
 template <class T>
-std::size_t partition3(T* a, std::size_t n, int dim, double v, T* scratch) {
+std::pair<std::size_t, std::size_t> partition3(T* a, std::size_t n, int dim,
+                                               double v, T* scratch) {
   const auto start = par::counting_scatter(
       n, 3, [a](std::size_t i) { return a[i]; },
       [dim, v](const T& x) { return int{x[dim] >= v} + int{x[dim] > v}; },
       scratch);
   par::parallel_for(0, n, [&](std::size_t i) { a[i] = scratch[i]; });
-  return start[1];
+  return {start[1], start[2]};
 }
 
 }  // namespace detail
@@ -209,7 +211,7 @@ cut split(T* a, std::size_t n, int dim, split_policy policy, T* scratch) {
     const double pivot = 0.5 * (mn + mx);
     // mn < pivot <= mx: both sides keep at least one point.
     if (mn < pivot && parallel) {
-      return {detail::partition3(a, n, dim, pivot, scratch), pivot};
+      return {detail::partition3(a, n, dim, pivot, scratch).first, pivot};
     }
     if (mn < pivot) {
       const T* const below_end = std::partition(

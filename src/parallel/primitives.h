@@ -156,48 +156,104 @@ T scan_exclusive(std::vector<T>& s) {
   return total;
 }
 
+namespace detail {
+
+// The one pack: item(i) for each i in [0, n) with keep(i), in order of i,
+// written from storage(m)[0] on, where m is the number kept. Counts each
+// block's kept items on the workers, takes a prefix over the blocks, then
+// writes each block from its offset; keep runs twice per element. Up to
+// `grain` elements (at least one block) the range is one block on the
+// calling thread, so a small pack opens no team. Returns m.
+template <class Keep, class Item, class Storage>
+std::size_t blocked_pack(std::size_t n, Keep keep, Item item, Storage storage,
+                         std::size_t grain = kBlock) {
+  const auto count = [&](std::size_t lo, std::size_t hi) {
+    std::size_t c = 0;
+    for (std::size_t i = lo; i < hi; ++i) c += keep(i) ? 1 : 0;
+    return c;
+  };
+  const auto write = [&](std::size_t lo, std::size_t hi, auto* at) {
+    using T = std::remove_pointer_t<decltype(at)>;
+    for (std::size_t i = lo; i < hi; ++i) {
+      if (keep(i)) ::new (static_cast<void*>(at++)) T(item(i));
+    }
+  };
+  if (n <= std::max(kBlock, grain)) {
+    const std::size_t m = count(0, n);
+    write(0, n, storage(m));
+    return m;
+  }
+  const std::size_t nb = num_blocks(n, kBlock);
+  const std::size_t grain_blocks = std::max<std::size_t>(1, grain / kBlock);
+  std::vector<std::size_t> offs(nb + 1, 0);  // offs[b + 1]: block b's count
+  parallel_for(
+      0, nb,
+      [&](std::size_t b) {
+        offs[b + 1] = count(b * kBlock, std::min(n, (b + 1) * kBlock));
+      },
+      grain_blocks);
+  for (std::size_t b = 0; b < nb; ++b) offs[b + 1] += offs[b];
+  const auto out = storage(offs[nb]);
+  parallel_for(
+      0, nb,
+      [&](std::size_t b) {
+        write(b * kBlock, std::min(n, (b + 1) * kBlock), out + offs[b]);
+      },
+      grain_blocks);
+  return offs[nb];
+}
+
+}  // namespace detail
+
+/// Writes item(i) for each i in [0, n) with keep(i), in order of i, to the
+/// caller's slice out[0, m), and returns m. `out` must hold every kept item
+/// and may be uninitialised (items are placement-new'd). Parallel over
+/// blocks of detail::kBlock above `grain` elements; the output does not
+/// depend on the blocking. With keep always true it is a parallel copy.
+template <class T, class Keep, class Item>
+std::size_t pack_into(std::size_t n, Keep keep, Item item, T* out,
+                      std::size_t grain = detail::kBlock) {
+  return detail::blocked_pack(
+      n, keep, item, [out](std::size_t) { return out; }, grain);
+}
+
+namespace detail {
+
+// blocked_pack into a vector of exactly the kept items.
+template <class Keep, class Item>
+auto pack_vector(std::size_t n, Keep keep, Item item) {
+  std::vector<std::decay_t<decltype(item(std::size_t{0}))>> out;
+  blocked_pack(n, keep, item, [&out](std::size_t m) {
+    out.resize(m);
+    return out.data();
+  });
+  return out;
+}
+
+}  // namespace detail
+
 /// pack(seq, flags): elements with flags[i] != 0, in order.
 template <class Seq, class Flags>
 auto pack(const Seq& s, const Flags& flags) {
-  using T = std::decay_t<decltype(s[0])>;
-  const std::size_t n = s.size();
-  std::vector<std::size_t> offs(n);
-  parallel_for(0, n, [&](std::size_t i) { offs[i] = flags[i] ? 1 : 0; });
-  const std::size_t total = scan_exclusive(offs);
-  std::vector<T> out(total);
-  parallel_for(0, n, [&](std::size_t i) {
-    if (flags[i]) out[offs[i]] = s[i];
-  });
-  return out;
+  return detail::pack_vector(
+      s.size(), [&](std::size_t i) { return static_cast<bool>(flags[i]); },
+      [&](std::size_t i) { return s[i]; });
 }
 
 /// Indices i where flags[i] != 0, in order.
 template <class Flags>
 std::vector<std::size_t> pack_index(const Flags& flags) {
-  const std::size_t n = flags.size();
-  std::vector<std::size_t> offs(n);
-  parallel_for(0, n, [&](std::size_t i) { offs[i] = flags[i] ? 1 : 0; });
-  const std::size_t total = scan_exclusive(offs);
-  std::vector<std::size_t> out(total);
-  parallel_for(0, n, [&](std::size_t i) {
-    if (flags[i]) out[offs[i]] = i;
-  });
-  return out;
+  return detail::pack_vector(
+      flags.size(), [&](std::size_t i) { return static_cast<bool>(flags[i]); },
+      [](std::size_t i) { return i; });
 }
 
 /// filter(seq, pred): elements satisfying pred, in order.
 template <class Seq, class Pred>
 auto filter(const Seq& s, Pred pred) {
-  using T = std::decay_t<decltype(s[0])>;
-  const std::size_t n = s.size();
-  std::vector<std::size_t> offs(n);
-  parallel_for(0, n, [&](std::size_t i) { offs[i] = pred(s[i]) ? 1 : 0; });
-  const std::size_t total = scan_exclusive(offs);
-  std::vector<T> out(total);
-  parallel_for(0, n, [&](std::size_t i) {
-    if (pred(s[i])) out[offs[i]] = s[i];
-  });
-  return out;
+  return detail::pack_vector(
+      s.size(), [&](std::size_t i) { return static_cast<bool>(pred(s[i])); },
+      [&](std::size_t i) { return s[i]; });
 }
 
 /// Count elements satisfying pred.

@@ -1,11 +1,15 @@
 // Tests for the BDL-tree and its baselines: logarithmic-method structure
 // invariants, model-based random batch workloads vs a reference multiset,
-// and k-NN correctness under mixed insert/delete histories.
+// k-NN correctness under mixed insert/delete histories, and the forest a
+// fixed history leaves, pinned and compared across worker counts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <cstring>
 #include <map>
 #include <optional>
+#include <set>
 
 #include "bdltree/baselines.h"
 #include "bdltree/bdl_tree.h"
@@ -285,6 +289,210 @@ TEST(B1Tree, EraseIsMultiset) {
   auto got = t.knn({p}, 1);
   ASSERT_EQ(got[0].size(), 1u);
   EXPECT_EQ(got[0][0], p);
+}
+
+// ---- the forest at every worker count -----------------------------------
+
+namespace {
+
+// detail::erase_sorted as it matched on one thread, entry by entry: the
+// oracle for the parallel match.
+std::vector<point<2>> erase_sorted_sequential(
+    std::vector<point<2>>& sorted, const std::vector<point<2>>& batch) {
+  std::vector<std::uint32_t> taken(sorted.size(), 0);
+  std::vector<point<2>> rest;
+  std::size_t first = sorted.size();
+  for (const auto& q : batch) {
+    const std::size_t run = static_cast<std::size_t>(
+        std::lower_bound(sorted.begin(), sorted.end(), q) - sorted.begin());
+    const std::size_t at = run == sorted.size() ? run : run + taken[run];
+    if (at < sorted.size() && sorted[at] == q) {
+      ++taken[run];
+      first = std::min(first, run);
+    } else {
+      rest.push_back(q);
+    }
+  }
+  std::size_t out = first;
+  for (std::size_t i = first; i < sorted.size();) {
+    if (taken[i] > 0) {
+      i += taken[i];
+    } else {
+      sorted[out++] = sorted[i++];
+    }
+  }
+  sorted.resize(out);
+  return rest;
+}
+
+// Lattice sites (3x, 3y) for x in [lo, hi) and y in [0, 60), each 1-3
+// times plus `extra_copies`: inside the uniform cloud of the forest
+// history below.
+std::vector<point<2>> lattice_sites(int lo, int hi, int extra_copies) {
+  std::vector<point<2>> pts;
+  for (int x = lo; x < hi; ++x) {
+    for (int y = 0; y < 60; ++y) {
+      const int copies = 1 + (x * 5 + y * 3) % 3 + extra_copies;
+      for (int c = 0; c < copies; ++c) {
+        pts.push_back(point<2>{{3.0 * x, 3.0 * y}});
+      }
+    }
+  }
+  return pts;
+}
+
+std::vector<point<2>> absent_points(std::size_t n) {
+  std::vector<point<2>> pts;
+  for (std::size_t i = 0; i < n; ++i) {
+    pts.push_back(point<2>{{-1.0 - double(i), 0.5 * double(i)}});
+  }
+  return pts;
+}
+
+std::vector<point<2>> concat(std::vector<std::vector<point<2>>> parts,
+                             std::uint64_t shuffle_seed) {
+  std::vector<point<2>> out;
+  for (const auto& p : parts) out.insert(out.end(), p.begin(), p.end());
+  return par::random_shuffle(out, shuffle_seed);
+}
+
+struct forest_state {
+  std::vector<point<2>> stored;            // gather(): buffer, then by slot
+  std::vector<std::size_t> tree_sizes;     // live points by slot
+  std::vector<std::vector<point<2>>> knn;  // k-NN rows of fixed queries
+};
+
+// Inserts in uneven batches, then erases in batches of at least 2^15
+// entries, so the parallel match, pack, partition, gathers and pool
+// assembly all run: each erase batch mixes stored points, lattice sites
+// asked for more copies than are stored, and absent points, and the last
+// insert leaves lattice copies in the staging buffer. `reference` receives
+// the multiset the forest must hold.
+forest_state run_forest_history(std::multiset<point<2>>& reference) {
+  bdl_tree<2> t;
+  const auto cloud = datagen::uniform<2>(120000, 61);  // in [0, 346]^2
+  const auto more = datagen::uniform<2>(20000, 62);
+  const auto inserted = concat({cloud, lattice_sites(0, 60, 0)}, 63);
+  const std::vector<std::vector<point<2>>> erases = {
+      concat({std::vector<point<2>>(cloud.begin(), cloud.begin() + 30000),
+              lattice_sites(0, 20, 1), absent_points(2000)},
+             64),
+      concat({std::vector<point<2>>(cloud.begin() + 30000,
+                                    cloud.begin() + 60000),
+              std::vector<point<2>>(more.begin(), more.begin() + 5000),
+              lattice_sites(20, 60, 0), absent_points(500)},
+             65),
+      concat({std::vector<point<2>>(cloud.begin() + 60000, cloud.end()),
+              lattice_sites(0, 60, 2)},
+             66)};
+  std::size_t off = 0;
+  for (const std::size_t n : {50000u, 7u, 1000u, 33333u, 999999u}) {
+    const std::size_t take = std::min(n, inserted.size() - off);
+    t.insert(std::vector<point<2>>(inserted.begin() + off,
+                                   inserted.begin() + off + take));
+    off += take;
+  }
+  reference.insert(inserted.begin(), inserted.end());
+  auto erase = [&](const std::vector<point<2>>& batch) {
+    t.erase(batch);
+    for (const auto& p : batch) {
+      const auto it = reference.find(p);
+      if (it != reference.end()) reference.erase(it);
+    }
+  };
+  erase(erases[0]);
+  // The batch's tail stays in the staging buffer: lattice copies there.
+  auto again = more;
+  const auto dup = lattice_sites(10, 30, 0);
+  again.insert(again.end(), dup.begin(), dup.begin() + 600);
+  t.insert(again);
+  reference.insert(again.begin(), again.end());
+  EXPECT_GT(t.view().buffer.size(), 0u);
+  erase(erases[1]);
+  erase(erases[2]);
+
+  forest_state st;
+  st.stored = t.gather();
+  for (const auto& tree : t.view().trees) {
+    st.tree_sizes.push_back(tree ? tree->size() : 0);
+  }
+  std::vector<point<2>> queries(cloud.begin(), cloud.begin() + 200);
+  for (int x = 0; x < 60; x += 7) {
+    queries.push_back(point<2>{{3.0 * x, 3.0 * x}});
+    queries.push_back(point<2>{{3.0 * x + 1.5, 100.0}});
+  }
+  st.knn = t.knn(queries, 10);
+  return st;
+}
+
+std::uint64_t fnv1a(const std::vector<point<2>>& pts) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const auto& p : pts) {
+    unsigned char bytes[sizeof(p.x)];
+    std::memcpy(bytes, p.x.data(), sizeof bytes);
+    for (const unsigned char b : bytes) {
+      h ^= b;
+      h *= 1099511628211ull;
+    }
+  }
+  return h;
+}
+
+}  // namespace
+
+// The forest a fixed history leaves: the same stored order, trees by slot
+// and k-NN rows at 1, 2 and 4 workers, the right multiset, and a pinned
+// hash of the stored order (updates may get faster, not different).
+TEST(BdlTree, ForestIsPinnedAndTheSameAtEveryWorkerCount) {
+  std::optional<forest_state> one;
+  for (const int w : {1, 2, 4}) {
+    SCOPED_TRACE("workers=" + std::to_string(w));
+    testutil::scoped_workers workers(w);
+    std::multiset<point<2>> reference;
+    const forest_state st = run_forest_history(reference);
+    auto contents = st.stored;
+    std::sort(contents.begin(), contents.end());
+    EXPECT_TRUE(std::equal(contents.begin(), contents.end(),
+                           reference.begin(), reference.end()));
+    EXPECT_EQ(fnv1a(st.stored), 0x618a1797df9a64a7ull);
+    if (!one) {
+      one = st;
+      continue;
+    }
+    EXPECT_TRUE(st.stored == one->stored);
+    EXPECT_EQ(st.tree_sizes, one->tree_sizes);
+    EXPECT_TRUE(st.knn == one->knn);
+  }
+}
+
+// The parallel match hands out the buffer's copies exactly as the
+// sequential one did: the same buffer afterwards and the same unmatched
+// entries in batch order, where misses and used-up runs interleave.
+TEST(BdlTree, EraseSortedMatchesTheSequentialMatch) {
+  auto buffer = datagen::uniform<2>(3000, 67);
+  const auto sites = lattice_sites(0, 30, 0);
+  buffer.insert(buffer.end(), sites.begin(), sites.end());
+  std::sort(buffer.begin(), buffer.end());
+  const auto batch =
+      concat({std::vector<point<2>>(buffer.begin(), buffer.begin() + 2500),
+              lattice_sites(0, 60, 1), absent_points(20000)},
+             68);
+  ASSERT_GE(batch.size(), std::size_t{1} << 15);
+  auto want_buffer = buffer;
+  const auto want_rest = erase_sorted_sequential(want_buffer, batch);
+  for (const int w : {1, 2, 4}) {
+    SCOPED_TRACE("workers=" + std::to_string(w));
+    testutil::scoped_workers workers(w);
+    auto got_buffer = buffer;
+    const auto got_rest = detail::erase_sorted<2>(got_buffer, batch);
+    EXPECT_TRUE(got_buffer == want_buffer);
+    EXPECT_TRUE(got_rest == want_rest);
+  }
+  // Nothing left to take: the buffer stays and every entry comes back.
+  auto same = want_buffer;
+  const auto all = absent_points(5000);
+  EXPECT_TRUE(detail::erase_sorted<2>(same, all) == all);
+  EXPECT_TRUE(same == want_buffer);
 }
 
 TEST(BdlTree, BufferAbsorbsSmallBatches) {

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <numeric>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -108,6 +109,56 @@ TEST(Primitives, FilterPreservesOrder) {
   ASSERT_EQ(evens.size(), 2500u);
   for (std::size_t i = 0; i < evens.size(); ++i) {
     EXPECT_EQ(evens[i], static_cast<int>(2 * i));
+  }
+}
+
+// The one blocked pack behind pack, pack_index, filter and pack_into:
+// sizes around the block boundary and four keep patterns, at 1, 2 and 4
+// workers, against a sequential pack. pack_into writes only its slice.
+TEST(Primitives, BlockedPackMatchesSequentialAtEveryWorkerCount) {
+  const std::size_t B = par::detail::kBlock;
+  using keep_fn = bool (*)(std::size_t i, std::size_t n);
+  const std::pair<const char*, keep_fn> patterns[] = {
+      {"all", [](std::size_t, std::size_t) { return true; }},
+      {"none", [](std::size_t, std::size_t) { return false; }},
+      {"alternating", [](std::size_t i, std::size_t) { return i % 2 == 1; }},
+      {"last", [](std::size_t i, std::size_t n) { return i + 1 == n; }},
+  };
+  for (const int w : {1, 2, 4}) {
+    pargeo::testutil::scoped_workers workers(w);
+    for (const std::size_t n : {std::size_t{0}, std::size_t{1}, B - 1, B,
+                                B + 1, 3 * B + 5}) {
+      for (const auto& [name, keep] : patterns) {
+        SCOPED_TRACE(std::string(name) + " n=" + std::to_string(n) +
+                     " workers=" + std::to_string(w));
+        std::vector<long> v(n);
+        std::vector<std::uint8_t> flags(n);
+        std::vector<long> want;
+        std::vector<std::size_t> want_index;
+        for (std::size_t i = 0; i < n; ++i) {
+          v[i] = static_cast<long>(7 * i + 3);
+          flags[i] = keep(i, n);
+          if (flags[i]) {
+            want.push_back(v[i]);
+            want_index.push_back(i);
+          }
+        }
+        EXPECT_EQ(par::pack(v, flags), want);
+        EXPECT_EQ(par::pack_index(flags), want_index);
+        EXPECT_EQ(par::filter(v, [&](long x) {
+                    return keep(static_cast<std::size_t>(x - 3) / 7, n);
+                  }),
+                  want);
+        std::vector<long> slice(want.size() + 2, -1);
+        EXPECT_EQ(par::pack_into(
+                      n, [&](std::size_t i) { return flags[i] != 0; },
+                      [&](std::size_t i) { return v[i]; }, slice.data() + 1),
+                  want.size());
+        EXPECT_EQ(slice.front(), -1);
+        EXPECT_EQ(slice.back(), -1);
+        EXPECT_TRUE(std::equal(want.begin(), want.end(), slice.begin() + 1));
+      }
+    }
   }
 }
 
