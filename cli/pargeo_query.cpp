@@ -88,9 +88,8 @@
 // policy on one stream), the drain pipeline's counters (total drain groups,
 // read/snapshot-path vs write groups, `lag` — read drains that retired
 // after the live write epoch had already advanced past their snapshot),
-// per-lane drain counts and rebalance counters, then an ingest/reclaim
-// summary line (producer spins on a full ingest ring, snapshot versions
-// retired / freed / in limbo, reclaim stalls, epoch lag). With telemetry
+// per-lane drain counts and rebalance counters, then an ingest line
+// (producer spins on a full ingest ring). With telemetry
 // on (the default) the result row is followed by the request-lifecycle
 // stage-latency table (p50/p95/p99/p999/max per stage, from
 // query/telemetry.h).
@@ -251,15 +250,8 @@ int run(const query::workload_spec& spec,
       svc.num_drains, svc.num_read_groups, svc.num_write_groups,
       svc.snapshot_lag_drains, lane_drains, svc.rebalances,
       svc.rebalance_moved);
-  std::printf(
-      "  ingest: spins=%llu  reclaim: retired=%llu freed=%llu limbo=%llu "
-      "stalls=%llu lag=%llu\n",
-      static_cast<unsigned long long>(svc.ingest_spins),
-      static_cast<unsigned long long>(svc.retired_snapshots),
-      static_cast<unsigned long long>(svc.reclaimed_snapshots),
-      static_cast<unsigned long long>(svc.limbo_snapshots),
-      static_cast<unsigned long long>(svc.reclaim_stalls),
-      static_cast<unsigned long long>(svc.epoch_lag));
+  std::printf("  ingest: spins=%llu\n",
+              static_cast<unsigned long long>(svc.ingest_spins));
 
   if (opts.watches > 0 || cfg.point_ttl_ns > 0) {
     std::printf("  watches=%zu fires=%zu suppressed=%zu expired=%zu\n",

@@ -48,18 +48,13 @@
 // an isolated `bdl_forest_view`: a copy of the (bounded, <= X points)
 // staging buffer plus shared references to every live tree. The view
 // answers queries exactly as of its creation no matter what the live
-// forest does afterwards.
-//
-// Superseded trees are handed to an optional *retire hook*
-// (`set_retire_hook`) instead of being destroyed inline — the query
-// service points this at its epoch reclaimer (src/query/epoch_reclaim.h)
-// so old chunks die at drain-boundary reclaim points, not under a reader.
-// Without a hook the shared_ptr refcount frees them as usual.
+// forest does afterwards. A superseded tree dies with its last owner:
+// where the forest drops it when no view shares it, else when the last
+// view holding it is dropped.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -300,16 +295,9 @@ class bdl_tree {
  public:
   static constexpr std::size_t kDefaultBufferSize = 1024;
 
-  /// Receives every superseded tree (destroyed by the insert cascade,
-  /// replaced by a COW erase, or gathered below half capacity), on the
-  /// thread that runs the insert or erase.
-  using retire_fn = std::function<void(std::shared_ptr<const void>)>;
-
   explicit bdl_tree(split_policy policy = split_policy::object_median,
                     std::size_t buffer_size = kDefaultBufferSize)
       : policy_(policy), x_(std::max<std::size_t>(1, buffer_size)) {}
-
-  void set_retire_hook(retire_fn f) { retire_ = std::move(f); }
 
   std::size_t size() const {
     std::size_t s = buffer_.size();
@@ -338,7 +326,7 @@ class bdl_tree {
   }
 
   /// Batch insertion (paper Algorithm 3). Never mutates an existing tree:
-  /// the cascade retires whole trees and builds fresh ones, so snapshots
+  /// the cascade drops whole trees and builds fresh ones, so snapshots
   /// holding the old trees stay exact. The rebuild pool is assembled in one
   /// parallel pass, and each new tree copies its slice of it on the
   /// workers.
@@ -374,9 +362,7 @@ class bdl_tree {
       if (!slot->contains_any(rest)) continue;
       auto copy = std::make_shared<veb_tree<D>>(*slot);
       copy->erase_matched(rest);
-      auto old = std::move(slot);
       slot = std::move(copy);
-      retire_tree(std::move(old));
     }
     std::vector<std::size_t> below_half;
     std::vector<pool_part> parts;
@@ -390,7 +376,7 @@ class bdl_tree {
     }
     if (parts.empty()) return;
     const auto reinsert = assemble(parts);
-    for (const std::size_t i : below_half) retire_tree(std::move(trees_[i]));
+    for (const std::size_t i : below_half) trees_[i].reset();
     insert_range(reinsert.data(), reinsert.size());
   }
 
@@ -522,7 +508,7 @@ class bdl_tree {
     const auto pool = assemble(parts);
     if (keep < buffer_.size()) buffer_.resize(keep);
     for (std::size_t i = 0; i < 64; ++i) {
-      if ((destroy >> i) & 1) retire_tree(std::move(trees_[i]));
+      if ((destroy >> i) & 1) trees_[i].reset();
     }
     // Build the new trees over contiguous pool slices (in parallel for a
     // large pool), largest first so slice sizes match capacities X*2^i as
@@ -563,20 +549,10 @@ class bdl_tree {
     return f;
   }
 
-  // Superseded tree: hand to the retire hook (epoch reclaimer) when one is
-  // attached, else let the refcount free it.
-  void retire_tree(std::shared_ptr<veb_tree<D>> t) {
-    if (!t) return;
-    if (retire_) {
-      retire_(std::shared_ptr<const void>(std::move(t)));
-    }
-  }
-
   split_policy policy_;
   std::size_t x_;
   std::vector<point<D>> buffer_;
   std::vector<std::shared_ptr<veb_tree<D>>> trees_;
-  retire_fn retire_;
 };
 
 }  // namespace pargeo::bdltree

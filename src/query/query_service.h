@@ -78,11 +78,9 @@
 //   A snapshot is isolated (a chunk-level COW view of the shard's
 //   BDL-tree forest), so those reads run fully concurrently with the next
 //   write drains on every shard.
-//   Reader threads hold an epoch-reclaimer guard (query/epoch_reclaim.h)
-//   while executing; structure versions superseded by writes are retired
-//   onto a limbo list and destroyed at drain-boundary reclaim points once
-//   every reader epoch has advanced past them, so big trees never die on
-//   a reader's tail latency.
+//   A snapshot owns its trees through shared_ptr, so a superseded vEB
+//   tree dies with its last owner: on the lane that replaced it when no
+//   snapshot shares it, else where the last snapshot holding it drops.
 //
 //   *Lock-free ingest*. submit() validates, acquires backpressure budget
 //   with a CAS on the in-flight counter, stamps a ticket id from an
@@ -181,7 +179,6 @@
 #include "kdtree/build.h"
 #include "parallel/primitives.h"
 #include "query/checkpoint.h"
-#include "query/epoch_reclaim.h"
 #include "query/fault.h"
 #include "query/ingest_ring.h"
 #include "query/oplog.h"
@@ -312,10 +309,6 @@ struct service_stats {
   std::size_t pending_requests = 0;
   std::size_t submit_waits = 0;        // submit() calls that had to block
   std::size_t try_submit_rejects = 0;  // try_submit() nullopt returns
-  /// Routing scratch recycling: sub-batch buffers reused from the pool vs
-  /// freshly allocated (reuse dominating == allocation churn is gone).
-  std::size_t scratch_reuses = 0;
-  std::size_t scratch_allocs = 0;
   /// Online stripe rebalancing (spatial policy): bound re-derivations
   /// performed, and points migrated between shards by them.
   std::size_t rebalances = 0;
@@ -358,18 +351,12 @@ struct service_stats {
   /// Lock-free ingest (query/ingest_ring.h): producer spin iterations
   /// burned on a full ring before parking.
   std::uint64_t ingest_spins = 0;
-  /// Epoch-based snapshot reclamation (query/epoch_reclaim.h):
-  /// `retired_snapshots` structure versions handed to the limbo list,
-  /// `reclaimed_snapshots` of them destroyed at reclaim points,
-  /// `reclaim_stalls` reclaim passes blocked by a still-active older
-  /// reader, `epoch_lag` the global-epoch distance to the slowest active
-  /// reader at the last pass, `limbo_snapshots` versions awaiting
-  /// reclamation right now.
+  /// Always zero: a superseded tree dies with its last owner, and no
+  /// reclaimer counts it. The three counters remain because the
+  /// repository benchmark (perfbench/) reads them, like `cache` below.
   std::uint64_t retired_snapshots = 0;
   std::uint64_t reclaimed_snapshots = 0;
   std::uint64_t reclaim_stalls = 0;
-  std::uint64_t epoch_lag = 0;
-  std::uint64_t limbo_snapshots = 0;
   std::vector<shard_drain_stats> per_shard;  // one entry per shard lane
   /// Always zero: the service has no result cache. The three counters
   /// remain because the repository benchmark (perfbench/) reads them,
@@ -475,20 +462,6 @@ inline std::string metrics_text(const service_stats& s) {
           s.log_bytes);
   counter("pargeo_ingest_spins_total",
           "Producer spin iterations on a full ingest ring", s.ingest_spins);
-  counter("pargeo_retired_snapshots_total",
-          "Snapshot structure versions retired to the limbo list",
-          s.retired_snapshots);
-  counter("pargeo_reclaimed_snapshots_total",
-          "Retired versions destroyed at epoch reclaim points",
-          s.reclaimed_snapshots);
-  counter("pargeo_reclaim_stalls_total",
-          "Reclaim passes blocked by an active older reader epoch",
-          s.reclaim_stalls);
-  gauge("pargeo_epoch_lag",
-        "Global epoch distance to the slowest active reader",
-        s.epoch_lag);
-  gauge("pargeo_limbo_snapshots", "Retired versions awaiting reclamation",
-        s.limbo_snapshots);
   counter("pargeo_execute_seconds_total",
           "Wall-clock seconds spent executing drains",
           static_cast<std::uint64_t>(s.execute_seconds));
@@ -749,7 +722,6 @@ class query_service {
     lanes_.reserve(cfg_.shards);
     for (std::size_t s = 0; s < cfg_.shards; ++s) {
       shards_.push_back(make_index<D>(cfg_.backend));
-      shards_.back()->set_reclaimer(&reclaim_);
       lanes_.push_back(std::make_unique<shard_lane>());
     }
     resident_est_.assign(cfg_.shards, 0);
@@ -983,14 +955,6 @@ class query_service {
     s.pending_requests =
         in_flight_requests_.load(std::memory_order_relaxed);
     s.ingest_spins = ring_.spins();
-    {
-      const reclaim_counters rc = reclaim_.counters();
-      s.retired_snapshots = rc.retired;
-      s.reclaimed_snapshots = rc.reclaimed;
-      s.reclaim_stalls = rc.reclaim_stalls;
-      s.epoch_lag = rc.epoch_lag;
-      s.limbo_snapshots = rc.limbo;
-    }
     s.per_shard.reserve(cfg_.shards);
     for (const auto& lane : lanes_) {
       std::lock_guard<std::mutex> lk(lane->mu);
@@ -1003,11 +967,6 @@ class query_service {
       s.active_watches = ws.active;
       s.watch_fires = ws.fires;
       s.watch_suppressed = ws.suppressed;
-    }
-    {
-      std::lock_guard<std::mutex> lk(scratch_mu_);
-      s.scratch_reuses = scratch_reuses_;
-      s.scratch_allocs = scratch_allocs_;
     }
     s.applied_epoch = applied_epoch_.load(std::memory_order_acquire);
     if (log_) {
@@ -1349,54 +1308,6 @@ class query_service {
     return true;
   }
 
-  // ---- scratch recycling --------------------------------------------------
-
-  // Routing buffers (per-shard request/index vectors, combined streams)
-  // cycle through a small pool instead of being reallocated every group:
-  // the drain thread takes them, the lane/reader that consumed them gives
-  // them back with capacity intact.
-  std::vector<request<D>> take_req_vec() {
-    std::lock_guard<std::mutex> lk(scratch_mu_);
-    if (!spare_req_.empty()) {
-      auto v = std::move(spare_req_.back());
-      spare_req_.pop_back();
-      ++scratch_reuses_;
-      return v;
-    }
-    ++scratch_allocs_;
-    return {};
-  }
-  void give_req_vec(std::vector<request<D>>&& v) {
-    v.clear();
-    std::lock_guard<std::mutex> lk(scratch_mu_);
-    if (spare_req_.size() < scratch_pool_cap()) {
-      spare_req_.push_back(std::move(v));
-    }
-  }
-  std::vector<std::size_t> take_idx_vec() {
-    std::lock_guard<std::mutex> lk(scratch_mu_);
-    if (!spare_idx_.empty()) {
-      auto v = std::move(spare_idx_.back());
-      spare_idx_.pop_back();
-      ++scratch_reuses_;
-      return v;
-    }
-    ++scratch_allocs_;
-    return {};
-  }
-  void give_idx_vec(std::vector<std::size_t>&& v) {
-    v.clear();
-    std::lock_guard<std::mutex> lk(scratch_mu_);
-    if (spare_idx_.size() < scratch_pool_cap()) {
-      spare_idx_.push_back(std::move(v));
-    }
-  }
-  std::size_t scratch_pool_cap() const {
-    // Enough for the groups that can be in flight at once (one routing +
-    // one per lane + the read queue) without hoarding memory.
-    return 4 * cfg_.shards + 8;
-  }
-
   // ---- drain pipeline -----------------------------------------------------
 
   // The dedicated drainer: moves tickets from ring_ into its thread-local
@@ -1434,11 +1345,9 @@ class query_service {
             submit_entrants_.load(std::memory_order_seq_cst) == 0 &&
             ring_.empty() &&
             replay_pending_.load(std::memory_order_acquire) == 0) {
-          advance_reclaim();  // final sweep before the thread exits
           return;
         }
         maybe_expire();
-        advance_reclaim();  // idle tick: drain the limbo list
         ring_.consumer_wait(park, [&] {
           return !ring_.empty() ||
                  replay_pending_.load(std::memory_order_acquire) > 0 ||
@@ -1534,24 +1443,12 @@ class query_service {
       // whose TTL elapsed (itself another boundary). Write groups also
       // move mass between shards' resident sets, and a drain boundary
       // is the only point where stripes may be re-derived (routing and
-      // pruning stay mutually consistent group to group). It is also a
-      // reclaim point: the structure versions this group superseded go
-      // through one epoch advance + limbo sweep.
+      // pruning stay mutually consistent group to group).
       schedule_watch_eval();
       maybe_expire();
       maybe_rebalance();
       maybe_checkpoint();
-      advance_reclaim();
     }
-  }
-
-  // One epoch advance + limbo sweep (query/epoch_reclaim.h), timed as the
-  // reclaim stage. Drain thread only: deferred destruction of superseded
-  // index structure lands here, off the reader tail-latency path.
-  void advance_reclaim() {
-    const std::uint64_t t0 = tel_.enabled() ? tel_.now_ns() : 0;
-    reclaim_.advance_and_reclaim();
-    if (tel_.enabled()) tel_.record(stage::reclaim, tel_.now_ns() - t0);
   }
 
   // ---- per-shard drain pipelines ------------------------------------------
@@ -1569,7 +1466,6 @@ class query_service {
     g->total = total;
     g->trace_ticket = pick_trace_ticket(g->tickets);
     g->exec_start_ns = route_start;  // re-stamped before the lane fan-out
-    g->combined = take_req_vec();
     g->combined.reserve(total);
     for (const auto& e : g->tickets) {
       g->combined.insert(g->combined.end(), e.batch.begin(), e.batch.end());
@@ -1590,10 +1486,6 @@ class query_service {
 
     g->sub_idx.resize(cfg_.shards);
     std::vector<std::vector<request<D>>> sub(cfg_.shards);
-    for (std::size_t s = 0; s < cfg_.shards; ++s) {
-      sub[s] = take_req_vec();
-      g->sub_idx[s] = take_idx_vec();
-    }
     for (std::size_t i = 0; i < g->combined.size(); ++i) {
       const auto& r = g->combined[i];
       if (is_read(r.kind)) {
@@ -1631,7 +1523,6 @@ class query_service {
       append_to_log(g->log);
     } catch (...) {
       if (g->log.has_bounds) bounds_set_ = false;
-      for (auto& v : sub) give_req_vec(std::move(v));
       g->error = std::current_exception();
       finalize_shard_group(g);
       return;
@@ -1669,8 +1560,8 @@ class query_service {
   }
 
   // Hands every shard with steps one lane task (native groups: with its
-  // routed requests; idle shards give theirs back). Returns false, with
-  // nothing enqueued, when no shard has work.
+  // routed requests). Returns false, with nothing enqueued, when no shard
+  // has work.
   bool fan_out(const std::shared_ptr<shard_group>& g,
                std::vector<std::vector<lane_step>>& steps,
                std::vector<std::vector<request<D>>>* sub) {
@@ -1679,10 +1570,7 @@ class query_service {
     g->shard_rows.resize(cfg_.shards);
     g->remaining.store(active, std::memory_order_relaxed);
     for (std::size_t s = 0; s < cfg_.shards; ++s) {
-      if (steps[s].empty()) {
-        if (sub) give_req_vec(std::move((*sub)[s]));
-        continue;
-      }
+      if (steps[s].empty()) continue;
       shard_task task;
       task.exec = g;
       task.steps = std::move(steps[s]);
@@ -1748,7 +1636,8 @@ class query_service {
   // apply_record, read runs on the live index (only this lane writes this
   // shard) — records the lane's counters, and, if this lane finishes the
   // group, completes it. Writes never wait on readers: snapshots are
-  // isolated, and superseded trees go through the epoch reclaimer.
+  // isolated, and a tree a write supersedes lives on in every snapshot
+  // that holds it.
   void run_lane_write(std::size_t s, shard_task task) {
     auto g = std::move(task.exec);
     // One ns delta feeds both the execute_write histogram and the lane's
@@ -1788,7 +1677,6 @@ class query_service {
       lane.stats.execute_seconds += static_cast<double>(dur_ns) * 1e-9;
     }
     g->shard_rows[s] = std::move(rows);
-    if (!g->replayed) give_req_vec(std::move(task.sub));
     if (g->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
       finalize_shard_group(g);
     }
@@ -1797,8 +1685,7 @@ class query_service {
   // Stamps this shard's epoch snapshot for a read group; the lane that
   // stamps last hands the group to the snapshot readers. A failed
   // snapshot (allocation) fails the group instead of unwinding the lane
-  // thread. The epoch reclaimer covers the structure versions the
-  // snapshot references.
+  // thread.
   void run_lane_stamp(std::size_t s, shard_task task) {
     auto g = std::move(task.stamp);
     const std::uint64_t t0 = g->trace_ticket ? tel_.now_ns() : 0;
@@ -2023,8 +1910,6 @@ class query_service {
         }
       }
     }
-    give_req_vec(std::move(g->combined));
-    for (auto& idx : g->sub_idx) give_idx_vec(std::move(idx));
     fulfill_group(std::move(g->tickets), g->total, std::move(responses),
                   error, /*snapshot_epoch=*/0, /*read_group=*/false,
                   /*lagged=*/false, secs, g->commit_epoch, g->trace_ticket);
@@ -2210,14 +2095,12 @@ class query_service {
     g->tickets = std::move(tickets);
     g->total = total;
     g->trace_ticket = pick_trace_ticket(g->tickets);
-    g->combined = take_req_vec();
     g->combined.reserve(total);
     for (const auto& e : g->tickets) {
       g->combined.insert(g->combined.end(), e.batch.begin(), e.batch.end());
     }
     if (scatter_read_group(g, route_start)) return;
     // Every ticket in the group had an empty batch.
-    recycle_read_group(*g);
     fulfill_group(std::move(g->tickets), g->total, {}, nullptr,
                   /*snapshot_epoch=*/0, /*read_group=*/true,
                   /*lagged=*/false, /*exec_seconds=*/0, /*commit_epoch=*/0,
@@ -2235,10 +2118,6 @@ class query_service {
                           std::uint64_t route_start) {
     g->sub.resize(cfg_.shards);
     g->sub_idx.resize(cfg_.shards);
-    for (std::size_t s = 0; s < cfg_.shards; ++s) {
-      g->sub[s] = take_req_vec();
-      g->sub_idx[s] = take_idx_vec();
-    }
     for (std::size_t i = 0; i < g->combined.size(); ++i) {
       for (std::size_t s = 0; s < cfg_.shards; ++s) {
         if (!shard_serves(s, g->combined[i])) continue;
@@ -2300,8 +2179,7 @@ class query_service {
   // Executes a stamped read group against its epoch snapshots: every
   // shard's sub-batch runs on its snapshot in parallel (the execute_read
   // stage, per shard), then rows gather-merge into `responses` in
-  // combined order (the merge stage, for ticket groups). Callers hold an
-  // epoch-reclaimer guard.
+  // combined order (the merge stage, for ticket groups).
   void read_snapshots(const read_group& g,
                       std::vector<response<D>>& responses) {
     std::vector<std::vector<response<D>>> shard_rows(cfg_.shards);
@@ -2334,12 +2212,11 @@ class query_service {
     }
   }
 
-  // Executes one ticket read group and fulfils it. The whole execution
-  // runs inside an epoch-reclaimer guard: structure versions retired
-  // while this read is in flight stay on the limbo list until the guard
-  // releases (query/epoch_reclaim.h).
+  // Executes one ticket read group and fulfils it. The group's snapshots
+  // keep every tree they read alive. The group is dropped after the
+  // fulfilment, so a superseded tree only they still hold is freed off
+  // the tickets' latency.
   void run_read_task(std::shared_ptr<read_group> g) {
-    epoch_reclaimer::guard eg = reclaim_.enter();
     const std::uint64_t t_start = tel_.now_ns();
     std::vector<response<D>> responses;
     std::exception_ptr error = g->error;  // all stamps retired; no race
@@ -2364,17 +2241,9 @@ class query_service {
         lagged = true;
       }
     }
-    eg.release();  // quiescent: stop holding the reclaim epoch back
-    recycle_read_group(*g);
     fulfill_group(std::move(g->tickets), g->total, std::move(responses),
                   error, snap_epoch, /*read_group=*/true, lagged, secs,
                   /*commit_epoch=*/0, g->trace_ticket);
-  }
-
-  void recycle_read_group(read_group& g) {
-    give_req_vec(std::move(g.combined));
-    for (auto& v : g.sub) give_req_vec(std::move(v));
-    for (auto& v : g.sub_idx) give_idx_vec(std::move(v));
   }
 
   // ---- continuous queries -------------------------------------------------
@@ -2416,7 +2285,6 @@ class query_service {
     auto g = std::make_shared<read_group>();
     g->watch_seq = seq;
     g->watch_start_ns = tel_.now_ns();
-    g->combined = take_req_vec();
     g->combined.reserve(affected_scratch_.size());
     g->watch_ids.reserve(affected_scratch_.size());
     for (auto& [id, q] : affected_scratch_) {
@@ -2428,7 +2296,6 @@ class query_service {
     // shards answer from their snapshots too.
     if (scatter_read_group(g, /*route_start=*/0)) return;
     // No shard serves any watch (only an inverted box can do that).
-    recycle_read_group(*g);
     watches_->deliver(seq, {});
   }
 
@@ -2438,7 +2305,6 @@ class query_service {
   // fire latency). Delivery happens even on failure — an empty batch —
   // so the registry's boundary sequence never stalls.
   void run_watch_task(std::shared_ptr<read_group> g) {
-    epoch_reclaimer::guard eg = reclaim_.enter();
     std::vector<std::pair<std::uint64_t, std::vector<point<D>>>> fired;
     if (!g->error) {
       try {
@@ -2457,10 +2323,8 @@ class query_service {
     if (tel_.enabled()) {
       tel_.record(stage::watch_eval, tel_.now_ns() - g->watch_start_ns);
     }
-    eg.release();  // quiescent before delivery (callbacks are user code)
     const std::uint64_t seq = g->watch_seq;
-    recycle_read_group(*g);
-    g.reset();
+    g.reset();  // drop the snapshots before delivery (callbacks are user code)
     watches_->deliver(seq, std::move(fired));
   }
 
@@ -3013,11 +2877,6 @@ class query_service {
   /// stamps, histograms, and the trace ring. Declared right after cfg_ —
   /// it is constructed from it and everything below may record into it.
   class telemetry tel_;
-  /// Epoch-based snapshot reclamation (query/epoch_reclaim.h). Declared
-  /// before shards_ on purpose: the shards hold a raw pointer to it
-  /// (set_reclaimer) and their retire hooks may fire during index
-  /// destruction, so the reclaimer must be destroyed after them.
-  epoch_reclaimer reclaim_;
   std::vector<std::unique_ptr<spatial_index<D>>> shards_;
   /// Per-shard executor lanes, one worker thread each.
   std::vector<std::unique_ptr<shard_lane>> lanes_;
@@ -3074,13 +2933,6 @@ class query_service {
   mpsc_ring<pending_entry> ring_;
   std::atomic<std::uint64_t> submit_entrants_{0};
   std::atomic<std::size_t> replay_pending_{0};
-
-  // Routing scratch recycling pool.
-  mutable std::mutex scratch_mu_;
-  std::vector<std::vector<request<D>>> spare_req_;
-  std::vector<std::vector<std::size_t>> spare_idx_;
-  std::size_t scratch_reuses_ = 0;
-  std::size_t scratch_allocs_ = 0;
 
   // Snapshot-read executor pool.
   std::mutex read_mu_;

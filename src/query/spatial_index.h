@@ -22,14 +22,9 @@
 // bounded staging buffer and shares the static vEB trees; inserts replace
 // whole trees and erases copy any shared tree before mutating it (see
 // bdl_tree.h), so queries against the snapshot stay exact while the live
-// index absorbs further writes, and writers never wait on readers.
-//
-// *Reclamation.* The index accepts an optional `epoch_reclaimer`
-// (`set_reclaimer`, see epoch_reclaim.h): superseded vEB trees are retired
-// onto the reclaimer's limbo list instead of freed at the swap site, and
-// destroyed at drain-boundary reclaim points once every reader epoch has
-// advanced past them. Without a reclaimer the shared_ptr refcount frees
-// them.
+// index absorbs further writes, and writers never wait on readers. A
+// superseded tree dies with its last owner: at the swap site when no
+// snapshot shares it, else when the last snapshot holding it is dropped.
 #pragma once
 
 #include <atomic>
@@ -41,7 +36,6 @@
 #include "bdltree/bdl_tree.h"
 #include "core/aabb.h"
 #include "core/point.h"
-#include "query/epoch_reclaim.h"
 
 namespace pargeo::query {
 
@@ -116,19 +110,9 @@ class spatial_index {
     return std::make_shared<index_snapshot<D>>(tree_.view(), epoch());
   }
 
-  /// Attach an epoch reclaimer: superseded trees are retired onto its
-  /// limbo list instead of freed at the swap site. nullptr detaches. Not
-  /// thread-safe against concurrent writes — call before serving traffic
-  /// (the query_service attaches at construction).
-  void set_reclaimer(epoch_reclaimer* r) {
-    reclaim_ = r;
-    attach_hook();
-  }
-
   /// Replaces the stored set with `pts`.
   void build(const std::vector<point<D>>& pts) {
     tree_ = bdltree::bdl_tree<D>(policy_, buffer_size_);
-    attach_hook();
     tree_.insert(pts);
     epoch_.fetch_add(1, std::memory_order_release);
   }
@@ -173,21 +157,10 @@ class spatial_index {
   std::vector<point<D>> gather() const { return tree_.gather(); }
 
  private:
-  void attach_hook() {
-    if (reclaim_ != nullptr) {
-      epoch_reclaimer* r = reclaim_;
-      tree_.set_retire_hook(
-          [r](std::shared_ptr<const void> p) { r->retire(std::move(p)); });
-    } else {
-      tree_.set_retire_hook(nullptr);
-    }
-  }
-
   bdltree::split_policy policy_;
   std::size_t buffer_size_;
   bdltree::bdl_tree<D> tree_;
   std::atomic<std::uint64_t> epoch_{0};
-  epoch_reclaimer* reclaim_ = nullptr;
 };
 
 // The common dimensions are instantiated once in query.cpp.

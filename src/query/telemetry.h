@@ -104,9 +104,9 @@ inline telemetry_level telemetry_level_from_string(const std::string& s) {
 /// committed write group into the op log, on the primary's drain
 /// thread), replay (one log group's application on a replica: dispatch
 /// until the last lane finished re-executing the recorded backend
-/// calls). Reclamation stage: reclaim (one epoch advance + limbo sweep
-/// on the drain thread — the cost of destroying retired snapshot
-/// structure, see epoch_reclaim.h).
+/// calls). `reclaim` records nothing: a superseded tree dies with its
+/// last owner, with no reclaim pass to time. The enumerator remains
+/// because the repository benchmark (perfbench/) spells it.
 enum class stage : std::uint8_t {
   queue_wait,
   route,

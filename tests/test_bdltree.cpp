@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <cstring>
 #include <map>
+#include <memory>
 #include <optional>
 #include <set>
 
@@ -463,6 +464,64 @@ TEST(BdlTree, ForestIsPinnedAndTheSameAtEveryWorkerCount) {
     EXPECT_EQ(st.tree_sizes, one->tree_sizes);
     EXPECT_TRUE(st.knn == one->knn);
   }
+}
+
+// A superseded tree dies with its last owner. A view keeps every tree it
+// holds alive, and its rows unchanged, through a cascade that destroys
+// trees, an erase that copies a shared tree and one that leaves a copy
+// below half its build size. Once the view is dropped, each of its trees
+// is freed exactly when the forest no longer holds it.
+TEST(BdlTree, SupersededTreeDiesWithItsLastOwner) {
+  const std::size_t X = 32;
+  bdl_tree<2> t(split_policy::object_median, X);
+  // 119 = 0b1110111: trees in slots 0, 1, 2, 4, 5 and 6, plus 5 buffered.
+  t.insert(datagen::uniform<2>(119 * X + 5, 31));
+  ASSERT_EQ(t.num_static_trees(), 6u);
+
+  const auto queries = datagen::uniform<2>(50, 32);
+  constexpr std::size_t k = 7;
+  std::optional<bdl_forest_view<2>> view = t.view();
+  const auto rows = view->knn(queries, k);
+  std::vector<std::weak_ptr<const veb_tree<2>>> held;
+  for (const auto& tree : view->trees) {
+    if (tree) held.push_back(tree);
+  }
+  ASSERT_EQ(held.size(), 6u);
+  const auto slot4 = view->trees[4]->gather();
+  const auto slot5 = view->trees[5]->gather();
+
+  // X more points: the cascade destroys slots 0-2 and builds slot 3.
+  t.insert(datagen::uniform<2>(X, 33));
+  // Copies the shared slot-4 tree, which stays above half.
+  t.erase(std::vector<point<2>>(slot4.begin(), slot4.begin() + 3));
+  // Copies slot 5 and leaves the copy below half, so it is rebuilt.
+  t.erase(std::vector<point<2>>(slot5.begin(),
+                                slot5.begin() + 3 * slot5.size() / 4));
+
+  for (const auto& w : held) EXPECT_FALSE(w.expired());
+  EXPECT_TRUE(view->knn(queries, k) == rows);
+
+  view.reset();
+  std::vector<std::weak_ptr<const veb_tree<2>>> forest;
+  {
+    const auto fresh = t.view();
+    for (const auto& tree : fresh.trees) {
+      if (tree) forest.push_back(tree);
+    }
+  }
+  // Owner comparison: a weak_ptr keeps its control block, so an expired
+  // tree cannot share one with a live tree.
+  const auto in_forest = [&](const std::weak_ptr<const veb_tree<2>>& w) {
+    return std::any_of(forest.begin(), forest.end(), [&](const auto& f) {
+      return !w.owner_before(f) && !f.owner_before(w);
+    });
+  };
+  std::size_t alive = 0;
+  for (std::size_t i = 0; i < held.size(); ++i) {
+    EXPECT_EQ(held[i].expired(), !in_forest(held[i])) << "tree " << i;
+    alive += held[i].expired() ? 0 : 1;
+  }
+  EXPECT_EQ(alive, 1u);  // slot 6, which nothing touched
 }
 
 // The parallel match hands out the buffer's copies exactly as the

@@ -286,7 +286,7 @@ TEST(TelemetryService, ConcurrentRecordersLoseNothing) {
 
 // Every lifecycle stage reaches its histogram under a traffic mix that
 // passes through it: read-only and write tickets (queue_wait through
-// completion, plus the drain's reclaim advance), a standing watch
+// completion), a standing watch
 // (watch_eval), a TTL sweep (expire), the primary's op-log append
 // (replicate) and a replica applying the log (replay). Each stage must
 // hold samples with p99 > 0: a zero means its stamps stopped reaching
@@ -324,6 +324,9 @@ TEST(TelemetryService, EveryStageRecordsUnderMixedTraffic) {
   rep.merge(replicas.replica(0).stats().telemetry);
   for (std::size_t i = 0; i < query::kNumStages; ++i) {
     const auto st = static_cast<stage>(i);
+    // Nothing records `reclaim` (a superseded tree dies with its last
+    // owner); the enumerator stays because perfbench spells it.
+    if (st == stage::reclaim) continue;
     const auto sum = rep.stage_hist(st).summary();
     EXPECT_GT(sum.count, 0u) << query::stage_name(st);
     EXPECT_GT(sum.p99, 0u) << query::stage_name(st);
